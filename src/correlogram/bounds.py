@@ -118,15 +118,25 @@ def _polish(f, lo: float, hi: float, x0: float, sign: float) -> float:
     return float(res.fun)
 
 
-def acf2_interval_min(h: Kernel, a: float, b: float, grid: int = 801) -> float:
-    """inf over tau in [a, b] of the self-convolution at doubled lag."""
+def _acf2_scan(h: Kernel, a: float, b: float, grid: int) -> tuple:
     taus = np.linspace(float(a), float(b), grid)
-    vals = np.array([_acf2(h, t) for t in taus])
-    i = int(np.argmin(vals))
+    return taus, np.array([_acf2(h, t) for t in taus])
+
+
+def _scan_extremum(h: Kernel, a: float, b: float, taus, vals, sign: float) -> float:
+    # grid extremum of a scan, polished locally; sign=+1 gives the min, -1 the max
+    i = int(np.argmin(sign * vals))
+    grid = taus.size
     step = (taus[-1] - taus[0]) / max(grid - 1, 1) if grid > 1 else 0.0
     lo, hi = max(float(a), taus[i] - step), min(float(b), taus[i] + step)
-    polished = _polish(lambda t: _acf2(h, t), lo, hi, float(taus[i]), +1.0)
-    return min(float(vals[i]), polished)
+    polished = _polish(lambda t: _acf2(h, t), lo, hi, float(taus[i]), sign)
+    return sign * min(sign * float(vals[i]), polished)
+
+
+def acf2_interval_min(h: Kernel, a: float, b: float, grid: int = 801) -> float:
+    """inf over tau in [a, b] of the self-convolution at doubled lag."""
+    taus, vals = _acf2_scan(h, a, b, grid)
+    return _scan_extremum(h, a, b, taus, vals, +1.0)
 
 
 def b_function(
@@ -146,28 +156,31 @@ def b_function(
 
 def b_sup(h: Kernel, a: float, b: float, grid: int = 801) -> float:
     """sup of b(tau) over [a, b], by grid search with local polish."""
-    taus = np.linspace(float(a), float(b), grid)
-    vals = np.array([_acf2(h, t) for t in taus])
-    m = acf2_interval_min(h, a, b, grid)
-    i = int(np.argmax(vals))
-    step = (taus[-1] - taus[0]) / max(grid - 1, 1) if grid > 1 else 0.0
-    lo, hi = max(float(a), taus[i] - step), min(float(b), taus[i] + step)
-    top = -_polish(lambda t: _acf2(h, t), lo, hi, float(taus[i]), -1.0)
-    return math.sqrt(max(max(float(vals[i]), top) - m, 0.0))
+    taus, vals = _acf2_scan(h, a, b, grid)
+    m = _scan_extremum(h, a, b, taus, vals, +1.0)
+    top = _scan_extremum(h, a, b, taus, vals, -1.0)
+    return math.sqrt(max(top - m, 0.0))
 
 
 def corollary2_bound(
-    h: Kernel, a: float, b: float, x: float, y_tail: Callable[[float], float]
+    h: Kernel,
+    a: float,
+    b: float,
+    x: float,
+    y_tail: Callable[[float], float],
+    B: Optional[float] = None,
 ) -> float:
     """Supremum tail bound 2 P{sup|Y| > x/(2 sqrt 2)} + 4 exp(-x^2 / B).
 
     ``y_tail(u)`` must bound P{sup over [a,b] of |Y| > u}; the constant
     is B = 16 ||h||_2^2 - 16 inf (h*h)(2 tau). When B degenerates to 0
-    (constant-comparison case) the Gaussian term is dropped.
+    (constant-comparison case) the Gaussian term is dropped. ``B``
+    short-circuits the interval scan when the caller has it already.
     """
     if not x > 0:
         raise ValueError("x must be positive")
-    B = 16.0 * h.l2_norm**2 - 16.0 * acf2_interval_min(h, a, b)
+    if B is None:
+        B = 16.0 * h.l2_norm**2 - 16.0 * acf2_interval_min(h, a, b)
     first = 2.0 * float(y_tail(x / (2.0 * math.sqrt(2.0))))
     if B <= 0.0:
         warnings.warn(
@@ -284,7 +297,7 @@ def theorem4_detail(
         raise BoundUnavailable("increment metric vanishes on the interval")
 
     taus = np.linspace(float(a), float(b), var_grid)
-    variances = np.array([cov_finite(model, T, float(t), float(t)) for t in taus])
+    variances = cov_finite(model, T, taus, taus)
     i = int(np.argmin(variances))
     step = (taus[-1] - taus[0]) / max(var_grid - 1, 1)
     inf_var = min(
@@ -467,7 +480,7 @@ def corollary2_report(
 ) -> TailBoundReport:
     inf_acf = acf2_interval_min(h, a, b)
     B = 16.0 * h.l2_norm**2 - 16.0 * inf_acf
-    raw = [corollary2_bound(h, a, b, x, y_tail) for x in xs]
+    raw = [corollary2_bound(h, a, b, x, y_tail, B=B) for x in xs]
     consts = {"B_ab": B, "inf_acf2": inf_acf}
     return _capped_report("corollary2", xs, raw, consts, settings or {})
 

@@ -22,19 +22,26 @@ Near u=0 the integrand is resolved directly with Gauss-Legendre panels
 of width ~pi/T; beyond, Phi_T(u) = (1/pi T)(1 - cos(Tu))/u^2 is split
 into a smooth part and an oscillatory part handled by Filon-Legendre
 quadrature (Legendre expansion of the slow factor against analytic
-moments int P_n(x) e^{icx} dx = 2 i^n j_n(c)). The u integral runs over
-both half-lines with no symmetry shortcuts, so the imaginary residue
-and the (t1, t2)-swap asymmetry are genuine numerical consistency
-checks, reported and enforced.
+moments int P_n(x) e^{icx} dx = 2 i^n j_n(c)). Both parts are linear in
+the slow factor, so the u rule is one real weight per u-node.
+
+F1 and G are evaluated over whole arrays of u-nodes, in fixed-size
+chunks: per u-node the shifted breakpoints are merged into one shared
+lambda ladder (clipped to the window, so rows stay rectangular), and the
+lag-free products w|H*|^2|g*(lam-u)|^2 and w H* H*(lam-u) g* g*(lam-u)
+are formed once per chunk. Lags enter only through the phases e^{ia lam},
+e^{ib lam} and e^{-i t u}, so a batch of lag pairs reuses those products;
+it shares one ladder sized for its largest |a|, |b| and one u-panel set
+sized for its largest |t|. The u integral runs over both half-lines with
+no symmetry shortcuts, so the imaginary residue and the (t1, t2)-swap
+asymmetry are genuine numerical consistency checks, reported and
+enforced for every entry of a batch.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,8 +65,6 @@ __all__ = [
     "rho_exact",
     "rho_upper",
     "rho_upper_uniform",
-    "dZ_bound_check",
-    "write_cov_matrix_csv",
 ]
 
 
@@ -68,22 +73,18 @@ class QuadratureSettings:
     """Shared quadrature controls.
 
     ``lambda_max`` truncates spectral integrals for kernels without a hard
-    band limit; band-limited kernels ignore it. ``rule`` selects between
-    scipy's adaptive integrator and fixed composite Gauss-Legendre panels
-    for the one-dimensional quantities (the double integral always uses
-    the panel scheme described in the module docstring).
+    band limit; band-limited kernels ignore it. One-dimensional quantities
+    use scipy's adaptive integrator, the double integral the panel scheme
+    described in the module docstring.
     """
 
     lambda_max: float = 200.0
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    rule: str = "adaptive"
 
     def __post_init__(self):
         if not (self.lambda_max > 0 and self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("lambda_max and tolerances must be positive")
-        if self.rule not in ("adaptive", "fixed-grid"):
-            raise ValueError("rule must be 'adaptive' or 'fixed-grid'")
 
     @classmethod
     def default_1d(cls) -> "QuadratureSettings":
@@ -204,26 +205,7 @@ _LEG_VANDER = np.polynomial.legendre.legvander(_GL_NODES, 11)  # P_n(x_k), (12, 
 _LEG_PROJ = ((2.0 * np.arange(12) + 1.0) / 2.0)[:, None] * (_LEG_VANDER.T * _GL_WEIGHTS)
 
 
-def _fixed_grid_1d(f, lo: float, hi: float, points, max_width: float) -> complex:
-    """Composite 12-point Gauss-Legendre over breakpoint-aware panels."""
-    cuts = [lo, hi] + [p for p in (points or ()) if lo < p < hi]
-    edges = []
-    cuts = sorted(set(cuts))
-    for a, b in zip(cuts, cuts[1:]):
-        m = max(1, int(math.ceil((b - a) / max_width)))
-        edges.extend(np.linspace(a, b, m + 1)[:-1])
-    edges.append(hi)
-    edges = np.asarray(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + hw[:, None] * _GL_NODES[None, :]).ravel()
-    w = (hw[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return complex(np.sum(w * f(nodes)))
-
-
 def _integrate_1d(f, lo, hi, settings: QuadratureSettings, points=None) -> complex:
-    if settings.rule == "fixed-grid":
-        return _fixed_grid_1d(f, lo, hi, points, max_width=0.25)
     re, _ = quad(
         lambda x: f(np.asarray(x)).real.item(),
         lo,
@@ -323,32 +305,37 @@ def cov_limit(
 # ---------------------------------------------------------------------------
 # finite-horizon covariance (double spectral integral)
 
+# u-nodes per chunk and lag entries per block of the batched evaluation:
+# together they keep the working set at a few MB whatever the batch size.
+_U_CHUNK = 256
+_LAG_BLOCK = 64
 
-class _PairIntegrand:
-    """Evaluator of F1(u) and G(u) on a breakpoint-aware lambda grid.
 
-    The lambda ladder is built once: phase-capped panels inside the
-    spectral core of H (where most of |H*|^2 lives), then panels growing
-    geometrically through the mass tail out to the truncation point,
-    never wider than the transforms' own oscillation scale. Per call the
-    ladder is only augmented with the u-shifted breakpoints.
+class _PairWeights:
+    """Lag-free (u x lambda) weight products of F1(u) and G(u).
+
+    The lambda ladder is built once per batch: phase-capped panels inside
+    the spectral core of H (where most of |H*|^2 lives), then panels
+    growing geometrically through the mass tail out to the truncation
+    point, never wider than the transforms' own oscillation scale. Each
+    u-node merges its shifted breakpoints into the ladder; a shifted point
+    outside the window is clipped onto an endpoint, where its panel has
+    zero width and adds exactly 0, so all rows have the same node count.
     """
 
-    def __init__(self, model: CovarianceModel, tau1: float, tau2: float):
+    def __init__(self, model: CovarianceModel, lag_rate: float):
         h, g = model.h, model.g
         st = model.quadrature
         self.h, self.g = h, g
-        self.a = tau1 - tau2
-        self.b = tau1 + tau2
         g_sup = _sup_ftf(g)
         # absolute tail target for the lambda truncation of F1 and G
         lam_tail = 0.25 * st.abs_tol * 2.0 * math.pi * model.c**2 / max(g_sup**2, 1e-300)
         self.L = _spectral_window(h, abs_mass_tol=lam_tail, start=st.lambda_max)
         h_mass = 2.0 * math.pi * h.l2_norm**2
         self.L_core = _spectral_window(h, abs_mass_tol=1e-3 * h_mass, start=2.0)
-        self.breaks = sorted(set(_ftf_breakpoints(h)) | set(_ftf_breakpoints(g)))
+        self.breaks = np.array(sorted(set(_ftf_breakpoints(h)) | set(_ftf_breakpoints(g))))
         self.osc_rate = max(_ftf_osc_rate(h), _ftf_osc_rate(g))
-        rate = max(1.0, abs(self.a), abs(self.b), self.osc_rate)
+        rate = max(1.0, lag_rate, self.osc_rate)
         self.max_width = 2.0 / rate
         self._base_edges = self._build_base_edges()
 
@@ -368,38 +355,26 @@ class _PairIntegrand:
         pos = np.asarray(pts)
         return np.concatenate([-pos[:0:-1], pos])
 
-    def __call__(self, u: float) -> tuple:
-        """Return (F1(u), G(u)) as complex scalars."""
-        L = self.L
-        shifted = [p + u for p in self.breaks if -L < p + u < L]
-        edges = np.union1d(self._base_edges, shifted) if shifted else self._base_edges
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        hw = 0.5 * (edges[1:] - edges[:-1])
-        lam = (mid[:, None] + hw[:, None] * _GL_NODES[None, :]).ravel()
-        w = (hw[:, None] * _GL_WEIGHTS[None, :]).ravel()
-
-        hs = self.h.ftf_eval(lam)
-        hsu = self.h.ftf_eval(lam - u)
-        gs = self.g.ftf_eval(lam)
-        gsu = self.g.ftf_eval(lam - u)
-        f1 = np.sum(w * np.exp(1j * self.a * lam) * np.abs(hs) ** 2 * np.abs(gsu) ** 2)
-        gg = np.sum(w * np.exp(1j * self.b * lam) * hs * hsu * gs * gsu)
-        return complex(f1), complex(gg)
-
-
-def _filon_cos_moments(c: float) -> np.ndarray:
-    """``int_{-1}^{1} P_n(x) e^{icx} dx = 2 i^n j_n(c)`` for n = 0..11."""
-    jn = spherical_jn(np.arange(12), abs(c))
-    mom = 2.0 * (1j ** np.arange(12)) * jn
-    if c < 0:
-        mom = np.conj(mom)
-    return mom
+    def weights(self, u: np.ndarray) -> tuple:
+        """Nodes ``lam`` and the products ``W1 = w |H*|^2 |g*(lam-u)|^2``
+        and ``W2 = w H* H*(lam-u) g* g*(lam-u)``, each of shape (u, lambda)."""
+        base = np.broadcast_to(self._base_edges, (u.size, self._base_edges.size))
+        shifted = np.clip(u[:, None] + self.breaks, -self.L, self.L)
+        edges = np.sort(np.concatenate([base, shifted], axis=1), axis=1)
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        hw = 0.5 * (edges[:, 1:] - edges[:, :-1])
+        lam = (mid[..., None] + hw[..., None] * _GL_NODES).reshape(u.size, -1)
+        w = (hw[..., None] * _GL_WEIGHTS).reshape(u.size, -1)
+        hs, hsu = self.h.ftf_eval(lam), self.h.ftf_eval(lam - u[:, None])
+        gs, gsu = self.g.ftf_eval(lam), self.g.ftf_eval(lam - u[:, None])
+        return lam, w * np.abs(hs) ** 2 * np.abs(gsu) ** 2, w * hs * hsu * gs * gsu
 
 
 def _u_panels(
     T: float, fine_end: float, u_top: float, phase_rate: float, tail_cap: float
-) -> list:
-    """Positive-u panel edges: a directly resolved head, then wider panels.
+) -> tuple:
+    """Positive-u panel edges and the head end u_A: a directly resolved
+    head, then wider panels.
 
     Head panels have width ~pi/T (half a Fejér oscillation) out to
     u_A = 40pi/T; past the head, panel width is capped by the integrand's
@@ -421,24 +396,48 @@ def _u_panels(
         step = min(max(min(w_cap, u), 0.3 * u), tail_cap)
         u = min(u + step, u_top)
         edges.append(u)
-    return edges
+    return edges, u_A
 
 
-def _phi_smooth(T: float, u: np.ndarray) -> np.ndarray:
-    """Fejér kernel without the cos(Tu) oscillation: (1/piT)/u^2 pieces
-    are handled by the caller; this is the full kernel for the head."""
-    return (T / (2.0 * math.pi)) * np.sinc(T * u / (2.0 * math.pi)) ** 2
+def _u_rule(T: float, edges: list, u_A: float) -> tuple:
+    """Nodes and real weights of int Phi_T(u) s(u) du over both half-lines.
+
+    Head panels (up to u_A) carry Gauss-Legendre weights times Phi_T.
+    Past the head, Phi_T(u) = (1 - cos Tu) / (pi T u^2): the smooth part
+    gets Gauss-Legendre weights on s/u^2, the cosine part Filon-Legendre
+    weights (the Legendre projection of s/u^2 against the analytic moments
+    int P_n(x) e^{icx} dx = 2 i^n j_n(c)). Both are linear in s, so each
+    node carries one real weight, the same at u and -u.
+    """
+    edges = np.asarray(edges, dtype=float)
+    m = 0.5 * (edges[:-1] + edges[1:])
+    hw = 0.5 * (edges[1:] - edges[:-1])
+    u = m[:, None] + hw[:, None] * _GL_NODES
+    wt = hw[:, None] * _GL_WEIGHTS * fejer(T, u)
+    tail = edges[1:] > u_A + 1e-12
+    n = np.arange(12)
+    moments = 2.0 * (1j**n) * spherical_jn(n, T * hw[tail, None])
+    osc = (np.exp(1j * T * m[tail, None]) * moments).real @ _LEG_PROJ
+    wt[tail] = hw[tail, None] * (_GL_WEIGHTS - osc) / (math.pi * T * u[tail] ** 2)
+    return np.concatenate([u.ravel(), -u.ravel()]), np.concatenate([wt.ravel(), wt.ravel()])
 
 
-def cov_finite_detail(
-    model: CovarianceModel, T: float, tau1: float, tau2: float
-) -> dict:
+def _max_abs(*arrays) -> float:
+    return max(float(np.max(np.abs(x), initial=0.0)) for x in arrays)
+
+
+def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
     """Finite-horizon covariance with its numerical self-checks.
 
     Returns a dict with ``value`` (the symmetrized real covariance),
-    ``imag_residue`` (two-sided imaginary part that must cancel) and
+    ``imag_residue`` (two-sided imaginary part that must cancel),
     ``asymmetry`` (difference between the (tau1,tau2) and (tau2,tau1)
-    accumulations, zero analytically).
+    accumulations, zero analytically), ``u_top`` and ``lambda_window``.
+
+    ``tau1`` and ``tau2`` may be broadcastable arrays; the first three
+    entries then have the broadcast shape (scalar lags give floats). One
+    batch shares one lambda ladder, sized for its largest |tau1 -+ tau2|,
+    and one u-panel set, sized for its largest |tau|.
     """
     if model.g is None:
         raise ValueError("finite-horizon covariance needs the window kernel g")
@@ -450,8 +449,10 @@ def cov_finite_detail(
     if not T > 0:
         raise ValueError("T must be positive")
     st = model.quadrature
-    tau1, tau2 = float(tau1), float(tau2)
-    pair = _PairIntegrand(model, tau1, tau2)
+    tau1, tau2 = np.broadcast_arrays(np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float))
+    t1, t2 = tau1.ravel(), tau2.ravel()
+    a, b = t1 - t2, t1 + t2
+    pair = _PairWeights(model, _max_abs(a, b))
     L = pair.L
     h, g = model.h, model.g
 
@@ -479,102 +480,98 @@ def cov_finite_detail(
         if float(np.sum(vals * widths)) < tail_target:
             break
         u_top *= 1.4
-    phase_rate = max(1.0, abs(tau1), abs(tau2), _ftf_osc_rate(g), _ftf_osc_rate(h))
+    phase_rate = max(1.0, _max_abs(t1, t2), _ftf_osc_rate(g), _ftf_osc_rate(h))
     fine_end = 2.0 * pair.L_core
     rate_g = _ftf_osc_rate(g)
     tail_cap = 9.0 / rate_g if rate_g > 0 else math.inf
-    edges = _u_panels(T, fine_end, u_top, phase_rate, tail_cap)
-    u_A = min(40.0 * math.pi / T, max(fine_end, 1.0))
+    u, wt = _u_rule(T, *_u_panels(T, fine_end, u_top, phase_rate, tail_cap))
 
-    total12 = 0.0 + 0.0j
-    total21 = 0.0 + 0.0j
-    inv_piT = 1.0 / (math.pi * T)
-    for lo, hi in zip(edges, edges[1:]):
-        m = 0.5 * (lo + hi)
-        hw = 0.5 * (hi - lo)
-        for sign in (1.0, -1.0):
-            # mirrored panel [-hi, -lo] when sign < 0
-            u_nodes = sign * (m + hw * _GL_NODES)
-            f1 = np.empty(u_nodes.size, dtype=complex)
-            gg = np.empty(u_nodes.size, dtype=complex)
-            for i, u in enumerate(u_nodes):
-                f1[i], gg[i] = pair(float(u))
-            s12 = f1 + np.exp(-1j * tau2 * u_nodes) * gg
-            s21 = np.conj(f1) + np.exp(-1j * tau1 * u_nodes) * gg
-            if hi <= u_A + 1e-12:
-                phi = _phi_smooth(T, u_nodes)
-                total12 += hw * np.sum(_GL_WEIGHTS * phi * s12)
-                total21 += hw * np.sum(_GL_WEIGHTS * phi * s21)
-            else:
-                q12 = s12 / u_nodes**2
-                q21 = s21 / u_nodes**2
-                # smooth part (1/piT) int q du
-                total12 += inv_piT * hw * np.sum(_GL_WEIGHTS * q12)
-                total21 += inv_piT * hw * np.sum(_GL_WEIGHTS * q21)
-                # oscillatory part -(1/piT) int cos(Tu) q du via Filon
-                a12 = _LEG_PROJ @ q12
-                a21 = _LEG_PROJ @ q21
-                mom_p = _filon_cos_moments(T * hw * sign)
-                mom_m = np.conj(mom_p)
-                ph = np.exp(1j * T * m * sign)
-                cos12 = 0.5 * hw * (ph * np.dot(a12, mom_p) + np.conj(ph) * np.dot(a12, mom_m))
-                cos21 = 0.5 * hw * (ph * np.dot(a21, mom_p) + np.conj(ph) * np.dot(a21, mom_m))
-                total12 -= inv_piT * cos12
-                total21 -= inv_piT * cos21
+    # The cov integrand is F1(u; a) + e^{-i t2 u} G(u; b) for the (t1, t2)
+    # accumulation and conj(F1) + e^{-i t1 u} G for the swapped one. Per
+    # lag block, F1 and G are formed once for each distinct a and b.
+    blocks = []
+    for start in range(0, t1.size, _LAG_BLOCK):
+        sl = slice(start, start + _LAG_BLOCK)
+        a_vals, a_idx = np.unique(a[sl], return_inverse=True)
+        b_vals, b_idx = np.unique(b[sl], return_inverse=True)
+        blocks.append((sl, a_vals, a_idx, b_vals, b_idx))
+    total12 = np.zeros(t1.size, dtype=complex)
+    total21 = np.zeros(t1.size, dtype=complex)
+    for start in range(0, u.size, _U_CHUNK):
+        uc, wc = u[start:start + _U_CHUNK], wt[start:start + _U_CHUNK]
+        lam, W1, W2 = pair.weights(uc)
+        wW1, lam_flat = (wc[:, None] * W1).ravel(), lam.ravel()
+        for sl, a_vals, a_idx, b_vals, b_idx in blocks:
+            # sum over the chunk of wt F1(u; a) per distinct a, G(u; b) per
+            # u-node and distinct b
+            f1 = np.array([np.dot(wW1, np.exp(1j * x * lam_flat)) for x in a_vals])
+            gg = np.stack([np.einsum("ij,ij->i", W2, np.exp(1j * x * lam)) for x in b_vals], 1)
+            wg = wc[:, None] * gg[:, b_idx]
+            q2 = np.einsum("ik,ik->k", wg, np.exp(-1j * np.outer(uc, t2[sl])))
+            q1 = np.einsum("ik,ik->k", wg, np.exp(-1j * np.outer(uc, t1[sl])))
+            total12[sl] += f1[a_idx] + q2
+            total21[sl] += np.conj(f1[a_idx]) + q1
 
     scale = 1.0 / (2.0 * math.pi * model.c**2)
     c12 = scale * total12
     c21 = scale * total21
-    value = 0.5 * (c12.real + c21.real)
-    imag_residue = max(abs(c12.imag), abs(c21.imag))
-    asymmetry = abs(c12.real - c21.real)
-    return {
-        "value": value,
-        "imag_residue": imag_residue,
-        "asymmetry": asymmetry,
-        "u_top": u_top,
-        "lambda_window": L,
+    detail = {
+        "value": 0.5 * (c12.real + c21.real),
+        "imag_residue": np.maximum(np.abs(c12.imag), np.abs(c21.imag)),
+        "asymmetry": np.abs(c12.real - c21.real),
     }
+    for key, arr in detail.items():
+        arr = arr.reshape(tau1.shape)
+        detail[key] = arr.item() if arr.ndim == 0 else arr
+    detail["u_top"] = u_top
+    detail["lambda_window"] = L
+    return detail
 
 
-def cov_finite(model: CovarianceModel, T: float, tau1: float, tau2: float) -> float:
+def cov_finite(model: CovarianceModel, T: float, tau1, tau2):
     """Covariance of (Zhat(tau1), Zhat(tau2)) at horizon T.
 
     Symmetric in its lag arguments and real within the configured
     tolerance; violations raise, small negative variances (tau1 == tau2)
-    are clamped to zero when within rounding slack.
+    are clamped to zero when within rounding slack. Lag arrays are one
+    batch (see ``cov_finite_detail``) and every entry is checked; the
+    error names the first offending entry. Scalar lags give a float.
     """
     st = model.quadrature
+    tau1, tau2 = np.broadcast_arrays(np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float))
     detail = cov_finite_detail(model, T, tau1, tau2)
-    value = detail["value"]
-    tol = st.abs_tol + st.rel_tol * abs(value)
-    if detail["imag_residue"] > tol:
-        raise ConsistencyError(
-            f"imaginary residue {detail['imag_residue']:.3e} exceeds {tol:.3e} "
-            f"at T={T}, taus=({tau1}, {tau2})"
-        )
-    if detail["asymmetry"] > tol:
-        raise ConsistencyError(
-            f"lag-swap asymmetry {detail['asymmetry']:.3e} exceeds {tol:.3e} "
-            f"at T={T}, taus=({tau1}, {tau2})"
-        )
-    if tau1 == tau2 and value < 0.0:
-        if value < -st.abs_tol:
+    t1, t2 = tau1.ravel(), tau2.ravel()
+    value = np.array(detail["value"], dtype=float).ravel()
+    tol = st.abs_tol + st.rel_tol * np.abs(value)
+    for key, what in (("imag_residue", "imaginary residue"), ("asymmetry", "lag-swap asymmetry")):
+        resid = np.ravel(detail[key])
+        bad = np.flatnonzero(resid > tol)
+        if bad.size:
+            k = bad[0]
             raise ConsistencyError(
-                f"variance {value:.3e} negative beyond rounding slack at tau={tau1}"
+                f"{what} {resid[k]:.3e} exceeds {tol[k]:.3e} "
+                f"at T={T}, taus=({t1[k]}, {t2[k]})"
             )
-        value = 0.0
-    return value
+    negative = (t1 == t2) & (value < 0.0)
+    bad = np.flatnonzero(negative & (value < -st.abs_tol))
+    if bad.size:
+        k = bad[0]
+        raise ConsistencyError(
+            f"variance {value[k]:.3e} negative beyond rounding slack "
+            f"at T={T}, taus=({t1[k]}, {t2[k]})"
+        )
+    value[negative] = 0.0
+    value = value.reshape(tau1.shape)
+    return value.item() if value.ndim == 0 else value
 
 
 def cov_matrix(model: CovarianceModel, T: float, taus: Sequence[float]) -> np.ndarray:
-    """Symmetric covariance matrix of Zhat over a lag grid."""
-    taus = [float(t) for t in taus]
-    n = len(taus)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            out[i, j] = out[j, i] = cov_finite(model, T, taus[i], taus[j])
+    """Symmetric covariance matrix of Zhat over a lag grid, one batch over
+    its upper triangle."""
+    taus = np.asarray(taus, dtype=float)
+    i, j = np.triu_indices(taus.size)
+    out = np.empty((taus.size, taus.size))
+    out[i, j] = out[j, i] = cov_finite(model, T, taus[i], taus[j])
     return out
 
 
@@ -582,9 +579,7 @@ def rho_exact(model: CovarianceModel, T: float, tau1: float, tau2: float) -> flo
     """Mean-square distance of Zhat increments,
     ``sqrt(Var Zhat(t1) + Var Zhat(t2) - 2 Cov)``, clamped at 0."""
     st = model.quadrature
-    v11 = cov_finite(model, T, tau1, tau1)
-    v22 = cov_finite(model, T, tau2, tau2)
-    v12 = cov_finite(model, T, tau1, tau2)
+    v11, v22, v12 = cov_finite(model, T, [tau1, tau2, tau1], [tau1, tau2, tau2])
     sq = v11 + v22 - 2.0 * v12
     if sq < -3.0 * st.abs_tol:
         raise ConsistencyError(
@@ -623,56 +618,3 @@ def rho_upper_uniform(h: Kernel, g_family_sup: float, c: float) -> float:
     if not (c > 0 and g_family_sup >= 0):
         raise ValueError("c must be positive and g_family_sup nonnegative")
     return (2.0 * math.sqrt(2.0) / c) * h.l2_norm * g_family_sup
-
-
-def dZ_bound_check(
-    h: Kernel,
-    tau1: float,
-    tau2: float,
-    settings: Optional[QuadratureSettings] = None,
-) -> tuple:
-    """Return (d_Z, bound) where d_Z is the limit-process increment norm
-    and bound = (2/sqrt(pi)) sigma(tau1, tau2); enforces d_Z <= bound."""
-    settings = settings or QuadratureSettings.default_1d()
-    sq = (
-        cov_limit(h, tau1, tau1, settings)
-        + cov_limit(h, tau2, tau2, settings)
-        - 2.0 * cov_limit(h, tau1, tau2, settings)
-    )
-    if sq < -3.0 * settings.abs_tol:
-        raise ConsistencyError(f"negative squared increment {sq:.3e} of the limit process")
-    d_z = math.sqrt(max(sq, 0.0))
-    bound = (2.0 / math.sqrt(math.pi)) * sigma(h, tau2 - tau1, settings)
-    if d_z > bound + 100.0 * settings.abs_tol:
-        raise ConsistencyError(
-            f"increment bound violated: d_Z={d_z:.12g} > (2/sqrt(pi))sigma={bound:.12g}"
-        )
-    return d_z, bound
-
-
-def write_cov_matrix_csv(
-    taus: Sequence[float],
-    matrix: np.ndarray,
-    file,
-    settings: Optional[QuadratureSettings] = None,
-    extra: Optional[dict] = None,
-) -> None:
-    """Covariance matrix to CSV with a JSON sidecar of settings."""
-    file = Path(file)
-    taus = [float(t) for t in taus]
-    with open(file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau"] + [repr(t) for t in taus])
-        for t, row in zip(taus, np.asarray(matrix)):
-            w.writerow([repr(t)] + [repr(float(v)) for v in row])
-    meta = dict(extra or {})
-    if settings is not None:
-        meta["quadrature"] = {
-            "lambda_max": settings.lambda_max,
-            "abs_tol": settings.abs_tol,
-            "rel_tol": settings.rel_tol,
-            "rule": settings.rule,
-        }
-    with open(file.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

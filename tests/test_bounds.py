@@ -29,6 +29,18 @@ from correlogram.kernels import make_sinc, make_triangular
 from correlogram.spectral import CovarianceModel
 
 
+def _count_autocorrelation(monkeypatch) -> list:
+    calls = []
+    real = bounds_mod.autocorrelation
+
+    def counting(h, lag):
+        calls.append(lag)
+        return real(h, lag)
+
+    monkeypatch.setattr(bounds_mod, "autocorrelation", counting)
+    return calls
+
+
 class TestKFunction:
     def test_frozen_values(self):
         assert k_of_x(0.0) == pytest.approx(1.0, rel=1e-15)
@@ -94,6 +106,12 @@ class TestIntervalConstants:
         scan = max(b_function(h, 0.0, 1.0, float(t)) for t in taus)
         assert b_sup(h, 0.0, 1.0) == pytest.approx(scan, abs=1e-6)
 
+    def test_b_sup_scans_the_interval_once(self, monkeypatch):
+        calls = _count_autocorrelation(monkeypatch)
+        b_sup(make_sinc(), 0.0, 1.0, grid=801)
+        # one 801-point scan plus the two local polishes
+        assert 801 < len(calls) < 2 * 801
+
     def test_tau_outside_interval_rejected(self):
         with pytest.raises(ValueError):
             b_function(make_sinc(), 0.0, 1.0, 1.5)
@@ -121,6 +139,11 @@ class TestCorollary2:
         assert rep.method == "corollary2"
         assert rep.constants["B_ab"] == pytest.approx(19.475738051379547, rel=1e-9)
         assert np.all(rep.bound_values <= 1.0)
+
+    def test_report_scans_the_interval_once(self, monkeypatch):
+        calls = _count_autocorrelation(monkeypatch)
+        corollary2_report(make_sinc(), 0.0, 1.0, [4.0, 6.0, 8.0], lambda u: math.exp(-u))
+        assert 801 < len(calls) < 2 * 801
 
 
 class TestCorollary1:

@@ -13,11 +13,19 @@ the oracle shares no code path with the implementation under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from correlogram.kernels import make_hilbert_sinc, make_sinc, make_triangular
+from correlogram.errors import ConsistencyError
+from correlogram.kernels import (
+    Kernel,
+    make_hilbert_sinc,
+    make_laplace,
+    make_sinc,
+    make_triangular,
+)
 from correlogram.spectral import (
     CovarianceModel,
     QuadratureSettings,
@@ -170,6 +178,103 @@ class TestFiniteCovariance:
         G = cov_matrix(self.model, 60.0, taus)
         np.testing.assert_allclose(G, G.T, atol=1e-12)
         assert np.linalg.eigvalsh(G).min() > -1e-8
+
+
+# cov_finite values of the one-u-node-at-a-time evaluation the batched
+# (u x lambda) kernel replaced; the quadrature rule is unchanged, so only
+# summation order may move them.
+FROZEN_COV = [
+    ("sinc", "tri100", 500.0, 0.0, 0.0, 1.9979298769446896),
+    ("sinc", "tri100", 500.0, 0.3, 0.7, 0.7584077217712778),
+    ("sinc", "lap20", 50.0, 0.5, 0.5, 1.003142348582593),
+    ("sinc", "lap20", 40.0, 0.2, 0.9, 0.30285612450702176),
+    ("hilbert_sinc", "tri100", 40.0, 0.5, 0.5, 1.013616665882708),
+    ("hilbert_sinc", "tri100", 50.0, 0.0, 1.0, 0.009909814735005466),
+    ("hilbert_sinc", "lap20", 500.0, 0.25, 0.25, 0.3565890778459909),
+    ("hilbert_sinc", "lap20", 500.0, 0.1, 0.6, 0.26406749697370624),
+]
+
+_KERNELS = {"sinc": make_sinc, "hilbert_sinc": make_hilbert_sinc}
+_WINDOWS = {
+    "tri100": lambda: make_triangular(100.0, 1.0),
+    "lap20": lambda: make_laplace(20.0, 1.0),
+}
+
+
+def _model(h_name: str, g_name: str) -> CovarianceModel:
+    return CovarianceModel(h=_KERNELS[h_name](), g=_WINDOWS[g_name](), c=1.0)
+
+
+def _one_sided_kernel() -> Kernel:
+    # transform 1 on [0, pi] only: not conjugate-symmetric, so h is complex
+    # and the covariance integral keeps an imaginary part unless all lags
+    # vanish
+    return Kernel(
+        name="one_sided_band",
+        time_eval=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        ftf_eval=lambda lam: ((lam >= 0.0) & (lam <= np.pi)).astype(complex),
+        parity="none",
+        l2_norm=math.sqrt(0.5),
+        effective_support=60.0,
+        band_limit=math.pi,
+        ftf_envelope=lambda lam: (np.abs(lam) <= np.pi).astype(float),
+    )
+
+
+class TestBatchedCovariance:
+    @pytest.mark.parametrize("h_name, g_name, T, t1, t2, want", FROZEN_COV)
+    def test_frozen_values(self, h_name, g_name, T, t1, t2, want):
+        assert cov_finite(_model(h_name, g_name), T, t1, t2) == pytest.approx(want, rel=1e-12)
+
+    def test_array_call_equals_scalar_calls(self):
+        model = _model("sinc", "lap20")
+        t1 = np.array([[0.0, 0.25, 0.5], [1.0, 0.3, 0.75]])
+        t2 = np.array([[0.0, 0.75, 0.5], [0.2, 0.3, 1.0]])
+        got = cov_finite(model, 50.0, t1, t2)
+        assert got.shape == t1.shape
+        want = [[cov_finite(model, 50.0, float(a), float(b)) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(t1, t2)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # broadcasting a scalar lag against a lag vector
+        row = cov_finite(model, 50.0, 0.25, t2[0])
+        np.testing.assert_allclose(row, [cov_finite(model, 50.0, 0.25, float(b)) for b in t2[0]],
+                                   rtol=1e-12, atol=0.0)
+
+    def test_scalar_lags_give_float(self):
+        model = _model("sinc", "tri100")
+        assert isinstance(cov_finite(model, 40.0, 0.2, 0.4), float)
+        detail = cov_finite_detail(model, 40.0, 0.2, 0.4)
+        assert all(isinstance(detail[k], float) for k in ("value", "imag_residue", "asymmetry"))
+
+    def test_cov_matrix_is_the_array_call(self):
+        model = _model("hilbert_sinc", "tri100")
+        taus = np.array([0.0, 0.3, 0.6, 1.0])
+        i, j = np.triu_indices(taus.size)
+        G = cov_matrix(model, 60.0, taus)
+        np.testing.assert_array_equal(G[i, j], cov_finite(model, 60.0, taus[i], taus[j]))
+        np.testing.assert_array_equal(G, G.T)
+
+    def test_failing_entry_is_named(self):
+        model = CovarianceModel(h=_one_sided_kernel(), g=make_triangular(10.0, 1.0), c=1.0)
+        assert cov_finite(model, 30.0, 0.0, 0.0) > 0.0
+        with pytest.raises(ConsistencyError, match=r"imaginary residue .* taus=\(0\.3, 0\.7\)"):
+            cov_finite(model, 30.0, [0.0, 0.3, 0.0], [0.0, 0.7, 0.0])
+
+    def test_peak_memory_is_bounded_and_batch_independent(self):
+        model = _model("sinc", "tri100")
+
+        def peak_bytes(n_lags):
+            taus = np.linspace(0.0, 1.0, n_lags)
+            tracemalloc.start()
+            try:
+                cov_finite(model, 500.0, taus, taus)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(33), peak_bytes(200)
+        assert max(small, large) < 8e6
+        assert large < 1.1 * small
 
 
 class TestRho:
