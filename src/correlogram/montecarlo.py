@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np

@@ -102,8 +102,10 @@ class TestIntervalConstants:
 
     def test_b_sup_matches_scan(self):
         h = make_sinc()
+        m = acf2_interval_min(h, 0.0, 1.0)
+        assert b_function(h, 0.0, 1.0, 0.3) == b_function(h, 0.0, 1.0, 0.3, interval_min=m)
         taus = np.linspace(0.0, 1.0, 501)
-        scan = max(b_function(h, 0.0, 1.0, float(t)) for t in taus)
+        scan = max(b_function(h, 0.0, 1.0, float(t), interval_min=m) for t in taus)
         assert b_sup(h, 0.0, 1.0) == pytest.approx(scan, abs=1e-6)
 
     def test_b_sup_scans_the_interval_once(self, monkeypatch):

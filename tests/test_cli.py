@@ -1,7 +1,11 @@
 """Command-line front end: exit codes, outputs, manifests, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +248,19 @@ def test_env_var_sets_out_dir(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv("CORRELOGRAM_OUT", str(target))
     assert run_cli("check-kernel", "--config", str(config_path)) == 0
     assert (target / "conditions.json").exists()
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # scipy.signal pulls in scipy.stats; together they cost about 0.8 s of
+    # every start and 25 MB of resident memory.
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    probe = (
+        "import sys, correlogram.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import correlogram.simulate as simulate_mod
 from correlogram.errors import PadError
-from correlogram.kernels import make_laplace, make_sinc, make_triangular
+from correlogram.kernels import (
+    make_hilbert_sinc,
+    make_laplace,
+    make_one_sided_box,
+    make_sinc,
+    make_tabulated,
+    make_triangular,
+)
 from correlogram.simulate import (
     NoiseSeed,
     SampledPath,
@@ -141,6 +149,57 @@ class TestOutputs:
         p1 = simulate_output(g1, inc, grid, pad)
         p2 = simulate_output(g2, inc, grid, pad)
         np.testing.assert_allclose(2.0 * p1.values, p2.values, rtol=1e-12)
+
+
+class TestConvolution:
+    """simulate_output against the direct sum over the untrimmed taps."""
+
+    @pytest.mark.filterwarnings("ignore:dt=.*under-resolves:RuntimeWarning")
+    @pytest.mark.parametrize("extra_pad", [0, 37])
+    @pytest.mark.parametrize(
+        "kernel, dt, branch",
+        [
+            (make_sinc(), 0.05, "fft"),
+            (make_hilbert_sinc(), 0.05, "fft"),
+            (make_one_sided_box(10.0, 1.0), 0.01, "direct"),
+            (make_laplace(2.0, 1.0), 0.01, "fft"),
+            (make_triangular(10.0, 1.0), 0.01, "direct"),
+            (make_triangular(100.0, 1.0), 0.01, "direct"),
+        ],
+        ids=["sinc", "hilbert_sinc", "one_sided_box", "laplace", "triangular10", "triangular100"],
+    )
+    def test_matches_direct_sum(self, monkeypatch, kernel, dt, branch, extra_pad):
+        ffts = []
+        real_irfft = simulate_mod.irfft
+
+        def counting_irfft(*args, **kwargs):
+            ffts.append(args)
+            return real_irfft(*args, **kwargs)
+
+        monkeypatch.setattr(simulate_mod, "irfft", counting_irfft)
+        grid = TimeGrid(0.0, dt, 301)
+        pad = required_pad(kernel, dt) + extra_pad
+        inc = wiener_increments(grid, pad, NoiseSeed(17))
+        taps = kernel.time_eval(dt * np.arange(-pad, pad + 1))
+        want = np.convolve(inc, taps)[2 * pad : 2 * pad + grid.n]
+        got = simulate_output(kernel, inc, grid, pad).values
+        atol = 1e-12 * np.abs(taps).sum() * np.abs(inc).max()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+        assert ("fft" if ffts else "direct") == branch
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, 0.0, 0.0], [1.0, 2.0, 1.0]],
+        ids=["zero_values", "between_lattice_points"],
+    )
+    def test_all_zero_taps_give_zero_path(self, values):
+        # Samples at 0.02, 0.03, 0.04: the second kernel is nonzero only
+        # strictly between the lattice points 0 and 0.1.
+        k = make_tabulated([0.02, 0.03, 0.04], values)
+        grid = TimeGrid(0.0, 0.1, 21)
+        pad = required_pad(k, 0.1)
+        path = simulate_output(k, wiener_increments(grid, pad, NoiseSeed(4)), grid, pad)
+        np.testing.assert_array_equal(path.values, np.zeros(grid.n))
 
 
 class TestPathIO:
