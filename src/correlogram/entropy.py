@@ -13,7 +13,6 @@ the supremum tail bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import InfiniteMassiveness
 from .kernels import Kernel
+from .simulate import _write_csv
 from .spectral import (
     CovarianceModel,
     QuadratureSettings,
@@ -293,11 +293,8 @@ class EntropyProfile:
             raise ValueError("covering numbers must not decrease as eps shrinks")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["eps", "N", "H"])
-            for e, n, hh in zip(self.epsilons, self.covering_numbers, self.entropies):
-                wr.writerow([repr(float(e)), int(n), repr(float(hh))])
+        eps, hh = (np.asarray(a, dtype=float) for a in (self.epsilons, self.entropies))
+        _write_csv(path, ["eps", "N", "H"], [eps, np.asarray(self.covering_numbers, np.int64), hh])
 
 
 def entropy_profile(

@@ -29,7 +29,7 @@ from scipy.integrate import quad
 
 from .errors import CoverageError
 from .kernels import Kernel
-from .simulate import SampledPath
+from .simulate import SampledPath, _write_csv
 
 __all__ = [
     "CorrelogramEstimate",
@@ -234,11 +234,8 @@ def write_estimate_csv(est: CorrelogramEstimate, file) -> None:
     {T, delta, c, dt, seed}.
     """
     file = Path(file)
-    with open(file, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau", "h_hat", "h_mean", "z_hat"])
-        for row in zip(est.tau_grid, est.h_hat, est.h_mean, est.z_hat):
-            w.writerow([repr(float(v)) for v in row])
+    columns = [est.tau_grid, est.h_hat, est.h_mean, est.z_hat]
+    _write_csv(file, ["tau", "h_hat", "h_mean", "z_hat"], columns)
     sidecar = {
         "T": est.T,
         "delta": est.delta,

@@ -26,7 +26,7 @@ from scipy.special import ndtr
 from .errors import ConsistencyError
 from .estimator import cross_correlogram, snap_tau_grid, theoretical_bias
 from .kernels import Kernel, family_from_name, kernel_from_spec
-from .simulate import NoiseSeed, TimeGrid, simulate_pair
+from .simulate import NoiseSeed, TimeGrid, _write_csv, simulate_pair
 from .spectral import autocovariance_Y, cov_limit
 
 __all__ = [
@@ -430,7 +430,7 @@ def modulus_of_continuity(
 
 def write_result_csv(result: MonteCarloResult, path) -> None:
     """Long-format dump, one row per statistic."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(["statistic", "key1", "key2", "value", "se"])
         for j, t in enumerate(result.tau_grid):
@@ -521,10 +521,7 @@ def write_result_json(result: MonteCarloResult, path) -> None:
 
 def write_trajectories_csv(result: MonteCarloResult, path, max_reps: Optional[int] = None) -> None:
     """Plot-ready long format: one row per (replication, lag)."""
-    m = result.z_fine.shape[0] if max_reps is None else min(max_reps, result.z_fine.shape[0])
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["replication", "tau", "z"])
-        for i in range(m):
-            for t, z in zip(result.fine_taus, result.z_fine[i]):
-                wr.writerow([i, repr(float(t)), repr(float(z))])
+    z = np.asarray(result.z_fine, dtype=float)[: None if max_reps is None else max(max_reps, 0)]
+    taus = np.asarray(result.fine_taus, dtype=float)
+    reps = np.repeat(np.arange(len(z)), taus.size)
+    _write_csv(path, ["replication", "tau", "z"], [reps, np.tile(taus, len(z)), z.ravel()])

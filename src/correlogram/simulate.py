@@ -48,6 +48,8 @@ __all__ = [
 
 _UINT64_MAX = 2**64 - 1
 
+_CSV_CHUNK_ROWS = 512  # rows per write in _write_csv; larger chunks are no faster, use more memory
+
 #: Trimmed tap count up to which direct summation is used; longer tap
 #: arrays go through the FFT. Direct cost grows with the tap count, the
 #: FFT's does not; the two cross between about 400 and 600 taps for
@@ -212,13 +214,20 @@ def simulate_pair(h: Kernel, g: Kernel, grid: TimeGrid, seed: NoiseSeed):
     )
 
 
+def _write_csv(file, header, columns) -> None:
+    """Write ``header`` and equal-length 1-D array ``columns`` as UTF-8 CSV, in
+    chunks. The bytes equal ``csv.writer`` output with ``repr`` cells: commas,
+    CRLF line ends, no quoting, floats as ``repr(float)``, integers in decimal."""
+    with open(Path(file), "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, min(map(len, columns)), _CSV_CHUNK_ROWS):
+            cells = [map(repr, col[i : i + _CSV_CHUNK_ROWS].tolist()) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 def write_path_csv(path: SampledPath, file) -> None:
     """Write (t,value) rows with a header line."""
-    with open(Path(file), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "value"])
-        for t, v in zip(path.grid.times(), path.values):
-            w.writerow([repr(float(t)), repr(float(v))])
+    _write_csv(file, ["t", "value"], [path.grid.times(), path.values])
 
 
 def read_path_csv(file, label: str = "") -> SampledPath:

@@ -6,8 +6,11 @@ leading rows, which is exact because replication i always runs on
 stream base_seed.spawn(i) regardless of the total count.
 """
 
+import csv
+import io
 import warnings
 
+import numpy as np
 import pytest
 
 from correlogram.montecarlo import ExperimentConfig, run_replications
@@ -49,3 +52,32 @@ def sinc_tri_ensemble():
 def hilbert_tri_ensemble():
     """M=500 replications, h=hilbert_sinc, triangular window, T=500."""
     return _run_quietly(acceptance_experiment("hilbert_sinc", 500))
+
+
+@pytest.fixture
+def csv_edge_column():
+    """``column(n, shift)``: ``n`` floats cycling through both signs of every
+    ``repr`` form (signed zero, the fixed/exponent switches at 1e-4 and 1e16,
+    the smallest subnormal, the largest double, a 17-digit fraction)."""
+    edge = [0.0, -0.0, 1e-5, 1e-4, 1e16, 5e-324, 1.7976931348623157e308, 1 / 3]
+    values = np.array(edge + [-v for v in edge])
+    return lambda n, shift=0: np.resize(np.roll(values, shift), n)
+
+
+@pytest.fixture
+def csv_writer_bytes():
+    """Reference serialiser: the bytes ``csv.writer`` gives for a header and rows.
+
+    The CSV writers once built every file this way, one ``writerow`` per
+    sample with ``repr(float(x))`` cells, so their output must match it.
+    """
+
+    def render(header, rows):
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+        return buf.getvalue().encode("utf-8")
+
+    return render

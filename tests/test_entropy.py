@@ -25,6 +25,7 @@ from correlogram.entropy import (
 )
 from correlogram.errors import InfiniteMassiveness
 from correlogram.kernels import make_sinc, make_triangular
+from correlogram.simulate import _CSV_CHUNK_ROWS
 from correlogram.spectral import CovarianceModel, sigma
 
 
@@ -155,6 +156,21 @@ class TestProfilesAndIntegrals:
         rows = target.read_text().strip().splitlines()
         assert rows[0] == "eps,N,H"
         assert len(rows) == 3
+
+    def test_profile_csv_bytes_match_csv_writer(self, tmp_path, csv_edge_column, csv_writer_bytes):
+        n = 3 * _CSV_CHUNK_ROWS + 7
+        prof = EntropyProfile(
+            interval=(0.0, 1.0),
+            epsilons=1.0 / (np.arange(n) + 3.0),
+            covering_numbers=np.arange(n, dtype=np.int64) * 2**40,
+            entropies=csv_edge_column(n),
+        )
+        rows = [
+            [repr(float(e)), int(c), repr(float(hh))]
+            for e, c, hh in zip(prof.epsilons, prof.covering_numbers, prof.entropies)
+        ]
+        prof.to_csv(tmp_path / "prof.csv")
+        assert (tmp_path / "prof.csv").read_bytes() == csv_writer_bytes(["eps", "N", "H"], rows)
 
     def test_uniform_integral_against_direct_sum(self):
         # H(eps) = ln ceil(1/(2 eps)) on [0,1]; fine Riemann reference

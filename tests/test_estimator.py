@@ -16,7 +16,7 @@ from correlogram.estimator import (
     write_estimate_csv,
 )
 from correlogram.kernels import make_laplace, make_sinc, make_triangular
-from correlogram.simulate import NoiseSeed, SampledPath, TimeGrid, simulate_pair
+from correlogram.simulate import _CSV_CHUNK_ROWS, NoiseSeed, SampledPath, TimeGrid, simulate_pair
 
 
 def _const_paths(value_y, value_x, grid):
@@ -138,6 +138,15 @@ class TestEstimate:
         np.testing.assert_array_equal(back.z_hat, est.z_hat)
         assert back.T == est.T and back.delta == est.delta
         assert back.seed == {"seed": 99, "stream_id": 0}
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path, csv_edge_column, csv_writer_bytes):
+        n = 3 * _CSV_CHUNK_ROWS + 7
+        cols = [np.arange(n) / 3.0] + [csv_edge_column(n, shift) for shift in (0, 3, 5)]
+        est = CorrelogramEstimate(*cols, T=1.0, delta=1.0, c=1.0)
+        rows = [[repr(float(v)) for v in row] for row in zip(*cols)]
+        write_estimate_csv(est, tmp_path / "est.csv")
+        header = ["tau", "h_hat", "h_mean", "z_hat"]
+        assert (tmp_path / "est.csv").read_bytes() == csv_writer_bytes(header, rows)
 
     def test_sidecar_written(self, tmp_path):
         import json

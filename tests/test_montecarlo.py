@@ -1,5 +1,6 @@
 """Replication harness: determinism, normality checks, aggregation."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -224,3 +225,17 @@ class TestDownstreamTables:
         t_lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         # 3 replications over the fine lattice plus a header
         assert len(t_lines) == 1 + 3 * result.fine_taus.size
+
+    @pytest.mark.parametrize("max_reps", [None, 0, -1, 5, 1000])
+    def test_trajectories_bytes_match_csv_writer(
+        self, result, tmp_path, csv_edge_column, csv_writer_bytes, max_reps
+    ):
+        # 90 x 97 = 8730 rows span many chunks, the last one partial
+        taus = np.arange(97) / 3.0
+        z = csv_edge_column(90 * 97).reshape(90, 97)
+        res = dataclasses.replace(result, fine_taus=taus, z_fine=z)
+        m = z.shape[0] if max_reps is None else min(max_reps, z.shape[0])
+        rows = [[i, repr(float(t)), repr(float(v))] for i in range(m) for t, v in zip(taus, z[i])]
+        write_trajectories_csv(res, tmp_path / "t.csv", max_reps=max_reps)
+        want = csv_writer_bytes(["replication", "tau", "z"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == want
