@@ -31,7 +31,8 @@ from .entropy import (
 )
 from .errors import BoundUnavailable, InfiniteMassiveness
 from .kernels import Kernel, autocorrelation
-from .spectral import CovarianceModel, cov_finite, _sup_ftf
+from .quadrature import sup_ftf
+from .spectral import CovarianceModel, cov_finite
 
 _ARG_TOL = 1e-10
 _MAX_ITER = 200
@@ -101,10 +102,6 @@ def pointwise_ci(var_hat: float, T: float, confidence: float) -> float:
 # Gaussian-comparison constants from the kernel self-convolution
 
 
-def _acf2(h: Kernel, tau: float) -> float:
-    return autocorrelation(h, 2.0 * tau)
-
-
 def _polish(f, lo: float, hi: float, x0: float, sign: float) -> float:
     # local refinement around a grid extremum; sign=+1 minimizes f, -1 maximizes
     if hi <= lo:
@@ -120,7 +117,7 @@ def _polish(f, lo: float, hi: float, x0: float, sign: float) -> float:
 
 def _acf2_scan(h: Kernel, a: float, b: float, grid: int) -> tuple:
     taus = np.linspace(float(a), float(b), grid)
-    return taus, np.array([_acf2(h, t) for t in taus])
+    return taus, autocorrelation(h, 2.0 * taus)
 
 
 def _scan_extremum(h: Kernel, a: float, b: float, taus, vals, sign: float) -> float:
@@ -129,7 +126,7 @@ def _scan_extremum(h: Kernel, a: float, b: float, taus, vals, sign: float) -> fl
     grid = taus.size
     step = (taus[-1] - taus[0]) / max(grid - 1, 1) if grid > 1 else 0.0
     lo, hi = max(float(a), taus[i] - step), min(float(b), taus[i] + step)
-    polished = _polish(lambda t: _acf2(h, t), lo, hi, float(taus[i]), sign)
+    polished = _polish(lambda t: autocorrelation(h, 2.0 * t), lo, hi, float(taus[i]), sign)
     return sign * min(sign * float(vals[i]), polished)
 
 
@@ -151,7 +148,7 @@ def b_function(
         raise ValueError("tau must lie inside [a, b]")
     if interval_min is None:
         interval_min = acf2_interval_min(h, a, b)
-    return math.sqrt(max(_acf2(h, tau) - interval_min, 0.0))
+    return math.sqrt(max(autocorrelation(h, 2.0 * tau) - interval_min, 0.0))
 
 
 def b_sup(h: Kernel, a: float, b: float, grid: int = 801) -> float:
@@ -282,7 +279,7 @@ def theorem4_detail(
     Cr = c_r(r)
     root = math.sqrt(Cr / math.log(2.0))
     if metric is None:
-        metric = rho_upper_metric(model.h, _sup_ftf(model.g), model.c)
+        metric = rho_upper_metric(model.h, sup_ftf(model.g), model.c)
 
     if metric.translation_invariant:
         _, run_max = metric.profile(a, b)

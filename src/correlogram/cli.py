@@ -421,6 +421,9 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    max_reps = view.get("emit_max_reps")
+    if max_reps is not None and (type(max_reps) is not int or max_reps < 1):
+        raise ConfigError(f"emit_max_reps must be a positive integer, got {max_reps!r}")
     workers = max(1, int(getattr(args, "workers", 1) or 1))
     manifest = RunManifest.start("montecarlo", cfg)
     result = run_replications(experiment, workers=workers)
@@ -436,9 +439,8 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
     written.append(target)
 
     if getattr(args, "emit_paths", False):
-        max_reps = view.get("emit_max_reps")
         target = out_dir / "trajectories.csv"
-        write_trajectories_csv(result, target, max_reps=None if max_reps is None else int(max_reps))
+        write_trajectories_csv(result, target, max_reps=max_reps)
         manifest.add_output(target)
         written.append(target)
         # First replication's paths, re-simulated from its own stream.

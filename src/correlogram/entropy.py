@@ -25,13 +25,10 @@ from .simulate import _write_csv
 from .spectral import (
     CovarianceModel,
     QuadratureSettings,
-    _ftf_breakpoints,
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _spectral_window,
     rho_exact,
     rho_upper,
     sigma,
+    sigma_profile,
 )
 
 _KINDS = ("uniform_d", "sigma", "sqrt_sigma", "rho_upper", "rho_exact")
@@ -85,42 +82,6 @@ def uniform_metric() -> Pseudometric:
     )
 
 
-def _panel_nodes(lo: float, hi: float, points, max_width: float) -> tuple:
-    # Gauss-Legendre nodes/weights over breakpoint-aware panels, for
-    # vectorized profile quadrature.
-    cuts = sorted({lo, hi} | {p for p in points if lo < p < hi})
-    edges = []
-    for x0, x1 in zip(cuts, cuts[1:]):
-        m = max(1, int(math.ceil((x1 - x0) / max_width)))
-        edges.extend(np.linspace(x0, x1, m + 1)[:-1])
-    edges.append(hi)
-    edges = np.asarray(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    hw = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + hw[:, None] * _GL_NODES[None, :]).ravel()
-    w = (hw[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, w
-
-
-def _sigma_profile(h: Kernel, settings: QuadratureSettings) -> Callable:
-    L = _spectral_window(h, abs_mass_tol=settings.abs_tol, start=settings.lambda_max)
-    pts = [p for p in _ftf_breakpoints(h) if p > 0]
-
-    def profile(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        rate = max(1.0, float(np.max(np.abs(u))) if u.size else 1.0)
-        nodes, w = _panel_nodes(0.0, L, pts, max_width=min(0.25, 2.0 / rate))
-        wh = w * np.abs(h.ftf_eval(nodes)) ** 2
-        out = np.empty(u.size)
-        chunk = max(1, int(2.0e7 // max(nodes.size, 1)))
-        for i in range(0, u.size, chunk):
-            s2 = np.sin(u[i : i + chunk, None] * nodes[None, :] / 2.0) ** 2 @ wh
-            out[i : i + chunk] = np.sqrt(np.maximum(2.0 * s2, 0.0))
-        return out
-
-    return profile
-
-
 def sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Pseudometric:
     """Mean-square spectral pseudometric sigma(t2 - t1) of the output."""
     st = settings or QuadratureSettings.default_1d()
@@ -128,14 +89,14 @@ def sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Ps
         kind="sigma",
         dist=lambda t1, t2: sigma(h, float(t2) - float(t1), st),
         translation_invariant=True,
-        profile_fn=_sigma_profile(h, st),
+        profile_fn=sigma_profile(h, st),
     )
 
 
 def sqrt_sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Pseudometric:
     """Square root of sigma; the entropy scale the CLT conditions use."""
     st = settings or QuadratureSettings.default_1d()
-    base = _sigma_profile(h, st)
+    base = sigma_profile(h, st)
     return Pseudometric(
         kind="sqrt_sigma",
         dist=lambda t1, t2: math.sqrt(sigma(h, float(t2) - float(t1), st)),
@@ -156,7 +117,7 @@ def rho_upper_metric(
     it inherits translation invariance from sigma.
     """
     st = settings or QuadratureSettings.default_1d()
-    base = _sigma_profile(h, st)
+    base = sigma_profile(h, st)
     scale = (g_family_sup / c) * math.sqrt((4.0 / math.pi) * h.ftf_l2_norm())
     return Pseudometric(
         kind="rho_upper",

@@ -25,10 +25,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CoverageError
 from .kernels import Kernel
+from .quadrature import lagged_product
 from .simulate import SampledPath, _write_csv
 
 __all__ = [
@@ -138,59 +138,18 @@ def cross_correlogram(
     return out
 
 
-#: Kernels whose stored support tail is at most this integrate in the
-#: time domain; beyond it (sinc family) the spectral route is used.
-_TIME_ROUTE_TOL = 1e-8
+def theoretical_bias(h: Kernel, g: Kernel, c: float, tau):
+    """Mean of the estimator, ``(1/c) int g(s) H(s + tau) ds``, at a lag or
+    a lag array.
 
-
-def theoretical_bias(
-    h: Kernel,
-    g: Kernel,
-    c: float,
-    tau: float,
-    route: str = "auto",
-) -> float:
-    """Mean of the estimator, ``(1/c) int g(s) H(s + tau) ds``.
-
-    ``route`` selects the quadrature representation: ``"time"`` integrates
-    over the window support, ``"frequency"`` uses the Plancherel dual
-    ``(1/(2 pi c)) int g*(lam) conj(H*(lam)) exp(-i lam tau) dlam``, and
-    ``"auto"`` picks time when the window decays fast enough. The two
-    routes agree within quadrature tolerance and are cross-checked in the
-    test suite.
+    Integrated over the window support when the window decays fast enough
+    for truncation, otherwise through the Plancherel dual
+    ``(1/(2 pi c)) int g*(lam) conj(H*(lam)) exp(-i lam tau) dlam``; the
+    two routes are cross-checked in the test suite.
     """
     if not c > 0:
         raise ValueError("c must be positive")
-    tau = float(tau)
-    if route == "auto":
-        route = "time" if g.support_tol <= _TIME_ROUTE_TOL else "frequency"
-    if route == "time":
-        r = g.effective_support if g.support_tol == 0.0 else 1.5 * g.effective_support
-        kinks = [p for p in (0.0, -tau) if -r < p < r]
-        val, _ = quad(
-            lambda s: float(g.time_eval(s)) * float(h.time_eval(s + tau)),
-            -r,
-            r,
-            points=sorted(kinks) if kinks else None,
-            limit=400,
-        )
-        return val / c
-    if route == "frequency":
-        L = h.band_limit
-        if L is None:
-            L = g.band_limit
-        if L is None:
-            L = 400.0
-
-        def integrand(lam):
-            f = g.ftf_eval(lam) * np.conj(h.ftf_eval(lam)) * np.exp(-1j * lam * tau)
-            return f.real
-
-        # integrand is the real part of a Hermitian-symmetric function,
-        # so the two-sided integral is twice the one-sided one
-        val, _ = quad(integrand, 0.0, L, limit=400)
-        return val / (math.pi * c)
-    raise ValueError(f"unknown route {route!r}")
+    return lagged_product(g, h, tau, +1) / c
 
 
 def centered_process(est: CorrelogramEstimate) -> np.ndarray:
@@ -212,7 +171,7 @@ def estimate_correlogram(
     dt = Y.grid.dt
     tau = snap_tau_grid(tau_grid, dt)
     h_hat = cross_correlogram(Y, X, c, T, tau)
-    h_mean = np.array([theoretical_bias(h, g, c, t) for t in tau])
+    h_mean = theoretical_bias(h, g, c, tau)
     z_hat = math.sqrt(T) * (h_hat - h_mean)
     return CorrelogramEstimate(
         tau_grid=tau,

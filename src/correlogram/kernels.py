@@ -28,8 +28,9 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import sici
+
+from .quadrature import ftf_breakpoints, integrate, lagged_product, panel_edges, spectral_width
 
 __all__ = [
     "Kernel",
@@ -441,7 +442,7 @@ def make_tabulated(times: Sequence[float], values: Sequence[float]) -> Kernel:
         l2_norm=l2,
         effective_support=radius,
         support_tol=0.0,
-        params={"n_samples": int(times.size), "dt": float(dt)},
+        params={"n_samples": int(times.size), "dt": float(dt), "t0": float(t_arr[0])},
     )
 
 
@@ -669,11 +670,8 @@ def check_weighted_spectral(
         return np.abs(k.ftf_eval(lam)) ** 2 * np.log1p(np.abs(lam)) ** exponent
 
     def integral(upper):
-        pts = None
-        if k.band_limit is not None and k.band_limit < upper:
-            pts = [k.band_limit]
-        val, _ = quad(weighted, 0.0, upper, points=pts, limit=300)
-        return 2.0 * val
+        edges = panel_edges(0.0, upper, ftf_breakpoints(k), spectral_width(0.0, k))
+        return 2.0 * float(integrate(weighted, edges))
 
     v1 = integral(lambda_max)
     v2 = integral(2.0 * lambda_max)
@@ -682,29 +680,8 @@ def check_weighted_spectral(
     return WeightedSpectralCheck(value=v1, converged=bool(rel < rel_tol), relative_change=float(rel))
 
 
-def _grow_until_tail_small(env, start: float, tol: float) -> float:
-    """Smallest L (by doubling) with int_L^inf env(lam)^2 dlam below tol.
-
-    The tail is computed through the substitution lam = L/u to keep the
-    quadrature on a finite interval.
-    """
-    L = start
-    for _ in range(60):
-        tail, _ = quad(lambda u: float(env(L / u)) ** 2 * L / u**2, 0.0, 1.0, limit=200)
-        if tail < tol:
-            return L
-        L *= 2.0
-    return L
-
-
-#: Time-domain truncation is preferred whenever the stored support tail
-#: mass is at most this; the sinc family exceeds it and goes through its
-#: band-limited transform instead.
-_TIME_ROUTE_TOL = 1e-8
-
-
-def autocorrelation(h: Kernel, lag: float, lambda_max: float = 200.0) -> float:
-    """Self-convolution ``int h(lag - s) h(s) ds``.
+def autocorrelation(h: Kernel, lag):
+    """Self-convolution ``int h(lag - s) h(s) ds`` at a lag or a lag array.
 
     Evaluated in the time domain when the kernel decays fast enough for
     truncation, and through ``(1/2pi) int exp(i lam lag) (h*(lam))**2
@@ -713,32 +690,4 @@ def autocorrelation(h: Kernel, lag: float, lambda_max: float = 200.0) -> float:
     differ by sign (the self-convolution is what the variance of the
     limit error process decomposes through).
     """
-    lag = float(lag)
-    if h.band_limit is None and h.support_tol <= _TIME_ROUTE_TOL:
-        # time_eval is exact beyond effective_support too, so a widened
-        # window shrinks truncation error to ~support_tol**1.5.
-        r = h.effective_support if h.support_tol == 0.0 else 1.5 * h.effective_support
-        lo, hi = max(-r, lag - r), min(r, lag + r)
-        if lo >= hi:
-            return 0.0
-        kinks = [p for p in (0.0, lag) if lo < p < hi]
-        val, _ = quad(
-            lambda s: float(h.time_eval(lag - s)) * float(h.time_eval(s)),
-            lo,
-            hi,
-            points=sorted(kinks) if kinks else None,
-            limit=200,
-        )
-        return val
-
-    L = h.band_limit
-    if L is None:
-        env = h.ftf_envelope or (lambda lam: np.abs(h.ftf_eval(lam)))
-        L = _grow_until_tail_small(env, lambda_max, 1e-12)
-
-    def integrand(lam):
-        sq = h.ftf_eval(lam) ** 2
-        return math.cos(lam * lag) * sq.real - math.sin(lam * lag) * sq.imag
-
-    val, _ = quad(integrand, 0.0, L, limit=400)
-    return val / math.pi
+    return lagged_product(h, h, lag, -1)

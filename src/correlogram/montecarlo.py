@@ -170,7 +170,7 @@ def run_replications(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloResul
     """
     h, g = cfg.kernels()
     taus = _lattice(cfg)
-    bias = np.array([theoretical_bias(h, g, cfg.c, float(t)) for t in taus])
+    bias = theoretical_bias(h, g, cfg.c, taus)
     jobs = [(cfg, taus, bias, i) for i in range(cfg.replications)]
     rows = [None] * cfg.replications
     if workers <= 1:

@@ -1,0 +1,186 @@
+"""Composite 12-node Gauss-Legendre rule for every one-dimensional integral:
+panels never straddle a breakpoint of the integrand and are never wider
+than a width sized from its oscillation rate. Imports numpy only and reads
+kernels through their attributes, so ``kernels`` can import it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+#: Kernels whose stored support tail mass is at most this integrate in the
+#: time domain; beyond it (the sinc family) the transform is used instead.
+TIME_ROUTE_TOL = 1e-8
+
+# Elements (lags x nodes) evaluated per block, 1 MB per float array.
+_BLOCK = 1 << 17
+
+
+def panel_edges(lo: float, hi: float, breaks, width: float) -> np.ndarray:
+    """Edges on [lo, hi]: every breakpoint strictly inside, and equal panels
+    no wider than ``width`` between consecutive cuts."""
+    cuts = sorted({lo, hi} | {p for p in breaks if lo < p < hi})
+    edges = []
+    for x0, x1 in zip(cuts, cuts[1:]):
+        m = max(1, int(math.ceil((x1 - x0) / width)))
+        edges.extend(np.linspace(x0, x1, m + 1)[:-1])
+    edges.append(hi)
+    return np.asarray(edges)
+
+
+def panel_nodes(edges) -> tuple:
+    """Nodes and weights on the panels between consecutive edges; leading
+    axes of ``edges`` (one row per lag) are kept."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    hw = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    nodes = (mid[..., None] + hw[..., None] * GL_NODES).reshape(shape)
+    return nodes, (hw[..., None] * GL_WEIGHTS).reshape(shape)
+
+
+def row_blocks(n_rows: int, n_cols: int):
+    """Row slices holding about _BLOCK elements each."""
+    step = max(1, _BLOCK // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
+
+
+def _node_blocks(edges: np.ndarray):
+    for sl in row_blocks(edges.size - 1, GL_NODES.size):
+        yield panel_nodes(edges[sl.start:sl.stop + 1])
+
+
+def integrate(f, edges):
+    """Rule applied to ``f`` (vectorised, possibly complex) on ``edges``."""
+    return sum(np.sum(f(nodes) * w) for nodes, w in _node_blocks(np.asarray(edges, dtype=float)))
+
+
+def ftf_abs(k):
+    """``|k*|``, through the kernel's envelope when it has one."""
+    if k.ftf_envelope is not None:
+        return k.ftf_envelope
+    return lambda lam: np.abs(k.ftf_eval(lam))
+
+
+def ftf_breakpoints(k) -> tuple:
+    """Points where the transform may jump or kink."""
+    return (0.0,) if k.band_limit is None else (0.0, -k.band_limit, k.band_limit)
+
+
+def osc_rate(k) -> float:
+    """Crude bound on the transform's variation rate in lam.
+
+    A kernel supported within radius R has a transform varying on scale
+    1/R at most, so R bounds the phase rate. Band-limited transforms are
+    flat inside their band (rate 0 apart from the tabulated jumps).
+    """
+    return 0.0 if k.band_limit is not None else k.effective_support
+
+
+def spectral_width(rate: float, *kernels) -> float:
+    """Panel width in lam: two radians of a lag phase ``rate`` or of the
+    fastest transform."""
+    return 2.0 / max(1.0, rate, *(osc_rate(k) for k in kernels))
+
+
+def sup_ftf(k) -> float:
+    grid = np.linspace(0.0, k.band_limit if k.band_limit else 50.0, 512)
+    return float(np.max(np.asarray(ftf_abs(k)(grid), dtype=float)))
+
+
+def spectral_window(k, abs_mass_tol: float, start: float) -> float:
+    """The band limit, or the first L = max(start, 1) * 1.5**j with
+    squared-transform tail mass 2 int_L^inf |k*|^2 below ``abs_mass_tol``."""
+    if k.band_limit is not None:
+        return k.band_limit
+    env = ftf_abs(k)
+    L = max(start, 1.0)
+    for _ in range(80):
+        # tail over t = L/lam in (0, 1]
+        tail = integrate(lambda t: np.asarray(env(L / t), dtype=float) ** 2 * L / t**2,
+                         np.linspace(0.0, 1.0, 33))
+        if 2.0 * tail < abs_mass_tol:
+            return L
+        L *= 1.5
+    return L
+
+
+def _time_routable(k) -> bool:
+    return k.band_limit is None and k.support_tol <= TIME_ROUTE_TOL
+
+
+def _radius(k) -> float:
+    # time_eval is exact beyond effective_support too, so a widened window
+    # shrinks truncation error to ~support_tol**1.5
+    return k.effective_support if k.support_tol == 0.0 else 1.5 * k.effective_support
+
+
+def _time_breaks(k) -> np.ndarray:
+    # kinks and jumps of time_eval: 0, the ends of an exact support, samples
+    pts = [0.0]
+    if k.support_tol == 0.0:
+        pts += [-k.effective_support, k.effective_support]
+    if k.name == "tabulated":
+        pts += list(k.params["t0"] + k.params["dt"] * np.arange(k.params["n_samples"]))
+    return np.unique(pts)
+
+
+def lagged_product(p, q, lags, sign: int):
+    """``int p(s) q(lag + sign*s) ds`` per lag (sign +1 or -1): over the
+    support of ``p`` when it decays fast enough for truncation, else
+    through the Plancherel dual. Scalar lags give a float."""
+    lags = np.asarray(lags, dtype=float)
+    route = lagged_product_time if _time_routable(p) else lagged_product_frequency
+    out = route(p, q, lags.ravel(), sign).reshape(lags.shape)
+    return out.item() if out.ndim == 0 else out
+
+
+def lagged_product_time(p, q, lags: np.ndarray, sign: int) -> np.ndarray:
+    """Time route over a 1-D lag array. Each lag's edges (a grid over the
+    support of p, p's breakpoints, q's shifted by the lag) are clipped to its
+    interval: a clipped point makes a zero-width panel, so rows stay
+    rectangular and each sum depends on its own lag alone."""
+    r = _radius(p)
+    # q(lag + sign*s) is centred at s = -sign*lag; its support counts only
+    # when q itself is truncated in time
+    centre = -sign * lags
+    lo, hi = np.full(lags.size, -r), np.full(lags.size, r)
+    if _time_routable(q):
+        lo = np.maximum(lo, centre - _radius(q))
+        hi = np.maximum(np.minimum(hi, centre + _radius(q)), lo)
+    # an eighth of either support radius, or two radians of q's band edge
+    width = min(r, _radius(q)) / 8.0 if q.band_limit is None else min(r / 8.0, 2.0 / q.band_limit)
+    base = np.concatenate([np.linspace(-r, r, int(math.ceil(2.0 * r / width)) + 1), _time_breaks(p)])
+    q_breaks = sign * _time_breaks(q)
+    out = np.empty(lags.size)
+    for sl in row_blocks(lags.size, (base.size + q_breaks.size + 1) * GL_NODES.size):
+        lo_, hi_ = lo[sl, None], hi[sl, None]
+        rows = [np.broadcast_to(base, (lo_.size, base.size)), q_breaks + centre[sl, None], lo_, hi_]
+        s, w = panel_nodes(np.sort(np.clip(np.concatenate(rows, axis=1), lo_, hi_), axis=1))
+        out[sl] = np.sum(p.time_eval(s) * q.time_eval(lags[sl, None] + sign * s) * w, axis=1)
+    return out
+
+
+def lagged_product_frequency(p, q, lags: np.ndarray, sign: int) -> np.ndarray:
+    """Frequency route over a 1-D lag array,
+    ``(1/pi) int_0^L Re[P q* e^{i lam lag}] dlam`` with P = conj(p*) for
+    sign +1 and p* for sign -1, up to the narrower of the two windows
+    (tail mass 2e-12 from 200 on). Lags sharing a panel width share nodes."""
+    L = min(spectral_window(k, 2e-12, 200.0) for k in (p, q))
+    breaks = ftf_breakpoints(p) + ftf_breakpoints(q)
+    rates = np.maximum(1.0, np.ceil(np.abs(lags)))
+    out = np.zeros(lags.size)
+    for rate in np.unique(rates):
+        idx = np.flatnonzero(rates == rate)
+        for lam, w in _node_blocks(panel_edges(0.0, L, breaks, spectral_width(rate, p, q))):
+            ps = p.ftf_eval(lam)
+            pq = w * (np.conj(ps) if sign > 0 else ps) * q.ftf_eval(lam)
+            for sl in row_blocks(idx.size, lam.size):
+                phase = lags[idx[sl], None] * lam
+                out[idx[sl]] += np.sum(np.cos(phase) * pq.real - np.sin(phase) * pq.imag, axis=1)
+    return out / math.pi

@@ -42,14 +42,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import sici, spherical_jn
 
 from .errors import ConsistencyError
 from .kernels import Kernel
+from .quadrature import (
+    GL_NODES,
+    GL_WEIGHTS,
+    ftf_abs,
+    ftf_breakpoints,
+    integrate,
+    osc_rate,
+    panel_edges,
+    panel_nodes,
+    row_blocks,
+    spectral_width,
+    spectral_window,
+    sup_ftf,
+)
 
 __all__ = [
     "QuadratureSettings",
@@ -57,6 +70,7 @@ __all__ = [
     "fejer",
     "fejer_l1_norm",
     "sigma",
+    "sigma_profile",
     "msq_increment_Y",
     "cov_limit",
     "cov_finite",
@@ -74,8 +88,9 @@ class QuadratureSettings:
 
     ``lambda_max`` truncates spectral integrals for kernels without a hard
     band limit; band-limited kernels ignore it. One-dimensional quantities
-    use scipy's adaptive integrator, the double integral the panel scheme
-    described in the module docstring.
+    use the composite Gauss-Legendre rule of ``correlogram.quadrature``,
+    the double integral the panel scheme described in the module
+    docstring.
     """
 
     lambda_max: float = 200.0
@@ -135,113 +150,47 @@ def fejer_l1_norm(T: float, settings: Optional[QuadratureSettings] = None) -> fl
     if not T > 0:
         raise ValueError("T must be positive")
     X = 50.0 * math.pi
-    head, _ = quad(lambda x: (math.sin(x) / x) ** 2 if x else 1.0, 0.0, X, limit=400)
+    head = float(integrate(lambda x: (np.sin(x) / x) ** 2, panel_edges(0.0, X, (), 2.0)))
     si_2x, _ = sici(2.0 * X)
     tail = math.sin(X) ** 2 / X + math.pi / 2.0 - si_2x
     return (2.0 / math.pi) * (head + tail)
 
 
 # ---------------------------------------------------------------------------
-# spectral truncation helpers
-
-
-def _ftf_abs(k: Kernel):
-    env = k.ftf_envelope
-    if env is not None:
-        return env
-    return lambda lam: np.abs(k.ftf_eval(lam))
-
-
-def _spectral_tail_mass(k: Kernel, L: float) -> float:
-    """Upper bound on int_{|lam|>L} |k*(lam)|^2 dlam via the envelope."""
-    env = _ftf_abs(k)
-    val, _ = quad(lambda t: float(env(L / t)) ** 2 * L / t**2, 0.0, 1.0, limit=200)
-    return 2.0 * val
-
-
-def _spectral_window(k: Kernel, abs_mass_tol: float, start: float) -> float:
-    """One-sided L with squared-transform tail mass below ``abs_mass_tol``."""
-    if k.band_limit is not None:
-        return k.band_limit
-    L = max(start, 1.0)
-    for _ in range(80):
-        if _spectral_tail_mass(k, L) < abs_mass_tol:
-            return L
-        L *= 1.5
-    return L
-
-
-def _ftf_breakpoints(k: Kernel) -> tuple:
-    """Points where the transform may jump or kink."""
-    pts = [0.0]
-    if k.band_limit is not None:
-        pts.extend([-k.band_limit, k.band_limit])
-    return tuple(pts)
-
-
-def _ftf_osc_rate(k: Kernel) -> float:
-    """Crude bound on the transform's variation rate in lam.
-
-    A kernel supported within radius R has a transform varying on scale
-    1/R at most, so R bounds the phase rate. Band-limited transforms are
-    flat inside their band (rate 0 apart from the tabulated jumps).
-    """
-    if k.band_limit is not None:
-        return 0.0
-    return k.effective_support
-
-
-def _sup_ftf(k: Kernel) -> float:
-    env = _ftf_abs(k)
-    grid = np.linspace(0.0, k.band_limit if k.band_limit else 50.0, 512)
-    return float(np.max(np.asarray(env(grid), dtype=float)))
-
-
-# ---------------------------------------------------------------------------
 # one-dimensional quantities
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_LEG_VANDER = np.polynomial.legendre.legvander(_GL_NODES, 11)  # P_n(x_k), (12, 12)
-_LEG_PROJ = ((2.0 * np.arange(12) + 1.0) / 2.0)[:, None] * (_LEG_VANDER.T * _GL_WEIGHTS)
+_LEG_VANDER = np.polynomial.legendre.legvander(GL_NODES, 11)  # P_n(x_k), (12, 12)
+_LEG_PROJ = ((2.0 * np.arange(12) + 1.0) / 2.0)[:, None] * (_LEG_VANDER.T * GL_WEIGHTS)
 
 
-def _integrate_1d(f, lo, hi, settings: QuadratureSettings, points=None) -> complex:
-    re, _ = quad(
-        lambda x: f(np.asarray(x)).real.item(),
-        lo,
-        hi,
-        points=points,
-        limit=400,
-        epsabs=settings.abs_tol / 4,
-        epsrel=settings.rel_tol,
-    )
-    im, _ = quad(
-        lambda x: f(np.asarray(x)).imag.item(),
-        lo,
-        hi,
-        points=points,
-        limit=400,
-        epsabs=settings.abs_tol / 4,
-        epsrel=settings.rel_tol,
-    )
-    return complex(re, im)
+def sigma_profile(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Callable:
+    """``u -> sigma(h, u)`` over lag arrays. The nodes depend only on the
+    panel width set by the largest |u| and are built once per width, so the
+    covering-number bisection's repeated small-lag calls reuse them."""
+    st = settings or QuadratureSettings.default_1d()
+    L = spectral_window(h, abs_mass_tol=st.abs_tol, start=st.lambda_max)
+    rule = {}
+
+    def profile(u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        width = spectral_width(float(np.max(np.abs(u), initial=0.0)), h)
+        if width not in rule:
+            rule.clear()
+            nodes, w = panel_nodes(panel_edges(0.0, L, ftf_breakpoints(h), width))
+            rule[width] = (nodes, w * np.abs(h.ftf_eval(nodes)) ** 2)
+        nodes, wh = rule[width]
+        out = np.empty(u.size)
+        for sl in row_blocks(u.size, nodes.size):
+            s2 = np.sin(u[sl, None] * nodes / 2.0) ** 2 @ wh
+            out[sl] = np.sqrt(np.maximum(2.0 * s2, 0.0))
+        return out
+
+    return profile
 
 
 def sigma(h: Kernel, tau: float, settings: Optional[QuadratureSettings] = None) -> float:
     """Spectral pseudometric ``[int |H*(lam)|^2 sin^2(tau lam/2) dlam]^{1/2}``."""
-    settings = settings or QuadratureSettings.default_1d()
-    tau = float(tau)
-    if tau == 0.0:
-        return 0.0
-    L = _spectral_window(h, abs_mass_tol=settings.abs_tol, start=settings.lambda_max)
-    pts = [p for p in _ftf_breakpoints(h) if p > 0]
-
-    def f(lam):
-        lam = np.asarray(lam, dtype=float)
-        return (np.abs(h.ftf_eval(lam)) ** 2 * np.sin(tau * lam / 2.0) ** 2).astype(complex)
-
-    val = 2.0 * _integrate_1d(f, 0.0, L, settings, points=pts or None).real
-    return math.sqrt(max(val, 0.0))
+    return float(sigma_profile(h, settings)(float(tau))[0])
 
 
 def msq_increment_Y(
@@ -261,14 +210,10 @@ def autocovariance_Y(
     """
     settings = settings or QuadratureSettings.default_1d()
     u = float(u)
-    L = _spectral_window(h, abs_mass_tol=settings.abs_tol, start=settings.lambda_max)
-    pts = [p for p in _ftf_breakpoints(h) if p > 0]
-
-    def f(lam):
-        lam = np.asarray(lam, dtype=float)
-        return (np.abs(h.ftf_eval(lam)) ** 2 * np.cos(u * lam)).astype(complex)
-
-    return _integrate_1d(f, 0.0, L, settings, points=pts or None).real / math.pi
+    L = spectral_window(h, abs_mass_tol=settings.abs_tol, start=settings.lambda_max)
+    edges = panel_edges(0.0, L, ftf_breakpoints(h), spectral_width(abs(u), h))
+    val = integrate(lambda lam: np.abs(h.ftf_eval(lam)) ** 2 * np.cos(u * lam), edges)
+    return float(val) / math.pi
 
 
 def cov_limit(
@@ -285,15 +230,14 @@ def cov_limit(
     settings = settings or QuadratureSettings.default_1d()
     a = float(tau1) - float(tau2)
     b = float(tau1) + float(tau2)
-    L = _spectral_window(h, abs_mass_tol=settings.abs_tol / 4, start=settings.lambda_max)
-    pts = [p for p in _ftf_breakpoints(h) if -L < p < L]
+    L = spectral_window(h, abs_mass_tol=settings.abs_tol / 4, start=settings.lambda_max)
 
     def f(lam):
-        lam = np.asarray(lam, dtype=float)
         hs = h.ftf_eval(lam)
         return np.exp(1j * a * lam) * np.abs(hs) ** 2 + np.exp(1j * b * lam) * hs**2
 
-    val = _integrate_1d(f, -L, L, settings, points=pts or None) / (2.0 * math.pi)
+    edges = panel_edges(-L, L, ftf_breakpoints(h), spectral_width(max(abs(a), abs(b)), h))
+    val = complex(integrate(f, edges)) / (2.0 * math.pi)
     tol = settings.abs_tol + settings.rel_tol * abs(val.real)
     if abs(val.imag) > tol:
         raise ConsistencyError(
@@ -327,14 +271,14 @@ class _PairWeights:
         h, g = model.h, model.g
         st = model.quadrature
         self.h, self.g = h, g
-        g_sup = _sup_ftf(g)
+        g_sup = sup_ftf(g)
         # absolute tail target for the lambda truncation of F1 and G
         lam_tail = 0.25 * st.abs_tol * 2.0 * math.pi * model.c**2 / max(g_sup**2, 1e-300)
-        self.L = _spectral_window(h, abs_mass_tol=lam_tail, start=st.lambda_max)
+        self.L = spectral_window(h, abs_mass_tol=lam_tail, start=st.lambda_max)
         h_mass = 2.0 * math.pi * h.l2_norm**2
-        self.L_core = _spectral_window(h, abs_mass_tol=1e-3 * h_mass, start=2.0)
-        self.breaks = np.array(sorted(set(_ftf_breakpoints(h)) | set(_ftf_breakpoints(g))))
-        self.osc_rate = max(_ftf_osc_rate(h), _ftf_osc_rate(g))
+        self.L_core = spectral_window(h, abs_mass_tol=1e-3 * h_mass, start=2.0)
+        self.breaks = np.array(sorted(set(ftf_breakpoints(h)) | set(ftf_breakpoints(g))))
+        self.osc_rate = max(osc_rate(h), osc_rate(g))
         rate = max(1.0, lag_rate, self.osc_rate)
         self.max_width = 2.0 / rate
         self._base_edges = self._build_base_edges()
@@ -363,8 +307,8 @@ class _PairWeights:
         edges = np.sort(np.concatenate([base, shifted], axis=1), axis=1)
         mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
         hw = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        lam = (mid[..., None] + hw[..., None] * _GL_NODES).reshape(u.size, -1)
-        w = (hw[..., None] * _GL_WEIGHTS).reshape(u.size, -1)
+        lam = (mid[..., None] + hw[..., None] * GL_NODES).reshape(u.size, -1)
+        w = (hw[..., None] * GL_WEIGHTS).reshape(u.size, -1)
         hs, hsu = self.h.ftf_eval(lam), self.h.ftf_eval(lam - u[:, None])
         gs, gsu = self.g.ftf_eval(lam), self.g.ftf_eval(lam - u[:, None])
         return lam, w * np.abs(hs) ** 2 * np.abs(gsu) ** 2, w * hs * hsu * gs * gsu
@@ -412,13 +356,13 @@ def _u_rule(T: float, edges: list, u_A: float) -> tuple:
     edges = np.asarray(edges, dtype=float)
     m = 0.5 * (edges[:-1] + edges[1:])
     hw = 0.5 * (edges[1:] - edges[:-1])
-    u = m[:, None] + hw[:, None] * _GL_NODES
-    wt = hw[:, None] * _GL_WEIGHTS * fejer(T, u)
+    u = m[:, None] + hw[:, None] * GL_NODES
+    wt = hw[:, None] * GL_WEIGHTS * fejer(T, u)
     tail = edges[1:] > u_A + 1e-12
     n = np.arange(12)
     moments = 2.0 * (1j**n) * spherical_jn(n, T * hw[tail, None])
     osc = (np.exp(1j * T * m[tail, None]) * moments).real @ _LEG_PROJ
-    wt[tail] = hw[tail, None] * (_GL_WEIGHTS - osc) / (math.pi * T * u[tail] ** 2)
+    wt[tail] = hw[tail, None] * (GL_WEIGHTS - osc) / (math.pi * T * u[tail] ** 2)
     return np.concatenate([u.ravel(), -u.ravel()]), np.concatenate([wt.ravel(), wt.ravel()])
 
 
@@ -457,9 +401,9 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
     h, g = model.h, model.g
 
     # outer truncation: envelope of |F1| + |G| against the Fejér tail
-    env_g = _ftf_abs(g)
-    env_h = _ftf_abs(h)
-    g_sup = _sup_ftf(g)
+    env_g = ftf_abs(g)
+    env_h = ftf_abs(h)
+    g_sup = sup_ftf(g)
     h_mass = 2.0 * math.pi * h.l2_norm**2
 
     def s_env(u_arr):
@@ -480,9 +424,9 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
         if float(np.sum(vals * widths)) < tail_target:
             break
         u_top *= 1.4
-    phase_rate = max(1.0, _max_abs(t1, t2), _ftf_osc_rate(g), _ftf_osc_rate(h))
+    phase_rate = max(1.0, _max_abs(t1, t2), osc_rate(g), osc_rate(h))
     fine_end = 2.0 * pair.L_core
-    rate_g = _ftf_osc_rate(g)
+    rate_g = osc_rate(g)
     tail_cap = 9.0 / rate_g if rate_g > 0 else math.inf
     u, wt = _u_rule(T, *_u_panels(T, fine_end, u_top, phase_rate, tail_cap))
 

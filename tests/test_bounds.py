@@ -34,7 +34,7 @@ def _count_autocorrelation(monkeypatch) -> list:
     real = bounds_mod.autocorrelation
 
     def counting(h, lag):
-        calls.append(lag)
+        calls.extend(np.ravel(lag))
         return real(h, lag)
 
     monkeypatch.setattr(bounds_mod, "autocorrelation", counting)

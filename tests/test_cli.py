@@ -234,6 +234,17 @@ class TestMontecarlo:
         assert manifest.command == "montecarlo"
         assert verify_manifest(out / "run_manifest.json") == []
 
+    @pytest.mark.parametrize("bad", [-1, 0, 2.5, "x"])
+    def test_bad_emit_max_reps_is_usage_error(self, tmp_path, bad):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["command_defaults"]["montecarlo"]["emit_max_reps"] = bad
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        code = run_cli("montecarlo", "--config", str(path), "--out", str(out), "--emit-paths")
+        assert code == 2
+        assert not (out / "result.csv").exists()
+
     def test_tampering_is_detected(self, config_path, tmp_path):
         out = tmp_path / "mc2"
         run_cli("montecarlo", "--config", str(config_path), "--out", str(out))
@@ -252,12 +263,14 @@ def test_env_var_sets_out_dir(config_path, tmp_path, monkeypatch):
 
 def test_import_leaves_out_scipy_signal_and_stats():
     # scipy.signal pulls in scipy.stats; together they cost about 0.8 s of
-    # every start and 25 MB of resident memory.
+    # every start and 25 MB of resident memory. No module integrates with
+    # scipy.integrate; the composite rule in correlogram.quadrature does.
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     probe = (
         "import sys, correlogram.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate') "
+        "if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
