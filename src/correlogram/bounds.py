@@ -500,16 +500,11 @@ def corollary1_report(
 
 
 def theorem4_report(
-    model: CovarianceModel,
-    T: float,
-    a: float,
-    b: float,
-    r: float,
-    xs: Sequence[float],
-    metric: Optional[Pseudometric] = None,
-    settings: Optional[dict] = None,
+    detail: dict, multipliers: Sequence[float], settings: Optional[dict] = None
 ) -> TailBoundReport:
-    detail = theorem4_detail(model, T, a, b, r, metric=metric)
-    raw = [2.0 * math.exp(-x / detail["A_TD"]) for x in xs]
-    consts = {k: v for k, v in detail.items()}
-    return _capped_report("theorem4_sup", xs, raw, consts, settings or {})
+    """Supremum tail 2 exp(-x/A) at thresholds x = m A, from the constants
+    of ``theorem4_detail``; A is its ``A_TD``."""
+    A = detail["A_TD"]
+    xs = [m * A for m in multipliers]
+    raw = [2.0 * math.exp(-x / A) for x in xs]
+    return _capped_report("theorem4_sup", xs, raw, detail, settings or {})

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -23,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
-    TailBoundReport,
     corollary1_report,
     corollary2_report,
     theorem3_report,
     theorem4_detail,
+    theorem4_report,
 )
 from .config import (
     COMMANDS,
@@ -349,16 +348,8 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
                 elif method == "theorem4_sup":
                     # Thresholds are multiples of the constant A, so the
                     # expensive entropy optimization runs exactly once.
-                    detail = theorem4_detail(model, T, a, b, r)
-                    A = detail["A_TD"]
-                    xs4 = [m * A for m in multipliers]
-                    raw = [2.0 * math.exp(-x / A) for x in xs4]
-                    constants = dict(detail, raw_bounds=[float(v) for v in raw])
-                    report = TailBoundReport(
-                        method="theorem4_sup",
-                        x_values=np.asarray(xs4, dtype=float),
-                        bound_values=np.clip(np.asarray(raw, dtype=float), 0.0, 1.0),
-                        constants=constants,
+                    report = theorem4_report(
+                        theorem4_detail(model, T, a, b, r), multipliers,
                         settings=dict(shared, x_multipliers=multipliers),
                     )
                 elif method == "corollary1":

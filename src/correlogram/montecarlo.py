@@ -192,10 +192,10 @@ def run_replications(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloResul
         [jackknife_se(Ztau[:, j], lambda s: s.var(ddof=1)) for j in range(cols.size)]
     )
     emp_cov = np.atleast_2d(np.cov(Ztau.T, ddof=1))
+    targets = cov_limit(h, tau_req, tau_req)
     ks = []
     for j, t in enumerate(tau_req):
-        target = cov_limit(h, float(t), float(t))
-        stat, p = normality_test(Ztau[:, j], max(target, 0.0))
+        stat, p = normality_test(Ztau[:, j], max(float(targets[j]), 0.0))
         ks.append((float(t), stat, p))
     return MonteCarloResult(
         config=cfg,
@@ -264,19 +264,10 @@ def sample_limit_Z(
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:
         raise ValueError("tau_grid must be a nonempty 1-d array")
-    k = taus.size
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            G[i, j] = G[j, i] = cov_limit(h, float(taus[i]), float(taus[j]))
-    w, V = np.linalg.eigh(G)
-    if float(w.min()) < -1e-8:
-        raise ConsistencyError(
-            f"limit covariance Gram matrix has eigenvalue {w.min():.3e} < -1e-8"
-        )
-    root = V * np.sqrt(np.clip(w, 0.0, None))
-    draws = seed.generator().standard_normal(size=(int(M), k))
-    return draws @ root.T
+    i, j = np.triu_indices(taus.size)
+    G = np.empty((taus.size, taus.size))
+    G[i, j] = G[j, i] = cov_limit(h, taus[i], taus[j])
+    return _gram_draws(G, M, seed, "limit")
 
 
 def sample_stationary_Y(
@@ -294,15 +285,18 @@ def sample_stationary_Y(
         raise ValueError("tau_grid must be a nonempty 1-d array")
     lags = np.abs(taus[:, None] - taus[None, :])
     uniq, inv = np.unique(lags.round(12), return_inverse=True)
-    vals = np.array([autocovariance_Y(h, float(u)) for u in uniq])
-    G = vals[inv].reshape(lags.shape)
+    G = autocovariance_Y(h, uniq)[inv].reshape(lags.shape)
+    return _gram_draws(G, M, seed, "stationary")
+
+
+def _gram_draws(G: np.ndarray, M: int, seed: NoiseSeed, what: str) -> np.ndarray:
     w, V = np.linalg.eigh(G)
     if float(w.min()) < -1e-8:
         raise ConsistencyError(
-            f"stationary covariance Gram matrix has eigenvalue {w.min():.3e} < -1e-8"
+            f"{what} covariance Gram matrix has eigenvalue {w.min():.3e} < -1e-8"
         )
     root = V * np.sqrt(np.clip(w, 0.0, None))
-    draws = seed.generator().standard_normal(size=(int(M), k_ := taus.size))
+    draws = seed.generator().standard_normal(size=(int(M), G.shape[0]))
     return draws @ root.T
 
 

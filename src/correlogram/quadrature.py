@@ -1,7 +1,8 @@
 """Composite 12-node Gauss-Legendre rule for every one-dimensional integral:
 panels never straddle a breakpoint of the integrand and are never wider
-than a width sized from its oscillation rate. Imports numpy only and reads
-kernels through their attributes, so ``kernels`` can import it.
+than a width sized from its oscillation rate. Imports only numpy and
+``errors`` and reads kernels through their attributes, so ``kernels`` can
+import it.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import ConsistencyError
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -142,25 +145,44 @@ def lagged_product(p, q, lags, sign: int):
 
 def lagged_product_time(p, q, lags: np.ndarray, sign: int) -> np.ndarray:
     """Time route over a 1-D lag array. Each lag's edges (a grid over the
-    support of p, p's breakpoints, q's shifted by the lag) are clipped to its
-    interval: a clipped point makes a zero-width panel, so rows stay
-    rectangular and each sum depends on its own lag alone."""
+    support of p, p's breakpoints, q's shifted by the lag, and q's grid and
+    the stretch between the centres when the interval reaches past p's
+    support) are clipped to its interval: a clipped point makes a zero-width
+    panel, so rows stay rectangular and each sum depends on its own lag
+    alone."""
     r = _radius(p)
     # q(lag + sign*s) is centred at s = -sign*lag; its support counts only
     # when q itself is truncated in time
     centre = -sign * lags
     lo, hi = np.full(lags.size, -r), np.full(lags.size, r)
-    if _time_routable(q):
-        lo = np.maximum(lo, centre - _radius(q))
-        hi = np.maximum(np.minimum(hi, centre + _radius(q)), lo)
     # an eighth of either support radius, or two radians of q's band edge
     width = min(r, _radius(q)) / 8.0 if q.band_limit is None else min(r / 8.0, 2.0 / q.band_limit)
     base = np.concatenate([np.linspace(-r, r, int(math.ceil(2.0 * r / width)) + 1), _time_breaks(p)])
-    q_breaks = sign * _time_breaks(q)
+    offsets = sign * _time_breaks(q)  # points at centre + offset
+    fractions = np.empty(0)  # points at fraction * centre
+    if _time_routable(q):
+        # A tolerance-truncated support keeps its tail, and at lags beyond
+        # both radii the product of the two tails, spread over the stretch
+        # between the centres, is all of the integral: the interval is the
+        # hull of both supports, cut only by exact ones.
+        rq = _radius(q)
+        lo, hi = np.minimum(lo, centre - rq), np.maximum(hi, centre + rq)
+        if p.support_tol == 0.0:
+            lo, hi = np.maximum(lo, -r), np.minimum(hi, r)
+        if q.support_tol == 0.0:
+            lo, hi = np.maximum(lo, centre - rq), np.minimum(hi, centre + rq)
+        hi = np.maximum(hi, lo)
+        if p.support_tol > 0.0:
+            # the hull reaches past p's grid: add q's grid and 8 panels
+            # between the centres, so row length never depends on the lag
+            grid_q = np.linspace(-rq, rq, int(math.ceil(2.0 * rq / width)) + 1)
+            offsets = np.concatenate([offsets, grid_q])
+            fractions = np.linspace(0.0, 1.0, 9)
+    n_cols = base.size + offsets.size + fractions.size + 2
     out = np.empty(lags.size)
-    for sl in row_blocks(lags.size, (base.size + q_breaks.size + 1) * GL_NODES.size):
-        lo_, hi_ = lo[sl, None], hi[sl, None]
-        rows = [np.broadcast_to(base, (lo_.size, base.size)), q_breaks + centre[sl, None], lo_, hi_]
+    for sl in row_blocks(lags.size, n_cols * GL_NODES.size):
+        c, lo_, hi_ = centre[sl, None], lo[sl, None], hi[sl, None]
+        rows = [np.broadcast_to(base, (c.size, base.size)), offsets + c, fractions * c, lo_, hi_]
         s, w = panel_nodes(np.sort(np.clip(np.concatenate(rows, axis=1), lo_, hi_), axis=1))
         out[sl] = np.sum(p.time_eval(s) * q.time_eval(lags[sl, None] + sign * s) * w, axis=1)
     return out
@@ -170,17 +192,39 @@ def lagged_product_frequency(p, q, lags: np.ndarray, sign: int) -> np.ndarray:
     """Frequency route over a 1-D lag array,
     ``(1/pi) int_0^L Re[P q* e^{i lam lag}] dlam`` with P = conj(p*) for
     sign +1 and p* for sign -1, up to the narrower of the two windows
-    (tail mass 2e-12 from 200 on). Lags sharing a panel width share nodes."""
+    (tail mass 2e-12 from 200 on). Lags sharing a panel width share nodes.
+
+    The imaginary part of the two-sided integral, from the transforms at
+    -lam on the same nodes, must cancel: a residue above 1e-9 + 1e-9 |value|
+    raises ``ConsistencyError`` naming the first such lag."""
     L = min(spectral_window(k, 2e-12, 200.0) for k in (p, q))
     breaks = ftf_breakpoints(p) + ftf_breakpoints(q)
     rates = np.maximum(1.0, np.ceil(np.abs(lags)))
     out = np.zeros(lags.size)
+    imag = np.zeros(lags.size)
     for rate in np.unique(rates):
         idx = np.flatnonzero(rates == rate)
         for lam, w in _node_blocks(panel_edges(0.0, L, breaks, spectral_width(rate, p, q))):
-            ps = p.ftf_eval(lam)
-            pq = w * (np.conj(ps) if sign > 0 else ps) * q.ftf_eval(lam)
+            pq, pq_neg = (_weighted_pair(p, q, x, w, sign) for x in (lam, -lam))
+            # Im of pq e^{i phase} + pq_neg e^{-i phase}
+            im_cos, im_sin = pq.imag + pq_neg.imag, pq.real - pq_neg.real
             for sl in row_blocks(idx.size, lam.size):
                 phase = lags[idx[sl], None] * lam
-                out[idx[sl]] += np.sum(np.cos(phase) * pq.real - np.sin(phase) * pq.imag, axis=1)
-    return out / math.pi
+                cos, sin = np.cos(phase), np.sin(phase)
+                out[idx[sl]] += np.sum(cos * pq.real - sin * pq.imag, axis=1)
+                imag[idx[sl]] += np.sum(cos * im_cos + sin * im_sin, axis=1)
+    out /= math.pi
+    imag /= 2.0 * math.pi
+    tol = 1e-9 + 1e-9 * np.abs(out)
+    bad = np.flatnonzero(np.abs(imag) > tol)
+    if bad.size:
+        k = bad[0]
+        raise ConsistencyError(
+            f"imaginary residue {imag[k]:.3e} exceeds {tol[k]:.3e} at lag {lags[k]:.12g}"
+        )
+    return out
+
+
+def _weighted_pair(p, q, lam, w, sign: int):
+    ps = p.ftf_eval(lam)
+    return w * (np.conj(ps) if sign > 0 else ps) * q.ftf_eval(lam)

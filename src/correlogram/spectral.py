@@ -3,12 +3,15 @@
 Everything here is deterministic quadrature, no simulation: the Fejér
 kernel, the spectral pseudometric sigma, the limiting covariance
 
-    C_inf(t1, t2) = (1/2pi) int [ e^{i(t1-t2)lam} |H*(lam)|^2
-                                 + e^{i(t1+t2)lam} (H*(lam))^2 ] dlam,
+    C_inf(t1, t2) = int h(s) h(s + t1 - t2) ds + int h(s) h(t1 + t2 - s) ds,
 
-the finite-horizon covariance of Zhat (a double spectral integral
-carrying the Fejér factor), and the pseudometric rho with its explicit
-upper bound.
+whose first term alone is the output autocovariance K_Y(t1 - t2), the
+finite-horizon covariance of Zhat (a double spectral integral carrying
+the Fejér factor), and the pseudometric rho with its explicit upper
+bound. C_inf and K_Y are ``quadrature.lagged_product`` calls over lag
+arrays; that module picks the time or the frequency route, and on the
+frequency route it raises on an imaginary residue of the two-sided
+integral.
 
 The finite-horizon integral is reduced to one outer variable
 u = lam1 - lam2, where the Fejér factor Phi_T(u) concentrates on
@@ -55,6 +58,7 @@ from .quadrature import (
     ftf_abs,
     ftf_breakpoints,
     integrate,
+    lagged_product,
     osc_rate,
     panel_edges,
     panel_nodes,
@@ -200,50 +204,19 @@ def msq_increment_Y(
     return (2.0 / math.pi) * sigma(h, abs(tau2 - tau1), settings) ** 2
 
 
-def autocovariance_Y(
-    h: Kernel, u: float, settings: Optional[QuadratureSettings] = None
-) -> float:
-    """Stationary covariance of the output, ``E Y(t+u) Y(t)``.
-
-    Spectral form ``(1/pi) int_0^inf |H*(lam)|^2 cos(u lam) dlam``; even
-    in u and equal to ||h||_2^2 at u = 0 whatever the kernel's parity.
-    """
-    settings = settings or QuadratureSettings.default_1d()
-    u = float(u)
-    L = spectral_window(h, abs_mass_tol=settings.abs_tol, start=settings.lambda_max)
-    edges = panel_edges(0.0, L, ftf_breakpoints(h), spectral_width(abs(u), h))
-    val = integrate(lambda lam: np.abs(h.ftf_eval(lam)) ** 2 * np.cos(u * lam), edges)
-    return float(val) / math.pi
+def autocovariance_Y(h: Kernel, u):
+    """Stationary covariance of the output, ``E Y(t+u) Y(t) = int h(s) h(s+u) ds``,
+    at a lag or a lag array; even in u and equal to ||h||_2^2 at u = 0
+    whatever the kernel's parity. Scalar lags give a float."""
+    return lagged_product(h, h, u, +1)
 
 
-def cov_limit(
-    h: Kernel,
-    tau1: float,
-    tau2: float,
-    settings: Optional[QuadratureSettings] = None,
-) -> float:
-    """Limiting covariance C_inf(tau1, tau2) of the error process.
-
-    Integrates over both half-lines; the imaginary residue of the
-    two-sided integral is a quadrature self-check, not assumed zero.
-    """
-    settings = settings or QuadratureSettings.default_1d()
-    a = float(tau1) - float(tau2)
-    b = float(tau1) + float(tau2)
-    L = spectral_window(h, abs_mass_tol=settings.abs_tol / 4, start=settings.lambda_max)
-
-    def f(lam):
-        hs = h.ftf_eval(lam)
-        return np.exp(1j * a * lam) * np.abs(hs) ** 2 + np.exp(1j * b * lam) * hs**2
-
-    edges = panel_edges(-L, L, ftf_breakpoints(h), spectral_width(max(abs(a), abs(b)), h))
-    val = complex(integrate(f, edges)) / (2.0 * math.pi)
-    tol = settings.abs_tol + settings.rel_tol * abs(val.real)
-    if abs(val.imag) > tol:
-        raise ConsistencyError(
-            f"limit covariance imaginary residue {val.imag:.3e} exceeds {tol:.3e}"
-        )
-    return val.real
+def cov_limit(h: Kernel, tau1, tau2):
+    """Limiting covariance C_inf(tau1, tau2) of the error process,
+    ``int h(s) h(s + tau1 - tau2) ds + int h(s) h(tau1 + tau2 - s) ds``,
+    over broadcastable lag arrays; scalar lags give a float."""
+    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    return lagged_product(h, h, tau1 - tau2, +1) + lagged_product(h, h, tau1 + tau2, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,17 @@ class TestMontecarlo:
         assert manifest.command == "montecarlo"
         assert verify_manifest(out / "run_manifest.json") == []
 
+    def test_one_sided_box_kernel(self, tmp_path):
+        # |box*|^2 decays like lam^-2, so a spectral limit covariance would
+        # need a window of about 2e12 for the KS targets
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg.update(h={"name": "one_sided_box", "delta": 10, "c": 1}, T=20.0, dt=0.01)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        assert run_cli("montecarlo", "--config", str(path), "--out", str(out)) == 0
+        assert (out / "result.csv").exists()
+
     @pytest.mark.parametrize("bad", [-1, 0, 2.5, "x"])
     def test_bad_emit_max_reps_is_usage_error(self, tmp_path, bad):
         cfg = json.loads(json.dumps(BASE_CONFIG))

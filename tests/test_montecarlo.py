@@ -154,10 +154,27 @@ class TestExactSamplers:
         np.testing.assert_array_equal(a, b)
 
     def test_inconsistent_gram_raises(self, monkeypatch):
-        fake = {(0.0, 0.0): 1.0, (1.0, 1.0): 1.0, (0.0, 1.0): 2.0, (1.0, 0.0): 2.0}
-        monkeypatch.setattr(mc, "cov_limit", lambda h, a, b: fake[(a, b)])
+        fake = np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(mc, "cov_limit", lambda h, a, b: fake[a.astype(int), b.astype(int)])
         with pytest.raises(ConsistencyError):
             sample_limit_Z(make_sinc(), [0.0, 1.0], 4, NoiseSeed(0))
+
+    def test_inconsistent_stationary_gram_raises(self, monkeypatch):
+        monkeypatch.setattr(mc, "autocovariance_Y", lambda h, u: np.where(u == 0.0, 1.0, 2.0))
+        with pytest.raises(ConsistencyError, match="stationary"):
+            sample_stationary_Y(make_sinc(), [0.0, 1.0], 4, NoiseSeed(0))
+
+    def test_gram_is_one_cov_limit_call(self, monkeypatch):
+        calls, cov_limit = [], mc.cov_limit
+
+        def counted(h, a, b):
+            calls.append(np.shape(a))
+            return cov_limit(h, a, b)
+
+        monkeypatch.setattr(mc, "cov_limit", counted)
+        Z = sample_limit_Z(make_sinc(), np.linspace(0.0, 2.0, 101), 3, NoiseSeed(1))
+        assert Z.shape == (3, 101)
+        assert calls == [(101 * 102 // 2,)]
 
     def test_stationary_draws_have_unit_variance(self):
         Y = sample_stationary_Y(make_sinc(), np.linspace(0, 1, 21), 4000, NoiseSeed(6))

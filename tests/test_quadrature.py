@@ -24,7 +24,7 @@ from correlogram.kernels import (
     make_tabulated,
     make_triangular,
 )
-from correlogram.quadrature import integrate, panel_edges, spectral_window
+from correlogram.quadrature import integrate, lagged_product, panel_edges, spectral_window
 from correlogram.spectral import autocovariance_Y, cov_limit, fejer_l1_norm, sigma
 
 REF = dict(epsabs=1e-13, epsrel=1e-13, limit=2000)
@@ -101,11 +101,17 @@ def _kinks(k):
 
 
 def _time_reference(p, q, lag, sign):
-    # int p(s) q(lag + sign s) ds over p's support, cut to q's when q is
-    # truncated in time, with every kink of either factor as a breakpoint
+    # int p(s) q(lag + sign s) ds over the hull of p's support and, when q
+    # is truncated in time, q's, cut to each exact support, with every kink
+    # of either factor as a breakpoint
     lo, hi = -_radius(p), _radius(p)
     if _time_routable(q):
-        lo, hi = max(lo, -sign * lag - _radius(q)), min(hi, -sign * lag + _radius(q))
+        c = -sign * lag
+        lo, hi = min(lo, c - _radius(q)), max(hi, c + _radius(q))
+        if p.support_tol == 0.0:
+            lo, hi = max(lo, -_radius(p)), min(hi, _radius(p))
+        if q.support_tol == 0.0:
+            lo, hi = max(lo, c - _radius(q)), min(hi, c + _radius(q))
     if lo >= hi:
         return 0.0
     pts = sorted({b for b in _kinks(p)} | {sign * (b - lag) for b in _kinks(q)})
@@ -225,3 +231,35 @@ class TestLagArrays:
         # holds about 2^17 nodes, 1 MB per float array, where one array over
         # all lags would take 211 MB
         assert peak < 16e6
+
+
+def _laplace_lagged(delta, u):
+    # int h(s) h(s + u) ds for h = (delta/2) exp(-delta |s|), c = 1
+    return 0.25 * delta**2 * (abs(u) + 1.0 / delta) * math.exp(-delta * abs(u))
+
+
+class TestLaplaceTailLags:
+    # at lags beyond both truncation radii the product of the two tails
+    # carries all of the mass, spread over the stretch between the centres
+    CASES = [(20.0, 1.0), (20.0, 2.0), (100.0, 0.3)]
+
+    @pytest.mark.parametrize("delta, u", CASES)
+    def test_lagged_product(self, delta, u):
+        h = make_laplace(delta, 1.0)
+        want = _laplace_lagged(delta, u)
+        for lag, sign in ((u, +1), (-u, +1), (u, -1), (-u, -1)):
+            assert lagged_product(h, h, lag, sign) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("delta, u", CASES)
+    def test_autocovariance_Y(self, delta, u):
+        want = _laplace_lagged(delta, u)
+        assert autocovariance_Y(make_laplace(delta, 1.0), u) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("delta, u", CASES)
+    def test_cov_limit(self, delta, u):
+        # C_inf(t1, t2) = K(t1 - t2) + K(t1 + t2) for an even kernel
+        h = make_laplace(delta, 1.0)
+        want = 2.0 * _laplace_lagged(delta, u)
+        assert cov_limit(h, u, 0.0) == pytest.approx(want, rel=1e-9, abs=0.0)
+        want = _laplace_lagged(delta, u) + _laplace_lagged(delta, 2.0 * u)
+        assert cov_limit(h, 0.5 * u, 1.5 * u) == pytest.approx(want, rel=1e-9, abs=0.0)

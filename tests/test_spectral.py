@@ -23,6 +23,7 @@ from correlogram.kernels import (
     Kernel,
     make_hilbert_sinc,
     make_laplace,
+    make_one_sided_box,
     make_sinc,
     make_triangular,
 )
@@ -108,6 +109,34 @@ class TestLimitCovariance:
         G = np.array([[cov_limit(h, float(a), float(b)) for b in taus] for a in taus])
         np.testing.assert_allclose(G, G.T, atol=1e-9)
         assert np.linalg.eigvalsh(G).min() > -1e-8
+
+    def test_one_sided_box_closed_form(self):
+        # (c delta)^2 [max(0, 1/delta - |a|) + max(0, 1/delta - |b - 1/delta|)]
+        # with a = tau1 - tau2, b = tau1 + tau2; |box*|^2 decays like lam^-2
+        assert cov_limit(make_one_sided_box(10.0, 1.0), 0.05, 0.1) == pytest.approx(10.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["sinc", "hilbert_sinc", "lap20", "tri100"])
+    def test_array_calls_equal_scalar_calls(self, name):
+        h = {**_KERNELS, **_WINDOWS}[name]()
+        t1 = np.array([[0.0, 0.25, 0.5], [1.0, 0.3, 2.75]])
+        t2 = np.array([[0.0, 0.75, 0.5], [0.2, 0.3, 1.0]])
+        got = cov_limit(h, t1, t2)
+        assert got.shape == t1.shape
+        want = [[cov_limit(h, float(a), float(b)) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(t1, t2)]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(cov_limit(h, 0.25, t2[0]),
+                                      [cov_limit(h, 0.25, float(b)) for b in t2[0]])
+        np.testing.assert_array_equal(autocovariance_Y(h, t1),
+                                      [[autocovariance_Y(h, float(u)) for u in r] for r in t1])
+        assert isinstance(cov_limit(h, 0.2, 0.4), float)
+        assert isinstance(autocovariance_Y(h, 0.2), float)
+
+    def test_imaginary_residue_names_the_lag(self):
+        h = _one_sided_kernel()
+        assert cov_limit(h, 0.0, 0.0) > 0.0
+        with pytest.raises(ConsistencyError, match=r"imaginary residue .* lag -0\.4"):
+            cov_limit(h, [0.0, 0.3], [0.0, 0.7])
 
 
 def _window_gl(g, n=64):
