@@ -429,7 +429,7 @@ class TailBoundReport:
             "constants": _jsonable(self.constants),
             "settings": _jsonable(self.settings),
         }
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 

@@ -15,6 +15,13 @@ Randomness comes from the counter-based Philox generator (numpy's
 ``Philox`` bit generator, algorithm Philox4x64-10) keyed by
 ``(seed, stream_id)``: streams are reproducible and independent across
 replications no matter how work is scheduled.
+
+A ``ConvolutionPlan`` samples and trims one kernel's taps for one grid
+and pad, and convolves batches of increment rows; a ``PairSimulator``
+holds the two plans of a ``(Y, X)`` pair. ``simulate_output`` and
+``simulate_pair`` run them as a batch of one, and the replication
+harness reuses one simulator for a whole run, so both give the same
+paths from the same seeds.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
+from scipy.fft import next_fast_len
 
 from .errors import PadError
 from .kernels import Kernel
@@ -38,6 +46,8 @@ __all__ = [
     "NoiseSeed",
     "required_pad",
     "wiener_increments",
+    "ConvolutionPlan",
+    "PairSimulator",
     "simulate_output",
     "simulate_pair",
     "write_path_csv",
@@ -128,16 +138,22 @@ def required_pad(k: Kernel, dt: float) -> int:
     return int(math.ceil(k.effective_support / dt - 1e-12))
 
 
-def wiener_increments(grid: TimeGrid, pad: int, seed: NoiseSeed) -> np.ndarray:
+def wiener_increments(grid: TimeGrid, pad: int, seed: NoiseSeed, out=None) -> np.ndarray:
     """Draw ``n + 2*pad`` i.i.d. N(0, dt) Wiener increments.
 
     Increment ``m`` covers ``[s_m, s_m + dt)`` with
-    ``s_m = t_start + (m - pad)*dt``.
+    ``s_m = t_start + (m - pad)*dt``. ``out``, a float array of that
+    length, receives the draws in place of a new array.
     """
     if not (isinstance(pad, (int, np.integer)) and pad >= 0):
         raise ValueError("pad must be a nonnegative integer")
-    rng = seed.generator()
-    return rng.normal(0.0, math.sqrt(grid.dt), size=grid.n + 2 * int(pad))
+    size = grid.n + 2 * int(pad)
+    out = np.empty(size) if out is None else out
+    if out.shape != (size,):
+        raise ValueError(f"out must have shape ({size},), got {out.shape}")
+    seed.generator().standard_normal(out=out)
+    out *= math.sqrt(grid.dt)
+    return out
 
 
 def _check_sampling_rate(k: Kernel, dt: float):
@@ -147,67 +163,145 @@ def _check_sampling_rate(k: Kernel, dt: float):
             f"dt={dt} under-resolves the {k.name} window with delta={delta}; "
             f"use dt <= {1.0 / (10.0 * delta):g}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def simulate_output(k: Kernel, increments: np.ndarray, grid: TimeGrid, pad: int) -> SampledPath:
-    """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m``.
+class ConvolutionPlan:
+    """One kernel's taps on one grid and pad, for batches of up to ``rows``
+    increment rows.
 
     The kernel is sampled as ``k(i*dt)``, ``i = -pad..pad``, and exact-zero
     samples are trimmed from both ends. Only the increments the remaining
     taps reach are convolved with them, keeping the valid part: by direct
     summation for a short tap array, otherwise by a real FFT at the first
     fast length that holds the increment segment, which keeps wrap-around
-    out of the valid part.
+    out of the valid part. The FFT branch keeps the tap spectrum and its
+    row buffers, so a batch costs one ``rfft`` and one ``irfft`` along the
+    rows, and each row's output equals that of a batch of one.
+    """
+
+    def __init__(self, k: Kernel, grid: TimeGrid, pad: int, rows: int = 1):
+        pad = int(pad)
+        need = required_pad(k, grid.dt)
+        if pad < need:
+            raise PadError(
+                f"pad={pad} does not cover the kernel support "
+                f"{k.effective_support:g}; need pad >= {need}",
+                required_pad=need,
+            )
+        _check_sampling_rate(k, grid.dt)
+        self.kernel, self.grid, self.pad = k, grid, pad
+        taps = k.time_eval(grid.dt * np.arange(-pad, pad + 1))
+        nonzero = np.flatnonzero(taps)
+        lo, hi = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, -1)
+        self.taps = taps[lo : hi + 1]
+        # values[j] = sum_i taps[i] * increments[2*pad + j - i], so taps[lo..hi]
+        # reach increments 2*pad - hi through 2*pad + n - 1 - lo.
+        self.segment = slice(2 * pad - hi, 2 * pad + grid.n - lo)
+        if self.taps.size > _DIRECT_MAX_TAPS:
+            size = next_fast_len(grid.n + hi - lo, real=True)
+            self.spectrum = rfft(self.taps, size)
+            self._signal = np.zeros((rows, size))
+            self._spectra = np.empty((rows, self.spectrum.size), dtype=complex)
+
+    def convolve(self, increments: np.ndarray) -> list:
+        """Output rows ``sum_m k(t_j - s_m) * dW_m`` of a ``(rows, n + 2*pad)``
+        increment batch. FFT-branch rows are views of the plan's buffers,
+        overwritten by the next call."""
+        x = increments[:, self.segment]
+        if self.taps.size == 0:
+            return [np.zeros(self.grid.n) for _ in x]
+        if self.taps.size <= _DIRECT_MAX_TAPS:
+            return [np.convolve(row, self.taps, mode="valid") for row in x]
+        # A circular convolution of length >= len(x) wraps only into its first
+        # len(taps) - 1 samples, which the valid part skips.
+        rows, length = x.shape
+        signal, spectra = self._signal[:rows], self._spectra[:rows]
+        signal[:, :length] = x
+        signal[:, length:] = 0.0  # so no row's bits depend on the batch before
+        rfft(signal, axis=-1, out=spectra)
+        spectra *= self.spectrum
+        irfft(spectra, signal.shape[1], axis=-1, out=signal)
+        return list(signal[:, self.taps.size - 1 : length])
+
+
+def simulate_output(
+    k: Kernel, increments: np.ndarray, grid: TimeGrid, pad: int, plan: ConvolutionPlan | None = None
+):
+    """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m``.
+
+    One increment row of length ``n + 2*pad`` gives one SampledPath; a
+    ``(rows, n + 2*pad)`` batch gives a list of them, one per row. The
+    convolution is that of ``plan``, a ConvolutionPlan of ``(k, grid, pad)``
+    with room for the rows, or of a plan built here.
     """
     increments = np.asarray(increments, dtype=float)
     pad = int(pad)
-    if increments.ndim != 1 or increments.size != grid.n + 2 * pad:
+    if increments.ndim not in (1, 2) or increments.shape[-1] != grid.n + 2 * pad:
         raise ValueError(
-            f"increments must have length n + 2*pad = {grid.n + 2 * pad}, got {increments.size}"
+            f"increments must have rows of length n + 2*pad = {grid.n + 2 * pad}, "
+            f"got shape {increments.shape}"
         )
-    need = required_pad(k, grid.dt)
-    if pad < need:
-        raise PadError(
-            f"pad={pad} does not cover the kernel support "
-            f"{k.effective_support:g}; need pad >= {need}",
-            required_pad=need,
-        )
-    _check_sampling_rate(k, grid.dt)
-
-    taps = k.time_eval(grid.dt * np.arange(-pad, pad + 1))
-    nonzero = np.flatnonzero(taps)
-    if nonzero.size == 0:
-        return SampledPath(grid=grid, values=np.zeros(grid.n), label=k.name)
-    lo, hi = int(nonzero[0]), int(nonzero[-1])
-    # values[j] = sum_i taps[i] * increments[2*pad + j - i], so taps[lo..hi]
-    # reach increments 2*pad - hi through 2*pad + n - 1 - lo.
-    values = _convolve_valid(increments[2 * pad - hi : 2 * pad + grid.n - lo], taps[lo : hi + 1])
-    return SampledPath(grid=grid, values=values, label=k.name)
+    batch = increments.reshape(-1, increments.shape[-1])
+    if plan is None:
+        plan = ConvolutionPlan(k, grid, pad, rows=len(batch))
+    elif plan.kernel is not k or plan.grid != grid or plan.pad != pad:
+        raise ValueError("plan was built for another kernel, grid or pad")
+    paths = [SampledPath(grid=grid, values=v, label=k.name) for v in plan.convolve(batch)]
+    return paths if increments.ndim == 2 else paths[0]
 
 
-def _convolve_valid(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """The ``len(x) - len(taps) + 1`` samples of ``x * taps`` that see every tap."""
-    if taps.size <= _DIRECT_MAX_TAPS:
-        return np.convolve(x, taps, mode="valid")
-    # A circular convolution of length >= len(x) wraps only into its first
-    # len(taps) - 1 samples, which the valid part skips.
-    size = next_fast_len(x.size, real=True)
-    full = irfft(rfft(x, size) * rfft(taps, size), size)
-    return full[taps.size - 1 : x.size]
-
-
-def simulate_pair(h: Kernel, g: Kernel, grid: TimeGrid, seed: NoiseSeed):
-    """Simulate ``(Y, X)`` from one shared increment stream.
+class PairSimulator:
+    """Outputs of kernels ``h`` and ``g`` on one grid, in batches of up to
+    ``rows`` increment streams.
 
     The pad is the larger of the two kernels' requirements, so both
-    outputs are unbiased over the whole grid and jointly stationary.
+    outputs are unbiased over the whole grid and jointly stationary. The
+    two convolution plans and the increment rows are built once and reused
+    by every batch. Row r draws from its own seed and is convolved alone,
+    so its outputs do not depend on the other rows of the batch.
     """
-    pad = max(required_pad(h, grid.dt), required_pad(g, grid.dt))
-    increments = wiener_increments(grid, pad, seed)
-    y = simulate_output(h, increments, grid, pad)
-    x = simulate_output(g, increments, grid, pad)
+
+    def __init__(self, h: Kernel, g: Kernel, grid: TimeGrid, rows: int = 1):
+        self.h, self.g, self.grid = h, g, grid
+        self.pad = max(required_pad(h, grid.dt), required_pad(g, grid.dt))
+        self._plans = tuple(ConvolutionPlan(k, grid, self.pad, rows) for k in (h, g))
+        self._increments = np.empty((rows, grid.n + 2 * self.pad))
+        self._outputs = {}
+
+    def draw(self, seeds) -> None:
+        """Draw one increment row per seed and convolve the batch; the outputs
+        of each seed stay available to ``simulate_pair`` until the next batch."""
+        if not 1 <= len(seeds) <= len(self._increments):
+            raise ValueError(f"need 1 to {len(self._increments)} seeds, got {len(seeds)}")
+        self._outputs = {}  # free the last batch's outputs before making new ones
+        batch = self._increments[: len(seeds)]
+        for row, seed in zip(batch, seeds):
+            wiener_increments(self.grid, self.pad, seed, out=row)
+        ys = simulate_output(self.h, batch, self.grid, self.pad, plan=self._plans[0])
+        xs = simulate_output(self.g, batch, self.grid, self.pad, plan=self._plans[1])
+        self._outputs = dict(zip(seeds, zip(ys, xs)))
+
+
+def simulate_pair(
+    h: Kernel, g: Kernel, grid: TimeGrid, seed: NoiseSeed, simulator: PairSimulator | None = None
+):
+    """Simulate ``(Y, X)`` from one shared increment stream.
+
+    Without ``simulator`` this is a PairSimulator batch of one. A
+    simulator built for ``(h, g, grid)`` whose last batch drew ``seed``
+    gives that row's pair instead; the replication harness draws four
+    streams at a time and takes one pair per replication.
+    """
+    if simulator is None:
+        simulator = PairSimulator(h, g, grid)
+        simulator.draw([seed])
+    elif simulator.h is not h or simulator.g is not g or simulator.grid != grid:
+        raise ValueError("simulator was built for other kernels or another grid")
+    if seed not in simulator._outputs:
+        raise ValueError(f"the simulator's last batch did not draw {seed}")
+    y, x = simulator._outputs[seed]
     return (
         SampledPath(grid=grid, values=y.values, label="Y"),
         SampledPath(grid=grid, values=x.values, label="X"),

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 import scipy.special
 
 import correlogram.montecarlo as mc
+from conftest import acceptance_experiment
 from correlogram.errors import ConsistencyError
+from correlogram.estimator import cross_correlogram, theoretical_bias
 from correlogram.kernels import make_hilbert_sinc, make_sinc
 from correlogram.montecarlo import (
     ExperimentConfig,
@@ -27,7 +30,13 @@ from correlogram.montecarlo import (
     write_trajectories_csv,
 )
 from correlogram.bounds import theorem3_report
-from correlogram.simulate import NoiseSeed
+from correlogram.simulate import (
+    _DIRECT_MAX_TAPS,
+    ConvolutionPlan,
+    NoiseSeed,
+    required_pad,
+    simulate_pair,
+)
 
 
 def small_experiment(**overrides):
@@ -96,6 +105,106 @@ class TestRunReplications:
         res6 = run_quietly(small_experiment())
         res3 = run_quietly(small_experiment(replications=3))
         np.testing.assert_array_equal(res6.z_samples[:3], res3.z_samples)
+
+
+class TestBatchedReplications:
+    """Replications run in fixed batches of four rows with one tap plan."""
+
+    @pytest.mark.parametrize(
+        "h_spec, branch",
+        [
+            ({"name": "sinc"}, "fft"),
+            ({"name": "hilbert_sinc"}, "fft"),
+            ({"name": "triangular", "delta": 2.0, "c": 1.0}, "direct"),
+        ],
+        ids=["sinc", "hilbert_sinc", "triangular"],
+    )
+    def test_rows_equal_single_pair_runs(self, h_spec, branch):
+        # M = 9: two full batches and a partial one
+        cfg = small_experiment(h_spec=h_spec, replications=9)
+        res = run_quietly(cfg)
+        h, g = cfg.kernels()
+        taus = mc._lattice(cfg)
+        grid = mc._sim_grid(cfg, taus)
+        plan = ConvolutionPlan(h, grid, max(required_pad(k, cfg.dt) for k in (h, g)))
+        assert ("fft" if plan.taps.size > _DIRECT_MAX_TAPS else "direct") == branch
+        bias = theoretical_bias(h, g, cfg.c, taus)
+        want = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for i in range(cfg.replications):
+                Y, X = simulate_pair(h, g, grid, cfg.base_seed.spawn(i))
+                want.append(math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias))
+        np.testing.assert_array_equal(res.z_fine, np.vstack(want))
+
+    @pytest.mark.parametrize(
+        "h_name, frozen",
+        [
+            (
+                "sinc",
+                [
+                    [-0.5481752715991899, 0.28155671415655836, 0.9723765027917302],
+                    [0.3811808696852314, 0.7056564483636921, 1.3842913882249894],
+                    [-0.46834684066580934, -0.10014388200200235, 0.4796558773913323],
+                ],
+            ),
+            (
+                "hilbert_sinc",
+                [
+                    [-0.07616551344942611, -0.8233530554850699, -0.027899666857877523],
+                    [0.03762683045225853, -0.37032086963351685, -0.1420094874620308],
+                    [0.17606439010637986, -0.4596475061725194, -0.3570527412839025],
+                ],
+            ),
+        ],
+    )
+    def test_acceptance_model_values_frozen(self, h_name, frozen):
+        # Zhat at tau = 0, 0.5, 1 of replications 0, 4 and 8 (one per batch),
+        # as the one-replication-at-a-time harness computed them
+        res = run_quietly(acceptance_experiment(h_name, 9))
+        np.testing.assert_allclose(res.z_samples[[0, 4, 8]], frozen, rtol=1e-12, atol=0.0)
+
+    def test_one_batch_working_set(self):
+        # At the acceptance model the four-row FFT buffers, the increment
+        # rows and the window outputs come to about 8.3 MB; each further
+        # row adds about 2 MB.
+        cfg = acceptance_experiment("sinc", 4)
+        h, g = cfg.kernels()
+        taus = mc._lattice(cfg)
+        bias = theoretical_bias(h, g, cfg.c, taus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tracemalloc.start()
+            try:
+                [(first, z)] = mc._replicate_batches((cfg, taus, bias, [0]))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (first, z.shape) == (0, (4, taus.size))
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("workers, want", [(64, 3), (2, 2)])
+    def test_pool_never_exceeds_batch_count(self, monkeypatch, workers, want):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_experiment(replications=12)
+        res = run_quietly(cfg, workers=workers)
+        assert sizes == [want]
+        np.testing.assert_array_equal(res.z_fine, run_quietly(cfg).z_fine)
 
 
 class TestNormalityTest:

@@ -21,7 +21,9 @@ from correlogram.kernels import (
     make_triangular,
 )
 from correlogram.simulate import (
+    ConvolutionPlan,
     NoiseSeed,
+    PairSimulator,
     SampledPath,
     TimeGrid,
     read_path_binary,
@@ -95,6 +97,18 @@ class TestIncrements:
         assert inc.var() == pytest.approx(0.01, rel=0.1)
         # 3 standard errors of the mean at Var = dt
         assert abs(inc.mean()) < 3.0 * math.sqrt(0.01 / inc.size)
+
+    def test_draws_equal_scaled_normal_stream(self):
+        # the same bits as Generator.normal(0, sqrt(dt)), also when drawn in place
+        grid = TimeGrid(0.0, 0.01, 2001)
+        want = NoiseSeed(5, 3).generator().normal(0.0, 0.1, size=2201)
+        np.testing.assert_array_equal(wiener_increments(grid, 100, NoiseSeed(5, 3)), want)
+        rows = np.zeros((2, 2201))
+        row = rows[1]
+        assert wiener_increments(grid, 100, NoiseSeed(5, 3), out=row) is row
+        np.testing.assert_array_equal(rows, [np.zeros(2201), want])
+        with pytest.raises(ValueError):
+            wiener_increments(grid, 100, NoiseSeed(5, 3), out=rows)
 
     def test_pad_must_be_nonnegative_int(self):
         grid = TimeGrid(0.0, 0.1, 11)
@@ -190,6 +204,51 @@ class TestConvolution:
         atol = 1e-12 * np.abs(taps).sum() * np.abs(inc).max()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
         assert ("fft" if ffts else "direct") == branch
+
+    @pytest.mark.filterwarnings("ignore:dt=.*under-resolves:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kernel",
+        [make_sinc(), make_one_sided_box(10.0, 1.0), make_triangular(100.0, 1.0)],
+        ids=["sinc_fft", "one_sided_box_direct", "triangular100_direct"],
+    )
+    def test_batch_rows_equal_single_rows(self, kernel):
+        # one plan, a full batch then a shorter one: each row has the bits
+        # of its own batch of one
+        grid = TimeGrid(0.0, 0.05, 301)
+        pad = required_pad(make_sinc(), 0.05)
+        inc = np.array([wiener_increments(grid, pad, NoiseSeed(17, i)) for i in range(7)])
+        plan = ConvolutionPlan(kernel, grid, pad, rows=4)
+        got = simulate_output(kernel, inc[:4], grid, pad, plan=plan)
+        got = [p.values.copy() for p in got]
+        got += [p.values for p in simulate_output(kernel, inc[4:], grid, pad, plan=plan)]
+        for row, values in zip(inc, got):
+            np.testing.assert_array_equal(values, simulate_output(kernel, row, grid, pad).values)
+
+    def test_plan_must_match_its_kernel_grid_and_pad(self):
+        k = make_triangular(2.0, 1.0)
+        grid = TimeGrid(0.0, 0.05, 101)
+        pad = required_pad(k, 0.05)
+        inc = wiener_increments(grid, pad + 1, NoiseSeed(1))
+        with pytest.raises(ValueError, match="plan"):
+            simulate_output(k, inc, grid, pad + 1, plan=ConvolutionPlan(k, grid, pad))
+
+    def test_pair_simulator_batches(self):
+        h, g, grid = make_sinc(), make_triangular(2.0, 1.0), TimeGrid(0.0, 0.05, 101)
+        sim = PairSimulator(h, g, grid, rows=2)
+        for seeds in ([], [NoiseSeed(i) for i in range(3)]):
+            with pytest.raises(ValueError):
+                sim.draw(seeds)
+        sim.draw([NoiseSeed(1), NoiseSeed(2)])
+        for seed in (NoiseSeed(2), NoiseSeed(1)):
+            got = simulate_pair(h, g, grid, seed, simulator=sim)
+            want = simulate_pair(h, g, grid, seed)
+            assert [p.label for p in got] == ["Y", "X"]
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a.values, b.values)
+        with pytest.raises(ValueError, match="did not draw"):
+            simulate_pair(h, g, grid, NoiseSeed(3), simulator=sim)
+        with pytest.raises(ValueError, match="other kernels"):
+            simulate_pair(h, make_triangular(2.0, 1.0), grid, NoiseSeed(1), simulator=sim)
 
     @pytest.mark.parametrize(
         "values",
