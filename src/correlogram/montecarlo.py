@@ -5,21 +5,18 @@ limit theory predicts: per-lag normality of Zhat, the empirical
 covariance against its finite-horizon truth, supremum tails for the
 interval bounds, and modulus-of-continuity tables for tightness.
 
-Replications run in fixed batches of four rows: batch b holds
-replications 4b to 4b + 3, whatever the worker count or M, and workers
-receive whole batches. Replication i always draws from stream
-``base_seed.spawn(i)``, and each process simulates with one
-``PairSimulator`` for the whole run, whose batched FFT gives every row
-the same bits as ``simulate_pair`` with that stream. Results are
-assembled by replication index, so output is byte-identical for any
-worker count (aggregation uses numpy's pairwise summation over a fixed
-ordering).
+Replication i always draws from stream ``base_seed.spawn(i)``. With
+``w`` processes, process p runs replications p, p + w, p + 2w, ... with
+one ``PairSimulator`` (tap plans and buffers built once), which gives
+every replication the same bits as ``simulate_pair`` alone with that
+stream. Results are assembled by replication index, so output is
+byte-identical for any worker count (aggregation uses numpy's pairwise
+summation over a fixed ordering).
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -105,33 +102,21 @@ def _sim_grid(cfg: ExperimentConfig, taus: np.ndarray) -> TimeGrid:
     return TimeGrid(t_start=t_start, dt=cfg.dt, n=n + 1)
 
 
-#: Replications per batch. A batch shares one rfft and one irfft over its
-#: rows; numpy's pocketfft gains little past four rows, while each row adds
-#: about 2 MB of buffers at the acceptance model's 62k-point FFT.
-_BATCH_ROWS = 4
-
-
-def _replicate_batches(args) -> list:
-    """``(first replication, Zhat rows)`` of each batch in ``batches``, from
+def _replicate_share(args) -> np.ndarray:
+    """Zhat rows of replications ``first, first + step, ...``, simulated with
     one PairSimulator; module-level so process pools can pickle it."""
-    cfg, taus, bias, batches = args
-    h, g = cfg.kernels()
-    sim = PairSimulator(h, g, _sim_grid(cfg, taus), rows=_BATCH_ROWS)
-    done = []
-    for b in batches:
-        first = b * _BATCH_ROWS
-        indices = range(first, min(first + _BATCH_ROWS, cfg.replications))
-        seeds = [cfg.base_seed.spawn(i) for i in indices]
-        try:
-            sim.draw(seeds)
-            z = [
-                math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias)
-                for Y, X in (simulate_pair(h, g, sim.grid, s, simulator=sim) for s in seeds)
-            ]
-        except Exception as exc:
-            raise RuntimeError(f"replications {first} to {indices[-1]} failed: {exc}") from exc
-        done.append((first, np.vstack(z)))
-    return done
+    cfg, taus, bias, first, step = args
+    rows = []
+    i = first
+    try:
+        h, g = cfg.kernels()
+        sim = PairSimulator(h, g, _sim_grid(cfg, taus))
+        for i in range(first, cfg.replications, step):
+            Y, X = simulate_pair(h, g, sim.grid, cfg.base_seed.spawn(i), simulator=sim)
+            rows.append(math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias))
+    except Exception as exc:
+        raise RuntimeError(f"replication {i} failed: {exc}") from exc
+    return np.vstack(rows)
 
 
 @dataclass
@@ -192,19 +177,18 @@ def run_replications(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloResul
     h, g = cfg.kernels()
     taus = _lattice(cfg)
     bias = theoretical_bias(h, g, cfg.c, taus)
-    batches = range(-(-cfg.replications // _BATCH_ROWS))
     # Under fork every pool process starts up front, so never ask for more
-    # than there are batches; each process then builds one PairSimulator.
-    procs = max(1, min(workers, len(batches)))
-    jobs = [(cfg, taus, bias, batches[w::procs]) for w in range(procs)]
+    # than there are replications. Process w runs replications w, w + procs, ...
+    procs = max(1, min(workers, cfg.replications))
+    jobs = [(cfg, taus, bias, w, procs) for w in range(procs)]
     if procs == 1:
-        done = map(_replicate_batches, jobs)
+        done = map(_replicate_share, jobs)
     else:
         with ProcessPoolExecutor(max_workers=procs) as pool:
-            done = list(pool.map(_replicate_batches, jobs))
+            done = list(pool.map(_replicate_share, jobs))
     Z = np.empty((cfg.replications, taus.size))
-    for first, z in itertools.chain.from_iterable(done):
-        Z[first : first + len(z)] = z
+    for w, z in enumerate(done):
+        Z[w::procs] = z
 
     tau_req = snap_tau_grid(cfg.tau_grid, cfg.dt)
     cols = np.array([int(round((t - taus[0]) / cfg.dt)) for t in tau_req])

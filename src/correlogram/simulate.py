@@ -17,11 +17,11 @@ Randomness comes from the counter-based Philox generator (numpy's
 replications no matter how work is scheduled.
 
 A ``ConvolutionPlan`` samples and trims one kernel's taps for one grid
-and pad, and convolves batches of increment rows; a ``PairSimulator``
+and pad and convolves increment rows with them; a ``PairSimulator``
 holds the two plans of a ``(Y, X)`` pair. ``simulate_output`` and
-``simulate_pair`` run them as a batch of one, and the replication
-harness reuses one simulator for a whole run, so both give the same
-paths from the same seeds.
+``simulate_pair`` build them when they are not given one, and the
+replication harness reuses one simulator for a whole run, so both give
+the same paths from the same seeds.
 """
 
 from __future__ import annotations
@@ -168,20 +168,18 @@ def _check_sampling_rate(k: Kernel, dt: float):
 
 
 class ConvolutionPlan:
-    """One kernel's taps on one grid and pad, for batches of up to ``rows``
-    increment rows.
+    """One kernel's taps on one grid and pad, reused for every increment row.
 
     The kernel is sampled as ``k(i*dt)``, ``i = -pad..pad``, and exact-zero
     samples are trimmed from both ends. Only the increments the remaining
     taps reach are convolved with them, keeping the valid part: by direct
     summation for a short tap array, otherwise by a real FFT at the first
     fast length that holds the increment segment, which keeps wrap-around
-    out of the valid part. The FFT branch keeps the tap spectrum and its
-    row buffers, so a batch costs one ``rfft`` and one ``irfft`` along the
-    rows, and each row's output equals that of a batch of one.
+    out of the valid part. The FFT branch keeps the tap spectrum and two
+    work buffers, so a row costs one ``rfft`` and one ``irfft``.
     """
 
-    def __init__(self, k: Kernel, grid: TimeGrid, pad: int, rows: int = 1):
+    def __init__(self, k: Kernel, grid: TimeGrid, pad: int):
         pad = int(pad)
         need = required_pad(k, grid.dt)
         if pad < need:
@@ -202,86 +200,62 @@ class ConvolutionPlan:
         if self.taps.size > _DIRECT_MAX_TAPS:
             size = next_fast_len(grid.n + hi - lo, real=True)
             self.spectrum = rfft(self.taps, size)
-            self._signal = np.zeros((rows, size))
-            self._spectra = np.empty((rows, self.spectrum.size), dtype=complex)
+            self._signal = np.empty(size)
+            self._spectrum = np.empty_like(self.spectrum)
 
-    def convolve(self, increments: np.ndarray) -> list:
-        """Output rows ``sum_m k(t_j - s_m) * dW_m`` of a ``(rows, n + 2*pad)``
-        increment batch. FFT-branch rows are views of the plan's buffers,
-        overwritten by the next call."""
-        x = increments[:, self.segment]
+    def convolve(self, increments: np.ndarray) -> np.ndarray:
+        """New array ``sum_m k(t_j - s_m) * dW_m`` of one ``n + 2*pad``
+        increment row."""
+        x = increments[self.segment]
         if self.taps.size == 0:
-            return [np.zeros(self.grid.n) for _ in x]
+            return np.zeros(self.grid.n)
         if self.taps.size <= _DIRECT_MAX_TAPS:
-            return [np.convolve(row, self.taps, mode="valid") for row in x]
+            return np.convolve(x, self.taps, mode="valid")
         # A circular convolution of length >= len(x) wraps only into its first
         # len(taps) - 1 samples, which the valid part skips.
-        rows, length = x.shape
-        signal, spectra = self._signal[:rows], self._spectra[:rows]
-        signal[:, :length] = x
-        signal[:, length:] = 0.0  # so no row's bits depend on the batch before
-        rfft(signal, axis=-1, out=spectra)
-        spectra *= self.spectrum
-        irfft(spectra, signal.shape[1], axis=-1, out=signal)
-        return list(signal[:, self.taps.size - 1 : length])
+        signal, spectrum = self._signal, self._spectrum
+        signal[: x.size] = x
+        signal[x.size :] = 0.0  # unset at first, then the last irfft's output
+        rfft(signal, out=spectrum)
+        spectrum *= self.spectrum
+        irfft(spectrum, signal.size, out=signal)
+        return signal[self.taps.size - 1 : x.size].copy()
 
 
 def simulate_output(
     k: Kernel, increments: np.ndarray, grid: TimeGrid, pad: int, plan: ConvolutionPlan | None = None
-):
+) -> SampledPath:
     """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m``.
 
-    One increment row of length ``n + 2*pad`` gives one SampledPath; a
-    ``(rows, n + 2*pad)`` batch gives a list of them, one per row. The
-    convolution is that of ``plan``, a ConvolutionPlan of ``(k, grid, pad)``
-    with room for the rows, or of a plan built here.
+    The convolution is that of ``plan``, a ConvolutionPlan of
+    ``(k, grid, pad)``, or of a plan built here.
     """
     increments = np.asarray(increments, dtype=float)
     pad = int(pad)
-    if increments.ndim not in (1, 2) or increments.shape[-1] != grid.n + 2 * pad:
+    if increments.ndim != 1 or increments.size != grid.n + 2 * pad:
         raise ValueError(
-            f"increments must have rows of length n + 2*pad = {grid.n + 2 * pad}, "
-            f"got shape {increments.shape}"
+            f"increments must have length n + 2*pad = {grid.n + 2 * pad}, got {increments.size}"
         )
-    batch = increments.reshape(-1, increments.shape[-1])
     if plan is None:
-        plan = ConvolutionPlan(k, grid, pad, rows=len(batch))
+        plan = ConvolutionPlan(k, grid, pad)
     elif plan.kernel is not k or plan.grid != grid or plan.pad != pad:
         raise ValueError("plan was built for another kernel, grid or pad")
-    paths = [SampledPath(grid=grid, values=v, label=k.name) for v in plan.convolve(batch)]
-    return paths if increments.ndim == 2 else paths[0]
+    return SampledPath(grid=grid, values=plan.convolve(increments), label=k.name)
 
 
 class PairSimulator:
-    """Outputs of kernels ``h`` and ``g`` on one grid, in batches of up to
-    ``rows`` increment streams.
+    """The convolution plans and the increment buffer of kernels ``h`` and
+    ``g`` on one grid, for any number of ``simulate_pair`` calls.
 
     The pad is the larger of the two kernels' requirements, so both
-    outputs are unbiased over the whole grid and jointly stationary. The
-    two convolution plans and the increment rows are built once and reused
-    by every batch. Row r draws from its own seed and is convolved alone,
-    so its outputs do not depend on the other rows of the batch.
+    outputs are unbiased over the whole grid and jointly stationary.
     """
 
-    def __init__(self, h: Kernel, g: Kernel, grid: TimeGrid, rows: int = 1):
+    def __init__(self, h: Kernel, g: Kernel, grid: TimeGrid):
         self.h, self.g, self.grid = h, g, grid
         self.pad = max(required_pad(h, grid.dt), required_pad(g, grid.dt))
-        self._plans = tuple(ConvolutionPlan(k, grid, self.pad, rows) for k in (h, g))
-        self._increments = np.empty((rows, grid.n + 2 * self.pad))
-        self._outputs = {}
-
-    def draw(self, seeds) -> None:
-        """Draw one increment row per seed and convolve the batch; the outputs
-        of each seed stay available to ``simulate_pair`` until the next batch."""
-        if not 1 <= len(seeds) <= len(self._increments):
-            raise ValueError(f"need 1 to {len(self._increments)} seeds, got {len(seeds)}")
-        self._outputs = {}  # free the last batch's outputs before making new ones
-        batch = self._increments[: len(seeds)]
-        for row, seed in zip(batch, seeds):
-            wiener_increments(self.grid, self.pad, seed, out=row)
-        ys = simulate_output(self.h, batch, self.grid, self.pad, plan=self._plans[0])
-        xs = simulate_output(self.g, batch, self.grid, self.pad, plan=self._plans[1])
-        self._outputs = dict(zip(seeds, zip(ys, xs)))
+        self.plans = (ConvolutionPlan(h, grid, self.pad), ConvolutionPlan(g, grid, self.pad))
+        self.increments = np.empty(grid.n + 2 * self.pad)
 
 
 def simulate_pair(
@@ -289,19 +263,17 @@ def simulate_pair(
 ):
     """Simulate ``(Y, X)`` from one shared increment stream.
 
-    Without ``simulator`` this is a PairSimulator batch of one. A
-    simulator built for ``(h, g, grid)`` whose last batch drew ``seed``
-    gives that row's pair instead; the replication harness draws four
-    streams at a time and takes one pair per replication.
+    ``simulator``, a PairSimulator of ``(h, g, grid)``, saves rebuilding
+    the plans on every call; the paths are the same with or without it.
     """
     if simulator is None:
         simulator = PairSimulator(h, g, grid)
-        simulator.draw([seed])
     elif simulator.h is not h or simulator.g is not g or simulator.grid != grid:
         raise ValueError("simulator was built for other kernels or another grid")
-    if seed not in simulator._outputs:
-        raise ValueError(f"the simulator's last batch did not draw {seed}")
-    y, x = simulator._outputs[seed]
+    pad, (h_plan, g_plan) = simulator.pad, simulator.plans
+    dW = wiener_increments(grid, pad, seed, out=simulator.increments)
+    y = simulate_output(h, dW, grid, pad, plan=h_plan)
+    x = simulate_output(g, dW, grid, pad, plan=g_plan)
     return (
         SampledPath(grid=grid, values=y.values, label="Y"),
         SampledPath(grid=grid, values=x.values, label="X"),

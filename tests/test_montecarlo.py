@@ -107,8 +107,8 @@ class TestRunReplications:
         np.testing.assert_array_equal(res6.z_samples[:3], res3.z_samples)
 
 
-class TestBatchedReplications:
-    """Replications run in fixed batches of four rows with one tap plan."""
+class TestReplicationEngine:
+    """Each process reuses one PairSimulator for all of its replications."""
 
     @pytest.mark.parametrize(
         "h_spec, branch",
@@ -120,9 +120,10 @@ class TestBatchedReplications:
         ids=["sinc", "hilbert_sinc", "triangular"],
     )
     def test_rows_equal_single_pair_runs(self, h_spec, branch):
-        # M = 9: two full batches and a partial one
+        # M = 9 over two processes' shares: replications 0, 2, ..., 8 and 1, 3, ..., 7
         cfg = small_experiment(h_spec=h_spec, replications=9)
         res = run_quietly(cfg)
+        np.testing.assert_array_equal(res.z_fine, run_quietly(cfg, workers=2).z_fine)
         h, g = cfg.kernels()
         taus = mc._lattice(cfg)
         grid = mc._sim_grid(cfg, taus)
@@ -159,15 +160,17 @@ class TestBatchedReplications:
         ],
     )
     def test_acceptance_model_values_frozen(self, h_name, frozen):
-        # Zhat at tau = 0, 0.5, 1 of replications 0, 4 and 8 (one per batch),
-        # as the one-replication-at-a-time harness computed them
+        # Zhat at tau = 0, 0.5, 1 of replications 0, 4 and 8, as the harness
+        # that rebuilt the taps for every replication computed them
         res = run_quietly(acceptance_experiment(h_name, 9))
         np.testing.assert_allclose(res.z_samples[[0, 4, 8]], frozen, rtol=1e-12, atol=0.0)
 
-    def test_one_batch_working_set(self):
-        # At the acceptance model the four-row FFT buffers, the increment
-        # rows and the window outputs come to about 8.3 MB; each further
-        # row adds about 2 MB.
+    def test_replication_working_set(self):
+        # At the acceptance model one process's PairSimulator (the increment
+        # row, the tap spectra and the 62k-point FFT buffers of both plans)
+        # plus one replication's paths and window outputs peak at about
+        # 3.8 MB, whatever the number of replications. Keeping each
+        # replication's paths alive would add 0.8 MB per replication.
         cfg = acceptance_experiment("sinc", 4)
         h, g = cfg.kernels()
         taus = mc._lattice(cfg)
@@ -176,15 +179,15 @@ class TestBatchedReplications:
             warnings.simplefilter("ignore", RuntimeWarning)
             tracemalloc.start()
             try:
-                [(first, z)] = mc._replicate_batches((cfg, taus, bias, [0]))
+                z = mc._replicate_share((cfg, taus, bias, 0, 1))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert (first, z.shape) == (0, (4, taus.size))
-        assert peak < 10e6
+        assert z.shape == (4, taus.size)
+        assert peak < 4.5e6
 
-    @pytest.mark.parametrize("workers, want", [(64, 3), (2, 2)])
-    def test_pool_never_exceeds_batch_count(self, monkeypatch, workers, want):
+    @pytest.mark.parametrize("workers, want", [(64, 12), (2, 2)])
+    def test_pool_never_exceeds_replication_count(self, monkeypatch, workers, want):
         sizes = []
 
         class RecordingPool:
@@ -205,6 +208,15 @@ class TestBatchedReplications:
         res = run_quietly(cfg, workers=workers)
         assert sizes == [want]
         np.testing.assert_array_equal(res.z_fine, run_quietly(cfg).z_fine)
+
+    def test_failure_names_the_replication(self, monkeypatch):
+        # also when the simulator cannot be built, before any replication ran
+        def fail(*args):
+            raise ValueError("no plan")
+
+        monkeypatch.setattr(mc, "PairSimulator", fail)
+        with pytest.raises(RuntimeError, match="replication 0 failed: no plan"):
+            run_quietly(small_experiment())
 
 
 class TestNormalityTest:

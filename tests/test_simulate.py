@@ -211,18 +211,16 @@ class TestConvolution:
         [make_sinc(), make_one_sided_box(10.0, 1.0), make_triangular(100.0, 1.0)],
         ids=["sinc_fft", "one_sided_box_direct", "triangular100_direct"],
     )
-    def test_batch_rows_equal_single_rows(self, kernel):
-        # one plan, a full batch then a shorter one: each row has the bits
-        # of its own batch of one
+    def test_reused_plan_equals_fresh_plans(self, kernel):
+        # each row through one plan has the bits of a plan of its own, and
+        # a path keeps its values when the plan convolves the next row
         grid = TimeGrid(0.0, 0.05, 301)
         pad = required_pad(make_sinc(), 0.05)
-        inc = np.array([wiener_increments(grid, pad, NoiseSeed(17, i)) for i in range(7)])
-        plan = ConvolutionPlan(kernel, grid, pad, rows=4)
-        got = simulate_output(kernel, inc[:4], grid, pad, plan=plan)
-        got = [p.values.copy() for p in got]
-        got += [p.values for p in simulate_output(kernel, inc[4:], grid, pad, plan=plan)]
-        for row, values in zip(inc, got):
-            np.testing.assert_array_equal(values, simulate_output(kernel, row, grid, pad).values)
+        inc = [wiener_increments(grid, pad, NoiseSeed(17, i)) for i in range(4)]
+        plan = ConvolutionPlan(kernel, grid, pad)
+        got = [simulate_output(kernel, row, grid, pad, plan=plan) for row in inc]
+        for row, path in zip(inc, got):
+            np.testing.assert_array_equal(path.values, simulate_output(kernel, row, grid, pad).values)
 
     def test_plan_must_match_its_kernel_grid_and_pad(self):
         k = make_triangular(2.0, 1.0)
@@ -232,21 +230,14 @@ class TestConvolution:
         with pytest.raises(ValueError, match="plan"):
             simulate_output(k, inc, grid, pad + 1, plan=ConvolutionPlan(k, grid, pad))
 
-    def test_pair_simulator_batches(self):
+    def test_pair_simulator_reuse(self):
         h, g, grid = make_sinc(), make_triangular(2.0, 1.0), TimeGrid(0.0, 0.05, 101)
-        sim = PairSimulator(h, g, grid, rows=2)
-        for seeds in ([], [NoiseSeed(i) for i in range(3)]):
-            with pytest.raises(ValueError):
-                sim.draw(seeds)
-        sim.draw([NoiseSeed(1), NoiseSeed(2)])
-        for seed in (NoiseSeed(2), NoiseSeed(1)):
-            got = simulate_pair(h, g, grid, seed, simulator=sim)
-            want = simulate_pair(h, g, grid, seed)
-            assert [p.label for p in got] == ["Y", "X"]
-            for a, b in zip(got, want):
+        sim = PairSimulator(h, g, grid)
+        got = [simulate_pair(h, g, grid, NoiseSeed(i), simulator=sim) for i in (2, 1)]
+        for i, pair in zip((2, 1), got):
+            assert [p.label for p in pair] == ["Y", "X"]
+            for a, b in zip(pair, simulate_pair(h, g, grid, NoiseSeed(i))):
                 np.testing.assert_array_equal(a.values, b.values)
-        with pytest.raises(ValueError, match="did not draw"):
-            simulate_pair(h, g, grid, NoiseSeed(3), simulator=sim)
         with pytest.raises(ValueError, match="other kernels"):
             simulate_pair(h, make_triangular(2.0, 1.0), grid, NoiseSeed(1), simulator=sim)
 
