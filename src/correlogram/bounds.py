@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .entropy import (
     Pseudometric,
@@ -102,17 +101,33 @@ def pointwise_ci(var_hat: float, T: float, confidence: float) -> float:
 # Gaussian-comparison constants from the kernel self-convolution
 
 
-def _polish(f, lo: float, hi: float, x0: float, sign: float) -> float:
-    # local refinement around a grid extremum; sign=+1 minimizes f, -1 maximizes
-    if hi <= lo:
-        return sign * f(lo)
-    res = minimize_scalar(
-        lambda t: sign * f(t),
-        bounds=(max(lo, x0 - (hi - lo)), min(hi, x0 + (hi - lo))),
-        method="bounded",
-        options={"xatol": _ARG_TOL, "maxiter": _MAX_ITER},
-    )
-    return float(res.fun)
+def _vertex(x: np.ndarray, y: np.ndarray) -> tuple:
+    # the least sample, or the vertex of the parabola through it and its neighbours
+    # (the three end samples at an end) when that opens upward inside the scan
+    i = int(np.argmin(y))
+    if x.size < 3:
+        return x[i], y[i]
+    j = min(max(i, 1), x.size - 2)
+    (x0, x1, x2), (y0, y1, y2) = x[j - 1 : j + 2], y[j - 1 : j + 2]
+    d1 = (y1 - y0) / (x1 - x0)
+    c = ((y2 - y1) / (x2 - x1) - d1) / (x2 - x0)
+    xv = 0.5 * (x0 + x1) - d1 / (2.0 * c) if c > 0.0 else x[i]
+    if c <= 0.0 or not x[0] <= xv <= x[-1]:
+        return x[i], y[i]
+    return xv, y0 + d1 * (xv - x0) + c * (xv - x0) * (xv - x1)
+
+
+def _polish(f, xs, ys, sign: float) -> float:
+    """Extremum of the array function ``f`` (sign=+1 the min, -1 the max)
+    near the best point of the scan ``(xs, ys)``, from one more call: 9
+    points 1/32 of a scan step apart, clipped to the scan, around the
+    vertex of the scan's parabola, then the vertex of the parabola through
+    the best of those. The error is third order in the fine spacing."""
+    xs, ys = np.asarray(xs, dtype=float), sign * np.asarray(ys, dtype=float)
+    step = (xs[-1] - xs[0]) / max(xs.size - 1, 1)
+    x0 = _vertex(xs, ys)[0]
+    pts = np.unique(np.clip(x0 + step / 32.0 * np.arange(-4, 5), xs[0], xs[-1]))
+    return sign * min(float(np.min(ys)), float(_vertex(pts, sign * np.asarray(f(pts)))[1]))
 
 
 def _acf2_scan(h: Kernel, a: float, b: float, grid: int) -> tuple:
@@ -120,20 +135,15 @@ def _acf2_scan(h: Kernel, a: float, b: float, grid: int) -> tuple:
     return taus, autocorrelation(h, 2.0 * taus)
 
 
-def _scan_extremum(h: Kernel, a: float, b: float, taus, vals, sign: float) -> float:
-    # grid extremum of a scan, polished locally; sign=+1 gives the min, -1 the max
-    i = int(np.argmin(sign * vals))
-    grid = taus.size
-    step = (taus[-1] - taus[0]) / max(grid - 1, 1) if grid > 1 else 0.0
-    lo, hi = max(float(a), taus[i] - step), min(float(b), taus[i] + step)
-    polished = _polish(lambda t: autocorrelation(h, 2.0 * t), lo, hi, float(taus[i]), sign)
-    return sign * min(sign * float(vals[i]), polished)
+def _scan_extremum(h: Kernel, taus, vals, sign: float) -> float:
+    # scan extremum of the self-convolution at doubled lag, polished
+    return _polish(lambda t: autocorrelation(h, 2.0 * t), taus, vals, sign)
 
 
 def acf2_interval_min(h: Kernel, a: float, b: float, grid: int = 801) -> float:
     """inf over tau in [a, b] of the self-convolution at doubled lag."""
     taus, vals = _acf2_scan(h, a, b, grid)
-    return _scan_extremum(h, a, b, taus, vals, +1.0)
+    return _scan_extremum(h, taus, vals, +1.0)
 
 
 def b_function(
@@ -154,8 +164,8 @@ def b_function(
 def b_sup(h: Kernel, a: float, b: float, grid: int = 801) -> float:
     """sup of b(tau) over [a, b], by grid search with local polish."""
     taus, vals = _acf2_scan(h, a, b, grid)
-    m = _scan_extremum(h, a, b, taus, vals, +1.0)
-    top = _scan_extremum(h, a, b, taus, vals, -1.0)
+    m = _scan_extremum(h, taus, vals, +1.0)
+    top = _scan_extremum(h, taus, vals, -1.0)
     return math.sqrt(max(top - m, 0.0))
 
 
@@ -295,32 +305,12 @@ def theorem4_detail(
 
     taus = np.linspace(float(a), float(b), var_grid)
     variances = cov_finite(model, T, taus, taus)
-    i = int(np.argmin(variances))
-    step = (taus[-1] - taus[0]) / max(var_grid - 1, 1)
-    inf_var = min(
-        float(variances[i]),
-        _polish(
-            lambda t: cov_finite(model, T, float(t), float(t)),
-            max(float(a), taus[i] - step),
-            min(float(b), taus[i] + step),
-            float(taus[i]),
-            +1.0,
-        ),
-    )
-    inf_var = max(inf_var, 0.0)
+    inf_var = max(_polish(lambda t: cov_finite(model, T, t, t), taus, variances, +1.0), 0.0)
 
     # ln(1 + N) table against ball radius in the metric's own scale; the
     # substitution s = eps' / root turns the entropy integral into
     # root * int_0^(theta sup_rho) ln(1 + N(s)) ds
     s_asc, cum = _covering_table(metric, a, b, sup_rho)
-
-    def entropy_part(theta: float) -> float:
-        m = theta * sup_rho
-        val = float(np.interp(m, s_asc, cum))
-        return root * val
-
-    def a_of_theta(theta: float) -> float:
-        return (math.e**2 / (theta * (1.0 - theta))) * entropy_part(theta)
 
     # the massiveness constraint: N(theta * eps_TD) > e^2 - 1, i.e. N >= 7;
     # N is nonincreasing in the radius so the feasible set is (0, theta_bar)
@@ -351,17 +341,12 @@ def theorem4_detail(
                     break
             theta_hi = lo
 
-    thetas = np.linspace(min(1e-4, 0.5 * theta_hi), theta_hi, 60)
-    avals = np.array([a_of_theta(t) for t in thetas])
+    # the entropy term e^2 / (theta (1 - theta)) * root * int, minimised on
+    # a dense theta grid
+    thetas = np.linspace(min(1e-4, 0.5 * theta_hi), theta_hi, 20001)
+    avals = math.e**2 / (thetas * (1.0 - thetas)) * root * np.interp(thetas * sup_rho, s_asc, cum)
     j = int(np.argmin(avals))
-    res = minimize_scalar(
-        a_of_theta,
-        bounds=(max(1e-9, thetas[j] - 0.05), min(theta_hi, thetas[j] + 0.05)),
-        method="bounded",
-        options={"xatol": _ARG_TOL, "maxiter": _MAX_ITER},
-    )
-    theta_star = float(res.x) if res.fun <= avals[j] else float(thetas[j])
-    entropy_term = a_of_theta(theta_star)
+    theta_star, entropy_term = float(thetas[j]), float(avals[j])
     A = root * math.sqrt(inf_var) + entropy_term
     return {
         "A_TD": A,

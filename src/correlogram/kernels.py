@@ -28,9 +28,15 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import sici
 
-from .quadrature import ftf_breakpoints, integrate, lagged_product, panel_edges, spectral_width
+from .quadrature import (
+    ftf_breakpoints,
+    integrate,
+    lagged_product,
+    panel_edges,
+    si_tail,
+    spectral_width,
+)
 
 __all__ = [
     "Kernel",
@@ -240,8 +246,7 @@ def _sinc_tail_mass(radius: float) -> float:
     Uses int_X^inf sin(x)^2/x^2 dx = sin(X)^2/X + pi/2 - Si(2X).
     """
     x = math.pi * radius
-    si_2x, _ = sici(2.0 * x)
-    return (2.0 / math.pi) * (math.sin(x) ** 2 / x + math.pi / 2.0 - si_2x)
+    return (2.0 / math.pi) * (math.sin(x) ** 2 / x + si_tail(2.0 * x))
 
 
 def _hilbert_sinc_tail_mass(radius: float) -> float:
@@ -254,8 +259,7 @@ def _hilbert_sinc_tail_mass(radius: float) -> float:
 
     def cos_over_sq(a):
         # int_X^inf cos(a u)/u^2 du = cos(a X)/X - a (pi/2 - Si(a X))
-        si_ax, _ = sici(a * x)
-        return math.cos(a * x) / x - a * (math.pi / 2.0 - si_ax)
+        return math.cos(a * x) / x - a * si_tail(a * x)
 
     val = 1.5 / x - 2.0 * cos_over_sq(1.0) + 0.5 * cos_over_sq(2.0)
     return (2.0 / math.pi) * val

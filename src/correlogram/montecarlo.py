@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConsistencyError
 from .estimator import cross_correlogram, snap_tau_grid, theoretical_bias
@@ -234,6 +233,11 @@ def _kolmogorov_sf(t: float) -> float:
     return float(min(max(s, 0.0), 1.0))
 
 
+def normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF ``erfc(-x / sqrt 2) / 2`` of each entry."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.ravel(x)])
+
+
 def normality_test(samples, variance0: float) -> tuple:
     """Kolmogorov-Smirnov test of the samples against N(0, variance0).
 
@@ -251,7 +255,7 @@ def normality_test(samples, variance0: float) -> tuple:
         stat = float(np.max(np.abs(s)))
         return stat, (1.0 if stat <= 1e-8 else 0.0)
     xs = np.sort(s) / math.sqrt(variance0)
-    cdf = ndtr(xs)
+    cdf = normal_cdf(xs)
     n = s.size
     grid = np.arange(n + 1) / n
     d = float(max(np.max(grid[1:] - cdf), np.max(cdf - grid[:-1])))

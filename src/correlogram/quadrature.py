@@ -1,8 +1,9 @@
 """Composite 12-node Gauss-Legendre rule for every one-dimensional integral:
 panels never straddle a breakpoint of the integrand and are never wider
-than a width sized from its oscillation rate. Imports only numpy and
-``errors`` and reads kernels through their attributes, so ``kernels`` can
-import it.
+than a width sized from its oscillation rate; the sine-integral tail and
+the Legendre-Fourier moments are integrals on it too. Imports only numpy
+and ``errors`` and reads kernels through their attributes, so ``kernels``
+can import it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,46 @@ def _node_blocks(edges: np.ndarray):
 def integrate(f, edges):
     """Rule applied to ``f`` (vectorised, possibly complex) on ``edges``."""
     return sum(np.sum(f(nodes) * w) for nodes, w in _node_blocks(np.asarray(edges, dtype=float)))
+
+
+# int_0^inf e^{-s} r(s) ds for r analytic within distance 2 of [0, inf)
+_EXP_NODES, _EXP_WEIGHTS = panel_nodes(np.linspace(0.0, 40.0, 41))
+_EXP_WEIGHTS = _EXP_WEIGHTS * np.exp(-_EXP_NODES)
+_GL40_NODES, _GL40_WEIGHTS = np.polynomial.legendre.leggauss(40)
+_GL40_LEGENDRE = np.polynomial.legendre.legvander(_GL40_NODES, 11) * _GL40_WEIGHTS[:, None]
+
+
+def si_tail(x):
+    """``pi/2 - Si(x)`` for x >= 0. Below 2, Si(x) = x int_0^1 sinc(xu) du
+    on one panel; from 2 on, f(x) cos x + g(x) sin x with the auxiliary
+    functions in Laplace form (DLMF 6.2, 6.7),
+    f = int_0^inf e^{-s} x / (x^2 + s^2) ds, g = int_0^inf e^{-s} s / (x^2 + s^2) ds."""
+    x = np.asarray(x, dtype=float)
+    xs = x.reshape(-1, 1)
+    u, w = 0.5 * (GL_NODES + 1.0), 0.5 * GL_WEIGHTS
+    head = 0.5 * math.pi - xs[:, 0] * np.sum(np.sinc(xs * u / math.pi) * w, axis=1)
+    big = np.maximum(xs, 2.0)
+    r = _EXP_WEIGHTS / (big**2 + _EXP_NODES**2)
+    f, g = big[:, 0] * np.sum(r, axis=1), np.sum(r * _EXP_NODES, axis=1)
+    out = np.where(xs[:, 0] < 2.0, head, f * np.cos(big[:, 0]) + g * np.sin(big[:, 0]))
+    return out.item() if x.ndim == 0 else out.reshape(x.shape)
+
+
+def legendre_moments(c) -> np.ndarray:
+    """``int_{-1}^{1} P_n(x) e^{icx} dx = 2 i^n j_n(c)`` for n = 0..11, on a
+    new last axis: 40-node Gauss-Legendre for |c| <= 16, else the
+    spherical Bessel functions by upward recurrence, stable for n < |c|
+    (DLMF 10.51)."""
+    c = np.asarray(c, dtype=float)
+    out = np.empty(c.shape + (12,), dtype=complex)
+    big = np.abs(c) > 16.0
+    out[~big] = np.exp(1j * c[~big][:, None] * _GL40_NODES) @ _GL40_LEGENDRE
+    cb = c[big]
+    j = [np.sin(cb) / cb, np.sin(cb) / cb**2 - np.cos(cb) / cb]
+    for n in range(1, 11):
+        j.append((2 * n + 1) / cb * j[n] - j[n - 1])
+    out[big] = 2.0 * (1j ** np.arange(12)) * np.stack(j, axis=-1)
+    return out
 
 
 def ftf_abs(k):

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.fft import next_fast_len
+from numpy.random import Generator, Philox
 
 from .errors import PadError
 from .kernels import Kernel
@@ -123,10 +123,8 @@ class NoiseSeed:
             if not (isinstance(v, (int, np.integer)) and 0 <= int(v) <= _UINT64_MAX):
                 raise ValueError(f"{name} must be an unsigned 64-bit integer")
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        )
+    def generator(self) -> Generator:
+        return Generator(Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64)))
 
     def spawn(self, offset: int) -> "NoiseSeed":
         """Stream for replication ``offset`` under the same base seed."""
@@ -198,7 +196,7 @@ class ConvolutionPlan:
         # reach increments 2*pad - hi through 2*pad + n - 1 - lo.
         self.segment = slice(2 * pad - hi, 2 * pad + grid.n - lo)
         if self.taps.size > _DIRECT_MAX_TAPS:
-            size = next_fast_len(grid.n + hi - lo, real=True)
+            size = next_fast_len(grid.n + hi - lo)
             self.spectrum = rfft(self.taps, size)
             self._signal = np.empty(size)
             self._spectrum = np.empty_like(self.spectrum)
@@ -222,10 +220,29 @@ class ConvolutionPlan:
         return signal[self.taps.size - 1 : x.size].copy()
 
 
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def simulate_output(
-    k: Kernel, increments: np.ndarray, grid: TimeGrid, pad: int, plan: ConvolutionPlan | None = None
+    k: Kernel,
+    increments: np.ndarray,
+    grid: TimeGrid,
+    pad: int,
+    plan: ConvolutionPlan | None = None,
+    label: str | None = None,
 ) -> SampledPath:
-    """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m``.
+    """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m``,
+    labelled ``label`` (default the kernel's name).
 
     The convolution is that of ``plan``, a ConvolutionPlan of
     ``(k, grid, pad)``, or of a plan built here.
@@ -240,7 +257,7 @@ def simulate_output(
         plan = ConvolutionPlan(k, grid, pad)
     elif plan.kernel is not k or plan.grid != grid or plan.pad != pad:
         raise ValueError("plan was built for another kernel, grid or pad")
-    return SampledPath(grid=grid, values=plan.convolve(increments), label=k.name)
+    return SampledPath(grid=grid, values=plan.convolve(increments), label=label or k.name)
 
 
 class PairSimulator:
@@ -272,11 +289,9 @@ def simulate_pair(
         raise ValueError("simulator was built for other kernels or another grid")
     pad, (h_plan, g_plan) = simulator.pad, simulator.plans
     dW = wiener_increments(grid, pad, seed, out=simulator.increments)
-    y = simulate_output(h, dW, grid, pad, plan=h_plan)
-    x = simulate_output(g, dW, grid, pad, plan=g_plan)
     return (
-        SampledPath(grid=grid, values=y.values, label="Y"),
-        SampledPath(grid=grid, values=x.values, label="X"),
+        simulate_output(h, dW, grid, pad, plan=h_plan, label="Y"),
+        simulate_output(g, dW, grid, pad, plan=g_plan, label="X"),
     )
 
 

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import sici, spherical_jn
 
 from .errors import ConsistencyError
 from .kernels import Kernel
@@ -59,10 +58,12 @@ from .quadrature import (
     ftf_breakpoints,
     integrate,
     lagged_product,
+    legendre_moments,
     osc_rate,
     panel_edges,
     panel_nodes,
     row_blocks,
+    si_tail,
     spectral_width,
     spectral_window,
     sup_ftf,
@@ -155,8 +156,7 @@ def fejer_l1_norm(T: float, settings: Optional[QuadratureSettings] = None) -> fl
         raise ValueError("T must be positive")
     X = 50.0 * math.pi
     head = float(integrate(lambda x: (np.sin(x) / x) ** 2, panel_edges(0.0, X, (), 2.0)))
-    si_2x, _ = sici(2.0 * X)
-    tail = math.sin(X) ** 2 / X + math.pi / 2.0 - si_2x
+    tail = math.sin(X) ** 2 / X + si_tail(2.0 * X)
     return (2.0 / math.pi) * (head + tail)
 
 
@@ -332,8 +332,7 @@ def _u_rule(T: float, edges: list, u_A: float) -> tuple:
     u = m[:, None] + hw[:, None] * GL_NODES
     wt = hw[:, None] * GL_WEIGHTS * fejer(T, u)
     tail = edges[1:] > u_A + 1e-12
-    n = np.arange(12)
-    moments = 2.0 * (1j**n) * spherical_jn(n, T * hw[tail, None])
+    moments = legendre_moments(T * hw[tail])
     osc = (np.exp(1j * T * m[tail, None]) * moments).real @ _LEG_PROJ
     wt[tail] = hw[tail, None] * (GL_WEIGHTS - osc) / (math.pi * T * u[tail] ** 2)
     return np.concatenate([u.ravel(), -u.ravel()]), np.concatenate([wt.ravel(), wt.ravel()])

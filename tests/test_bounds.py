@@ -114,6 +114,20 @@ class TestIntervalConstants:
         # one 801-point scan plus the two local polishes
         assert 801 < len(calls) < 2 * 801
 
+    def test_polish_reaches_smooth_extremum(self):
+        # exp(x) - 2x: interior minimum 2 - 2 ln 2 at ln 2, maximum 1 at 0
+        f = lambda x: np.exp(x) - 2.0 * x
+        xs = np.linspace(0.0, 1.0, 33)
+        lo = bounds_mod._polish(f, xs, f(xs), +1.0)
+        assert lo == pytest.approx(2.0 - 2.0 * math.log(2.0), abs=1e-9)
+        assert lo <= np.min(f(xs))
+        assert bounds_mod._polish(f, xs, f(xs), -1.0) == 1.0
+        # the least sample is the first, the minimum a third of a step inside
+        xs = np.linspace(math.log(2.0) - 0.006, 1.3, 33)
+        assert np.argmin(f(xs)) == 0
+        lo = bounds_mod._polish(f, xs, f(xs), +1.0)
+        assert lo == pytest.approx(2.0 - 2.0 * math.log(2.0), abs=1e-9)
+
     def test_tau_outside_interval_rejected(self):
         with pytest.raises(ValueError):
             b_function(make_sinc(), 0.0, 1.0, 1.5)
@@ -195,6 +209,20 @@ class TestTheorem4:
         assert 0 < detail["theta_star"] < 1
         assert detail["C_r"] == pytest.approx(0.77258872223978124, rel=1e-12)
         assert detail["inf_varZ"] >= 0
+
+    def test_variance_scan_and_polish_are_two_calls(self, monkeypatch):
+        calls = []
+        real = bounds_mod.cov_finite
+
+        def counting(model, T, tau1, tau2):
+            calls.append(np.size(tau1))
+            return real(model, T, tau1, tau2)
+
+        monkeypatch.setattr(bounds_mod, "cov_finite", counting)
+        theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, var_grid=9)
+        # the 9-lag scan, then one refinement batch of at most 9 lags
+        assert len(calls) == 2
+        assert calls[0] == 9 and calls[1] <= 9
 
     def test_bound_is_two_exp(self):
         detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, var_grid=9)

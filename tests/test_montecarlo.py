@@ -240,6 +240,12 @@ class TestNormalityTest:
                 float(scipy.special.kolmogorov(t)), abs=1e-12
             )
 
+    def test_normal_cdf_matches_scipy(self):
+        # each is within 2**-53 of the exact value (checked against mpmath),
+        # so the two may differ by 2**-52
+        x = np.linspace(-10.0, 10.0, 20001)
+        np.testing.assert_allclose(mc.normal_cdf(x), scipy.special.ndtr(x), rtol=0, atol=2.0**-52)
+
     def test_degenerate_variance_measures_support(self):
         stat, p = normality_test(np.zeros(50), 0.0)
         assert (stat, p) == (0.0, 1.0)

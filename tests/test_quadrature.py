@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import sici
+from scipy.special import sici, spherical_jn
 
 from correlogram.estimator import theoretical_bias
 from correlogram.kernels import (
@@ -24,7 +24,14 @@ from correlogram.kernels import (
     make_tabulated,
     make_triangular,
 )
-from correlogram.quadrature import integrate, lagged_product, panel_edges, spectral_window
+from correlogram.quadrature import (
+    integrate,
+    lagged_product,
+    legendre_moments,
+    panel_edges,
+    si_tail,
+    spectral_window,
+)
 from correlogram.spectral import autocovariance_Y, cov_limit, fejer_l1_norm, sigma
 
 REF = dict(epsabs=1e-13, epsrel=1e-13, limit=2000)
@@ -263,3 +270,18 @@ class TestLaplaceTailLags:
         assert cov_limit(h, u, 0.0) == pytest.approx(want, rel=1e-9, abs=0.0)
         want = _laplace_lagged(delta, u) + _laplace_lagged(delta, 2.0 * u)
         assert cov_limit(h, 0.5 * u, 1.5 * u) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+class TestSpecialFunctions:
+    def test_si_tail_matches_sici(self):
+        x = np.geomspace(1e-3, 1e5, 500)
+        np.testing.assert_allclose(si_tail(x), math.pi / 2.0 - sici(x)[0], rtol=0, atol=1e-15)
+        assert si_tail(0.0) == math.pi / 2.0
+
+    def test_legendre_moments_match_spherical_bessel(self):
+        # both sides of the switch from quadrature to recurrence at c = 16
+        c = np.concatenate([np.geomspace(1e-6, 1e7, 400), np.linspace(15.0, 17.0, 41)])
+        n = np.arange(12)
+        want = 2.0 * (1j**n) * spherical_jn(n, c[:, None])
+        np.testing.assert_allclose(legendre_moments(c), want, rtol=0, atol=1e-14)
+        assert legendre_moments(np.ones((3, 2))).shape == (3, 2, 12)

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -241,6 +242,20 @@ class TestConvolution:
         with pytest.raises(ValueError, match="other kernels"):
             simulate_pair(h, make_triangular(2.0, 1.0), grid, NoiseSeed(1), simulator=sim)
 
+    def test_pair_validates_each_path_once(self, monkeypatch):
+        h, g, grid = make_sinc(), make_triangular(2.0, 1.0), TimeGrid(0.0, 0.05, 101)
+        pad = max(required_pad(h, grid.dt), required_pad(g, grid.dt))
+        dW = wiener_increments(grid, pad, NoiseSeed(5))
+        want = [simulate_output(k, dW, grid, pad).values for k in (h, g)]
+        checks = []
+        real = SampledPath.__post_init__
+        monkeypatch.setattr(SampledPath, "__post_init__", lambda p: checks.append(real(p)))
+        pair = simulate_pair(h, g, grid, NoiseSeed(5))
+        assert len(checks) == 2
+        assert [p.label for p in pair] == ["Y", "X"]
+        for path, values in zip(pair, want):
+            assert path.values.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize(
         "values",
         [[0.0, 0.0, 0.0], [1.0, 2.0, 1.0]],
@@ -318,6 +333,21 @@ class TestPathIO:
         target.write_bytes(target.read_bytes()[:-4])
         with pytest.raises(ValueError):
             read_path_binary(target)
+
+
+def test_next_fast_len_matches_scipy():
+    n = np.arange(1, 20001)
+    got = [simulate_mod.next_fast_len(int(k)) for k in n]
+    assert got == [scipy.fft.next_fast_len(int(k), real=True) for k in n]
+
+
+@pytest.mark.parametrize("dt", [0.01, 1e-3])
+def test_workload_plan_lengths_match_scipy(dt):
+    # the sinc plans of the montecarlo (dt = 0.01) and path (dt = 1e-3) runs
+    # at T = 500
+    grid = TimeGrid(0.0, dt, int(round(500.0 / dt)) + 1)
+    plan = ConvolutionPlan(make_sinc(), grid, required_pad(make_sinc(), dt))
+    assert plan._signal.size == scipy.fft.next_fast_len(grid.n + plan.taps.size - 1, real=True)
 
 
 def test_path_values_validated():
