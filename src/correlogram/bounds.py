@@ -126,7 +126,7 @@ def _polish(f, xs, ys, sign: float) -> float:
     xs, ys = np.asarray(xs, dtype=float), sign * np.asarray(ys, dtype=float)
     step = (xs[-1] - xs[0]) / max(xs.size - 1, 1)
     x0 = _vertex(xs, ys)[0]
-    pts = np.unique(np.clip(x0 + step / 32.0 * np.arange(-4, 5), xs[0], xs[-1]))
+    pts = np.array(sorted(set(np.clip(x0 + step / 32.0 * np.arange(-4, 5), xs[0], xs[-1]))))
     return sign * min(float(np.min(ys)), float(_vertex(pts, sign * np.asarray(f(pts)))[1]))
 
 
@@ -236,14 +236,10 @@ def _covering_table(p: Pseudometric, a: float, b: float, s_max: float) -> tuple:
     """ln(1 + N_p(s)) on a descending log grid below s_max, plus the
     cumulative integral from 0 up to each grid point (stub extrapolated)."""
     s = np.geomspace(s_max, s_max * 1e-6, 301)
-    f = np.empty(s.size)
-    for i, si in enumerate(s):
-        try:
-            f[i] = math.log1p(covering_number(p, a, b, float(si)))
-        except InfiniteMassiveness:
-            raise BoundUnavailable(
-                f"covering numbers blow up at radius {si:g}; entropy integral diverges"
-            )
+    try:
+        f = np.log1p(covering_number(p, a, b, s))
+    except InfiniteMassiveness as exc:
+        raise BoundUnavailable(f"covering numbers blow up ({exc}); entropy integral diverges")
     # heuristic divergence screen on the two smallest decades
     tail = s <= s[-1] * 100.0
     xs, ys = np.log(s[tail]), f[tail]
@@ -266,6 +262,27 @@ def _covering_table(p: Pseudometric, a: float, b: float, s_max: float) -> tuple:
         [[0.0], np.cumsum(0.5 * (f_asc[1:] + f_asc[:-1]) * np.diff(s_asc))]
     )
     return s_asc, cum + stub
+
+
+def _theta_bar(metric: Pseudometric, a: float, b: float, eps_TD: float) -> tuple:
+    """(theta_bar, empty): the massiveness constraint N(theta eps_TD) > e^2 - 1
+    (N >= 7) holds on (0, theta_bar], as N is nonincreasing in the radius.
+    Each round splits the bracket into 32 cells with one covering_number
+    call; ``empty`` flags that theta = 1e-6 already fails (theta_bar is then
+    1 - 1e-9)."""
+    lo, hi = 1e-6, 1.0 - 1e-9
+    thetas = np.linspace(lo, hi, 33)
+    ok = covering_number(metric, a, b, thetas * eps_TD) > math.e**2 - 1.0
+    if ok[-1] or not ok[0]:
+        return hi, not ok[0]
+    while True:
+        # thetas[0] reads feasible and thetas[-1] does not
+        j = 1 + int(np.argmin(ok[1:]))
+        lo, hi = thetas[j - 1], thetas[j]
+        if hi - lo < _ARG_TOL:
+            return float(lo), False
+        thetas = np.linspace(lo, hi, 33)
+        ok = covering_number(metric, a, b, thetas * eps_TD) > math.e**2 - 1.0
 
 
 def theorem4_detail(
@@ -312,12 +329,7 @@ def theorem4_detail(
     # root * int_0^(theta sup_rho) ln(1 + N(s)) ds
     s_asc, cum = _covering_table(metric, a, b, sup_rho)
 
-    # the massiveness constraint: N(theta * eps_TD) > e^2 - 1, i.e. N >= 7;
-    # N is nonincreasing in the radius so the feasible set is (0, theta_bar)
-    def n_at(theta: float) -> int:
-        return covering_number(metric, a, b, theta * eps_TD)
-
-    theta_empty = n_at(1e-6) <= math.e**2 - 1.0
+    theta_hi, theta_empty = _theta_bar(metric, a, b, eps_TD)
     if theta_empty:
         warnings.warn(
             "no theta satisfies the massiveness constraint; "
@@ -325,21 +337,6 @@ def theorem4_detail(
             RuntimeWarning,
             stacklevel=2,
         )
-        theta_hi = 1.0 - 1e-9
-    else:
-        lo, hi = 1e-6, 1.0 - 1e-9
-        if n_at(hi) > math.e**2 - 1.0:
-            theta_hi = hi
-        else:
-            for _ in range(_MAX_ITER):
-                mid = 0.5 * (lo + hi)
-                if n_at(mid) > math.e**2 - 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < _ARG_TOL:
-                    break
-            theta_hi = lo
 
     # the entropy term e^2 / (theta (1 - theta)) * root * int, minimised on
     # a dense theta grid

@@ -13,6 +13,7 @@ the supremum tail bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -159,64 +160,77 @@ def pseudometric_axioms(
 # covering numbers
 
 
-def _delta_of_eps(p: Pseudometric, a: float, b: float, eps: float) -> float:
-    """Largest h with sup_{0 <= u <= h} profile(u) <= eps, via the cached
-    running-max table plus local bisection. 0 triggers the infinite
-    massiveness signal in the caller."""
+def _delta_of_eps(p: Pseudometric, a: float, b: float, eps: np.ndarray) -> np.ndarray:
+    """Per radius of the 1-d ``eps``, the largest h with sup_{0 <= u <= h}
+    profile(u) <= eps, via the cached running-max table plus one bisection
+    over all radii at once (60 array calls of ``profile_fn``). 0 triggers
+    the infinite massiveness signal in the caller."""
     u, run_max = p.profile(a, b)
-    if run_max[-1] <= eps:
-        return b - a
-    k = int(np.searchsorted(run_max, eps, side="right")) - 1
+    k = np.searchsorted(run_max, eps, side="right") - 1
+    inside = run_max[-1] > eps
     # run_max[k] <= eps < run_max[k+1]; refine the first upcrossing of the
     # raw profile inside (u[k], u[k+1]]
-    lo, hi = float(u[k]), float(u[k + 1])
-    for _ in range(60):
+    lo, hi, e = u[k[inside]], u[k[inside] + 1], eps[inside]
+    for _ in range(60 if e.size else 0):
         mid = 0.5 * (lo + hi)
-        if float(p.profile_fn(np.array([mid]))[0]) > eps:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+        up = np.asarray(p.profile_fn(mid), dtype=float) > e
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    delta = np.full(eps.size, b - a)
+    delta[inside] = lo
+    return delta
 
 
-def covering_number(
-    p: Pseudometric, a: float, b: float, eps: float, candidates: int = 257
-) -> int:
-    """Number of closed eps-balls of ``p`` needed to cover [a, b].
+def _greedy_radii(p: Pseudometric, a: float, b: float, candidates: int):
+    """Covering radius after each further greedy farthest-point center on
+    the ``candidates``-point grid over [a, b]; the first center is a."""
+    grid = np.linspace(a, b, candidates)
+    dmin = np.full(grid.size, np.inf)
+    idx = 0
+    while True:
+        dmin = np.minimum(dmin, [p.dist(float(grid[idx]), float(t)) for t in grid])
+        idx = int(np.argmax(dmin))
+        yield float(dmin[idx])
+
+
+def _counts(p: Pseudometric, a: float, b: float, eps: np.ndarray, candidates: int) -> np.ndarray:
+    """N per radius of the 1-d ``eps`` as floats; inf where delta(eps)
+    falls to the massiveness floor."""
+    if not a < b:
+        raise ValueError("need a < b")
+    if not np.all(eps > 0):
+        raise ValueError("eps must be positive")
+    if p.translation_invariant:
+        delta = _delta_of_eps(p, a, b, eps)
+        with np.errstate(divide="ignore"):
+            n = np.ceil((b - a) / (2.0 * delta) - 1e-9)
+        return np.where(delta <= (b - a) * 1e-13, np.inf, n)
+    # the greedy radii never increase: N(eps) is one more than the count above eps
+    above = list(itertools.takewhile(lambda r: r > eps.min(), _greedy_radii(p, a, b, candidates)))
+    return 1.0 + np.count_nonzero(np.array(above)[:, None] > eps, axis=0)
+
+
+def covering_number(p: Pseudometric, a: float, b: float, eps, candidates: int = 257):
+    """Number of closed eps-balls of ``p`` needed to cover [a, b]: an int
+    for a scalar eps, an int64 array of the same shape for an eps array.
 
     Translation-invariant metrics: exact up to the conservatism of the
     running-max profile, N = ceil((b - a) / (2 delta(eps))). Other
     metrics: greedy farthest-point covering over ``candidates`` grid
     points, an upper bound on the grid covering number.
 
-    Raises InfiniteMassiveness when no ball of radius eps covers any
-    neighbourhood of a point (delta(eps) = 0).
+    Raises InfiniteMassiveness, naming the largest such radius, when no
+    ball of some radius eps covers any neighbourhood of a point
+    (delta(eps) = 0).
     """
-    a, b, eps = float(a), float(b), float(eps)
-    if not a < b:
-        raise ValueError("need a < b")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if p.translation_invariant:
-        delta = _delta_of_eps(p, a, b, eps)
-        if delta <= (b - a) * 1e-13:
-            raise InfiniteMassiveness(
-                f"profile of {p.kind} exceeds eps={eps:g} arbitrarily close to 0"
-            )
-        return int(math.ceil((b - a) / (2.0 * delta) - 1e-9))
-
-    grid = np.linspace(a, b, candidates)
-    dmin = np.full(grid.size, np.inf)
-    idx = 0
-    n_centers = 0
-    while True:
-        n_centers += 1
-        center = float(grid[idx])
-        d_new = np.array([p.dist(center, float(t)) for t in grid])
-        dmin = np.minimum(dmin, d_new)
-        idx = int(np.argmax(dmin))
-        if dmin[idx] <= eps:
-            return n_centers
+    e = np.asarray(eps, dtype=float)
+    n = _counts(p, float(a), float(b), e.ravel(), candidates)
+    if np.isinf(n).any():
+        raise InfiniteMassiveness(
+            f"profile of {p.kind} exceeds eps={e.ravel()[np.isinf(n)].max():g} "
+            "arbitrarily close to 0"
+        )
+    n = n.astype(np.int64).reshape(e.shape)
+    return int(n) if n.ndim == 0 else n
 
 
 def greedy_covering_radius(
@@ -224,14 +238,8 @@ def greedy_covering_radius(
 ) -> float:
     """Covering radius achieved by ``n_centers`` greedy farthest-point
     centers on the candidate grid. Useful to audit the greedy bound."""
-    grid = np.linspace(float(a), float(b), candidates)
-    dmin = np.full(grid.size, np.inf)
-    idx = 0
-    for _ in range(max(1, n_centers)):
-        d_new = np.array([p.dist(float(grid[idx]), float(t)) for t in grid])
-        dmin = np.minimum(dmin, d_new)
-        idx = int(np.argmax(dmin))
-    return float(dmin[idx])
+    radii = _greedy_radii(p, float(a), float(b), candidates)
+    return next(itertools.islice(radii, max(1, n_centers) - 1, None))
 
 
 @dataclass(frozen=True)
@@ -263,7 +271,7 @@ def entropy_profile(
 ) -> EntropyProfile:
     """Tabulate N(eps) and H(eps) = ln N(eps) over a descending ladder."""
     eps = np.asarray(sorted(set(float(e) for e in epsilons), reverse=True))
-    ns = np.array([covering_number(p, a, b, e) for e in eps], dtype=np.int64)
+    ns = covering_number(p, a, b, eps)
     # guard against ceil jitter at ball-count boundaries
     ns = np.maximum.accumulate(ns)
     return EntropyProfile(
@@ -306,17 +314,11 @@ def entropy_integral(
         raise ValueError("power must be 0.5 or 1.0")
     power = float(power)
     eps = np.geomspace(u, u * 1e-4, 201)
-    vals = np.empty(eps.size)
-    divergent = False
-    resolved = eps.size
-    for i, e in enumerate(eps):
-        try:
-            vals[i] = math.log(covering_number(p, a, b, float(e))) ** power
-        except InfiniteMassiveness:
-            divergent = True
-            resolved = i
-            break
-    eps_r, vals_r = eps[:resolved], vals[:resolved]
+    n = _counts(p, float(a), float(b), eps, 257)
+    # the resolved prefix ends at the first radius with infinite massiveness
+    resolved = int(np.argmax(np.isinf(n))) if np.isinf(n).any() else eps.size
+    divergent = resolved < eps.size
+    eps_r, vals_r = eps[:resolved], np.log(n[:resolved]) ** power
     if resolved < 2:
         return EntropyIntegralResult(0.0, True, (float(a), float(b)), power, float(u))
     # ascending order for the trapezoid

@@ -171,7 +171,7 @@ def _time_breaks(k) -> np.ndarray:
         pts += [-k.effective_support, k.effective_support]
     if k.name == "tabulated":
         pts += list(k.params["t0"] + k.params["dt"] * np.arange(k.params["n_samples"]))
-    return np.unique(pts)
+    return np.array(sorted(set(pts)))
 
 
 def lagged_product(p, q, lags, sign: int):
@@ -243,7 +243,7 @@ def lagged_product_frequency(p, q, lags: np.ndarray, sign: int) -> np.ndarray:
     rates = np.maximum(1.0, np.ceil(np.abs(lags)))
     out = np.zeros(lags.size)
     imag = np.zeros(lags.size)
-    for rate in np.unique(rates):
+    for rate in sorted(set(rates)):
         idx = np.flatnonzero(rates == rate)
         for lam, w in _node_blocks(panel_edges(0.0, L, breaks, spectral_width(rate, p, q))):
             pq, pq_neg = (_weighted_pair(p, q, x, w, sign) for x in (lam, -lam))

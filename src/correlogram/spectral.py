@@ -185,7 +185,8 @@ def sigma_profile(h: Kernel, settings: Optional[QuadratureSettings] = None) -> C
         nodes, wh = rule[width]
         out = np.empty(u.size)
         for sl in row_blocks(u.size, nodes.size):
-            s2 = np.sin(u[sl, None] * nodes / 2.0) ** 2 @ wh
+            # a row sum, unlike a matrix product, rounds each lag alike in any batch
+            s2 = (np.sin(u[sl, None] * nodes / 2.0) ** 2 * wh).sum(axis=1)
             out[sl] = np.sqrt(np.maximum(2.0 * s2, 0.0))
         return out
 

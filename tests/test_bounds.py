@@ -24,8 +24,10 @@ from correlogram.bounds import (
     theorem4_bound,
     theorem4_detail,
 )
-from correlogram.entropy import Pseudometric
+from correlogram.entropy import Pseudometric, covering_number, rho_upper_metric
+from correlogram.errors import BoundUnavailable
 from correlogram.kernels import make_sinc, make_triangular
+from correlogram.quadrature import sup_ftf
 from correlogram.spectral import CovarianceModel
 
 
@@ -260,6 +262,70 @@ class TestTheorem4:
             )
         assert detail["theta_empty"]
         assert math.isfinite(detail["A_TD"])
+
+
+# A_TD of the acceptance model (sinc, triangular(100, 1), T=500, [0, 1],
+# r=1/2) from the scalar bisections the batched covering numbers replaced
+_SCALAR_A_TD = 107.78273583683674
+
+
+@pytest.fixture(scope="class")
+def acceptance_theorem4():
+    """theorem4_detail on the acceptance model, with its covering_number and
+    profile_fn calls counted."""
+    model = CovarianceModel(h=make_sinc(), g=make_triangular(100.0, 1.0), c=1.0)
+    metric = rho_upper_metric(model.h, sup_ftf(model.g), model.c)
+    profile_calls, covering_calls = [], []
+
+    def profile_fn(u):
+        profile_calls.append(np.size(u))
+        return metric.profile_fn(u)
+
+    def counting_cover(*args):
+        covering_calls.append(np.size(args[3]))
+        return covering_number(*args)
+
+    counted = Pseudometric(metric.kind, metric.dist, True, profile_fn)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds_mod, "rho_upper_metric", lambda *args: counted)
+        mp.setattr(bounds_mod, "covering_number", counting_cover)
+        detail = theorem4_detail(model, 500.0, 0.0, 1.0, 0.5)
+    return detail, metric, covering_calls, profile_calls
+
+
+class TestTheorem4Acceptance:
+    def test_covering_work_is_batched(self, acceptance_theorem4):
+        _, _, covering_calls, profile_calls = acceptance_theorem4
+        # one 301-radius table, then 33-theta bracketing rounds
+        assert len(covering_calls) <= 12
+        assert covering_calls[0] == 301 and set(covering_calls[1:]) == {33}
+        assert len(profile_calls) <= 1000
+
+    def test_a_td_matches_scalar_bisections(self, acceptance_theorem4):
+        detail = acceptance_theorem4[0]
+        assert detail["A_TD"] == pytest.approx(_SCALAR_A_TD, rel=1e-9)
+        assert not detail["theta_empty"]
+
+    def test_theta_bar_brackets_the_flip(self, acceptance_theorem4):
+        detail, metric = acceptance_theorem4[:2]
+        eps_TD = detail["eps_TD"]
+        theta_bar, empty = bounds_mod._theta_bar(metric, 0.0, 1.0, eps_TD)
+        assert not empty
+        assert detail["theta_star"] <= theta_bar
+        assert covering_number(metric, 0.0, 1.0, theta_bar * eps_TD) >= 7
+        assert covering_number(metric, 0.0, 1.0, (theta_bar + bounds_mod._ARG_TOL) * eps_TD) <= 6
+
+    def test_table_names_the_largest_blow_up_radius(self):
+        # massive below 1: the table's first radius is 1, the second the largest failing one
+        jump = Pseudometric(
+            kind="uniform_d",
+            dist=lambda s, t: float(s != t),
+            translation_invariant=True,
+            profile_fn=lambda u: (np.asarray(u, dtype=float) > 0).astype(float),
+        )
+        largest = float(np.geomspace(1.0, 1e-6, 301)[1])
+        with pytest.raises(BoundUnavailable, match=f"eps={largest:g} "):
+            bounds_mod._covering_table(jump, 0.0, 1.0, 1.0)
 
 
 class TestReports:

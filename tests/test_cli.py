@@ -327,3 +327,28 @@ def test_commands_run_without_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
     assert (tmp_path / "out" / "bounds" / "bound_theorem4_sup.json").exists()
+
+
+_PROBE_NUMPY_MA = """
+import sys, warnings
+
+warnings.simplefilter("ignore", RuntimeWarning)
+from correlogram.cli import main
+
+config, out = sys.argv[1:]
+codes = [main([cmd, "--config", config, "--out", f"{out}/{cmd}"]) for cmd in ("bounds", "estimate")]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_bounds_and_estimate_leave_out_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma on first use, about 20 ms of a run
+    cfg = dict(BASE_CONFIG, command_defaults={"bounds": {"y_tail_M": 50, "y_tail_points": 11}})
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE_NUMPY_MA, str(config), str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"

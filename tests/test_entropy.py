@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import correlogram.entropy as entropy_mod
 from correlogram.entropy import (
     EntropyProfile,
     Pseudometric,
@@ -24,9 +25,9 @@ from correlogram.entropy import (
     uniform_metric,
 )
 from correlogram.errors import InfiniteMassiveness
-from correlogram.kernels import make_sinc, make_triangular
+from correlogram.kernels import make_hilbert_sinc, make_laplace, make_sinc, make_triangular
 from correlogram.simulate import _CSV_CHUNK_ROWS
-from correlogram.spectral import CovarianceModel, sigma
+from correlogram.spectral import CovarianceModel, QuadratureSettings, sigma
 
 
 class TestUniformMetric:
@@ -44,6 +45,63 @@ class TestUniformMetric:
         p = uniform_metric()
         counts = [covering_number(p, 0.0, 3.0, e) for e in (0.1, 0.2, 0.4, 0.8)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+# laplace's default spectral window (about 1000) makes the 18k scalar reference
+# profile calls of one case take minutes; a window of 20 runs the same
+# batching on a fiftieth of the nodes
+_LAPLACE_ST = QuadratureSettings(lambda_max=20.0, abs_tol=1e-4)
+_ARRAY_METRICS = [("uniform", uniform_metric)]
+for _name, _make, _st in [
+    ("sinc", make_sinc, None),
+    ("hilbert_sinc", make_hilbert_sinc, None),
+    ("laplace", lambda: make_laplace(1.0, 1.0), _LAPLACE_ST),
+]:
+    _ARRAY_METRICS += [
+        (f"sigma-{_name}", lambda make=_make, st=_st: sigma_metric(make(), st)),
+        (f"sqrt_sigma-{_name}", lambda make=_make, st=_st: sqrt_sigma_metric(make(), st)),
+        (f"rho_upper-{_name}", lambda make=_make, st=_st: rho_upper_metric(make(), 1.0, 1.0, st)),
+    ]
+
+
+class TestArrayRadii:
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.2, 3.0)], ids=["unit", "wide"])
+    @pytest.mark.parametrize("make", [m for _, m in _ARRAY_METRICS], ids=[n for n, _ in _ARRAY_METRICS])
+    def test_array_call_matches_scalar_calls(self, make, interval, monkeypatch):
+        a, b = interval
+        p = make()
+        sup = p.profile(a, b)[1][-1]
+        eps = np.geomspace(1.01 * sup, 1e-6 * sup, 301)
+        deltas = []
+        real = entropy_mod._delta_of_eps
+
+        def recording(*args):
+            deltas.append(real(*args))
+            return deltas[-1]
+
+        monkeypatch.setattr(entropy_mod, "_delta_of_eps", recording)
+        counts = covering_number(p, a, b, eps)
+        scalar = [covering_number(p, a, b, float(e)) for e in eps]
+        assert counts.dtype == np.int64 and counts.shape == eps.shape
+        assert all(type(n) is int for n in scalar)
+        np.testing.assert_array_equal(counts, scalar)
+        assert len(deltas) == 302
+        np.testing.assert_allclose(deltas[0], np.concatenate(deltas[1:]), rtol=0, atol=1e-15 * (b - a))
+
+    def test_bisection_is_sixty_array_calls(self):
+        calls = []
+        base = sigma_metric(make_sinc())
+        p = Pseudometric("sigma", base.dist, True, lambda u: calls.append(np.size(u)) or base.profile_fn(u))
+        p.profile(0.0, 1.0)
+        calls.clear()
+        covering_number(p, 0.0, 1.0, np.geomspace(0.5, 1e-6, 301))
+        assert calls == [301] * 60
+
+    def test_massiveness_names_the_largest_radius(self):
+        jump = TestDegenerateProfiles()._jump_metric()
+        with pytest.raises(InfiniteMassiveness, match="eps=0.7 "):
+            covering_number(jump, 0.0, 1.0, [2.0, 0.7, 0.3])
+        np.testing.assert_array_equal(covering_number(jump, 0.0, 1.0, [[2.0, 1.0]]), [[1, 1]])
 
 
 class TestSigmaMetrics:
