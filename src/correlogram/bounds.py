@@ -25,10 +25,11 @@ from .entropy import (
     Pseudometric,
     c_r,
     covering_number,
+    entropy_integral,
     epsilon_T_delta,
     rho_upper_metric,
 )
-from .errors import BoundUnavailable, InfiniteMassiveness
+from .errors import BoundUnavailable
 from .kernels import Kernel, autocorrelation
 from .quadrature import sup_ftf
 from .spectral import CovarianceModel, cov_finite
@@ -146,23 +147,9 @@ def acf2_interval_min(h: Kernel, a: float, b: float, grid: int = 801) -> float:
     return _scan_extremum(h, taus, vals, +1.0)
 
 
-def b_function(
-    h: Kernel, a: float, b: float, tau: float, interval_min: Optional[float] = None
-) -> float:
-    """Comparison scale b(tau) with b^2 = (h*h)(2 tau) - inf_[a,b] (h*h)(2 .).
-
-    ``interval_min`` short-circuits the infimum when the caller has it
-    already (it only depends on the kernel and the interval).
-    """
-    if not float(a) <= float(tau) <= float(b):
-        raise ValueError("tau must lie inside [a, b]")
-    if interval_min is None:
-        interval_min = acf2_interval_min(h, a, b)
-    return math.sqrt(max(autocorrelation(h, 2.0 * tau) - interval_min, 0.0))
-
-
 def b_sup(h: Kernel, a: float, b: float, grid: int = 801) -> float:
-    """sup of b(tau) over [a, b], by grid search with local polish."""
+    """sup over [a, b] of the comparison scale b(tau), where
+    b^2 = (h*h)(2 tau) - inf_[a,b] (h*h)(2 .), by grid search with local polish."""
     taus, vals = _acf2_scan(h, a, b, grid)
     m = _scan_extremum(h, taus, vals, +1.0)
     top = _scan_extremum(h, taus, vals, -1.0)
@@ -232,38 +219,6 @@ def corollary1_bound(
 # entropy-based supremum bound
 
 
-def _covering_table(p: Pseudometric, a: float, b: float, s_max: float) -> tuple:
-    """ln(1 + N_p(s)) on a descending log grid below s_max, plus the
-    cumulative integral from 0 up to each grid point (stub extrapolated)."""
-    s = np.geomspace(s_max, s_max * 1e-6, 301)
-    try:
-        f = np.log1p(covering_number(p, a, b, s))
-    except InfiniteMassiveness as exc:
-        raise BoundUnavailable(f"covering numbers blow up ({exc}); entropy integral diverges")
-    # heuristic divergence screen on the two smallest decades
-    tail = s <= s[-1] * 100.0
-    xs, ys = np.log(s[tail]), f[tail]
-    if np.all(ys > 0):
-        beta = -np.polyfit(xs, np.log(ys), 1)[0]
-        if beta >= 0.95:
-            raise BoundUnavailable(
-                "entropy integrand grows like eps^(-1) or faster; bound unavailable"
-            )
-    s_asc, f_asc = s[::-1], f[::-1]
-    # stub below the grid: f is slowly varying (log growth), integrate the
-    # fitted alpha + beta ln(1/s) form over [0, s_min]
-    if f_asc[0] > 0 and np.count_nonzero(ys > 0) >= 3:
-        slope = np.polyfit(xs[ys > 0], ys[ys > 0], 1)[0]  # d f / d ln s
-        beta_log = max(-slope, 0.0)
-        stub = s_asc[0] * (f_asc[0] + beta_log)
-    else:
-        stub = s_asc[0] * f_asc[0]
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (f_asc[1:] + f_asc[:-1]) * np.diff(s_asc))]
-    )
-    return s_asc, cum + stub
-
-
 def _theta_bar(metric: Pseudometric, a: float, b: float, eps_TD: float) -> tuple:
     """(theta_bar, empty): the massiveness constraint N(theta eps_TD) > e^2 - 1
     (N >= 7) holds on (0, theta_bar], as N is nonincreasing in the radius.
@@ -327,7 +282,7 @@ def theorem4_detail(
     # ln(1 + N) table against ball radius in the metric's own scale; the
     # substitution s = eps' / root turns the entropy integral into
     # root * int_0^(theta sup_rho) ln(1 + N(s)) ds
-    s_asc, cum = _covering_table(metric, a, b, sup_rho)
+    s_asc, cum = entropy_integral(metric, a, b, sup_rho)
 
     theta_hi, theta_empty = _theta_bar(metric, a, b, eps_TD)
     if theta_empty:
@@ -355,22 +310,6 @@ def theorem4_detail(
         "entropy_term": entropy_term,
         "theta_empty": theta_empty,
     }
-
-
-def theorem4_bound(
-    model: CovarianceModel,
-    T: float,
-    a: float,
-    b: float,
-    r: float,
-    x: float,
-    metric: Optional[Pseudometric] = None,
-) -> float:
-    """Entropy supremum bound 2 exp(-x / A) for P{sup over [a,b] |Zhat| > x}."""
-    if not x > 0:
-        raise ValueError("x must be positive")
-    detail = theorem4_detail(model, T, a, b, r, metric=metric)
-    return 2.0 * math.exp(-x / detail["A_TD"])
 
 
 # ---------------------------------------------------------------------------

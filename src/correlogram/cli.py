@@ -43,7 +43,7 @@ from .errors import (
     InfiniteMassiveness,
     PadError,
 )
-from .estimator import estimate_correlogram, write_estimate_csv
+from .estimator import estimate_correlogram, estimation_grid, write_estimate_csv
 from .kernels import (
     check_family_conditions,
     check_weighted_spectral,
@@ -113,6 +113,23 @@ def _cfg_float(view: dict, key: str, positive: bool = True) -> float:
     return value
 
 
+def _cfg_count(view: dict, key: str) -> int:
+    value = view[key]
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"config key {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _cfg_positives(view: dict, key: str) -> list:
+    try:
+        values = [float(v) for v in view[key]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a list of numbers") from exc
+    if not values or not all(v > 0 for v in values):
+        raise ConfigError(f"{key} must be a non-empty list of positive numbers")
+    return values
+
+
 def _cfg_seed(view: dict) -> NoiseSeed:
     raw = view.get("base_seed")
     if not isinstance(raw, dict) or "seed" not in raw:
@@ -163,15 +180,6 @@ def _cfg_interval(view: dict) -> tuple:
     if not b > a:
         raise ConfigError(f"interval must satisfy a < b, got [{a}, {b}]")
     return a, b
-
-
-def _estimation_grid(T: float, dt: float, taus: tuple) -> TimeGrid:
-    t_start = min(0.0, taus[0])
-    t_end = T + max(0.0, taus[-1])
-    n = int(round((t_end - t_start) / dt)) + 1
-    if n < 2:
-        raise ConfigError("grid needs at least two samples; check T and dt")
-    return TimeGrid(t_start=t_start, dt=dt, n=n)
 
 
 def cmd_check_kernel(cfg: dict, out_dir: Path, args) -> int:
@@ -231,13 +239,7 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     dt = _cfg_float(view, "dt")
     T = _cfg_float(view, "T")
     t_start = float(view.get("t_start", 0.0))
-    raw_deltas = view.get("deltas", [1.0, 10.0, 100.0, 1000.0])
-    try:
-        deltas = [float(d) for d in raw_deltas]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("deltas must be a list of numbers") from exc
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ConfigError("deltas must be a non-empty list of positive numbers")
+    deltas = _cfg_positives({"deltas": [1.0, 10.0, 100.0, 1000.0], **view}, "deltas")
 
     n = int(round(T / dt)) + 1
     if n < 2:
@@ -282,7 +284,10 @@ def cmd_estimate(cfg: dict, out_dir: Path, args) -> int:
     T = _cfg_float(view, "T")
     taus = _cfg_taus(view)
     g = family(delta)
-    grid = _estimation_grid(T, dt, taus)
+    try:
+        grid = estimation_grid(T, dt, taus)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     manifest = RunManifest.start("estimate", cfg)
     y_path, x_path = simulate_pair(h, g, grid, seed)
@@ -301,10 +306,19 @@ def cmd_estimate(cfg: dict, out_dir: Path, args) -> int:
 
 
 _DEFAULT_METHODS = ("theorem3_pointwise", "theorem4_sup", "corollary1", "corollary2")
+_BOUNDS_DEFAULTS = {
+    "methods": list(_DEFAULT_METHODS),
+    "x_grid": [1.0, 2.0, 3.0, 4.0, 6.0, 8.0],
+    "theorem4_x_multipliers": [1.5, 2.0, 3.0],
+    "r": 0.5,
+    "gamma": 0.5,
+    "y_tail_M": 2000,
+    "y_tail_points": 101,
+}
 
 
 def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
-    view = command_view(cfg, "bounds")
+    view = {**_BOUNDS_DEFAULTS, **command_view(cfg, "bounds")}
     family = _cfg_family(view)
     h = _cfg_kernel(view)
     seed = _cfg_seed(view)
@@ -312,18 +326,20 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
     delta = _cfg_float(view, "delta")
     T = _cfg_float(view, "T")
     a, b = _cfg_interval(view)
-    methods = view.get("methods", list(_DEFAULT_METHODS))
+    methods = view["methods"]
     unknown = set(methods) - set(_DEFAULT_METHODS)
     if unknown:
         raise ConfigError(f"unknown bound methods: {sorted(unknown)}")
-    xs = sorted({float(x) for x in view.get("x_grid", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0])})
-    multipliers = sorted({float(m) for m in view.get("theorem4_x_multipliers", [1.5, 2.0, 3.0])})
-    r = float(view.get("r", 0.5))
-    gamma = float(view.get("gamma", 0.5))
-    y_tail_M = int(view.get("y_tail_M", 2000))
-    y_tail_points = int(view.get("y_tail_points", 101))
-    if not xs or not multipliers:
-        raise ConfigError("x_grid and theorem4_x_multipliers must be non-empty")
+    xs = sorted(set(_cfg_positives(view, "x_grid")))
+    multipliers = sorted(set(_cfg_positives(view, "theorem4_x_multipliers")))
+    r = _cfg_float(view, "r")
+    if not r < 1.0:
+        raise ConfigError(f"config key 'r' must lie in (0, 1), got {r}")
+    gamma = _cfg_float(view, "gamma", positive=False)
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigError(f"config key 'gamma' must lie in [0, 1], got {gamma}")
+    y_tail_M = _cfg_count(view, "y_tail_M")
+    y_tail_points = _cfg_count(view, "y_tail_points")
 
     model = CovarianceModel(h=h, g=family(delta), c=c)
     shared = {"T": T, "interval": [a, b], "r": r, "delta": delta, "c": c}
@@ -412,9 +428,7 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    max_reps = view.get("emit_max_reps")
-    if max_reps is not None and (type(max_reps) is not int or max_reps < 1):
-        raise ConfigError(f"emit_max_reps must be a positive integer, got {max_reps!r}")
+    max_reps = None if view.get("emit_max_reps") is None else _cfg_count(view, "emit_max_reps")
     workers = max(1, int(getattr(args, "workers", 1) or 1))
     manifest = RunManifest.start("montecarlo", cfg)
     result = run_replications(experiment, workers=workers)
@@ -435,11 +449,8 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
         manifest.add_output(target)
         written.append(target)
         # First replication's paths, re-simulated from its own stream.
-        from .montecarlo import _lattice, _sim_grid
-
         h, g = experiment.kernels()
-        lattice = _lattice(experiment)
-        grid = _sim_grid(experiment, lattice)
+        grid = estimation_grid(experiment.T, experiment.dt, result.fine_taus)
         y_path, x_path = simulate_pair(h, g, grid, experiment.base_seed.spawn(0))
         for label, path in (("Y", y_path), ("X", x_path)):
             target = out_dir / f"path_rep0_{label}.csv"

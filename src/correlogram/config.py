@@ -62,7 +62,7 @@ _COMMAND_ONLY_KEYS = {
     "simulate": {"deltas", "t_start"},
     "estimate": set(),
     "bounds": {"methods", "x_grid", "theorem4_x_multipliers", "r", "gamma",
-               "confidence", "y_tail_M", "y_tail_points"},
+               "y_tail_M", "y_tail_points"},
     "montecarlo": {"replications", "emit_max_reps"},
 }
 

@@ -1,11 +1,11 @@
 """Covering numbers and metric entropy for lag intervals.
 
 A pseudometric on the lag axis induces covering numbers N(eps) of an
-interval [a, b], entropies H(eps) = ln N(eps), and entropy integrals
-int_0^u H(eps)^power d eps. Translation-invariant pseudometrics are
-handled through their distance profile u -> d(a, a + u); everything
-else falls back to a greedy farthest-point covering that only upper
-bounds N.
+interval [a, b], entropies H(eps) = ln N(eps), and the entropy integral
+int_0^s ln(1 + N(eps)) d eps behind the constant of the supremum bound.
+Translation-invariant pseudometrics are handled through their distance
+profile u -> d(a, a + u); everything else falls back to a greedy
+farthest-point covering that only upper bounds N.
 
 Also home to the small scalar helpers C_r and eps_{T, Delta} used by
 the supremum tail bound.
@@ -20,12 +20,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InfiniteMassiveness
+from .errors import BoundUnavailable, InfiniteMassiveness
 from .kernels import Kernel
 from .simulate import _write_csv
 from .spectral import (
     CovarianceModel,
     QuadratureSettings,
+    _rho_upper_scale,
     rho_exact,
     rho_upper,
     sigma,
@@ -119,7 +120,7 @@ def rho_upper_metric(
     """
     st = settings or QuadratureSettings.default_1d()
     base = sigma_profile(h, st)
-    scale = (g_family_sup / c) * math.sqrt((4.0 / math.pi) * h.ftf_l2_norm())
+    scale = _rho_upper_scale(h, g_family_sup, c)
     return Pseudometric(
         kind="rho_upper",
         dist=lambda t1, t2: rho_upper(h, g_family_sup, c, t1, t2, st),
@@ -136,24 +137,6 @@ def rho_exact_metric(model: CovarianceModel, T: float) -> Pseudometric:
         dist=lambda t1, t2: rho_exact(model, T, float(t1), float(t2)),
         translation_invariant=False,
     )
-
-
-def pseudometric_axioms(
-    p: Pseudometric, a: float, b: float, n: int = 30, seed: int = 0
-) -> dict:
-    """Spot-check the pseudometric axioms on random points in [a, b].
-
-    Returns worst-case magnitudes: self-distance, symmetry defect, and
-    triangle-inequality violation (positive = violated).
-    """
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(a, b, size=(n, 3))
-    self_d = max(abs(p.dist(t, t)) for t in pts[:, 0])
-    sym = max(abs(p.dist(t1, t2) - p.dist(t2, t1)) for t1, t2, _ in pts)
-    tri = max(
-        p.dist(t1, t3) - (p.dist(t1, t2) + p.dist(t2, t3)) for t1, t2, t3 in pts
-    )
-    return {"self_distance": self_d, "symmetry": sym, "triangle_violation": tri}
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +216,6 @@ def covering_number(p: Pseudometric, a: float, b: float, eps, candidates: int = 
     return int(n) if n.ndim == 0 else n
 
 
-def greedy_covering_radius(
-    p: Pseudometric, a: float, b: float, n_centers: int, candidates: int = 257
-) -> float:
-    """Covering radius achieved by ``n_centers`` greedy farthest-point
-    centers on the candidate grid. Useful to audit the greedy bound."""
-    radii = _greedy_radii(p, float(a), float(b), candidates)
-    return next(itertools.islice(radii, max(1, n_centers) - 1, None))
-
-
 @dataclass(frozen=True)
 class EntropyProfile:
     """Covering numbers and entropies along a descending epsilon ladder."""
@@ -282,66 +256,43 @@ def entropy_profile(
     )
 
 
-@dataclass(frozen=True)
-class EntropyIntegralResult:
-    """Value of int_0^u H^power(eps) d eps plus a divergence heuristic.
+def entropy_integral(p: Pseudometric, a: float, b: float, s_max: float) -> tuple:
+    """Entropy integral of ``p`` over [a, b]: ln(1 + N(s)) on a 301-point
+    log grid over six decades below ``s_max``, returned as the ascending
+    radii and the cumulative integral from 0 up to each of them.
 
-    ``divergent`` is a flag, not a proof: it fires when the fitted
-    growth of the integrand over the two smallest resolved epsilon
-    decades is at least eps^(-1 + margin), or when some resolved eps
-    already has infinite massiveness.
+    The trapezoid covers the grid; the stub below it integrates the
+    fitted alpha + beta ln(1/s) form. Raises BoundUnavailable when some
+    radius has infinite massiveness, or when the integrand's fitted
+    growth over the two smallest decades is eps^(-0.95) or faster.
     """
-
-    value: float
-    divergent: bool
-    interval: tuple
-    power: float
-    upper: float
-
-
-def entropy_integral(
-    p: Pseudometric, a: float, b: float, u: float, power: float
-) -> EntropyIntegralResult:
-    """Entropy integral of ``p`` over [a, b] up to eps = u.
-
-    Log-spaced trapezoid over four decades below u; the unresolved
-    stub near 0 is extrapolated from the fitted power law when that
-    law is integrable.
-    """
-    if not u > 0:
-        raise ValueError("u must be positive")
-    if float(power) not in (0.5, 1.0):
-        raise ValueError("power must be 0.5 or 1.0")
-    power = float(power)
-    eps = np.geomspace(u, u * 1e-4, 201)
-    n = _counts(p, float(a), float(b), eps, 257)
-    # the resolved prefix ends at the first radius with infinite massiveness
-    resolved = int(np.argmax(np.isinf(n))) if np.isinf(n).any() else eps.size
-    divergent = resolved < eps.size
-    eps_r, vals_r = eps[:resolved], np.log(n[:resolved]) ** power
-    if resolved < 2:
-        return EntropyIntegralResult(0.0, True, (float(a), float(b)), power, float(u))
-    # ascending order for the trapezoid
-    value = float(np.trapezoid(vals_r[::-1], eps_r[::-1]))
-
-    if not divergent:
-        tail = eps_r <= eps_r[-1] * 100.0  # two smallest resolved decades
-        x, y = eps_r[tail], vals_r[tail]
-        pos = y > 0
-        if vals_r[-1] == 0.0:
-            pass  # single-ball regime all the way down, nothing to add
-        elif np.count_nonzero(pos) >= 3:
-            slope = np.polyfit(np.log(x[pos]), np.log(y[pos]), 1)[0]
-            beta = -slope
-            if beta >= 0.95:
-                divergent = True
-            elif beta > 0:
-                value += vals_r[-1] * eps_r[-1] / (1.0 - beta)
-            else:
-                value += vals_r[-1] * eps_r[-1]
-        else:
-            value += vals_r[-1] * eps_r[-1]
-    return EntropyIntegralResult(value, divergent, (float(a), float(b)), power, float(u))
+    s = np.geomspace(s_max, s_max * 1e-6, 301)
+    try:
+        f = np.log1p(covering_number(p, a, b, s))
+    except InfiniteMassiveness as exc:
+        raise BoundUnavailable(f"covering numbers blow up ({exc}); entropy integral diverges")
+    # heuristic divergence screen on the two smallest decades
+    tail = s <= s[-1] * 100.0
+    xs, ys = np.log(s[tail]), f[tail]
+    if np.all(ys > 0):
+        beta = -np.polyfit(xs, np.log(ys), 1)[0]
+        if beta >= 0.95:
+            raise BoundUnavailable(
+                "entropy integrand grows like eps^(-1) or faster; bound unavailable"
+            )
+    s_asc, f_asc = s[::-1], f[::-1]
+    # stub below the grid: f is slowly varying (log growth), integrate the
+    # fitted alpha + beta ln(1/s) form over [0, s_min]
+    if f_asc[0] > 0 and np.count_nonzero(ys > 0) >= 3:
+        slope = np.polyfit(xs[ys > 0], ys[ys > 0], 1)[0]  # d f / d ln s
+        beta_log = max(-slope, 0.0)
+        stub = s_asc[0] * (f_asc[0] + beta_log)
+    else:
+        stub = s_asc[0] * f_asc[0]
+    cum = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (f_asc[1:] + f_asc[:-1]) * np.diff(s_asc))]
+    )
+    return s_asc, cum + stub
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,12 @@ import numpy as np
 from .errors import CoverageError
 from .kernels import Kernel
 from .quadrature import lagged_product
-from .simulate import SampledPath, _write_csv
+from .simulate import SampledPath, TimeGrid, _write_csv
 
 __all__ = [
     "CorrelogramEstimate",
     "snap_tau_grid",
+    "estimation_grid",
     "cross_correlogram",
     "theoretical_bias",
     "centered_process",
@@ -79,6 +80,17 @@ def snap_tau_grid(tau_grid: Sequence[float], dt: float) -> np.ndarray:
     """Snap lags to the nearest multiple of the lattice spacing."""
     tau = np.asarray(tau_grid, dtype=float)
     return np.round(tau / dt) * dt
+
+
+def estimation_grid(T: float, dt: float, taus: Sequence[float]) -> TimeGrid:
+    """The dt lattice over [min(0, taus[0]), T + max(0, taus[-1])]: every
+    sample ``cross_correlogram`` reads for the ascending lags ``taus``."""
+    t_start = min(0.0, float(taus[0]))
+    t_end = T + max(0.0, float(taus[-1]))
+    n = int(round((t_end - t_start) / dt)) + 1
+    if n < 2:
+        raise ValueError("grid needs at least two samples; check T and dt")
+    return TimeGrid(t_start=t_start, dt=dt, n=n)
 
 
 def _lattice_index(t: float, grid) -> int:

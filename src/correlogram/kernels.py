@@ -450,11 +450,9 @@ def make_tabulated(times: Sequence[float], values: Sequence[float]) -> Kernel:
     )
 
 
-def load_kernel_csv(path) -> Kernel:
-    """Load a tabulated kernel from a two-column (time,value) CSV file.
-
-    A single header row is skipped when its first field is not numeric.
-    """
+def _read_two_columns(path) -> tuple:
+    """(times, values) lists of a two-column CSV file; blank rows and
+    non-numeric rows before the first sample (a header) are skipped."""
     times, values = [], []
     with open(Path(path), newline="", encoding="utf-8") as fh:
         for row in csv.reader(fh):
@@ -468,7 +466,15 @@ def load_kernel_csv(path) -> Kernel:
                 continue  # header
             times.append(t)
             values.append(float(row[1]))
-    return make_tabulated(times, values)
+    return times, values
+
+
+def load_kernel_csv(path) -> Kernel:
+    """Load a tabulated kernel from a two-column (time,value) CSV file.
+
+    A single header row is skipped when its first field is not numeric.
+    """
+    return make_tabulated(*_read_two_columns(path))
 
 
 def triangular_family(c: float) -> KernelFamily:

@@ -26,9 +26,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConsistencyError
-from .estimator import cross_correlogram, snap_tau_grid, theoretical_bias
+from .estimator import cross_correlogram, estimation_grid, snap_tau_grid, theoretical_bias
 from .kernels import Kernel, family_from_name, kernel_from_spec
-from .simulate import NoiseSeed, PairSimulator, TimeGrid, _write_csv, simulate_pair
+from .simulate import NoiseSeed, PairSimulator, _write_csv, simulate_pair
 from .spectral import autocovariance_Y, cov_limit
 
 __all__ = [
@@ -94,13 +94,6 @@ def _lattice(cfg: ExperimentConfig) -> np.ndarray:
     return cfg.dt * np.arange(k0, k1 + 1)
 
 
-def _sim_grid(cfg: ExperimentConfig, taus: np.ndarray) -> TimeGrid:
-    t_start = min(0.0, float(taus[0]))
-    t_stop = cfg.T + max(0.0, float(taus[-1]))
-    n = int(round((t_stop - t_start) / cfg.dt))
-    return TimeGrid(t_start=t_start, dt=cfg.dt, n=n + 1)
-
-
 def _replicate_share(args) -> np.ndarray:
     """Zhat rows of replications ``first, first + step, ...``, simulated with
     one PairSimulator; module-level so process pools can pickle it."""
@@ -109,7 +102,7 @@ def _replicate_share(args) -> np.ndarray:
     i = first
     try:
         h, g = cfg.kernels()
-        sim = PairSimulator(h, g, _sim_grid(cfg, taus))
+        sim = PairSimulator(h, g, estimation_grid(cfg.T, cfg.dt, taus))
         for i in range(first, cfg.replications, step):
             Y, X = simulate_pair(h, g, sim.grid, cfg.base_seed.spawn(i), simulator=sim)
             rows.append(math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias))

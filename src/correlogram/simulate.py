@@ -26,7 +26,6 @@ the same paths from the same seeds.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 import warnings
@@ -38,7 +37,7 @@ from numpy.fft import irfft, rfft
 from numpy.random import Generator, Philox
 
 from .errors import PadError
-from .kernels import Kernel
+from .kernels import Kernel, _read_two_columns
 
 __all__ = [
     "TimeGrid",
@@ -312,19 +311,7 @@ def write_path_csv(path: SampledPath, file) -> None:
 
 
 def read_path_csv(file, label: str = "") -> SampledPath:
-    times, values = [], []
-    with open(Path(file), newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                t = float(row[0])
-            except ValueError:
-                if times:
-                    raise ValueError(f"non-numeric row {row!r} in {file}")
-                continue
-            times.append(t)
-            values.append(float(row[1]))
+    times, values = _read_two_columns(file)
     if len(times) < 1:
         raise ValueError(f"no samples in {file}")
     if len(times) == 1:

@@ -522,11 +522,14 @@ def rho_upper(
     (Fejér unit mass plus Cauchy-Schwarz), and sigma <= ||H*||_2^{1/2}
     sqrt(sigma) closes the bound.
     """
+    return _rho_upper_scale(h, g_family_sup, c) * math.sqrt(sigma(h, tau2 - tau1, settings))
+
+
+def _rho_upper_scale(h: Kernel, g_family_sup: float, c: float) -> float:
+    """The factor (sup|g*| / c) ((4/pi) ||H*||_2)^{1/2} of ``rho_upper``."""
     if not (c > 0 and g_family_sup >= 0):
         raise ValueError("c must be positive and g_family_sup nonnegative")
-    s = sigma(h, tau2 - tau1, settings)
-    ftf_l2 = math.sqrt(2.0 * math.pi) * h.l2_norm
-    return (1.0 / c) * math.sqrt((4.0 / math.pi) * ftf_l2) * g_family_sup * math.sqrt(s)
+    return (g_family_sup / c) * math.sqrt((4.0 / math.pi) * h.ftf_l2_norm())
 
 
 def rho_upper_uniform(h: Kernel, g_family_sup: float, c: float) -> float:

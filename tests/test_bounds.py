@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import correlogram.bounds as bounds_mod
+import correlogram.entropy as entropy_mod
 from correlogram.bounds import (
     TailBoundReport,
     acf2_interval_min,
-    b_function,
     b_sup,
     corollary1_bound,
     corollary1_report,
@@ -21,14 +21,20 @@ from correlogram.bounds import (
     pointwise_ci,
     solve_2k,
     theorem3_report,
-    theorem4_bound,
     theorem4_detail,
+    theorem4_report,
 )
-from correlogram.entropy import Pseudometric, covering_number, rho_upper_metric
+from correlogram.entropy import Pseudometric, covering_number, entropy_integral, rho_upper_metric
 from correlogram.errors import BoundUnavailable
-from correlogram.kernels import make_sinc, make_triangular
+from correlogram.kernels import autocorrelation, make_sinc, make_triangular
 from correlogram.quadrature import sup_ftf
 from correlogram.spectral import CovarianceModel
+
+
+def _b(h, a, b, tau):
+    """Comparison scale b(tau) = sqrt((h*h)(2 tau) - inf_[a,b] (h*h)(2 .))."""
+    sq = autocorrelation(h, 2.0 * np.asarray(tau)) - acf2_interval_min(h, a, b)
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _count_autocorrelation(monkeypatch) -> list:
@@ -95,19 +101,16 @@ class TestIntervalConstants:
         assert acf2_interval_min(h, 0.0, 1.0) == pytest.approx(
             -0.21723362821122166, abs=1e-10
         )
-        assert b_function(h, 0.0, 1.0, tau_star) == pytest.approx(0.0, abs=1e-6)
+        assert _b(h, 0.0, 1.0, tau_star) == pytest.approx(0.0, abs=1e-6)
 
     def test_b_at_zero_frozen(self):
-        assert b_function(make_sinc(), 0.0, 1.0, 0.0) == pytest.approx(
+        assert _b(make_sinc(), 0.0, 1.0, 0.0) == pytest.approx(
             math.sqrt(1.2172336282112217), rel=1e-9
         )
 
     def test_b_sup_matches_scan(self):
         h = make_sinc()
-        m = acf2_interval_min(h, 0.0, 1.0)
-        assert b_function(h, 0.0, 1.0, 0.3) == b_function(h, 0.0, 1.0, 0.3, interval_min=m)
-        taus = np.linspace(0.0, 1.0, 501)
-        scan = max(b_function(h, 0.0, 1.0, float(t), interval_min=m) for t in taus)
+        scan = np.max(_b(h, 0.0, 1.0, np.linspace(0.0, 1.0, 501)))
         assert b_sup(h, 0.0, 1.0) == pytest.approx(scan, abs=1e-6)
 
     def test_b_sup_scans_the_interval_once(self, monkeypatch):
@@ -129,10 +132,6 @@ class TestIntervalConstants:
         assert np.argmin(f(xs)) == 0
         lo = bounds_mod._polish(f, xs, f(xs), +1.0)
         assert lo == pytest.approx(2.0 - 2.0 * math.log(2.0), abs=1e-9)
-
-    def test_tau_outside_interval_rejected(self):
-        with pytest.raises(ValueError):
-            b_function(make_sinc(), 0.0, 1.0, 1.5)
 
 
 class TestCorollary2:
@@ -228,9 +227,9 @@ class TestTheorem4:
 
     def test_bound_is_two_exp(self):
         detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, var_grid=9)
-        A = detail["A_TD"]
-        got = theorem4_bound(self.model, 50.0, 0.0, 0.4, 0.5, 3.0 * A)
-        assert got == pytest.approx(2.0 * math.exp(-3.0), rel=1e-6)
+        rep = theorem4_report(detail, [3.0])
+        assert rep.x_values[0] == pytest.approx(3.0 * detail["A_TD"], rel=1e-12)
+        assert rep.constants["raw_bounds"][0] == pytest.approx(2.0 * math.exp(-3.0), rel=1e-6)
 
     def test_vanishing_metric_is_unavailable(self):
         from correlogram.errors import BoundUnavailable
@@ -289,6 +288,7 @@ def acceptance_theorem4():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds_mod, "rho_upper_metric", lambda *args: counted)
         mp.setattr(bounds_mod, "covering_number", counting_cover)
+        mp.setattr(entropy_mod, "covering_number", counting_cover)
         detail = theorem4_detail(model, 500.0, 0.0, 1.0, 0.5)
     return detail, metric, covering_calls, profile_calls
 
@@ -325,7 +325,7 @@ class TestTheorem4Acceptance:
         )
         largest = float(np.geomspace(1.0, 1e-6, 301)[1])
         with pytest.raises(BoundUnavailable, match=f"eps={largest:g} "):
-            bounds_mod._covering_table(jump, 0.0, 1.0, 1.0)
+            entropy_integral(jump, 0.0, 1.0, 1.0)
 
 
 class TestReports:

@@ -183,6 +183,13 @@ class TestEstimate:
         assert sidecar["T"] == 40.0
         assert verify_manifest(out / "run_manifest.json") == []
 
+    def test_one_sample_grid_is_usage_error(self, tmp_path, capsys):
+        # T and the lags span a fiftieth of dt: round() leaves one sample
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(BASE_CONFIG, T=0.02, dt=1.0, tau_grid=[0.0])))
+        assert run_cli("estimate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "two samples" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_all_methods_written(self, config_path, tmp_path):
@@ -202,6 +209,19 @@ class TestBounds:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command_defaults": {"bounds": {"methods": ["theorem5"]}}}))
         assert run_cli("bounds", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("key, bad", [
+        ("r", 1.5), ("gamma", "x"), ("y_tail_M", 0), ("x_grid", [-1, 2]), ("confidence", 0.9),
+    ])
+    def test_invalid_value_is_usage_error(self, tmp_path, capsys, key, bad):
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["command_defaults"]["bounds"][key] = bad
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "bnd"
+        assert run_cli("bounds", "--config", str(path), "--out", str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
 
     def test_degenerate_bound_exits_one_with_payload(self, config_path, tmp_path, monkeypatch):
         def unavailable(*args, **kwargs):

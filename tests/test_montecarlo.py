@@ -13,7 +13,7 @@ import scipy.special
 import correlogram.montecarlo as mc
 from conftest import acceptance_experiment
 from correlogram.errors import ConsistencyError
-from correlogram.estimator import cross_correlogram, theoretical_bias
+from correlogram.estimator import cross_correlogram, estimation_grid, theoretical_bias
 from correlogram.kernels import make_hilbert_sinc, make_sinc
 from correlogram.montecarlo import (
     ExperimentConfig,
@@ -126,7 +126,7 @@ class TestReplicationEngine:
         np.testing.assert_array_equal(res.z_fine, run_quietly(cfg, workers=2).z_fine)
         h, g = cfg.kernels()
         taus = mc._lattice(cfg)
-        grid = mc._sim_grid(cfg, taus)
+        grid = estimation_grid(cfg.T, cfg.dt, taus)
         plan = ConvolutionPlan(h, grid, max(required_pad(k, cfg.dt) for k in (h, g)))
         assert ("fft" if plan.taps.size > _DIRECT_MAX_TAPS else "direct") == branch
         bias = theoretical_bias(h, g, cfg.c, taus)
