@@ -78,6 +78,13 @@ __all__ = ["main", "build_parser"]
 _AUX_STREAM_OFFSET = 1_000_000
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="correlogram",
@@ -96,105 +103,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", default=None, help="output directory (overrides env and config)")
         if name == "montecarlo":
-            p.add_argument("--workers", type=int, default=1,
+            p.add_argument("--workers", type=_positive_int, default=1,
                            help="replication worker processes (outputs invariant to N)")
             p.add_argument("--emit-paths", action="store_true",
                            help="also write Z trajectories and the first replication's paths")
     return parser
 
 
-def _cfg_float(view: dict, key: str, positive: bool = True) -> float:
+def _kernels(view: dict) -> tuple:
+    """The kernel h and the window family (delta -> g_delta) of a command view."""
     try:
-        value = float(view[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} must be a number") from exc
-    if positive and not value > 0:
-        raise ConfigError(f"config key {key!r} must be positive, got {value}")
-    return value
-
-
-def _cfg_count(view: dict, key: str) -> int:
-    value = view[key]
-    if type(value) is not int or value < 1:
-        raise ConfigError(f"config key {key!r} must be a positive integer, got {value!r}")
-    return value
-
-
-def _cfg_positives(view: dict, key: str) -> list:
-    try:
-        values = [float(v) for v in view[key]]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers") from exc
-    if not values or not all(v > 0 for v in values):
-        raise ConfigError(f"{key} must be a non-empty list of positive numbers")
-    return values
-
-
-def _cfg_seed(view: dict) -> NoiseSeed:
-    raw = view.get("base_seed")
-    if not isinstance(raw, dict) or "seed" not in raw:
-        raise ConfigError('base_seed must be an object like {"seed": 0, "stream_id": 0}')
-    try:
-        return NoiseSeed(int(raw["seed"]), int(raw.get("stream_id", 0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid base_seed: {exc}") from exc
-
-
-def _cfg_kernel(view: dict):
-    spec = view.get("h")
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError('h must be an object like {"name": "sinc"}')
-    try:
-        return kernel_from_spec(spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid kernel h: {exc}") from exc
-
-
-def _cfg_family(view: dict):
-    spec = view.get("g_family")
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError('g_family must be an object like {"name": "triangular"}')
-    try:
-        return family_from_name(spec["name"], _cfg_float(view, "c"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid g_family: {exc}") from exc
-
-
-def _cfg_taus(view: dict, key: str = "tau_grid") -> tuple:
-    raw = view.get(key)
-    try:
-        taus = tuple(float(t) for t in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a list of numbers") from exc
-    if not taus or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ConfigError(f"{key} must be non-empty and strictly ascending")
-    return taus
-
-
-def _cfg_interval(view: dict) -> tuple:
-    raw = view.get("interval")
-    try:
-        a, b = (float(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("interval must be a two-number list [a, b]") from exc
-    if not b > a:
-        raise ConfigError(f"interval must satisfy a < b, got [{a}, {b}]")
-    return a, b
+        return kernel_from_spec(view["h"]), family_from_name(view["g_family"]["name"], view["c"])
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid h or g_family: {exc}") from exc
 
 
 def cmd_check_kernel(cfg: dict, out_dir: Path, args) -> int:
     view = command_view(cfg, "check-kernel")
-    family = _cfg_family(view)
-    h = _cfg_kernel(view)
-    deltas = view.get("deltas", [10.0, 100.0, 1000.0, 10000.0, 100000.0])
-    lambda_window = float(view.get("lambda_window", 1.0))
-    tol = float(view.get("tol", 1e-9))
-    exponent = float(view.get("hunt_exponent", 2.0))
-    lambda_max = float(view.get("lambda_max", 200.0))
+    h, family = _kernels(view)
+    exponent = view["hunt_exponent"]
+    lambda_max = view["lambda_max"]
 
     manifest = RunManifest.start("check-kernel", cfg)
     try:
-        report = check_family_conditions(family, deltas, lambda_window, tol=tol)
+        report = check_family_conditions(
+            family, view["deltas"], view["lambda_window"], tol=view["tol"]
+        )
         hunt = check_weighted_spectral(h, exponent, lambda_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -233,18 +167,15 @@ def cmd_check_kernel(cfg: dict, out_dir: Path, args) -> int:
 
 def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     view = command_view(cfg, "simulate")
-    family = _cfg_family(view)
-    h = _cfg_kernel(view)
-    seed = _cfg_seed(view)
-    dt = _cfg_float(view, "dt")
-    T = _cfg_float(view, "T")
-    t_start = float(view.get("t_start", 0.0))
-    deltas = _cfg_positives({"deltas": [1.0, 10.0, 100.0, 1000.0], **view}, "deltas")
+    h, family = _kernels(view)
+    seed = NoiseSeed(**view["base_seed"])
+    dt = view["dt"]
+    deltas = view["deltas"]
 
-    n = int(round(T / dt)) + 1
+    n = int(round(view["T"] / dt)) + 1
     if n < 2:
         raise ConfigError("grid needs at least two samples; check T and dt")
-    grid = TimeGrid(t_start=t_start, dt=dt, n=n)
+    grid = TimeGrid(t_start=view["t_start"], dt=dt, n=n)
 
     windows = [family(d) for d in deltas]
     # One increment array padded for every kernel at once, so the same
@@ -275,25 +206,18 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
 
 def cmd_estimate(cfg: dict, out_dir: Path, args) -> int:
     view = command_view(cfg, "estimate")
-    family = _cfg_family(view)
-    h = _cfg_kernel(view)
-    seed = _cfg_seed(view)
-    c = _cfg_float(view, "c")
-    delta = _cfg_float(view, "delta")
-    dt = _cfg_float(view, "dt")
-    T = _cfg_float(view, "T")
-    taus = _cfg_taus(view)
-    g = family(delta)
+    h, family = _kernels(view)
+    g = family(view["delta"])
     try:
-        grid = estimation_grid(T, dt, taus)
+        grid = estimation_grid(view["T"], view["dt"], view["tau_grid"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     manifest = RunManifest.start("estimate", cfg)
-    y_path, x_path = simulate_pair(h, g, grid, seed)
+    y_path, x_path = simulate_pair(h, g, grid, NoiseSeed(**view["base_seed"]))
     est = estimate_correlogram(
-        h, g, c, y_path, x_path, T, taus,
-        seed_info={"seed": seed.seed, "stream_id": seed.stream_id},
+        h, g, view["c"], y_path, x_path, view["T"], view["tau_grid"],
+        seed_info=view["base_seed"],
     )
     target = out_dir / "estimate.csv"
     write_estimate_csv(est, target)
@@ -305,44 +229,17 @@ def cmd_estimate(cfg: dict, out_dir: Path, args) -> int:
     return 0
 
 
-_DEFAULT_METHODS = ("theorem3_pointwise", "theorem4_sup", "corollary1", "corollary2")
-_BOUNDS_DEFAULTS = {
-    "methods": list(_DEFAULT_METHODS),
-    "x_grid": [1.0, 2.0, 3.0, 4.0, 6.0, 8.0],
-    "theorem4_x_multipliers": [1.5, 2.0, 3.0],
-    "r": 0.5,
-    "gamma": 0.5,
-    "y_tail_M": 2000,
-    "y_tail_points": 101,
-}
-
-
 def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
-    view = {**_BOUNDS_DEFAULTS, **command_view(cfg, "bounds")}
-    family = _cfg_family(view)
-    h = _cfg_kernel(view)
-    seed = _cfg_seed(view)
-    c = _cfg_float(view, "c")
-    delta = _cfg_float(view, "delta")
-    T = _cfg_float(view, "T")
-    a, b = _cfg_interval(view)
+    view = command_view(cfg, "bounds")
+    h, family = _kernels(view)
+    a, b = view["interval"]
     methods = view["methods"]
-    unknown = set(methods) - set(_DEFAULT_METHODS)
-    if unknown:
-        raise ConfigError(f"unknown bound methods: {sorted(unknown)}")
-    xs = sorted(set(_cfg_positives(view, "x_grid")))
-    multipliers = sorted(set(_cfg_positives(view, "theorem4_x_multipliers")))
-    r = _cfg_float(view, "r")
-    if not r < 1.0:
-        raise ConfigError(f"config key 'r' must lie in (0, 1), got {r}")
-    gamma = _cfg_float(view, "gamma", positive=False)
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigError(f"config key 'gamma' must lie in [0, 1], got {gamma}")
-    y_tail_M = _cfg_count(view, "y_tail_M")
-    y_tail_points = _cfg_count(view, "y_tail_points")
+    xs = sorted(set(view["x_grid"]))
+    multipliers = sorted(set(view["theorem4_x_multipliers"]))
+    y_tail_M = view["y_tail_M"]
 
-    model = CovarianceModel(h=h, g=family(delta), c=c)
-    shared = {"T": T, "interval": [a, b], "r": r, "delta": delta, "c": c}
+    model = CovarianceModel(h=h, g=family(view["delta"]), c=view["c"])
+    shared = {k: view[k] for k in ("T", "interval", "r", "delta", "c")}
 
     manifest = RunManifest.start("bounds", cfg)
     signals: dict = {}
@@ -351,7 +248,8 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
     y_tail = None
     if "corollary1" in methods or "corollary2" in methods:
         draws = sample_stationary_Y(
-            h, np.linspace(a, b, y_tail_points), y_tail_M, seed.spawn(_AUX_STREAM_OFFSET)
+            h, np.linspace(a, b, view["y_tail_points"]), y_tail_M,
+            NoiseSeed(**view["base_seed"]).spawn(_AUX_STREAM_OFFSET),
         )
         y_tail = empirical_sup_tail(draws)
 
@@ -365,13 +263,13 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
                     # Thresholds are multiples of the constant A, so the
                     # expensive entropy optimization runs exactly once.
                     report = theorem4_report(
-                        theorem4_detail(model, T, a, b, r), multipliers,
+                        theorem4_detail(model, view["T"], a, b, view["r"]), multipliers,
                         settings=dict(shared, x_multipliers=multipliers),
                     )
                 elif method == "corollary1":
                     report = corollary1_report(
-                        h, a, b, xs, gamma, y_tail,
-                        settings=dict(shared, gamma=gamma, y_tail_M=y_tail_M),
+                        h, a, b, xs, view["gamma"], y_tail,
+                        settings=dict(shared, gamma=view["gamma"], y_tail_M=y_tail_M),
                     )
                 else:
                     report = corollary2_report(
@@ -409,29 +307,25 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
 
 def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
     view = command_view(cfg, "montecarlo")
-    _cfg_family(view)  # fail fast on an unknown window name
-    _cfg_kernel(view)
-    seed = _cfg_seed(view)
+    _kernels(view)  # fail fast on an unknown kernel or window name
     try:
         experiment = ExperimentConfig(
             h_spec=view["h"],
             g_family_spec=view["g_family"],
-            T=_cfg_float(view, "T"),
-            delta=_cfg_float(view, "delta"),
-            c=_cfg_float(view, "c"),
-            dt=_cfg_float(view, "dt"),
-            tau_grid=_cfg_taus(view),
-            replications=int(view.get("replications", 200)),
-            base_seed=seed,
-            interval=_cfg_interval(view),
+            T=view["T"],
+            delta=view["delta"],
+            c=view["c"],
+            dt=view["dt"],
+            tau_grid=view["tau_grid"],
+            replications=view["replications"],
+            base_seed=NoiseSeed(**view["base_seed"]),
+            interval=view["interval"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    max_reps = None if view.get("emit_max_reps") is None else _cfg_count(view, "emit_max_reps")
-    workers = max(1, int(getattr(args, "workers", 1) or 1))
     manifest = RunManifest.start("montecarlo", cfg)
-    result = run_replications(experiment, workers=workers)
+    result = run_replications(experiment, workers=args.workers)
 
     written = []
     target = out_dir / "result.csv"
@@ -443,9 +337,9 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
     manifest.add_output(target)
     written.append(target)
 
-    if getattr(args, "emit_paths", False):
+    if args.emit_paths:
         target = out_dir / "trajectories.csv"
-        write_trajectories_csv(result, target, max_reps=max_reps)
+        write_trajectories_csv(result, target, max_reps=view["emit_max_reps"])
         manifest.add_output(target)
         written.append(target)
         # First replication's paths, re-simulated from its own stream.

@@ -3,8 +3,10 @@
 A run is described by one JSON document. Top-level keys set the shared
 experiment (kernels, horizon, lattice, seed); a ``command_defaults``
 section holds per-command overrides that are merged over the globals
-when that command runs. JSON keeps float round-trips lossless since
-both sides print shortest representations.
+when that command runs. ``KEYS`` lists every key with the commands
+that take it, the parser of its value and its default; a value that
+does not parse is a ``ConfigError``. JSON keeps float round-trips
+lossless since both sides print shortest representations.
 
 Every command writes a ``run_manifest.json`` recording the command
 name, a SHA-256 digest of the configuration, the artifact version, and
@@ -16,16 +18,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 __all__ = [
     "ARTIFACT_VERSION",
     "COMMANDS",
     "ConfigError",
+    "KEYS",
     "load_config",
     "command_view",
     "canonical_json",
@@ -40,35 +45,150 @@ ARTIFACT_VERSION = "1.0.0"
 
 COMMANDS = ("check-kernel", "simulate", "estimate", "bounds", "montecarlo")
 
-# Global defaults; any key may be overridden at the top level or inside
-# command_defaults.<command>.
-GLOBAL_DEFAULTS = {
-    "h": {"name": "sinc"},
-    "g_family": {"name": "triangular"},
-    "c": 1.0,
-    "delta": 100.0,
-    "dt": 0.01,
-    "T": 500.0,
-    "interval": [0.0, 1.0],
-    "tau_grid": [0.0, 0.5, 1.0],
-    "base_seed": {"seed": 0, "stream_id": 0},
-}
-
-_KNOWN_TOP_LEVEL = set(GLOBAL_DEFAULTS) | {"out_dir", "command_defaults"}
-
-# Keys that only make sense inside a specific command section.
-_COMMAND_ONLY_KEYS = {
-    "check-kernel": {"deltas", "lambda_window", "tol", "hunt_exponent", "lambda_max"},
-    "simulate": {"deltas", "t_start"},
-    "estimate": set(),
-    "bounds": {"methods", "x_grid", "theorem4_x_multipliers", "r", "gamma",
-               "y_tail_M", "y_tail_points"},
-    "montecarlo": {"replications", "emit_max_reps"},
-}
-
 
 class ConfigError(ValueError):
     """The run configuration is missing, malformed, or inconsistent."""
+
+
+# Value parsers: each takes (key, raw JSON value) and returns the value
+# the commands use, or raises ConfigError. JSON true/false is never a
+# number, and a string is never a list.
+
+
+def _fail(key: str, what: str, value):
+    raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+
+
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _number(low: float = -math.inf, high: float = math.inf, closed: bool = False):
+    """A finite number in (low, high), or in [low, high] when closed."""
+    what = f"a number in {'[' if closed else '('}{low:g}, {high:g}{']' if closed else ')'}"
+
+    def parse(key, value) -> float:
+        if not _is_finite(value):
+            _fail(key, "a finite number", value)
+        if not (low <= value <= high if closed else low < value < high):
+            _fail(key, what, value)
+        return float(value)
+
+    return parse
+
+
+def _integer(low: int):
+    """A JSON integer of at least ``low``."""
+
+    def parse(key, value) -> int:
+        if type(value) is not int or value < low:
+            _fail(key, f"a JSON integer >= {low}", value)
+        return value
+
+    return parse
+
+
+def _or_null(parse):
+    """``parse``, or JSON null for an unset value."""
+    return lambda key, value: None if value is None else parse(key, value)
+
+
+def _numbers(key, value) -> list:
+    if type(value) is not list or not value or not all(map(_is_finite, value)):
+        _fail(key, "a non-empty list of finite numbers", value)
+    return [float(v) for v in value]
+
+
+def _positives(key, value) -> list:
+    values = _numbers(key, value)
+    if min(values) <= 0:
+        _fail(key, "a non-empty list of positive numbers", value)
+    return values
+
+
+def _ascending(key, value) -> tuple:
+    values = _numbers(key, value)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        _fail(key, "a strictly ascending list of numbers", value)
+    return tuple(values)
+
+
+def _interval(key, value) -> tuple:
+    values = _ascending(key, value)
+    if len(values) != 2:
+        _fail(key, "a two-number list [a, b] with a < b", value)
+    return values
+
+
+def _named(key, value) -> dict:
+    if type(value) is not dict or "name" not in value:
+        _fail(key, 'an object with a "name"', value)
+    return value
+
+
+def _seed(key, value) -> dict:
+    """``{"seed": s, "stream_id": i}``; a missing stream_id reads as 0."""
+    if type(value) is dict and "seed" in value and set(value) <= {"seed", "stream_id"}:
+        seed = {"seed": value["seed"], "stream_id": value.get("stream_id", 0)}
+        if all(type(v) is int and 0 <= v < 2**64 for v in seed.values()):
+            return seed
+    _fail(key, 'an object {"seed": s, "stream_id": i} of unsigned 64-bit integers', value)
+
+
+_BOUND_METHODS = ("theorem3_pointwise", "theorem4_sup", "corollary1", "corollary2")
+
+
+def _methods(key, value) -> list:
+    if type(value) is not list or not all(v in _BOUND_METHODS for v in value):
+        _fail(key, f"a list of bound methods from {list(_BOUND_METHODS)}", value)
+    return list(value)
+
+
+class Key(NamedTuple):
+    """One config key: the commands that take it (None: every command),
+    the parser of its value, and its default."""
+
+    name: str
+    commands: Optional[tuple]
+    parse: Callable
+    default: object
+
+
+_POSITIVE = _number(0.0)
+
+# Every config key. A shared key may be set at the top level or in any
+# command_defaults section; the others only in their command's section.
+KEYS = (
+    Key("h", None, _named, {"name": "sinc"}),
+    Key("g_family", None, _named, {"name": "triangular"}),
+    Key("c", None, _POSITIVE, 1.0),
+    Key("delta", None, _POSITIVE, 100.0),
+    Key("dt", None, _POSITIVE, 0.01),
+    Key("T", None, _POSITIVE, 500.0),
+    Key("interval", None, _interval, [0.0, 1.0]),
+    Key("tau_grid", None, _ascending, [0.0, 0.5, 1.0]),
+    Key("base_seed", None, _seed, {"seed": 0, "stream_id": 0}),
+    Key("deltas", ("check-kernel",), _positives, [10.0, 100.0, 1000.0, 10000.0, 100000.0]),
+    Key("lambda_window", ("check-kernel",), _POSITIVE, 1.0),
+    Key("tol", ("check-kernel",), _POSITIVE, 1e-9),
+    Key("hunt_exponent", ("check-kernel",), _number(1.0), 2.0),
+    Key("lambda_max", ("check-kernel",), _POSITIVE, 200.0),
+    Key("deltas", ("simulate",), _positives, [1.0, 10.0, 100.0, 1000.0]),
+    Key("t_start", ("simulate",), _number(), 0.0),
+    Key("methods", ("bounds",), _methods, list(_BOUND_METHODS)),
+    Key("x_grid", ("bounds",), _positives, [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]),
+    Key("theorem4_x_multipliers", ("bounds",), _positives, [1.5, 2.0, 3.0]),
+    Key("r", ("bounds",), _number(0.0, 1.0), 0.5),
+    Key("gamma", ("bounds",), _number(0.0, 1.0, closed=True), 0.5),
+    Key("y_tail_M", ("bounds",), _integer(1), 2000),
+    Key("y_tail_points", ("bounds",), _integer(1), 101),
+    Key("replications", ("montecarlo",), _integer(2), 200),
+    Key("emit_max_reps", ("montecarlo",), _or_null(_integer(1)), None),
+)
+
+
+def _command_keys(command: str) -> list:
+    return [k for k in KEYS if k.commands is None or command in k.commands]
 
 
 def load_config(path) -> dict:
@@ -83,7 +203,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(cfg) - _KNOWN_TOP_LEVEL
+    unknown = set(cfg) - {k.name for k in KEYS if k.commands is None}
+    unknown -= {"out_dir", "command_defaults"}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
     sections = cfg.get("command_defaults", {})
@@ -95,9 +216,7 @@ def load_config(path) -> dict:
     for name, section in sections.items():
         if not isinstance(section, dict):
             raise ConfigError(f"command_defaults.{name} must be a JSON object")
-        allowed = _KNOWN_TOP_LEVEL - {"out_dir", "command_defaults"}
-        allowed |= _COMMAND_ONLY_KEYS[name]
-        extra = set(section) - allowed
+        extra = set(section) - {k.name for k in _command_keys(name)}
         if extra:
             raise ConfigError(
                 f"command_defaults.{name} has unknown keys: {sorted(extra)}"
@@ -106,15 +225,15 @@ def load_config(path) -> dict:
 
 
 def command_view(cfg: dict, command: str) -> dict:
-    """Globals overlaid with the command's section of command_defaults."""
+    """The parsed value of every key the command takes: its
+    command_defaults section over the top level over the defaults."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    merged = dict(GLOBAL_DEFAULTS)
-    merged.update(
-        {k: v for k, v in cfg.items() if k not in ("out_dir", "command_defaults")}
-    )
-    merged.update(cfg.get("command_defaults", {}).get(command, {}))
-    return merged
+    merged = {**cfg, **cfg.get("command_defaults", {}).get(command, {})}
+    return {
+        k.name: k.parse(k.name, merged.get(k.name, k.default))
+        for k in _command_keys(command)
+    }
 
 
 def canonical_json(obj) -> str:

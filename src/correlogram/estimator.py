@@ -37,7 +37,6 @@ __all__ = [
     "estimation_grid",
     "cross_correlogram",
     "theoretical_bias",
-    "centered_process",
     "estimate_correlogram",
     "write_estimate_csv",
     "read_estimate_csv",
@@ -162,11 +161,6 @@ def theoretical_bias(h: Kernel, g: Kernel, c: float, tau):
     if not c > 0:
         raise ValueError("c must be positive")
     return lagged_product(g, h, tau, +1) / c
-
-
-def centered_process(est: CorrelogramEstimate) -> np.ndarray:
-    """``sqrt(T) (h_hat - h_mean)`` per lag."""
-    return math.sqrt(est.T) * (est.h_hat - est.h_mean)
 
 
 def estimate_correlogram(

@@ -83,7 +83,6 @@ __all__ = [
     "cov_matrix",
     "rho_exact",
     "rho_upper",
-    "rho_upper_uniform",
 ]
 
 
@@ -530,11 +529,3 @@ def _rho_upper_scale(h: Kernel, g_family_sup: float, c: float) -> float:
     if not (c > 0 and g_family_sup >= 0):
         raise ValueError("c must be positive and g_family_sup nonnegative")
     return (g_family_sup / c) * math.sqrt((4.0 / math.pi) * h.ftf_l2_norm())
-
-
-def rho_upper_uniform(h: Kernel, g_family_sup: float, c: float) -> float:
-    """Global bound sup rho <= (2 sqrt(2)/c) ||H||_2 sup|g*|, from
-    Var Zhat <= 2 ||H||_2^2 sup|g*|^2 / c^2 and the increment inequality."""
-    if not (c > 0 and g_family_sup >= 0):
-        raise ValueError("c must be positive and g_family_sup nonnegative")
-    return (2.0 * math.sqrt(2.0) / c) * h.l2_norm * g_family_sup

@@ -11,7 +11,8 @@ SUBMODULES = [
 ]
 
 # removed from the API: theorem 4 has one entropy integral
-# (entropy.entropy_integral) and one report path (bounds.theorem4_report)
+# (entropy.entropy_integral) and one report path (bounds.theorem4_report);
+# every config key lives in config.KEYS; two functions had no caller
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -19,6 +20,20 @@ DELETED = [
     "greedy_covering_radius",
     "pseudometric_axioms",
     "theorem4_bound",
+    "centered_process",
+    "rho_upper_uniform",
+    "GLOBAL_DEFAULTS",
+    "_COMMAND_ONLY_KEYS",
+    "_BOUNDS_DEFAULTS",
+    "_DEFAULT_METHODS",
+    "_cfg_float",
+    "_cfg_count",
+    "_cfg_positives",
+    "_cfg_seed",
+    "_cfg_kernel",
+    "_cfg_family",
+    "_cfg_taus",
+    "_cfg_interval",
 ]
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import correlogram.cli as cli
 from correlogram.config import (
+    KEYS,
     ConfigError,
     canonical_json,
     command_view,
@@ -74,6 +75,19 @@ class TestConfigModule:
         assert command_view(cfg, "simulate")["T"] == 8.0
         assert command_view(cfg, "estimate")["T"] == 99.0
         assert command_view(cfg, "estimate")["c"] == 1.0  # global default
+
+    def test_readme_key_table_matches_keys(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | commands | valid values | default |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+            names = None if cells[1] == "all" else (cells[1],)
+            rows.append((cells[0], names, json.loads(cells[-1])))
+        assert rows == [(k.name, k.commands, k.default) for k in KEYS]
 
     def test_digest_is_key_order_invariant(self):
         a = {"x": 1, "y": [1.5, 2.5]}
@@ -210,19 +224,6 @@ class TestBounds:
         cfg.write_text(json.dumps({"command_defaults": {"bounds": {"methods": ["theorem5"]}}}))
         assert run_cli("bounds", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
-    @pytest.mark.parametrize("key, bad", [
-        ("r", 1.5), ("gamma", "x"), ("y_tail_M", 0), ("x_grid", [-1, 2]), ("confidence", 0.9),
-    ])
-    def test_invalid_value_is_usage_error(self, tmp_path, capsys, key, bad):
-        cfg = json.loads(json.dumps(BASE_CONFIG))
-        cfg["command_defaults"]["bounds"][key] = bad
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "bnd"
-        assert run_cli("bounds", "--config", str(path), "--out", str(out)) == 2
-        assert key in capsys.readouterr().err
-        assert not (out / "run_manifest.json").exists()
-
     def test_degenerate_bound_exits_one_with_payload(self, config_path, tmp_path, monkeypatch):
         def unavailable(*args, **kwargs):
             raise BoundUnavailable("entropy integral diverges")
@@ -235,6 +236,50 @@ class TestBounds:
         assert "theorem4_sup" in payload["signals"]
         # the healthy methods still produced their reports
         assert (out / "bound_corollary2.json").exists()
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    ("check-kernel", "tol", "abc"),
+    ("check-kernel", "deltas", "12"),
+    ("check-kernel", "hunt_exponent", True),
+    ("check-kernel", "lambda_max", -5),
+    ("simulate", "t_start", "x"),
+    ("simulate", "deltas", "12"),
+    ("estimate", "tau_grid", "01"),
+    ("estimate", "T", True),
+    ("estimate", "base_seed", {"seed": 1.7}),
+    ("estimate", "base_seed", {"seed": 1, "stream": 2}),
+    ("estimate", "h", {"name": "tabulated", "path": "no_such_kernel.csv"}),
+    ("montecarlo", "replications", 2.9),
+    ("montecarlo", "replications", "3"),
+    ("montecarlo", "--workers", "0"),
+    ("montecarlo", "--workers", "-3"),
+    ("bounds", "interval", "01"),
+    ("bounds", "methods", "corollary1"),
+    ("bounds", "r", 1.5),
+    ("bounds", "gamma", "x"),
+    ("bounds", "y_tail_M", 0),
+    ("bounds", "x_grid", [-1, 2]),
+    ("bounds", "x_grid", "48"),
+    ("bounds", "confidence", 0.9),
+])
+def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+    if key.startswith("--"):
+        argv += [key, bad]
+    else:
+        cfg["command_defaults"].setdefault(command, {})[key] = bad
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    try:
+        code = run_cli(*argv)
+    except SystemExit as exc:  # a bad flag stops argparse
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert ("argument" if key.startswith("--") else "config error") in err
+    assert not (tmp_path / "o" / "run_manifest.json").exists()
 
 
 class TestMontecarlo:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from correlogram.errors import CoverageError
 from correlogram.estimator import (
     CorrelogramEstimate,
-    centered_process,
     cross_correlogram,
     estimate_correlogram,
     read_estimate_csv,
@@ -123,7 +122,6 @@ class TestEstimate:
         np.testing.assert_allclose(
             est.z_hat, np.sqrt(est.T) * (est.h_hat - est.h_mean), rtol=1e-12
         )
-        np.testing.assert_allclose(centered_process(est), est.z_hat, rtol=1e-12)
         assert est.h_mean[0] == pytest.approx(
             theoretical_bias(make_sinc(), make_triangular(2.0, 1.0), 1.0, 0.0),
             abs=1e-9,

@@ -40,7 +40,6 @@ from correlogram.spectral import (
     msq_increment_Y,
     rho_exact,
     rho_upper,
-    rho_upper_uniform,
     sigma,
 )
 
@@ -316,24 +315,11 @@ class TestRho:
             2.3784142300054421, abs=1e-9
         )
 
-    def test_uniform_bound_frozen_value(self):
-        # 2 sqrt(2) ||h||_2 for a window family with sup g* = c
-        assert rho_upper_uniform(self.h, 1.0, 1.0) == pytest.approx(
-            2.8284271247461901, rel=1e-9
-        )
-
     def test_exact_below_upper_spot(self):
         for t1, t2 in ((0.0, 0.6), (0.2, 0.9)):
             re = rho_exact(self.model, 100.0, t1, t2)
             ru = rho_upper(self.h, 1.0, 1.0, t1, t2)
             assert re <= ru + 1e-9
-
-    def test_upper_dominates_uniform_cap(self):
-        taus = np.linspace(0.0, 2.0, 9)
-        cap = rho_upper_uniform(self.h, 1.0, 1.0)
-        for t1 in taus:
-            for t2 in taus:
-                assert rho_upper(self.h, 1.0, 1.0, float(t1), float(t2)) <= cap + 1e-9
 
 
 class TestSettings:
