@@ -187,9 +187,6 @@ def corollary2_bound(
 
 
 def corollary1_bound(
-    h: Kernel,
-    a: float,
-    b: float,
     x: float,
     gamma: float,
     y_onesided_tail: Callable[[float], float],
@@ -415,7 +412,7 @@ def corollary1_report(
 ) -> TailBoundReport:
     if sup_b is None:
         sup_b = b_sup(h, a, b)
-    raw = [corollary1_bound(h, a, b, x, gamma, y_onesided_tail, sup_b) for x in xs]
+    raw = [corollary1_bound(x, gamma, y_onesided_tail, sup_b) for x in xs]
     consts = {"gamma": float(gamma), "sup_b": float(sup_b)}
     return _capped_report("corollary1", xs, raw, consts, settings or {})
 

@@ -114,7 +114,7 @@ def _kernels(view: dict) -> tuple:
     """The kernel h and the window family (delta -> g_delta) of a command view."""
     try:
         return kernel_from_spec(view["h"]), family_from_name(view["g_family"]["name"], view["c"])
-    except (KeyError, OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"invalid h or g_family: {exc}") from exc
 
 

@@ -126,6 +126,12 @@ def _named(key, value) -> dict:
     return value
 
 
+def _window(key, value) -> dict:
+    if set(_named(key, value)) != {"name"}:
+        _fail(key, 'an object {"name": n} only; c and delta are the shared keys', value)
+    return value
+
+
 def _seed(key, value) -> dict:
     """``{"seed": s, "stream_id": i}``; a missing stream_id reads as 0."""
     if type(value) is dict and "seed" in value and set(value) <= {"seed", "stream_id"}:
@@ -160,7 +166,7 @@ _POSITIVE = _number(0.0)
 # command_defaults section; the others only in their command's section.
 KEYS = (
     Key("h", None, _named, {"name": "sinc"}),
-    Key("g_family", None, _named, {"name": "triangular"}),
+    Key("g_family", None, _window, {"name": "triangular"}),
     Key("c", None, _POSITIVE, 1.0),
     Key("delta", None, _POSITIVE, 100.0),
     Key("dt", None, _POSITIVE, 0.01),

@@ -86,7 +86,7 @@ def uniform_metric() -> Pseudometric:
 
 def sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Pseudometric:
     """Mean-square spectral pseudometric sigma(t2 - t1) of the output."""
-    st = settings or QuadratureSettings.default_1d()
+    st = settings or QuadratureSettings()
     return Pseudometric(
         kind="sigma",
         dist=lambda t1, t2: sigma(h, float(t2) - float(t1), st),
@@ -97,7 +97,7 @@ def sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Ps
 
 def sqrt_sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Pseudometric:
     """Square root of sigma; the entropy scale the CLT conditions use."""
-    st = settings or QuadratureSettings.default_1d()
+    st = settings or QuadratureSettings()
     base = sigma_profile(h, st)
     return Pseudometric(
         kind="sqrt_sigma",
@@ -118,7 +118,7 @@ def rho_upper_metric(
     Scales sqrt(sigma) by the constant of the increment inequality, so
     it inherits translation invariance from sigma.
     """
-    st = settings or QuadratureSettings.default_1d()
+    st = settings or QuadratureSettings()
     base = sigma_profile(h, st)
     scale = _rho_upper_scale(h, g_family_sup, c)
     return Pseudometric(

@@ -14,15 +14,18 @@ of a window family:
 (1c) the transforms are uniformly bounded over delta,
 (1d) the transforms converge to the constant ``c`` uniformly on compacts.
 
-Built-ins: triangular (Bartlett) and Laplace (two-sided exponential)
-windows, the sinc kernel and its Hilbert transform, plus tabulated
-kernels loaded from samples.
+Built-ins (``KERNELS``): triangular (Bartlett) and Laplace (two-sided
+exponential) windows, the sinc kernel and its Hilbert transform, a
+one-sided box, plus tabulated kernels loaded from samples.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -43,6 +46,8 @@ __all__ = [
     "KernelFamily",
     "ConditionReport",
     "WeightedSpectralCheck",
+    "KERNELS",
+    "WINDOW_FAMILIES",
     "make_triangular",
     "make_laplace",
     "make_sinc",
@@ -50,9 +55,6 @@ __all__ = [
     "make_tabulated",
     "make_one_sided_box",
     "load_kernel_csv",
-    "triangular_family",
-    "laplace_family",
-    "one_sided_box_family",
     "family_from_name",
     "kernel_from_spec",
     "check_family_conditions",
@@ -65,7 +67,7 @@ __all__ = [
 #: the radius they actually achieve together with its tail mass.
 DEFAULT_SUPPORT_TOL = 1e-10
 
-#: Truncation radius used for the sinc family, whose 1/t decay makes the
+#: Truncation radius of the sinc kernels, whose 1/t decay makes the
 #: default tolerance unreachable in the time domain. Spectral quantities
 #: for these kernels never rely on time truncation (the transforms are
 #: known in closed form); the radius only sizes simulation padding.
@@ -74,15 +76,16 @@ SINC_SUPPORT_RADIUS = 60.0
 _PARITY_VALUES = ("even", "odd", "none")
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
+def _vectorized(f: Callable, dtype) -> Callable:
+    """``f`` on its argument as a float array, with its result cast to
+    ``dtype``; a scalar argument gives a Python scalar."""
 
+    def call(x):
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(f(x), dtype=dtype)
+        return out.item() if x.ndim == 0 else out
 
-def _scalar_ok(out, x):
-    """Return a python scalar when the input was scalar."""
-    if np.ndim(x) == 0:
-        return out.item()
-    return out
+    return call
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,10 @@ class Kernel:
         ``lam >= 0``; used to size quadrature tails.
     params : dict
         Construction parameters (``delta``, ``c``, ...) for manifests.
+
+    The three callables are given as array formulas; construction wraps
+    them so that they take any array-like and return a Python scalar for
+    a scalar argument.
     """
 
     name: str
@@ -135,6 +142,10 @@ class Kernel:
             raise ValueError("l2_norm must be finite and nonnegative")
         if not (self.effective_support > 0 and math.isfinite(self.effective_support)):
             raise ValueError("effective_support must be finite and positive")
+        for name, dtype in (("time_eval", float), ("ftf_eval", complex), ("ftf_envelope", float)):
+            f = getattr(self, name)
+            if f is not None:
+                object.__setattr__(self, name, _vectorized(f, dtype))
 
     def ftf_l2_norm(self) -> float:
         """L2 norm of the transform, via the Plancherel identity."""
@@ -153,11 +164,14 @@ class KernelFamily:
         return self.constructor(delta)
 
 
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
+def _require_positive(name: str, value) -> float:
+    """``value`` as a float; it must be a finite positive real number, so
+    JSON ``true``/``false`` and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return value
+    return float(value)
 
 
 def make_triangular(delta: float, c: float) -> Kernel:
@@ -169,29 +183,16 @@ def make_triangular(delta: float, c: float) -> Kernel:
     delta = _require_positive("delta", delta)
     c = _require_positive("c", c)
 
-    def time_eval(t):
-        t = _as_float_array(t)
-        out = c * delta * np.clip(1.0 - delta * np.abs(t), 0.0, None)
-        return _scalar_ok(out, t)
-
-    def ftf_eval(lam):
-        lam = _as_float_array(lam)
-        x = lam / (2.0 * delta)
-        core = np.sinc(x / np.pi) ** 2  # np.sinc is sin(pi y)/(pi y)
-        out = (c * core).astype(complex)
-        return _scalar_ok(out, lam)
-
     def ftf_envelope(lam):
-        lam = _as_float_array(lam)
         a = np.abs(lam)
         big = a > 2.0 * delta
-        out = np.where(big, (2.0 * delta / np.where(big, a, 1.0)) ** 2, 1.0) * c
-        return _scalar_ok(out, lam)
+        return np.where(big, (2.0 * delta / np.where(big, a, 1.0)) ** 2, 1.0) * c
 
     return Kernel(
         name="triangular",
-        time_eval=time_eval,
-        ftf_eval=ftf_eval,
+        time_eval=lambda t: c * delta * np.clip(1.0 - delta * np.abs(t), 0.0, None),
+        # np.sinc is sin(pi y)/(pi y)
+        ftf_eval=lambda lam: c * np.sinc(lam / (2.0 * delta) / np.pi) ** 2,
         parity="even",
         l2_norm=c * math.sqrt(2.0 * delta / 3.0),
         effective_support=1.0 / delta,
@@ -208,34 +209,17 @@ def make_laplace(delta: float, c: float) -> Kernel:
     """
     delta = _require_positive("delta", delta)
     c = _require_positive("c", c)
-
-    def time_eval(t):
-        t = _as_float_array(t)
-        out = 0.5 * c * delta * np.exp(-delta * np.abs(t))
-        return _scalar_ok(out, t)
-
-    def ftf_eval(lam):
-        lam = _as_float_array(lam)
-        out = (c * delta**2 / (delta**2 + lam**2)).astype(complex)
-        return _scalar_ok(out, lam)
-
-    def ftf_envelope(lam):
-        lam = _as_float_array(lam)
-        out = c * delta**2 / (delta**2 + lam**2)
-        return _scalar_ok(out, lam)
-
     # Two-sided tail mass of the squared kernel is exp(-2 delta R) relative
     # to the total, so R solving exp(-2 delta R) = tol.
     radius = math.log(1.0 / DEFAULT_SUPPORT_TOL) / (2.0 * delta)
     return Kernel(
         name="laplace",
-        time_eval=time_eval,
-        ftf_eval=ftf_eval,
+        time_eval=lambda t: 0.5 * c * delta * np.exp(-delta * np.abs(t)),
+        ftf_eval=lambda lam: c * delta**2 / (delta**2 + lam**2),
         parity="even",
         l2_norm=0.5 * c * math.sqrt(delta),
         effective_support=radius,
         support_tol=DEFAULT_SUPPORT_TOL,
-        ftf_envelope=ftf_envelope,
         params={"delta": delta, "c": c},
     )
 
@@ -265,72 +249,49 @@ def _hilbert_sinc_tail_mass(radius: float) -> float:
     return (2.0 / math.pi) * val
 
 
-def make_sinc(support_radius: float = SINC_SUPPORT_RADIUS) -> Kernel:
+def make_sinc() -> Kernel:
     """Sinc kernel ``sin(pi t)/(pi t)`` with transform 1 on [-pi, pi].
 
     The 1/t decay makes tight time-domain truncation impractical, so the
-    stored ``effective_support`` only reaches the tail mass recorded in
-    ``support_tol``; frequency-domain formulas are exact.
+    stored ``effective_support`` (``SINC_SUPPORT_RADIUS``) only reaches the
+    tail mass recorded in ``support_tol``; frequency-domain formulas are
+    exact.
     """
-    support_radius = _require_positive("support_radius", support_radius)
-
-    def time_eval(t):
-        t = _as_float_array(t)
-        out = np.sinc(t)
-        return _scalar_ok(out, t)
-
-    def ftf_eval(lam):
-        lam = _as_float_array(lam)
-        out = (np.abs(lam) <= np.pi).astype(complex)
-        return _scalar_ok(out, lam)
-
     return Kernel(
         name="sinc",
-        time_eval=time_eval,
-        ftf_eval=ftf_eval,
+        time_eval=np.sinc,
+        ftf_eval=lambda lam: np.abs(lam) <= np.pi,
         parity="even",
         l2_norm=1.0,
-        effective_support=support_radius,
-        support_tol=_sinc_tail_mass(support_radius),
+        effective_support=SINC_SUPPORT_RADIUS,
+        support_tol=_sinc_tail_mass(SINC_SUPPORT_RADIUS),
         band_limit=math.pi,
-        ftf_envelope=lambda lam: _scalar_ok(
-            (np.abs(_as_float_array(lam)) <= np.pi).astype(float), lam
-        ),
         params={},
     )
 
 
-def make_hilbert_sinc(support_radius: float = SINC_SUPPORT_RADIUS) -> Kernel:
+def make_hilbert_sinc() -> Kernel:
     """Hilbert transform of the sinc kernel, ``(1 - cos(pi t))/(pi t)``.
 
     Transform is ``i*sign(lam)`` on [-pi, pi]; the kernel is odd with unit
-    L2 norm. Same truncation caveat as ``make_sinc``.
+    L2 norm. Same truncation caveat as ``make_sinc``. The envelope is the
+    band indicator: ``|ftf|`` vanishes at 0, so it is not nonincreasing.
     """
-    support_radius = _require_positive("support_radius", support_radius)
 
     def time_eval(t):
-        t = _as_float_array(t)
         denom = np.where(t == 0.0, 1.0, np.pi * t)
-        out = np.where(t == 0.0, 0.0, (1.0 - np.cos(np.pi * t)) / denom)
-        return _scalar_ok(np.asarray(out), t)
-
-    def ftf_eval(lam):
-        lam = _as_float_array(lam)
-        out = (1j * np.sign(lam)) * (np.abs(lam) <= np.pi)
-        return _scalar_ok(np.asarray(out, dtype=complex), lam)
+        return np.where(t == 0.0, 0.0, (1.0 - np.cos(np.pi * t)) / denom)
 
     return Kernel(
         name="hilbert_sinc",
         time_eval=time_eval,
-        ftf_eval=ftf_eval,
+        ftf_eval=lambda lam: (1j * np.sign(lam)) * (np.abs(lam) <= np.pi),
         parity="odd",
         l2_norm=1.0,
-        effective_support=support_radius,
-        support_tol=_hilbert_sinc_tail_mass(support_radius),
+        effective_support=SINC_SUPPORT_RADIUS,
+        support_tol=_hilbert_sinc_tail_mass(SINC_SUPPORT_RADIUS),
         band_limit=math.pi,
-        ftf_envelope=lambda lam: _scalar_ok(
-            (np.abs(_as_float_array(lam)) <= np.pi).astype(float), lam
-        ),
+        ftf_envelope=lambda lam: np.abs(lam) <= np.pi,
         params={},
     )
 
@@ -343,23 +304,16 @@ def make_one_sided_box(delta: float, c: float) -> Kernel:
     delta = _require_positive("delta", delta)
     c = _require_positive("c", c)
 
-    def time_eval(t):
-        t = _as_float_array(t)
-        out = c * delta * ((t >= 0) & (t < 1.0 / delta)).astype(float)
-        return _scalar_ok(out, t)
-
     def ftf_eval(lam):
-        lam = _as_float_array(lam)
         # int_0^{1/delta} c*delta*exp(-i lam t) dt
         x = lam / delta
         small = np.abs(x) < 1e-12
         xs = np.where(small, 1.0, x)
-        out = np.where(small, c * (1.0 + 0j), c * (1.0 - np.exp(-1j * xs)) / (1j * xs))
-        return _scalar_ok(np.asarray(out, dtype=complex), lam)
+        return np.where(small, c * (1.0 + 0j), c * (1.0 - np.exp(-1j * xs)) / (1j * xs))
 
     return Kernel(
         name="one_sided_box",
-        time_eval=time_eval,
+        time_eval=lambda t: c * delta * ((t >= 0) & (t < 1.0 / delta)),
         ftf_eval=ftf_eval,
         parity="none",
         l2_norm=c * math.sqrt(delta),
@@ -392,8 +346,11 @@ def make_tabulated(times: Sequence[float], values: Sequence[float]) -> Kernel:
     samples scaled by the grid spacing, linearly interpolated between
     frequency bins; accuracy degrades as O(spacing**2).
     """
-    times = _as_float_array(times)
-    values = _as_float_array(values)
+    times, values = np.asarray(times), np.asarray(values)
+    if times.dtype.kind not in "iuf" or values.dtype.kind not in "iuf":
+        raise ValueError("times and values must be arrays of numbers")
+    # astype copies, so the evaluators own their samples
+    times, values = times.astype(float), values.astype(float)
     if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
         raise ValueError("times and values must be 1-D arrays of equal length")
     if times.size < 2:
@@ -405,48 +362,38 @@ def make_tabulated(times: Sequence[float], values: Sequence[float]) -> Kernel:
     if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-12 * abs(dt)):
         raise ValueError("times must form a strictly increasing uniform grid")
 
-    t_arr = times.copy()
-    v_arr = values.copy()
-
-    def time_eval(t):
-        t = _as_float_array(t)
-        out = np.interp(t, t_arr, v_arr, left=0.0, right=0.0)
-        return _scalar_ok(out, t)
-
     # Zero-padded DFT of the samples; bin spacing 2*pi/(n_fft*dt). The
-    # phase factor accounts for the grid starting at t_arr[0] rather than 0.
+    # phase factor accounts for the grid starting at times[0] rather than 0.
     n_fft = 1 << max(12, int(np.ceil(np.log2(8 * times.size))))
     freqs = 2.0 * np.pi * np.fft.fftfreq(n_fft, d=dt)
-    spectrum = dt * np.fft.fft(v_arr, n=n_fft) * np.exp(-1j * freqs * t_arr[0])
+    spectrum = dt * np.fft.fft(values, n=n_fft) * np.exp(-1j * freqs * times[0])
     order = np.argsort(freqs)
     freqs_sorted = freqs[order]
     spec_sorted = spectrum[order]
 
     def ftf_eval(lam):
-        lam = _as_float_array(lam)
         re = np.interp(lam, freqs_sorted, spec_sorted.real, left=0.0, right=0.0)
         im = np.interp(lam, freqs_sorted, spec_sorted.imag, left=0.0, right=0.0)
-        out = re + 1j * im
-        return _scalar_ok(np.asarray(out, dtype=complex), lam)
+        return re + 1j * im
 
     # Exact L2 norm of the piecewise-linear interpolant.
-    seg = (v_arr[:-1] ** 2 + v_arr[:-1] * v_arr[1:] + v_arr[1:] ** 2) / 3.0
+    seg = (values[:-1] ** 2 + values[:-1] * values[1:] + values[1:] ** 2) / 3.0
     l2_sq = float(np.sum(seg) * dt)
     l2 = math.sqrt(max(l2_sq, 0.0))
 
     # The interpolant vanishes outside the sample grid, so the grid radius
     # is an exact support bound.
-    radius = float(max(abs(t_arr[0]), abs(t_arr[-1])))
-    parity = _detect_parity(t_arr, v_arr, radius)
+    radius = float(max(abs(times[0]), abs(times[-1])))
+    parity = _detect_parity(times, values, radius)
     return Kernel(
         name="tabulated",
-        time_eval=time_eval,
+        time_eval=lambda t: np.interp(t, times, values, left=0.0, right=0.0),
         ftf_eval=ftf_eval,
         parity=parity,
         l2_norm=l2,
         effective_support=radius,
         support_tol=0.0,
-        params={"n_samples": int(times.size), "dt": float(dt), "t0": float(t_arr[0])},
+        params={"n_samples": int(times.size), "dt": float(dt), "t0": float(times[0])},
     )
 
 
@@ -464,6 +411,8 @@ def _read_two_columns(path) -> tuple:
                 if times:
                     raise ValueError(f"non-numeric row {row!r} in {path}")
                 continue  # header
+            if len(row) < 2:
+                raise ValueError(f"row {row!r} in {path} has no value column")
             times.append(t)
             values.append(float(row[1]))
     return times, values
@@ -477,53 +426,58 @@ def load_kernel_csv(path) -> Kernel:
     return make_tabulated(*_read_two_columns(path))
 
 
-def triangular_family(c: float) -> KernelFamily:
-    return KernelFamily(lambda d: make_triangular(d, c), float(c), "triangular")
+def _tabulated(path=None, times=None, values=None) -> Kernel:
+    """The ``tabulated`` spec: a CSV ``path``, or inline ``times`` and ``values``."""
+    if path is not None and times is None and values is None:
+        if not isinstance(path, (str, os.PathLike)):
+            raise ValueError(f"tabulated path must be a string, got {path!r}")
+        return load_kernel_csv(path)
+    if path is None and times is not None and values is not None:
+        return make_tabulated(times, values)
+    raise ValueError("tabulated takes either 'path' or both 'times' and 'values'")
 
 
-def laplace_family(c: float) -> KernelFamily:
-    return KernelFamily(lambda d: make_laplace(d, c), float(c), "laplace")
-
-
-def one_sided_box_family(c: float) -> KernelFamily:
-    return KernelFamily(lambda d: make_one_sided_box(d, c), float(c), "one_sided_box")
-
-
-_FAMILY_BUILDERS = {
-    "triangular": triangular_family,
-    "laplace": laplace_family,
-    "one_sided_box": one_sided_box_family,
+#: Every built-in kernel: spec name -> constructor. The other keys of a
+#: spec are the constructor's keyword arguments.
+KERNELS = {
+    "triangular": make_triangular,
+    "laplace": make_laplace,
+    "sinc": make_sinc,
+    "hilbert_sinc": make_hilbert_sinc,
+    "one_sided_box": make_one_sided_box,
+    "tabulated": _tabulated,
 }
+
+#: The ``KERNELS`` names that make window families ``delta -> g_delta``;
+#: their constructors take ``(delta, c)``.
+WINDOW_FAMILIES = ("triangular", "laplace", "one_sided_box")
 
 
 def family_from_name(name: str, c: float) -> KernelFamily:
-    try:
-        return _FAMILY_BUILDERS[name](c)
-    except KeyError:
-        raise ValueError(
-            f"unknown window family {name!r}; known: {sorted(_FAMILY_BUILDERS)}"
-        ) from None
+    """The window family ``delta -> KERNELS[name](delta, c)``."""
+    if name not in WINDOW_FAMILIES:
+        raise ValueError(f"unknown window family {name!r}; known: {list(WINDOW_FAMILIES)}")
+    make, c = KERNELS[name], _require_positive("c", c)
+    return KernelFamily(lambda delta: make(delta, c), c, name)
 
 
 def kernel_from_spec(spec: dict) -> Kernel:
-    """Build a kernel from a config mapping like {"name": "triangular", "delta": 2, "c": 1}."""
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    if name == "triangular":
-        return make_triangular(spec["delta"], spec["c"])
-    if name == "laplace":
-        return make_laplace(spec["delta"], spec["c"])
-    if name == "sinc":
-        return make_sinc(**spec)
-    if name == "hilbert_sinc":
-        return make_hilbert_sinc(**spec)
-    if name == "one_sided_box":
-        return make_one_sided_box(spec["delta"], spec["c"])
-    if name == "tabulated":
-        if "path" in spec:
-            return load_kernel_csv(spec["path"])
-        return make_tabulated(spec["times"], spec["values"])
-    raise ValueError(f"unknown kernel name {name!r}")
+    """Build a kernel from a config mapping like {"name": "triangular", "delta": 2, "c": 1}.
+
+    ``name`` picks the constructor in ``KERNELS``; the other keys are its
+    keyword arguments, and a missing or unknown one is a ``ValueError``
+    that names it.
+    """
+    params = dict(spec)
+    name = params.pop("name", None)
+    if not isinstance(name, str) or name not in KERNELS:
+        raise ValueError(f"unknown kernel name {name!r}; known: {list(KERNELS)}")
+    make = KERNELS[name]
+    try:
+        inspect.signature(make).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"{name} kernel spec: {exc}") from None
+    return make(**params)
 
 
 @dataclass

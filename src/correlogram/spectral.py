@@ -44,7 +44,7 @@ enforced for every entry of a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -105,13 +105,10 @@ class QuadratureSettings:
         if not (self.lambda_max > 0 and self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("lambda_max and tolerances must be positive")
 
-    @classmethod
-    def default_1d(cls) -> "QuadratureSettings":
-        return cls(abs_tol=1e-9, rel_tol=1e-9)
 
-    @classmethod
-    def default_2d(cls) -> "QuadratureSettings":
-        return cls(abs_tol=1e-6, rel_tol=1e-6)
+# Covariance quadrature tolerance (absolute and relative), looser than
+# the one-dimensional default because ``cov_finite`` is a double integral.
+_COVARIANCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,9 @@ class CovarianceModel:
     h: Kernel
     g: Optional[Kernel] = None
     c: float = 1.0
-    quadrature: QuadratureSettings = field(default_factory=QuadratureSettings.default_2d)
+    quadrature: QuadratureSettings = QuadratureSettings(
+        abs_tol=_COVARIANCE_TOL, rel_tol=_COVARIANCE_TOL
+    )
 
     def __post_init__(self):
         if not self.c > 0:
@@ -170,7 +169,7 @@ def sigma_profile(h: Kernel, settings: Optional[QuadratureSettings] = None) -> C
     """``u -> sigma(h, u)`` over lag arrays. The nodes depend only on the
     panel width set by the largest |u| and are built once per width, so the
     covering-number bisection's repeated small-lag calls reuse them."""
-    st = settings or QuadratureSettings.default_1d()
+    st = settings or QuadratureSettings()
     L = spectral_window(h, abs_mass_tol=st.abs_tol, start=st.lambda_max)
     rule = {}
 

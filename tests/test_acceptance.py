@@ -23,11 +23,10 @@ from correlogram.bounds import (
 )
 from correlogram.estimator import theoretical_bias
 from correlogram.kernels import (
-    laplace_family,
+    family_from_name,
     make_hilbert_sinc,
     make_sinc,
     make_triangular,
-    triangular_family,
 )
 from correlogram.montecarlo import (
     empirical_sup_tail,
@@ -142,7 +141,7 @@ def test_criterion_06_normal_limit(sinc_tri_ensemble, hilbert_tri_ensemble):
 
 def test_criterion_07_bias_decay_along_delta():
     taus = np.linspace(0.0, 1.0, 21)
-    for family in (triangular_family(1.0), laplace_family(1.0)):
+    for family in (family_from_name(name, 1.0) for name in ("triangular", "laplace")):
         sups = []
         for delta in (5.0, 50.0, 500.0):
             g = family(delta)

@@ -167,28 +167,25 @@ class TestCorollary1:
     def test_gamma_one_keeps_full_gaussian_term(self):
         # erfc(0) = 1: with all the threshold on the Y part, the
         # comparison term cannot help.
-        h = make_sinc()
-        val = corollary1_bound(h, 0.0, 1.0, 5.0, 1.0, lambda u: 0.0, sup_b=1.1)
+        val = corollary1_bound(5.0, 1.0, lambda u: 0.0, sup_b=1.1)
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_b_drops_gaussian_term(self):
-        h = make_sinc()
-        val = corollary1_bound(h, 0.0, 1.0, 5.0, 0.5, lambda u: 0.25, sup_b=0.0)
+        val = corollary1_bound(5.0, 0.5, lambda u: 0.25, sup_b=0.0)
         assert val == pytest.approx(0.5, rel=1e-12)
 
     def test_formula(self):
-        h = make_sinc()
         x, gamma, sup = 4.0, 0.6, 1.2
         y_tail = lambda u: math.exp(-(u**2))
         want = 2.0 * y_tail(gamma * x / math.sqrt(2.0)) + math.erfc(
             (1.0 - gamma) * x / (math.sqrt(2.0) * sup)
         )
-        got = corollary1_bound(h, 0.0, 1.0, x, gamma, y_tail, sup_b=sup)
+        got = corollary1_bound(x, gamma, y_tail, sup_b=sup)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
-            corollary1_bound(make_sinc(), 0.0, 1.0, 1.0, 1.2, lambda u: 0.0, sup_b=1.0)
+            corollary1_bound(1.0, 1.2, lambda u: 0.0, sup_b=1.0)
 
     def test_report_computes_sup_b(self):
         h = make_sinc()

@@ -262,6 +262,17 @@ class TestBounds:
     ("bounds", "x_grid", [-1, 2]),
     ("bounds", "x_grid", "48"),
     ("bounds", "confidence", 0.9),
+    # "h.dleta": the config key h, whose spec has the bad parameter dleta
+    ("estimate", "h.dleta", {"name": "triangular", "delta": 2, "c": 1, "dleta": 5}),
+    ("estimate", "g_family.c", {"name": "triangular", "c": 2.0}),
+    ("estimate", "h.delta", {"name": "triangular", "delta": True, "c": 1}),
+    ("estimate", "h.delta", {"name": "triangular", "delta": "2", "c": 1}),
+    ("estimate", "h.support_radius", {"name": "sinc", "support_radius": 0.5}),
+    ("estimate", "h.path", {"name": "tabulated"}),
+    ("estimate", "h.path",
+     {"name": "tabulated", "path": "k.csv", "times": [0, 1], "values": [1, 0]}),
+    ("estimate", "h.path", {"name": "tabulated", "path": 5}),
+    ("estimate", "h.times", {"name": "tabulated", "times": ["0", "1"], "values": [1, 0]}),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -269,7 +280,7 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     if key.startswith("--"):
         argv += [key, bad]
     else:
-        cfg["command_defaults"].setdefault(command, {})[key] = bad
+        cfg["command_defaults"].setdefault(command, {})[key.split(".")[0]] = bad
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     try:
         code = run_cli(*argv)
@@ -277,7 +288,7 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
         code = exc.code
     assert code == 2
     err = capsys.readouterr().err
-    assert key in err
+    assert all(part in err for part in key.split("."))
     assert ("argument" if key.startswith("--") else "config error") in err
     assert not (tmp_path / "o" / "run_manifest.json").exists()
 

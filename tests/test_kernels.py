@@ -1,6 +1,9 @@
 """Kernel constructors, family conditions, and transforms."""
 
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +12,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from correlogram.kernels import (
+    KERNELS,
     autocorrelation,
     check_family_conditions,
     check_weighted_spectral,
     family_from_name,
     kernel_from_spec,
-    laplace_family,
     load_kernel_csv,
     make_hilbert_sinc,
     make_laplace,
@@ -22,8 +25,6 @@ from correlogram.kernels import (
     make_sinc,
     make_tabulated,
     make_triangular,
-    one_sided_box_family,
-    triangular_family,
 )
 
 
@@ -129,23 +130,23 @@ class TestAutocorrelation:
 
 class TestFamilies:
     def test_triangular_ladder_passes_conditions(self):
-        fam = triangular_family(1.0)
+        fam = family_from_name("triangular", 1.0)
         report = check_family_conditions(fam, [10, 100, 1000, 1e4, 1e5], 1.0)
         assert report.passed
         assert report.sup_ftf_constant == pytest.approx(1.0, abs=1e-9)
 
     def test_laplace_ladder_passes_conditions(self):
-        report = check_family_conditions(laplace_family(2.0), [10, 100, 1e3, 1e4, 1e5], 1.0)
+        report = check_family_conditions(family_from_name("laplace", 2.0), [10, 100, 1e3, 1e4, 1e5], 1.0)
         assert report.passed
 
     def test_one_sided_box_fails_evenness(self):
-        report = check_family_conditions(one_sided_box_family(1.0), [10, 100, 1000], 1.0)
+        report = check_family_conditions(family_from_name("one_sided_box", 1.0), [10, 100, 1000], 1.0)
         assert not report.even_ok
         assert not report.passed
 
     def test_deltas_must_ascend(self):
         with pytest.raises(ValueError):
-            check_family_conditions(triangular_family(1.0), [100, 10], 1.0)
+            check_family_conditions(family_from_name("triangular", 1.0), [100, 10], 1.0)
 
     def test_family_lookup(self):
         fam = family_from_name("laplace", 2.0)
@@ -157,7 +158,7 @@ class TestFamilies:
     def test_report_dict_round_trips_to_json(self):
         import json
 
-        report = check_family_conditions(triangular_family(1.0), [10, 100], 1.0)
+        report = check_family_conditions(family_from_name("triangular", 1.0), [10, 100], 1.0)
         parsed = json.loads(json.dumps(report.as_dict()))
         assert parsed["family"] == "triangular"
         assert set(parsed["checks"]) == {
@@ -186,6 +187,34 @@ class TestSpecsAndTabulated:
         with pytest.raises(ValueError):
             kernel_from_spec({"name": "nope"})
 
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_every_kernel_builds_from_a_minimal_spec(self, name):
+        params = {
+            "triangular": {"delta": 2.0, "c": 1.0},
+            "laplace": {"delta": 2.0, "c": 1.0},
+            "one_sided_box": {"delta": 2.0, "c": 1.0},
+            "tabulated": {"times": [-1.0, 0.0, 1.0], "values": [0.0, 1.0, 0.0]},
+        }.get(name, {})
+        k = kernel_from_spec({"name": name, **params})
+        assert k.name == name
+        assert isinstance(k.time_eval(0.5), float)
+        assert isinstance(k.ftf_eval(0.5), complex)
+        assert k.time_eval(np.zeros(3)).shape == (3,)
+
+    def test_readme_kernel_table_matches_kernels(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| name | parameters | kernel |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            name, params, _ = (c.strip() for c in line.strip("|").split("|"))
+            rows.append((name.strip("`"), re.findall(r"`(\w+)`", params)))
+        assert rows == [
+            (name, list(inspect.signature(make).parameters)) for name, make in KERNELS.items()
+        ]
+
     def test_tabulated_round_trip(self, tmp_path):
         base = make_triangular(2.0, 1.0)
         t = np.linspace(-0.6, 0.6, 241)
@@ -202,6 +231,12 @@ class TestSpecsAndTabulated:
         with pytest.raises(ValueError):
             make_tabulated([0.0, 1.0, 1.5], [1.0, 2.0, 3.0])
 
+    def test_csv_row_without_value_is_rejected(self, tmp_path):
+        target = tmp_path / "kern.csv"
+        target.write_text("t,value\n0.0,1.0\n0.5\n")
+        with pytest.raises(ValueError, match="no value column"):
+            load_kernel_csv(target)
+
     def test_one_sided_box_mass(self):
         k = make_one_sided_box(4.0, 1.0)
         # c*delta on [0, 1/delta]
@@ -210,9 +245,13 @@ class TestSpecsAndTabulated:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, True, "2"])
     def test_positive_parameters_enforced(self, bad):
         with pytest.raises(ValueError):
             make_triangular(bad, 1.0)
         with pytest.raises(ValueError):
             make_laplace(1.0, bad)
+
+    def test_numpy_scalars_are_numbers(self):
+        k = make_triangular(np.float64(2.0), np.int64(3))
+        assert k.params == {"delta": 2.0, "c": 3.0}
