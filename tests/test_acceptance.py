@@ -85,8 +85,8 @@ def test_criterion_03_rho_inequality_random_pairs():
     pairs = rng.uniform(0.0, 1.0, size=(50, 2))
     for T, delta in ((50.0, 10.0), (500.0, 100.0)):
         model = CovarianceModel(h=SINC, g=make_triangular(delta, 1.0), c=1.0)
-        for t1, t2 in pairs:
-            re = rho_exact(model, T, float(t1), float(t2))
+        rho = rho_exact(model, T, pairs[:, 0], pairs[:, 1])
+        for (t1, t2), re in zip(pairs, rho):
             ru = rho_upper(SINC, 1.0, 1.0, float(t1), float(t2))
             assert re <= ru + 1e-9, (T, delta, t1, t2, re, ru)
 

@@ -27,6 +27,7 @@ from correlogram.kernels import (
     make_sinc,
     make_triangular,
 )
+import correlogram.spectral as spectral_mod
 from correlogram.spectral import (
     CovarianceModel,
     QuadratureSettings,
@@ -41,6 +42,7 @@ from correlogram.spectral import (
     rho_exact,
     rho_upper,
     sigma,
+    _Distinct,
 )
 
 
@@ -305,6 +307,55 @@ class TestBatchedCovariance:
         assert large < 1.1 * small
 
 
+class TestDistinctLags:
+    """Phase tables over a batch's distinct a = t1 - t2, b = t1 + t2 and t."""
+
+    def test_recurrence_matches_exp_on_a_lattice(self):
+        # 450 lattice indices with gaps (every third missing), x0 and d
+        # inexact in binary, as from np.linspace
+        k = np.setdiff1d(np.arange(675), np.arange(2, 675, 3))
+        x = 0.3 + k * (1.0 / 70.0)
+        lags = _Distinct(x, 2.0**-46 * 10.0)
+        assert lags.lattice and lags.vals.size == k.size == 450
+        z = np.linspace(-40.0, 40.0, 301)
+        got = np.array([E.copy() for js in lags.blocks for _, E in lags.phases(z, js)])
+        np.testing.assert_allclose(got, np.exp(1j * x[:, None] * z), rtol=1e-12, atol=0.0)
+
+    def test_sparse_lattice_takes_the_exp_route(self):
+        # [0, 1e-6, 1] is a lattice of step 1e-6 with 1e6 steps between its
+        # last two points: the recurrence must not walk them
+        assert not _Distinct(np.array([0.0, 1e-6, 1.0]), 2.0**-46).lattice
+        model = _model("sinc", "lap20")
+        t1, t2 = np.array([0.0, 1e-6, 1.0]), np.array([0.0, 1e-6, 1e-6])
+        detail = cov_finite_detail(model, 50.0, t1, t2)
+        assert detail["lattice"] == {"a": False, "b": False, "t": False}
+        want = [cov_finite(model, 50.0, float(a), float(b)) for a, b in zip(t1, t2)]
+        np.testing.assert_allclose(detail["value"], want, rtol=1e-12, atol=0.0)
+
+    def test_random_batch_beyond_one_block_equals_scalar_calls(self):
+        model = _model("sinc", "tri100")
+        rng = np.random.default_rng(1307)
+        t1, t2 = rng.uniform(0.0, 1.0, (2, 70))
+        detail = cov_finite_detail(model, 40.0, t1, t2)
+        assert detail["distinct_lags"] == {"a": 70, "b": 70, "t": 140}
+        assert detail["lattice"] == {"a": False, "b": False, "t": False}
+        want = [cov_finite(model, 40.0, float(a), float(b)) for a, b in zip(t1, t2)]
+        np.testing.assert_allclose(detail["value"], want, rtol=1e-12, atol=0.0)
+
+    def test_linspace_gram_is_one_lattice_per_kind(self):
+        # np.unique sees float noise in t1 -+ t2; the lattice merges it
+        taus = np.linspace(0.0, 1.0, 11)
+        i, j = np.triu_indices(taus.size)
+        a, b = taus[i] - taus[j], taus[i] + taus[j]
+        assert np.unique(a).size > 11 or np.unique(b).size > 21
+        detail = cov_finite_detail(_model("sinc", "tri100"), 60.0, taus[i], taus[j])
+        assert detail["distinct_lags"] == {"a": 11, "b": 21, "t": 11}
+        assert detail["lattice"] == {"a": True, "b": True, "t": True}
+        scalar = cov_finite_detail(_model("sinc", "tri100"), 60.0, 0.3, 0.7)
+        assert scalar["distinct_lags"] == {"a": 1, "b": 1, "t": 2}
+        assert scalar["lattice"] == {"a": False, "b": False, "t": False}
+
+
 class TestRho:
     def setup_method(self):
         self.h = make_sinc()
@@ -320,6 +371,25 @@ class TestRho:
             re = rho_exact(self.model, 100.0, t1, t2)
             ru = rho_upper(self.h, 1.0, 1.0, t1, t2)
             assert re <= ru + 1e-9
+
+    def test_pair_arrays_are_one_batch(self, monkeypatch):
+        t1, t2 = np.array([0.0, 0.2, 0.5]), np.array([0.6, 0.9, 0.5])
+        scalar = [rho_exact(self.model, 100.0, float(a), float(b)) for a, b in zip(t1, t2)]
+        assert all(isinstance(v, float) for v in scalar)
+        calls = []
+        real = spectral_mod.cov_finite
+        monkeypatch.setattr(spectral_mod, "cov_finite", lambda *args: calls.append(args) or real(*args))
+        got = rho_exact(self.model, 100.0, t1, t2)
+        assert len(calls) == 1 and got.shape == (3,)
+        np.testing.assert_allclose(got, scalar, rtol=1e-9, atol=1e-12)
+
+    def test_negative_squared_increment_names_the_first_pair(self, monkeypatch):
+        # variances 1, 1 and covariances 0.5, 1.1, 1.2: the second and third
+        # pairs have squared increments -0.2 and -0.4
+        fake = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 1.1, 1.2])
+        monkeypatch.setattr(spectral_mod, "cov_finite", lambda *args: fake)
+        with pytest.raises(ConsistencyError, match=r"-2\.000e-01 at taus=\(0\.2, 0\.7\)"):
+            rho_exact(self.model, 100.0, [0.0, 0.2, 0.4], [0.6, 0.7, 0.8])
 
 
 class TestSettings:
