@@ -251,7 +251,9 @@ def theorem4_detail(
     Returns a dict with A (the exponential rate), C_r, eps_TD, sup_rho,
     inf_varZ, theta_star, entropy_term and theta_empty. The increment
     metric defaults to the translation-invariant upper surrogate; a
-    caller can pass the exact finite-horizon metric for small grids.
+    caller can pass the exact finite-horizon metric
+    (``rho_exact_metric``), whose sup_rho and covering numbers then come
+    from one cached distance matrix on a 257-point grid.
     """
     if model.g is None:
         raise ValueError("the supremum bound needs the window kernel g")
@@ -264,10 +266,8 @@ def theorem4_detail(
         _, run_max = metric.profile(a, b)
         sup_rho = float(run_max[-1])
     else:
-        grid = np.linspace(a, b, 41)
-        sup_rho = max(
-            metric.dist(float(t1), float(t2)) for t1 in grid for t2 in grid if t2 > t1
-        )
+        # the grid of the greedy covering, so both share one distance matrix
+        sup_rho = float(metric.matrix(a, b).max())
     eps_TD = epsilon_T_delta(r, sup_rho)
     if sup_rho == 0.0:
         raise BoundUnavailable("increment metric vanishes on the interval")

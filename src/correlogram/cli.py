@@ -171,6 +171,10 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     seed = NoiseSeed(**view["base_seed"])
     dt = view["dt"]
     deltas = view["deltas"]
+    labels = [f"{d:g}" for d in deltas]
+    clash = [d for d, label in zip(deltas, labels) if labels.count(label) > 1]
+    if clash:
+        raise ConfigError(f"deltas {clash} would write the same path_X_delta file names")
 
     n = int(round(view["T"] / dt)) + 1
     if n < 2:
@@ -191,10 +195,10 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
         writer(y_path, target)
         manifest.add_output(target)
         written.append(target)
-    for d, g in zip(deltas, windows):
+    for label, g in zip(labels, windows):
         x_path = simulate_output(g, increments, grid, pad)
         for suffix, writer in ((".csv", write_path_csv), (".bin", write_path_binary)):
-            target = out_dir / f"path_X_delta{d:g}{suffix}"
+            target = out_dir / f"path_X_delta{label}{suffix}"
             writer(x_path, target)
             manifest.add_output(target)
             written.append(target)

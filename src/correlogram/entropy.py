@@ -3,9 +3,10 @@
 A pseudometric on the lag axis induces covering numbers N(eps) of an
 interval [a, b], entropies H(eps) = ln N(eps), and the entropy integral
 int_0^s ln(1 + N(eps)) d eps behind the constant of the supremum bound.
-Translation-invariant pseudometrics are handled through their distance
-profile u -> d(a, a + u); everything else falls back to a greedy
-farthest-point covering that only upper bounds N.
+Every pseudometric is one array distance ``dist(t1, t2)``.
+Translation-invariant ones are handled through their distance profile
+u -> dist(0, u); everything else gets a greedy farthest-point covering
+on the distance matrix of a grid, which only upper bounds N.
 
 Also home to the small scalar helpers C_r and eps_{T, Delta} used by
 the supremum tail bound.
@@ -16,20 +17,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BoundUnavailable, InfiniteMassiveness
 from .kernels import Kernel
-from .simulate import _write_csv
 from .spectral import (
     CovarianceModel,
     QuadratureSettings,
     _rho_upper_scale,
     rho_exact,
-    rho_upper,
-    sigma,
     sigma_profile,
 )
 
@@ -38,73 +36,77 @@ _KINDS = ("uniform_d", "sigma", "sqrt_sigma", "rho_upper", "rho_exact")
 # Profile tabulation size for translation-invariant metrics. The running
 # maximum over this grid is what makes the covering numbers conservative.
 _PROFILE_POINTS = 4096
+# Grid points of [a, b] behind the greedy covering of the other metrics.
+_CANDIDATES = 257
 
 
 @dataclass(frozen=True)
 class Pseudometric:
     """A pseudometric on lags.
 
-    ``dist`` is the two-argument distance. For translation-invariant
-    kinds ``profile_fn`` evaluates the one-argument profile d(0, u) on
-    arrays; it must agree with ``dist`` up to quadrature tolerance.
+    ``dist(t1, t2)`` takes broadcastable lag arrays and returns their
+    distances; scalar lags give a float. A translation-invariant metric
+    depends on t2 - t1 only.
     """
 
     kind: str
-    dist: Callable[[float, float], float]
+    dist: Callable
     translation_invariant: bool
-    profile_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown pseudometric kind {self.kind!r}")
-        if self.translation_invariant and self.profile_fn is None:
-            raise ValueError("translation-invariant metrics need a profile_fn")
 
     def profile(self, a: float, b: float) -> tuple:
         """Cached (u grid, running-max profile) over [0, b - a]."""
-        key = (float(a), float(b))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        u = np.linspace(0.0, b - a, _PROFILE_POINTS)
-        raw = np.asarray(self.profile_fn(u), dtype=float)
-        entry = (u, np.maximum.accumulate(raw))
-        self._cache[key] = entry
-        return entry
+        key = ("profile", float(a), float(b))
+        if key not in self._cache:
+            u = np.linspace(0.0, b - a, _PROFILE_POINTS)
+            raw = np.asarray(self.dist(0.0, u), dtype=float)
+            self._cache[key] = (u, np.maximum.accumulate(raw))
+        return self._cache[key]
+
+    def matrix(self, a: float, b: float) -> np.ndarray:
+        """Cached distances between the ``_CANDIDATES`` grid points of
+        [a, b]: one ``dist`` call over the upper-triangle pairs, zero
+        diagonal."""
+        key = ("matrix", float(a), float(b))
+        if key not in self._cache:
+            grid = np.linspace(a, b, _CANDIDATES)
+            i, j = np.triu_indices(_CANDIDATES, 1)
+            d = np.zeros((_CANDIDATES, _CANDIDATES))
+            d[i, j] = d[j, i] = self.dist(grid[i], grid[j])
+            self._cache[key] = d
+        return self._cache[key]
+
+
+def _invariant(kind: str, lag_fn: Callable[[np.ndarray], np.ndarray]) -> Pseudometric:
+    """The translation-invariant metric dist(t1, t2) = lag_fn(t2 - t1),
+    with ``lag_fn`` applied to the raveled lag differences."""
+
+    def dist(t1, t2):
+        u = np.subtract(t2, t1, dtype=float)
+        out = np.asarray(lag_fn(u.ravel()), dtype=float).reshape(u.shape)
+        return out.item() if out.ndim == 0 else out
+
+    return Pseudometric(kind=kind, dist=dist, translation_invariant=True)
 
 
 def uniform_metric() -> Pseudometric:
     """Plain distance |t - s| on the lag axis."""
-    return Pseudometric(
-        kind="uniform_d",
-        dist=lambda t1, t2: abs(float(t2) - float(t1)),
-        translation_invariant=True,
-        profile_fn=lambda u: np.abs(np.asarray(u, dtype=float)),
-    )
+    return _invariant("uniform_d", np.abs)
 
 
 def sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Pseudometric:
     """Mean-square spectral pseudometric sigma(t2 - t1) of the output."""
-    st = settings or QuadratureSettings()
-    return Pseudometric(
-        kind="sigma",
-        dist=lambda t1, t2: sigma(h, float(t2) - float(t1), st),
-        translation_invariant=True,
-        profile_fn=sigma_profile(h, st),
-    )
+    return _invariant("sigma", sigma_profile(h, settings))
 
 
 def sqrt_sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Pseudometric:
     """Square root of sigma; the entropy scale the CLT conditions use."""
-    st = settings or QuadratureSettings()
-    base = sigma_profile(h, st)
-    return Pseudometric(
-        kind="sqrt_sigma",
-        dist=lambda t1, t2: math.sqrt(sigma(h, float(t2) - float(t1), st)),
-        translation_invariant=True,
-        profile_fn=lambda u: np.sqrt(base(u)),
-    )
+    base = sigma_profile(h, settings)
+    return _invariant("sqrt_sigma", lambda u: np.sqrt(base(u)))
 
 
 def rho_upper_metric(
@@ -118,15 +120,9 @@ def rho_upper_metric(
     Scales sqrt(sigma) by the constant of the increment inequality, so
     it inherits translation invariance from sigma.
     """
-    st = settings or QuadratureSettings()
-    base = sigma_profile(h, st)
+    base = sigma_profile(h, settings)
     scale = _rho_upper_scale(h, g_family_sup, c)
-    return Pseudometric(
-        kind="rho_upper",
-        dist=lambda t1, t2: rho_upper(h, g_family_sup, c, t1, t2, st),
-        translation_invariant=True,
-        profile_fn=lambda u: scale * np.sqrt(base(u)),
-    )
+    return _invariant("rho_upper", lambda u: scale * np.sqrt(base(u)))
 
 
 def rho_exact_metric(model: CovarianceModel, T: float) -> Pseudometric:
@@ -134,7 +130,7 @@ def rho_exact_metric(model: CovarianceModel, T: float) -> Pseudometric:
     so covering numbers for it come from the greedy path."""
     return Pseudometric(
         kind="rho_exact",
-        dist=lambda t1, t2: rho_exact(model, T, float(t1), float(t2)),
+        dist=lambda t1, t2: rho_exact(model, T, t1, t2),
         translation_invariant=False,
     )
 
@@ -146,8 +142,8 @@ def rho_exact_metric(model: CovarianceModel, T: float) -> Pseudometric:
 def _delta_of_eps(p: Pseudometric, a: float, b: float, eps: np.ndarray) -> np.ndarray:
     """Per radius of the 1-d ``eps``, the largest h with sup_{0 <= u <= h}
     profile(u) <= eps, via the cached running-max table plus one bisection
-    over all radii at once (60 array calls of ``profile_fn``). 0 triggers
-    the infinite massiveness signal in the caller."""
+    over all radii at once (60 array calls of ``dist``). 0 triggers the
+    infinite massiveness signal in the caller."""
     u, run_max = p.profile(a, b)
     k = np.searchsorted(run_max, eps, side="right") - 1
     inside = run_max[-1] > eps
@@ -156,26 +152,26 @@ def _delta_of_eps(p: Pseudometric, a: float, b: float, eps: np.ndarray) -> np.nd
     lo, hi, e = u[k[inside]], u[k[inside] + 1], eps[inside]
     for _ in range(60 if e.size else 0):
         mid = 0.5 * (lo + hi)
-        up = np.asarray(p.profile_fn(mid), dtype=float) > e
+        up = np.asarray(p.dist(0.0, mid), dtype=float) > e
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     delta = np.full(eps.size, b - a)
     delta[inside] = lo
     return delta
 
 
-def _greedy_radii(p: Pseudometric, a: float, b: float, candidates: int):
+def _greedy_radii(p: Pseudometric, a: float, b: float):
     """Covering radius after each further greedy farthest-point center on
-    the ``candidates``-point grid over [a, b]; the first center is a."""
-    grid = np.linspace(a, b, candidates)
-    dmin = np.full(grid.size, np.inf)
-    idx = 0
+    the ``_CANDIDATES``-point grid over [a, b], from the rows of the cached
+    distance matrix; the first center is a."""
+    d = p.matrix(a, b)
+    dmin = d[0]
     while True:
-        dmin = np.minimum(dmin, [p.dist(float(grid[idx]), float(t)) for t in grid])
         idx = int(np.argmax(dmin))
         yield float(dmin[idx])
+        dmin = np.minimum(dmin, d[idx])
 
 
-def _counts(p: Pseudometric, a: float, b: float, eps: np.ndarray, candidates: int) -> np.ndarray:
+def _counts(p: Pseudometric, a: float, b: float, eps: np.ndarray) -> np.ndarray:
     """N per radius of the 1-d ``eps`` as floats; inf where delta(eps)
     falls to the massiveness floor."""
     if not a < b:
@@ -188,25 +184,26 @@ def _counts(p: Pseudometric, a: float, b: float, eps: np.ndarray, candidates: in
             n = np.ceil((b - a) / (2.0 * delta) - 1e-9)
         return np.where(delta <= (b - a) * 1e-13, np.inf, n)
     # the greedy radii never increase: N(eps) is one more than the count above eps
-    above = list(itertools.takewhile(lambda r: r > eps.min(), _greedy_radii(p, a, b, candidates)))
+    above = list(itertools.takewhile(lambda r: r > eps.min(), _greedy_radii(p, a, b)))
     return 1.0 + np.count_nonzero(np.array(above)[:, None] > eps, axis=0)
 
 
-def covering_number(p: Pseudometric, a: float, b: float, eps, candidates: int = 257):
+def covering_number(p: Pseudometric, a: float, b: float, eps):
     """Number of closed eps-balls of ``p`` needed to cover [a, b]: an int
     for a scalar eps, an int64 array of the same shape for an eps array.
 
     Translation-invariant metrics: exact up to the conservatism of the
     running-max profile, N = ceil((b - a) / (2 delta(eps))). Other
-    metrics: greedy farthest-point covering over ``candidates`` grid
-    points, an upper bound on the grid covering number.
+    metrics: greedy farthest-point covering over the ``_CANDIDATES`` grid
+    points (one cached distance matrix), an upper bound on the grid
+    covering number.
 
     Raises InfiniteMassiveness, naming the largest such radius, when no
     ball of some radius eps covers any neighbourhood of a point
     (delta(eps) = 0).
     """
     e = np.asarray(eps, dtype=float)
-    n = _counts(p, float(a), float(b), e.ravel(), candidates)
+    n = _counts(p, float(a), float(b), e.ravel())
     if np.isinf(n).any():
         raise InfiniteMassiveness(
             f"profile of {p.kind} exceeds eps={e.ravel()[np.isinf(n)].max():g} "
@@ -214,46 +211,6 @@ def covering_number(p: Pseudometric, a: float, b: float, eps, candidates: int = 
         )
     n = n.astype(np.int64).reshape(e.shape)
     return int(n) if n.ndim == 0 else n
-
-
-@dataclass(frozen=True)
-class EntropyProfile:
-    """Covering numbers and entropies along a descending epsilon ladder."""
-
-    interval: tuple
-    epsilons: np.ndarray
-    covering_numbers: np.ndarray
-    entropies: np.ndarray
-
-    def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        if eps.ndim != 1 or eps.size == 0:
-            raise ValueError("epsilons must be a nonempty 1-d array")
-        if not np.all(np.diff(eps) < 0):
-            raise ValueError("epsilons must be strictly descending")
-        n = np.asarray(self.covering_numbers)
-        if np.any(np.diff(n) < 0):
-            raise ValueError("covering numbers must not decrease as eps shrinks")
-
-    def to_csv(self, path) -> None:
-        eps, hh = (np.asarray(a, dtype=float) for a in (self.epsilons, self.entropies))
-        _write_csv(path, ["eps", "N", "H"], [eps, np.asarray(self.covering_numbers, np.int64), hh])
-
-
-def entropy_profile(
-    p: Pseudometric, a: float, b: float, epsilons: Sequence[float]
-) -> EntropyProfile:
-    """Tabulate N(eps) and H(eps) = ln N(eps) over a descending ladder."""
-    eps = np.asarray(sorted(set(float(e) for e in epsilons), reverse=True))
-    ns = covering_number(p, a, b, eps)
-    # guard against ceil jitter at ball-count boundaries
-    ns = np.maximum.accumulate(ns)
-    return EntropyProfile(
-        interval=(float(a), float(b)),
-        epsilons=eps,
-        covering_numbers=ns,
-        entropies=np.log(ns.astype(float)),
-    )
 
 
 def entropy_integral(p: Pseudometric, a: float, b: float, s_max: float) -> tuple:

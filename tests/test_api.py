@@ -14,7 +14,9 @@ SUBMODULES = [
 # (entropy.entropy_integral) and one report path (bounds.theorem4_report);
 # every config key lives in config.KEYS; two functions had no caller;
 # every built-in kernel lives in kernels.KERNELS, and its evaluators are
-# wrapped once by Kernel; QuadratureSettings() is the only default
+# wrapped once by Kernel; QuadratureSettings() is the only default; a
+# Pseudometric is one array distance, and the entropy profile table had no
+# caller
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -44,6 +46,9 @@ DELETED = [
     "_scalar_ok",
     "default_1d",
     "default_2d",
+    "EntropyProfile",
+    "entropy_profile",
+    "profile_fn",
 ]
 
 

@@ -24,10 +24,17 @@ from correlogram.bounds import (
     theorem4_detail,
     theorem4_report,
 )
-from correlogram.entropy import Pseudometric, covering_number, entropy_integral, rho_upper_metric
+from correlogram.entropy import (
+    Pseudometric,
+    covering_number,
+    entropy_integral,
+    rho_exact_metric,
+    rho_upper_metric,
+)
 from correlogram.errors import BoundUnavailable
 from correlogram.kernels import autocorrelation, make_sinc, make_triangular
 from correlogram.quadrature import sup_ftf
+import correlogram.spectral as spectral_mod
 from correlogram.spectral import CovarianceModel
 
 
@@ -208,19 +215,37 @@ class TestTheorem4:
         assert detail["C_r"] == pytest.approx(0.77258872223978124, rel=1e-12)
         assert detail["inf_varZ"] >= 0
 
-    def test_variance_scan_and_polish_are_two_calls(self, monkeypatch):
+    def _count_cov_finite(self, monkeypatch) -> list:
+        # batch sizes of every cov_finite call, direct or through rho_exact
         calls = []
-        real = bounds_mod.cov_finite
+        real = spectral_mod.cov_finite
 
         def counting(model, T, tau1, tau2):
             calls.append(np.size(tau1))
             return real(model, T, tau1, tau2)
 
         monkeypatch.setattr(bounds_mod, "cov_finite", counting)
+        monkeypatch.setattr(spectral_mod, "cov_finite", counting)
+        return calls
+
+    def test_variance_scan_and_polish_are_two_calls(self, monkeypatch):
+        calls = self._count_cov_finite(monkeypatch)
         theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, var_grid=9)
         # the 9-lag scan, then one refinement batch of at most 9 lags
         assert len(calls) == 2
         assert calls[0] == 9 and calls[1] <= 9
+
+    def test_exact_metric_is_three_calls(self, monkeypatch):
+        calls = self._count_cov_finite(monkeypatch)
+        metric = rho_exact_metric(self.model, 50.0)
+        detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, metric=metric, var_grid=9)
+        # the distance matrix (every pair of the 257-point grid, three
+        # entries each), the variance scan and its polish; sup_rho, the
+        # entropy table and every theta_bar round read the cached matrix
+        assert len(calls) == 3
+        assert calls[:2] == [3 * 257 * 256 // 2, 9] and calls[2] <= 9
+        assert detail["sup_rho"] == metric.matrix(0.0, 0.4).max()
+        assert detail["A_TD"] > 0
 
     def test_bound_is_two_exp(self):
         detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, var_grid=9)
@@ -233,9 +258,8 @@ class TestTheorem4:
 
         zero = Pseudometric(
             kind="uniform_d",
-            dist=lambda s, t: 0.0,
+            dist=lambda s, t: 0.0 * np.subtract(t, s),
             translation_invariant=True,
-            profile_fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         )
         with pytest.raises(BoundUnavailable):
             theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, metric=zero, var_grid=5)
@@ -243,14 +267,10 @@ class TestTheorem4:
     def test_flat_metric_warns_empty_theta(self):
         # distance jumps to 1 beyond separation 0.1: never more than two
         # balls are needed, so the massiveness constraint has no solution
-        def profile(u):
-            return (np.asarray(u, dtype=float) >= 0.1).astype(float)
-
         flat = Pseudometric(
             kind="uniform_d",
-            dist=lambda s, t: float(abs(s - t) >= 0.1),
+            dist=lambda s, t: (np.abs(np.subtract(t, s)) >= 0.1).astype(float),
             translation_invariant=True,
-            profile_fn=profile,
         )
         with pytest.warns(RuntimeWarning, match="massiveness"):
             detail = theorem4_detail(
@@ -268,35 +288,35 @@ _SCALAR_A_TD = 107.78273583683674
 @pytest.fixture(scope="class")
 def acceptance_theorem4():
     """theorem4_detail on the acceptance model, with its covering_number and
-    profile_fn calls counted."""
+    dist calls counted."""
     model = CovarianceModel(h=make_sinc(), g=make_triangular(100.0, 1.0), c=1.0)
     metric = rho_upper_metric(model.h, sup_ftf(model.g), model.c)
-    profile_calls, covering_calls = [], []
+    dist_calls, covering_calls = [], []
 
-    def profile_fn(u):
-        profile_calls.append(np.size(u))
-        return metric.profile_fn(u)
+    def dist(t1, t2):
+        dist_calls.append(np.size(t2))
+        return metric.dist(t1, t2)
 
     def counting_cover(*args):
         covering_calls.append(np.size(args[3]))
         return covering_number(*args)
 
-    counted = Pseudometric(metric.kind, metric.dist, True, profile_fn)
+    counted = Pseudometric(metric.kind, dist, True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds_mod, "rho_upper_metric", lambda *args: counted)
         mp.setattr(bounds_mod, "covering_number", counting_cover)
         mp.setattr(entropy_mod, "covering_number", counting_cover)
         detail = theorem4_detail(model, 500.0, 0.0, 1.0, 0.5)
-    return detail, metric, covering_calls, profile_calls
+    return detail, metric, covering_calls, dist_calls
 
 
 class TestTheorem4Acceptance:
     def test_covering_work_is_batched(self, acceptance_theorem4):
-        _, _, covering_calls, profile_calls = acceptance_theorem4
+        _, _, covering_calls, dist_calls = acceptance_theorem4
         # one 301-radius table, then 33-theta bracketing rounds
         assert len(covering_calls) <= 12
         assert covering_calls[0] == 301 and set(covering_calls[1:]) == {33}
-        assert len(profile_calls) <= 1000
+        assert len(dist_calls) <= 1000
 
     def test_a_td_matches_scalar_bisections(self, acceptance_theorem4):
         detail = acceptance_theorem4[0]
@@ -316,9 +336,8 @@ class TestTheorem4Acceptance:
         # massive below 1: the table's first radius is 1, the second the largest failing one
         jump = Pseudometric(
             kind="uniform_d",
-            dist=lambda s, t: float(s != t),
+            dist=lambda s, t: np.not_equal(s, t).astype(float),
             translation_invariant=True,
-            profile_fn=lambda u: (np.asarray(u, dtype=float) > 0).astype(float),
         )
         largest = float(np.geomspace(1.0, 1e-6, 301)[1])
         with pytest.raises(BoundUnavailable, match=f"eps={largest:g} "):

@@ -185,6 +185,23 @@ class TestSimulate:
         m2.pop("timestamps")
         assert m1 == m2
 
+    @pytest.mark.parametrize("deltas,named", [
+        ([5.0, 5.0000001], "[5.0, 5.0000001]"),
+        ([2, 1, 2], "[2.0, 2.0]"),
+    ])
+    def test_colliding_file_names_are_usage_error(self, tmp_path, capsys, deltas, named):
+        # both deltas format as the same {:g} label, so one path file would
+        # overwrite the other and the manifest would not verify
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["command_defaults"]["simulate"]["deltas"] = deltas
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "path_X_delta" in err
+        assert f"deltas {named} " in err
+        assert list(out.iterdir()) == []
+
 
 class TestEstimate:
     def test_writes_estimate_with_sidecar(self, config_path, tmp_path):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 import correlogram.entropy as entropy_mod
 from correlogram.entropy import (
-    EntropyProfile,
     Pseudometric,
     c_r,
     covering_number,
     entropy_integral,
-    entropy_profile,
     epsilon_T_delta,
     rho_exact_metric,
     rho_upper_metric,
@@ -25,7 +23,7 @@ from correlogram.entropy import (
 )
 from correlogram.errors import BoundUnavailable, InfiniteMassiveness
 from correlogram.kernels import make_hilbert_sinc, make_laplace, make_sinc, make_triangular
-from correlogram.simulate import _CSV_CHUNK_ROWS
+import correlogram.spectral as spectral_mod
 from correlogram.spectral import CovarianceModel, QuadratureSettings, sigma
 
 
@@ -103,7 +101,9 @@ class TestArrayRadii:
     def test_bisection_is_sixty_array_calls(self):
         calls = []
         base = sigma_metric(make_sinc())
-        p = Pseudometric("sigma", base.dist, True, lambda u: calls.append(np.size(u)) or base.profile_fn(u))
+        p = Pseudometric(
+            "sigma", lambda t1, t2: calls.append(np.size(t2)) or base.dist(t1, t2), True
+        )
         p.profile(0.0, 1.0)
         calls.clear()
         covering_number(p, 0.0, 1.0, np.geomspace(0.5, 1e-6, 301))
@@ -114,6 +114,30 @@ class TestArrayRadii:
         with pytest.raises(InfiniteMassiveness, match="eps=0.7 "):
             covering_number(jump, 0.0, 1.0, [2.0, 0.7, 0.3])
         np.testing.assert_array_equal(covering_number(jump, 0.0, 1.0, [[2.0, 1.0]]), [[1, 1]])
+
+
+_CONSTRUCTORS = {
+    "uniform": uniform_metric,
+    "sigma": lambda: sigma_metric(make_sinc()),
+    "sqrt_sigma": lambda: sqrt_sigma_metric(make_sinc()),
+    "rho_upper": lambda: rho_upper_metric(make_sinc(), 1.0, 1.0),
+    "rho_exact": lambda: rho_exact_metric(
+        CovarianceModel(h=make_sinc(), g=make_triangular(10.0, 1.0), c=1.0), 30.0
+    ),
+}
+
+
+class TestDistContract:
+    @pytest.mark.parametrize("make", list(_CONSTRUCTORS.values()), ids=list(_CONSTRUCTORS))
+    def test_arrays_broadcast_like_scalar_calls(self, make):
+        p = make()
+        assert type(p.dist(0.1, 0.35)) is float
+        t1 = np.array([[0.0], [0.15], [0.45]])
+        t2 = np.array([0.05, 0.2, 0.3, 0.5])
+        d = p.dist(t1, t2)
+        assert isinstance(d, np.ndarray) and d.shape == (3, 4)
+        want = [[p.dist(float(s), float(t)) for t in t2] for s in t1[:, 0]]
+        np.testing.assert_allclose(d, want, rtol=1e-12)
 
 
 class TestSigmaMetrics:
@@ -155,30 +179,41 @@ class TestSigmaMetrics:
 
 
 class TestGreedyFallback:
+    def setup_method(self):
+        self.model = CovarianceModel(h=make_sinc(), g=make_triangular(10.0, 1.0), c=1.0)
+
     def test_exact_metric_covering_is_finite(self):
-        model = CovarianceModel(h=make_sinc(), g=make_triangular(10.0, 1.0), c=1.0)
-        p = rho_exact_metric(model, 30.0)
+        p = rho_exact_metric(self.model, 30.0)
         assert not p.translation_invariant
-        n = covering_number(p, 0.0, 0.5, 0.8, candidates=33)
+        n = covering_number(p, 0.0, 0.5, 0.8)
         assert 1 <= n <= 33
+
+    def test_exact_metric_counts_are_one_batch(self, monkeypatch):
+        calls = []
+        real = spectral_mod.cov_finite
+        monkeypatch.setattr(
+            spectral_mod, "cov_finite", lambda *args: calls.append(np.size(args[2])) or real(*args)
+        )
+        p = rho_exact_metric(self.model, 30.0)
+        n = covering_number(p, 0.0, 0.5, [0.8, 0.4, 0.2, 0.1])
+        np.testing.assert_array_equal(n, [1, 2, 3, 5])
+        # every pair of the 257-point grid, three entries each
+        assert calls == [3 * 257 * 256 // 2]
+        covering_number(p, 0.0, 0.5, 0.05)
+        assert len(calls) == 1
 
     def test_greedy_radius_shrinks_with_more_centers(self):
         # radius after each further center: 2 centers at index 1, 5 at index 4
-        radii = list(itertools.islice(entropy_mod._greedy_radii(uniform_metric(), 0.0, 1.0, 65), 5))
+        radii = list(itertools.islice(entropy_mod._greedy_radii(uniform_metric(), 0.0, 1.0), 5))
         assert radii[4] < radii[1]
 
 
 class TestDegenerateProfiles:
     def _jump_metric(self):
-        def profile(u):
-            u = np.asarray(u, dtype=float)
-            return (u > 0).astype(float)
-
         return Pseudometric(
             kind="uniform_d",
-            dist=lambda s, t: float(s != t),
+            dist=lambda s, t: np.not_equal(s, t).astype(float),
             translation_invariant=True,
-            profile_fn=profile,
         )
 
     def test_discrete_metric_has_no_finite_cover(self):
@@ -192,9 +227,8 @@ class TestDegenerateProfiles:
     def test_zero_metric_gives_single_ball(self):
         p = Pseudometric(
             kind="uniform_d",
-            dist=lambda s, t: 0.0,
+            dist=lambda s, t: 0.0 * np.subtract(t, s),
             translation_invariant=True,
-            profile_fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         )
         assert covering_number(p, 0.0, 1.0, 0.3) == 1
         # ln(1 + N) = ln 2 all the way down to 0
@@ -202,46 +236,6 @@ class TestDegenerateProfiles:
 
 
 class TestProfilesAndIntegrals:
-    def test_profile_rows_are_consistent(self):
-        p = uniform_metric()
-        eps = np.array([0.4, 0.2, 0.1])
-        prof = entropy_profile(p, 0.0, 1.0, eps)
-        np.testing.assert_array_equal(prof.covering_numbers, [2, 3, 5])
-        np.testing.assert_allclose(prof.entropies, np.log([2.0, 3.0, 5.0]), rtol=1e-12)
-
-    def test_profile_validates_ordering(self):
-        with pytest.raises(ValueError):
-            EntropyProfile(
-                interval=(0.0, 1.0),
-                epsilons=np.array([0.1, 0.4]),
-                covering_numbers=np.array([5, 2]),
-                entropies=np.log([6.0, 3.0]),
-            )
-
-    def test_profile_csv(self, tmp_path):
-        p = uniform_metric()
-        prof = entropy_profile(p, 0.0, 1.0, np.array([0.4, 0.1]))
-        target = tmp_path / "prof.csv"
-        prof.to_csv(target)
-        rows = target.read_text().strip().splitlines()
-        assert rows[0] == "eps,N,H"
-        assert len(rows) == 3
-
-    def test_profile_csv_bytes_match_csv_writer(self, tmp_path, csv_edge_column, csv_writer_bytes):
-        n = 3 * _CSV_CHUNK_ROWS + 7
-        prof = EntropyProfile(
-            interval=(0.0, 1.0),
-            epsilons=1.0 / (np.arange(n) + 3.0),
-            covering_numbers=np.arange(n, dtype=np.int64) * 2**40,
-            entropies=csv_edge_column(n),
-        )
-        rows = [
-            [repr(float(e)), int(c), repr(float(hh))]
-            for e, c, hh in zip(prof.epsilons, prof.covering_numbers, prof.entropies)
-        ]
-        prof.to_csv(tmp_path / "prof.csv")
-        assert (tmp_path / "prof.csv").read_bytes() == csv_writer_bytes(["eps", "N", "H"], rows)
-
     def test_uniform_integral_against_direct_sum(self):
         # N(eps) = ceil(1/(2 eps)) on [0,1]; fine trapezoid reference of ln(1 + N)
         s_asc, cum = entropy_integral(uniform_metric(), 0.0, 1.0, 1.0)
