@@ -36,6 +36,10 @@ from .spectral import CovarianceModel, cov_finite
 
 _ARG_TOL = 1e-10
 _MAX_ITER = 200
+# Scan points of the doubled-lag self-convolution over [a, b], and of the
+# variance of Zhat in theorem 4; each scan's extremum is then polished.
+_ACF2_GRID = 801
+_VAR_GRID = 33
 
 
 def k_of_x(x: float) -> float:
@@ -131,8 +135,8 @@ def _polish(f, xs, ys, sign: float) -> float:
     return sign * min(float(np.min(ys)), float(_vertex(pts, sign * np.asarray(f(pts)))[1]))
 
 
-def _acf2_scan(h: Kernel, a: float, b: float, grid: int) -> tuple:
-    taus = np.linspace(float(a), float(b), grid)
+def _acf2_scan(h: Kernel, a: float, b: float) -> tuple:
+    taus = np.linspace(float(a), float(b), _ACF2_GRID)
     return taus, autocorrelation(h, 2.0 * taus)
 
 
@@ -141,40 +145,31 @@ def _scan_extremum(h: Kernel, taus, vals, sign: float) -> float:
     return _polish(lambda t: autocorrelation(h, 2.0 * t), taus, vals, sign)
 
 
-def acf2_interval_min(h: Kernel, a: float, b: float, grid: int = 801) -> float:
+def acf2_interval_min(h: Kernel, a: float, b: float) -> float:
     """inf over tau in [a, b] of the self-convolution at doubled lag."""
-    taus, vals = _acf2_scan(h, a, b, grid)
+    taus, vals = _acf2_scan(h, a, b)
     return _scan_extremum(h, taus, vals, +1.0)
 
 
-def b_sup(h: Kernel, a: float, b: float, grid: int = 801) -> float:
+def b_sup(h: Kernel, a: float, b: float) -> float:
     """sup over [a, b] of the comparison scale b(tau), where
     b^2 = (h*h)(2 tau) - inf_[a,b] (h*h)(2 .), by grid search with local polish."""
-    taus, vals = _acf2_scan(h, a, b, grid)
+    taus, vals = _acf2_scan(h, a, b)
     m = _scan_extremum(h, taus, vals, +1.0)
     top = _scan_extremum(h, taus, vals, -1.0)
     return math.sqrt(max(top - m, 0.0))
 
 
-def corollary2_bound(
-    h: Kernel,
-    a: float,
-    b: float,
-    x: float,
-    y_tail: Callable[[float], float],
-    B: Optional[float] = None,
-) -> float:
+def corollary2_bound(x: float, y_tail: Callable[[float], float], B: float) -> float:
     """Supremum tail bound 2 P{sup|Y| > x/(2 sqrt 2)} + 4 exp(-x^2 / B).
 
     ``y_tail(u)`` must bound P{sup over [a,b] of |Y| > u}; the constant
-    is B = 16 ||h||_2^2 - 16 inf (h*h)(2 tau). When B degenerates to 0
-    (constant-comparison case) the Gaussian term is dropped. ``B``
-    short-circuits the interval scan when the caller has it already.
+    is B = 16 ||h||_2^2 - 16 inf_[a,b] (h*h)(2 tau), as
+    ``corollary2_report`` builds it. When B degenerates to 0
+    (constant-comparison case) the Gaussian term is dropped.
     """
     if not x > 0:
         raise ValueError("x must be positive")
-    if B is None:
-        B = 16.0 * h.l2_norm**2 - 16.0 * acf2_interval_min(h, a, b)
     first = 2.0 * float(y_tail(x / (2.0 * math.sqrt(2.0))))
     if B <= 0.0:
         warnings.warn(
@@ -244,7 +239,6 @@ def theorem4_detail(
     b: float,
     r: float,
     metric: Optional[Pseudometric] = None,
-    var_grid: int = 33,
 ) -> dict:
     """All intermediates of the entropy supremum bound.
 
@@ -272,7 +266,7 @@ def theorem4_detail(
     if sup_rho == 0.0:
         raise BoundUnavailable("increment metric vanishes on the interval")
 
-    taus = np.linspace(float(a), float(b), var_grid)
+    taus = np.linspace(float(a), float(b), _VAR_GRID)
     variances = cov_finite(model, T, taus, taus)
     inf_var = max(_polish(lambda t: cov_finite(model, T, t, t), taus, variances, +1.0), 0.0)
 
@@ -395,7 +389,7 @@ def corollary2_report(
 ) -> TailBoundReport:
     inf_acf = acf2_interval_min(h, a, b)
     B = 16.0 * h.l2_norm**2 - 16.0 * inf_acf
-    raw = [corollary2_bound(h, a, b, x, y_tail, B=B) for x in xs]
+    raw = [corollary2_bound(x, y_tail, B) for x in xs]
     consts = {"B_ab": B, "inf_acf2": inf_acf}
     return _capped_report("corollary2", xs, raw, consts, settings or {})
 
@@ -407,11 +401,9 @@ def corollary1_report(
     xs: Sequence[float],
     gamma: float,
     y_onesided_tail: Callable[[float], float],
-    sup_b: Optional[float] = None,
     settings: Optional[dict] = None,
 ) -> TailBoundReport:
-    if sup_b is None:
-        sup_b = b_sup(h, a, b)
+    sup_b = b_sup(h, a, b)
     raw = [corollary1_bound(x, gamma, y_onesided_tail, sup_b) for x in xs]
     consts = {"gamma": float(gamma), "sup_b": float(sup_b)}
     return _capped_report("corollary1", xs, raw, consts, settings or {})

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+from .bounds import _METHODS
+
 __all__ = [
     "ARTIFACT_VERSION",
     "COMMANDS",
@@ -141,12 +143,9 @@ def _seed(key, value) -> dict:
     _fail(key, 'an object {"seed": s, "stream_id": i} of unsigned 64-bit integers', value)
 
 
-_BOUND_METHODS = ("theorem3_pointwise", "theorem4_sup", "corollary1", "corollary2")
-
-
 def _methods(key, value) -> list:
-    if type(value) is not list or not all(v in _BOUND_METHODS for v in value):
-        _fail(key, f"a list of bound methods from {list(_BOUND_METHODS)}", value)
+    if type(value) is not list or not all(v in _METHODS for v in value):
+        _fail(key, f"a list of bound methods from {list(_METHODS)}", value)
     return list(value)
 
 
@@ -181,7 +180,7 @@ KEYS = (
     Key("lambda_max", ("check-kernel",), _POSITIVE, 200.0),
     Key("deltas", ("simulate",), _positives, [1.0, 10.0, 100.0, 1000.0]),
     Key("t_start", ("simulate",), _number(), 0.0),
-    Key("methods", ("bounds",), _methods, list(_BOUND_METHODS)),
+    Key("methods", ("bounds",), _methods, list(_METHODS)),
     Key("x_grid", ("bounds",), _positives, [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]),
     Key("theorem4_x_multipliers", ("bounds",), _positives, [1.5, 2.0, 3.0]),
     Key("r", ("bounds",), _number(0.0, 1.0), 0.5),
@@ -213,6 +212,8 @@ def load_config(path) -> dict:
     unknown -= {"out_dir", "command_defaults"}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    if not isinstance(cfg.get("out_dir", ""), str):
+        _fail("out_dir", "a string", cfg["out_dir"])
     sections = cfg.get("command_defaults", {})
     if not isinstance(sections, dict):
         raise ConfigError("command_defaults must be a JSON object")

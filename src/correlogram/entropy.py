@@ -17,19 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import BoundUnavailable, InfiniteMassiveness
 from .kernels import Kernel
-from .spectral import (
-    CovarianceModel,
-    QuadratureSettings,
-    _rho_upper_scale,
-    rho_exact,
-    sigma_profile,
-)
+from .spectral import CovarianceModel, _rho_upper_scale, rho_exact, sigma_profile
 
 _KINDS = ("uniform_d", "sigma", "sqrt_sigma", "rho_upper", "rho_exact")
 
@@ -98,29 +92,24 @@ def uniform_metric() -> Pseudometric:
     return _invariant("uniform_d", np.abs)
 
 
-def sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Pseudometric:
+def sigma_metric(h: Kernel) -> Pseudometric:
     """Mean-square spectral pseudometric sigma(t2 - t1) of the output."""
-    return _invariant("sigma", sigma_profile(h, settings))
+    return _invariant("sigma", sigma_profile(h))
 
 
-def sqrt_sigma_metric(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Pseudometric:
+def sqrt_sigma_metric(h: Kernel) -> Pseudometric:
     """Square root of sigma; the entropy scale the CLT conditions use."""
-    base = sigma_profile(h, settings)
+    base = sigma_profile(h)
     return _invariant("sqrt_sigma", lambda u: np.sqrt(base(u)))
 
 
-def rho_upper_metric(
-    h: Kernel,
-    g_family_sup: float,
-    c: float,
-    settings: Optional[QuadratureSettings] = None,
-) -> Pseudometric:
+def rho_upper_metric(h: Kernel, g_family_sup: float, c: float) -> Pseudometric:
     """Horizon-free upper bound on the correlogram increment metric.
 
     Scales sqrt(sigma) by the constant of the increment inequality, so
     it inherits translation invariance from sigma.
     """
-    base = sigma_profile(h, settings)
+    base = sigma_profile(h)
     scale = _rho_upper_scale(h, g_family_sup, c)
     return _invariant("rho_upper", lambda u: scale * np.sqrt(base(u)))
 

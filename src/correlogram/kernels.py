@@ -614,17 +614,12 @@ class WeightedSpectralCheck:
     relative_change: float
 
 
-def check_weighted_spectral(
-    k: Kernel,
-    exponent: float,
-    lambda_max: float,
-    rel_tol: float = 1e-3,
-) -> WeightedSpectralCheck:
+def check_weighted_spectral(k: Kernel, exponent: float, lambda_max: float) -> WeightedSpectralCheck:
     """Compute ``int_{-L}^{L} |k*(lam)|^2 ln(1+|lam|)**exponent dlam``.
 
     The convergence flag compares the value at ``lambda_max`` against the
-    value at ``2*lambda_max``; a relative change below ``rel_tol`` is
-    treated as evidence of a finite integral.
+    value at ``2*lambda_max``; a relative change below 1e-3 is treated as
+    evidence of a finite integral.
     """
     if not exponent > 1:
         raise ValueError("exponent must exceed 1")
@@ -641,7 +636,7 @@ def check_weighted_spectral(
     v2 = integral(2.0 * lambda_max)
     denom = max(abs(v2), 1e-300)
     rel = abs(v2 - v1) / denom
-    return WeightedSpectralCheck(value=v1, converged=bool(rel < rel_tol), relative_change=float(rel))
+    return WeightedSpectralCheck(value=v1, converged=bool(rel < 1e-3), relative_change=float(rel))
 
 
 def autocorrelation(h: Kernel, lag):

@@ -20,6 +20,10 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 #: time domain; beyond it (the sinc family) the transform is used instead.
 TIME_ROUTE_TOL = 1e-8
 
+#: Where the truncation-point search of ``spectral_window`` starts for the
+#: spectral integrals of kernels without a band limit.
+WINDOW_START = 200.0
+
 # Elements (lags x nodes) evaluated per block, 1 MB per float array.
 _BLOCK = 1 << 17
 
@@ -238,7 +242,7 @@ def lagged_product_frequency(p, q, lags: np.ndarray, sign: int) -> np.ndarray:
     The imaginary part of the two-sided integral, from the transforms at
     -lam on the same nodes, must cancel: a residue above 1e-9 + 1e-9 |value|
     raises ``ConsistencyError`` naming the first such lag."""
-    L = min(spectral_window(k, 2e-12, 200.0) for k in (p, q))
+    L = min(spectral_window(k, 2e-12, WINDOW_START) for k in (p, q))
     breaks = ftf_breakpoints(p) + ftf_breakpoints(q)
     rates = np.maximum(1.0, np.ceil(np.abs(lags)))
     out = np.zeros(lags.size)

@@ -311,15 +311,21 @@ def write_path_csv(path: SampledPath, file) -> None:
 
 
 def read_path_csv(file, label: str = "") -> SampledPath:
+    """Read (t,value) rows on the grid ``t0 + j*dt`` with ``dt = t1 - t0``;
+    a time off that grid raises ``ValueError`` naming its row."""
     times, values = _read_two_columns(file)
     if len(times) < 1:
         raise ValueError(f"no samples in {file}")
-    if len(times) == 1:
-        grid = TimeGrid(times[0], 1.0, 1)
-    else:
-        dt = times[1] - times[0]
-        grid = TimeGrid(times[0], dt, len(times))
-    return SampledPath(grid=grid, values=np.array(values), label=label)
+    t0 = times[0]
+    dt = times[1] - t0 if len(times) > 1 else 1.0
+    j = np.arange(len(times))
+    # dt is off by up to half an ulp of t1, and sample j repeats that j times
+    slack = 1e-6 * abs(dt) + j * np.spacing(abs(t0) + abs(dt))
+    off = np.flatnonzero(np.abs(np.array(times) - (t0 + j * dt)) > slack)
+    if off.size:
+        k = off[0]
+        raise ValueError(f"t={times[k]!r} of sample {k} in {file} is off the grid {t0!r} + j*{dt!r}")
+    return SampledPath(grid=TimeGrid(t0, dt, len(times)), values=np.array(values), label=label)
 
 
 #: Binary path layout: little-endian header (n: uint64, dt: float64,

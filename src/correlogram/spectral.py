@@ -56,6 +56,7 @@ from .kernels import Kernel
 from .quadrature import (
     GL_NODES,
     GL_WEIGHTS,
+    WINDOW_START,
     ftf_abs,
     ftf_breakpoints,
     integrate,
@@ -72,7 +73,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "QuadratureSettings",
     "CovarianceModel",
     "fejer",
     "fejer_l1_norm",
@@ -88,41 +88,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Shared quadrature controls.
-
-    ``lambda_max`` truncates spectral integrals for kernels without a hard
-    band limit; band-limited kernels ignore it. One-dimensional quantities
-    use the composite Gauss-Legendre rule of ``correlogram.quadrature``,
-    the double integral the panel scheme described in the module
-    docstring.
-    """
-
-    lambda_max: float = 200.0
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.lambda_max > 0 and self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("lambda_max and tolerances must be positive")
-
-
+# Squared-transform tail mass beyond the spectral window of sigma.
+_SIGMA_TAIL = 1e-9
 # Covariance quadrature tolerance (absolute and relative), looser than
-# the one-dimensional default because ``cov_finite`` is a double integral.
+# sigma's because ``cov_finite`` is a double integral.
 _COVARIANCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Kernel pair and quadrature controls for covariance queries."""
+    """Kernel pair and window constant for covariance queries."""
 
     h: Kernel
     g: Optional[Kernel] = None
     c: float = 1.0
-    quadrature: QuadratureSettings = QuadratureSettings(
-        abs_tol=_COVARIANCE_TOL, rel_tol=_COVARIANCE_TOL
-    )
 
     def __post_init__(self):
         if not self.c > 0:
@@ -144,7 +123,7 @@ def fejer(T: float, lam) -> float:
     return out.item() if lam.ndim == 0 else out
 
 
-def fejer_l1_norm(T: float, settings: Optional[QuadratureSettings] = None) -> float:
+def fejer_l1_norm(T: float) -> float:
     """L1 norm of the Fejér kernel (equals 1 exactly).
 
     Substituting x = T*lam/2 removes T, leaving
@@ -167,12 +146,11 @@ _LEG_VANDER = np.polynomial.legendre.legvander(GL_NODES, 11)  # P_n(x_k), (12, 1
 _LEG_PROJ = ((2.0 * np.arange(12) + 1.0) / 2.0)[:, None] * (_LEG_VANDER.T * GL_WEIGHTS)
 
 
-def sigma_profile(h: Kernel, settings: Optional[QuadratureSettings] = None) -> Callable:
+def sigma_profile(h: Kernel) -> Callable:
     """``u -> sigma(h, u)`` over lag arrays. The nodes depend only on the
     panel width set by the largest |u| and are built once per width, so the
     covering-number bisection's repeated small-lag calls reuse them."""
-    st = settings or QuadratureSettings()
-    L = spectral_window(h, abs_mass_tol=st.abs_tol, start=st.lambda_max)
+    L = spectral_window(h, abs_mass_tol=_SIGMA_TAIL, start=WINDOW_START)
     rule = {}
 
     def profile(u):
@@ -193,16 +171,14 @@ def sigma_profile(h: Kernel, settings: Optional[QuadratureSettings] = None) -> C
     return profile
 
 
-def sigma(h: Kernel, tau: float, settings: Optional[QuadratureSettings] = None) -> float:
+def sigma(h: Kernel, tau: float) -> float:
     """Spectral pseudometric ``[int |H*(lam)|^2 sin^2(tau lam/2) dlam]^{1/2}``."""
-    return float(sigma_profile(h, settings)(float(tau))[0])
+    return float(sigma_profile(h)(float(tau))[0])
 
 
-def msq_increment_Y(
-    h: Kernel, tau1: float, tau2: float, settings: Optional[QuadratureSettings] = None
-) -> float:
+def msq_increment_Y(h: Kernel, tau1: float, tau2: float) -> float:
     """Mean-square output increment ``E|Y(t2)-Y(t1)|^2 = (2/pi) sigma^2``."""
-    return (2.0 / math.pi) * sigma(h, abs(tau2 - tau1), settings) ** 2
+    return (2.0 / math.pi) * sigma(h, abs(tau2 - tau1)) ** 2
 
 
 def autocovariance_Y(h: Kernel, u):
@@ -295,12 +271,11 @@ class _PairWeights:
 
     def __init__(self, model: CovarianceModel, lag_rate: float):
         h, g = model.h, model.g
-        st = model.quadrature
         self.h, self.g = h, g
         g_sup = sup_ftf(g)
         # absolute tail target for the lambda truncation of F1 and G
-        lam_tail = 0.25 * st.abs_tol * 2.0 * math.pi * model.c**2 / max(g_sup**2, 1e-300)
-        self.L = spectral_window(h, abs_mass_tol=lam_tail, start=st.lambda_max)
+        lam_tail = 0.25 * _COVARIANCE_TOL * 2.0 * math.pi * model.c**2 / max(g_sup**2, 1e-300)
+        self.L = spectral_window(h, abs_mass_tol=lam_tail, start=WINDOW_START)
         h_mass = 2.0 * math.pi * h.l2_norm**2
         self.L_core = spectral_window(h, abs_mass_tol=1e-3 * h_mass, start=2.0)
         self.breaks = np.array(sorted(set(ftf_breakpoints(h)) | set(ftf_breakpoints(g))))
@@ -420,7 +395,6 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
         )
     if not T > 0:
         raise ValueError("T must be positive")
-    st = model.quadrature
     tau1, tau2 = np.broadcast_arrays(np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float))
     t1, t2 = tau1.ravel(), tau2.ravel()
     a, b = t1 - t2, t1 + t2
@@ -443,7 +417,7 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
             pair_alive = np.asarray(env_h(x), dtype=float) / max(float(env_h(0.0)), 1e-300)
         return h_mass * eg * (eg + g_sup * pair_alive)
 
-    tail_target = 0.05 * st.abs_tol * 2.0 * math.pi * model.c**2
+    tail_target = 0.05 * _COVARIANCE_TOL * 2.0 * math.pi * model.c**2
     u_top = 2.0 * L + 2.0
     for _ in range(80):
         pts = u_top * 1.35 ** np.arange(41)
@@ -519,18 +493,18 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
 def cov_finite(model: CovarianceModel, T: float, tau1, tau2):
     """Covariance of (Zhat(tau1), Zhat(tau2)) at horizon T.
 
-    Symmetric in its lag arguments and real within the configured
-    tolerance; violations raise, small negative variances (tau1 == tau2)
-    are clamped to zero when within rounding slack. Lag arrays are one
+    Symmetric in its lag arguments and real within the covariance
+    tolerance (1e-6, absolute and relative); violations raise, small
+    negative variances (tau1 == tau2) are clamped to zero when within
+    rounding slack. Lag arrays are one
     batch (see ``cov_finite_detail``) and every entry is checked; the
     error names the first offending entry. Scalar lags give a float.
     """
-    st = model.quadrature
     tau1, tau2 = np.broadcast_arrays(np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float))
     detail = cov_finite_detail(model, T, tau1, tau2)
     t1, t2 = tau1.ravel(), tau2.ravel()
     value = np.array(detail["value"], dtype=float).ravel()
-    tol = st.abs_tol + st.rel_tol * np.abs(value)
+    tol = _COVARIANCE_TOL + _COVARIANCE_TOL * np.abs(value)
     for key, what in (("imag_residue", "imaginary residue"), ("asymmetry", "lag-swap asymmetry")):
         resid = np.ravel(detail[key])
         bad = np.flatnonzero(resid > tol)
@@ -541,7 +515,7 @@ def cov_finite(model: CovarianceModel, T: float, tau1, tau2):
                 f"at T={T}, taus=({t1[k]}, {t2[k]})"
             )
     negative = (t1 == t2) & (value < 0.0)
-    bad = np.flatnonzero(negative & (value < -st.abs_tol))
+    bad = np.flatnonzero(negative & (value < -_COVARIANCE_TOL))
     if bad.size:
         k = bad[0]
         raise ConsistencyError(
@@ -566,14 +540,16 @@ def cov_matrix(model: CovarianceModel, T: float, taus: Sequence[float]) -> np.nd
 def rho_exact(model: CovarianceModel, T: float, tau1, tau2):
     """Mean-square distance of Zhat increments,
     ``sqrt(Var Zhat(t1) + Var Zhat(t2) - 2 Cov)``, clamped at 0, over
-    broadcastable lag arrays as one ``cov_finite`` batch (scalar lags give
+    broadcastable lag arrays as one ``cov_finite`` batch: the variance of
+    each distinct lag once, then one covariance per pair (scalar lags give
     a float). A negative squared increment beyond rounding slack raises."""
     tau1, tau2 = np.broadcast_arrays(np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float))
     t1, t2 = tau1.ravel(), tau2.ravel()
-    v = cov_finite(model, T, np.concatenate([t1, t2, t1]), np.concatenate([t1, t2, t2]))
-    v11, v22, v12 = np.reshape(v, (3, -1))
-    sq = v11 + v22 - 2.0 * v12
-    bad = np.flatnonzero(sq < -3.0 * model.quadrature.abs_tol)
+    lags, at = np.unique(np.concatenate([t1, t2]), return_inverse=True)
+    v = cov_finite(model, T, np.concatenate([lags, t1]), np.concatenate([lags, t2]))
+    var, v12 = v[: lags.size], v[lags.size :]
+    sq = var[at[: t1.size]] + var[at[t1.size :]] - 2.0 * v12
+    bad = np.flatnonzero(sq < -3.0 * _COVARIANCE_TOL)
     if bad.size:
         k = bad[0]
         raise ConsistencyError(f"negative squared increment {sq[k]:.3e} at taus=({t1[k]}, {t2[k]})")
@@ -581,14 +557,7 @@ def rho_exact(model: CovarianceModel, T: float, tau1, tau2):
     return out.item() if out.ndim == 0 else out
 
 
-def rho_upper(
-    h: Kernel,
-    g_family_sup: float,
-    c: float,
-    tau1: float,
-    tau2: float,
-    settings: Optional[QuadratureSettings] = None,
-) -> float:
+def rho_upper(h: Kernel, g_family_sup: float, c: float, tau1: float, tau2: float) -> float:
     """Horizon-free upper bound on the increment pseudometric:
 
         rho <= (1/c) * ((4/pi) ||H*||_2)^{1/2} * sup|g*| * sqrt(sigma).
@@ -598,7 +567,7 @@ def rho_upper(
     (Fejér unit mass plus Cauchy-Schwarz), and sigma <= ||H*||_2^{1/2}
     sqrt(sigma) closes the bound.
     """
-    return _rho_upper_scale(h, g_family_sup, c) * math.sqrt(sigma(h, tau2 - tau1, settings))
+    return _rho_upper_scale(h, g_family_sup, c) * math.sqrt(sigma(h, tau2 - tau1))
 
 
 def _rho_upper_scale(h: Kernel, g_family_sup: float, c: float) -> float:

@@ -14,9 +14,10 @@ SUBMODULES = [
 # (entropy.entropy_integral) and one report path (bounds.theorem4_report);
 # every config key lives in config.KEYS; two functions had no caller;
 # every built-in kernel lives in kernels.KERNELS, and its evaluators are
-# wrapped once by Kernel; QuadratureSettings() is the only default; a
-# Pseudometric is one array distance, and the entropy profile table had no
-# caller
+# wrapped once by Kernel; a Pseudometric is one array distance, and the
+# entropy profile table had no caller; the quadrature settings, which no
+# caller set, are module constants, and the bound-method names live in
+# bounds alone
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -49,6 +50,8 @@ DELETED = [
     "EntropyProfile",
     "entropy_profile",
     "profile_fn",
+    "QuadratureSettings",
+    "_BOUND_METHODS",
 ]
 
 

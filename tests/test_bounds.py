@@ -122,7 +122,7 @@ class TestIntervalConstants:
 
     def test_b_sup_scans_the_interval_once(self, monkeypatch):
         calls = _count_autocorrelation(monkeypatch)
-        b_sup(make_sinc(), 0.0, 1.0, grid=801)
+        b_sup(make_sinc(), 0.0, 1.0)
         # one 801-point scan plus the two local polishes
         assert 801 < len(calls) < 2 * 801
 
@@ -148,13 +148,11 @@ class TestCorollary2:
         x = 3.0
         B = 16.0 * h.l2_norm**2 - 16.0 * acf2_interval_min(h, 0.0, 1.0)
         want = 2.0 * math.exp(-x / (2.0 * math.sqrt(2.0))) + 4.0 * math.exp(-x * x / B)
-        assert corollary2_bound(h, 0.0, 1.0, x, y_tail) == pytest.approx(want, rel=1e-9)
+        assert corollary2_bound(x, y_tail, B) == pytest.approx(want, rel=1e-9)
 
-    def test_nonpositive_gaussian_scale_warns(self, monkeypatch):
-        h = make_sinc()
-        monkeypatch.setattr(bounds_mod, "acf2_interval_min", lambda *a, **k: h.l2_norm**2 + 1.0)
+    def test_nonpositive_gaussian_scale_warns(self):
         with pytest.warns(RuntimeWarning):
-            val = corollary2_bound(h, 0.0, 1.0, 2.0, lambda u: 0.5)
+            val = corollary2_bound(2.0, lambda u: 0.5, -16.0)
         assert val == pytest.approx(1.0)  # only the Y-tail term survives
 
     def test_report_constants(self):
@@ -207,7 +205,7 @@ class TestTheorem4:
         )
 
     def test_detail_structure(self):
-        detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, var_grid=9)
+        detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5)
         for key in ("A_TD", "C_r", "eps_TD", "sup_rho", "inf_varZ", "theta_star"):
             assert key in detail
         assert detail["A_TD"] > 0
@@ -230,25 +228,25 @@ class TestTheorem4:
 
     def test_variance_scan_and_polish_are_two_calls(self, monkeypatch):
         calls = self._count_cov_finite(monkeypatch)
-        theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, var_grid=9)
-        # the 9-lag scan, then one refinement batch of at most 9 lags
+        theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5)
+        # the 33-lag scan, then one refinement batch of at most 9 lags
         assert len(calls) == 2
-        assert calls[0] == 9 and calls[1] <= 9
+        assert calls[0] == 33 and calls[1] <= 9
 
     def test_exact_metric_is_three_calls(self, monkeypatch):
         calls = self._count_cov_finite(monkeypatch)
         metric = rho_exact_metric(self.model, 50.0)
-        detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, metric=metric, var_grid=9)
-        # the distance matrix (every pair of the 257-point grid, three
-        # entries each), the variance scan and its polish; sup_rho, the
+        detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, metric=metric)
+        # the distance matrix (the variance of each of the 257 grid points,
+        # then every pair), the variance scan and its polish; sup_rho, the
         # entropy table and every theta_bar round read the cached matrix
         assert len(calls) == 3
-        assert calls[:2] == [3 * 257 * 256 // 2, 9] and calls[2] <= 9
+        assert calls[:2] == [257 + 257 * 256 // 2, 33] and calls[2] <= 9
         assert detail["sup_rho"] == metric.matrix(0.0, 0.4).max()
         assert detail["A_TD"] > 0
 
     def test_bound_is_two_exp(self):
-        detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, var_grid=9)
+        detail = theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5)
         rep = theorem4_report(detail, [3.0])
         assert rep.x_values[0] == pytest.approx(3.0 * detail["A_TD"], rel=1e-12)
         assert rep.constants["raw_bounds"][0] == pytest.approx(2.0 * math.exp(-3.0), rel=1e-6)
@@ -262,7 +260,7 @@ class TestTheorem4:
             translation_invariant=True,
         )
         with pytest.raises(BoundUnavailable):
-            theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, metric=zero, var_grid=5)
+            theorem4_detail(self.model, 50.0, 0.0, 0.4, 0.5, metric=zero)
 
     def test_flat_metric_warns_empty_theta(self):
         # distance jumps to 1 beyond separation 0.1: never more than two
@@ -274,7 +272,7 @@ class TestTheorem4:
         )
         with pytest.warns(RuntimeWarning, match="massiveness"):
             detail = theorem4_detail(
-                self.model, 50.0, 0.0, 0.4, 0.5, metric=flat, var_grid=5
+                self.model, 50.0, 0.0, 0.4, 0.5, metric=flat
             )
         assert detail["theta_empty"]
         assert math.isfinite(detail["A_TD"])

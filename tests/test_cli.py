@@ -290,12 +290,16 @@ class TestBounds:
      {"name": "tabulated", "path": "k.csv", "times": [0, 1], "values": [1, 0]}),
     ("estimate", "h.path", {"name": "tabulated", "path": 5}),
     ("estimate", "h.times", {"name": "tabulated", "times": ["0", "1"], "values": [1, 0]}),
+    ("estimate", "out_dir", 5),
+    ("bounds", "out_dir", True),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
     if key.startswith("--"):
         argv += [key, bad]
+    elif key == "out_dir":  # a top-level key only
+        cfg[key] = bad
     else:
         cfg["command_defaults"].setdefault(command, {})[key.split(".")[0]] = bad
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))

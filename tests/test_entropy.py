@@ -24,7 +24,7 @@ from correlogram.entropy import (
 from correlogram.errors import BoundUnavailable, InfiniteMassiveness
 from correlogram.kernels import make_hilbert_sinc, make_laplace, make_sinc, make_triangular
 import correlogram.spectral as spectral_mod
-from correlogram.spectral import CovarianceModel, QuadratureSettings, sigma
+from correlogram.spectral import CovarianceModel, sigma
 
 
 def pseudometric_axioms(p: Pseudometric, a: float, b: float, n: int, seed: int) -> dict:
@@ -57,27 +57,29 @@ class TestUniformMetric:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-# laplace's default spectral window (about 1000) makes the 18k scalar reference
-# profile calls of one case take minutes; a window of 20 runs the same
-# batching on a fiftieth of the nodes
-_LAPLACE_ST = QuadratureSettings(lambda_max=20.0, abs_tol=1e-4)
 _ARRAY_METRICS = [("uniform", uniform_metric)]
-for _name, _make, _st in [
-    ("sinc", make_sinc, None),
-    ("hilbert_sinc", make_hilbert_sinc, None),
-    ("laplace", lambda: make_laplace(1.0, 1.0), _LAPLACE_ST),
+for _name, _make in [
+    ("sinc", make_sinc),
+    ("hilbert_sinc", make_hilbert_sinc),
+    ("laplace", lambda: make_laplace(1.0, 1.0)),
 ]:
     _ARRAY_METRICS += [
-        (f"sigma-{_name}", lambda make=_make, st=_st: sigma_metric(make(), st)),
-        (f"sqrt_sigma-{_name}", lambda make=_make, st=_st: sqrt_sigma_metric(make(), st)),
-        (f"rho_upper-{_name}", lambda make=_make, st=_st: rho_upper_metric(make(), 1.0, 1.0, st)),
+        (f"sigma-{_name}", lambda make=_make: sigma_metric(make())),
+        (f"sqrt_sigma-{_name}", lambda make=_make: sqrt_sigma_metric(make())),
+        (f"rho_upper-{_name}", lambda make=_make: rho_upper_metric(make(), 1.0, 1.0)),
     ]
 
 
 class TestArrayRadii:
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.2, 3.0)], ids=["unit", "wide"])
     @pytest.mark.parametrize("make", [m for _, m in _ARRAY_METRICS], ids=[n for n, _ in _ARRAY_METRICS])
-    def test_array_call_matches_scalar_calls(self, make, interval, monkeypatch):
+    def test_array_call_matches_scalar_calls(self, make, interval, monkeypatch, request):
+        if "laplace" in request.node.callspec.id:
+            # laplace's spectral window (about 1000) makes the 18k scalar
+            # reference profile calls of one case take minutes; a window of
+            # 20 runs the same batching on a fiftieth of the nodes
+            monkeypatch.setattr(spectral_mod, "WINDOW_START", 20.0)
+            monkeypatch.setattr(spectral_mod, "_SIGMA_TAIL", 1e-4)
         a, b = interval
         p = make()
         sup = p.profile(a, b)[1][-1]
@@ -197,8 +199,8 @@ class TestGreedyFallback:
         p = rho_exact_metric(self.model, 30.0)
         n = covering_number(p, 0.0, 0.5, [0.8, 0.4, 0.2, 0.1])
         np.testing.assert_array_equal(n, [1, 2, 3, 5])
-        # every pair of the 257-point grid, three entries each
-        assert calls == [3 * 257 * 256 // 2]
+        # the variance of each of the 257 grid points, then every pair
+        assert calls == [257 + 257 * 256 // 2]
         covering_number(p, 0.0, 0.5, 0.05)
         assert len(calls) == 1
 

@@ -285,6 +285,12 @@ class TestPathIO:
         assert q.grid == p.grid
         np.testing.assert_array_equal(q.values, p.values)
 
+    def test_csv_off_grid_time_rejected(self, tmp_path):
+        target = tmp_path / "p.csv"
+        target.write_text("t,value\n0,1\n0.1,2\n0.5,3\n0.6,4\n")
+        with pytest.raises(ValueError, match="t=0.5 of sample 2"):
+            read_path_csv(target)
+
     def test_binary_round_trip_is_exact(self, tmp_path):
         p = self._path()
         target = tmp_path / "p.bin"

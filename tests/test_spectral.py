@@ -30,7 +30,6 @@ from correlogram.kernels import (
 import correlogram.spectral as spectral_mod
 from correlogram.spectral import (
     CovarianceModel,
-    QuadratureSettings,
     autocovariance_Y,
     cov_finite,
     cov_finite_detail,
@@ -393,12 +392,6 @@ class TestRho:
 
 
 class TestSettings:
-    def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValueError):
-            QuadratureSettings(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(lambda_max=0.0)
-
     def test_model_checks_window_constant(self):
         with pytest.raises(ValueError, match="does not match"):
             CovarianceModel(h=make_sinc(), g=make_triangular(5.0, 2.0), c=1.0)
