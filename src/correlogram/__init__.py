@@ -6,214 +6,7 @@ component from the paired outputs, and quantifies the estimation error:
 exact and limiting covariances of the normalized error process, metric
 entropy of the induced pseudometrics, and explicit tail bounds for the
 sup-norm deviation, each checkable against Monte Carlo replications.
+
+Import from the submodules (``correlogram.spectral`` and so on); each
+lists its public names in ``__all__``.
 """
-
-from .errors import (
-    BoundUnavailable,
-    ConsistencyError,
-    CoverageError,
-    InfiniteMassiveness,
-    PadError,
-)
-from .bounds import (
-    TailBoundReport,
-    b_sup,
-    corollary1_bound,
-    corollary1_report,
-    corollary2_bound,
-    corollary2_report,
-    k_of_x,
-    pointwise_ci,
-    solve_2k,
-    theorem3_report,
-    theorem4_detail,
-    theorem4_report,
-)
-from .config import (
-    RunManifest,
-    config_digest,
-    load_config,
-    load_manifest,
-    verify_manifest,
-)
-from .entropy import (
-    Pseudometric,
-    c_r,
-    covering_number,
-    entropy_integral,
-    epsilon_T_delta,
-    rho_exact_metric,
-    rho_upper_metric,
-    sigma_metric,
-    sqrt_sigma_metric,
-    uniform_metric,
-)
-from .estimator import (
-    CorrelogramEstimate,
-    cross_correlogram,
-    estimate_correlogram,
-    read_estimate_csv,
-    snap_tau_grid,
-    theoretical_bias,
-    write_estimate_csv,
-)
-from .kernels import (
-    ConditionReport,
-    Kernel,
-    KernelFamily,
-    autocorrelation,
-    check_family_conditions,
-    check_weighted_spectral,
-    family_from_name,
-    kernel_from_spec,
-    load_kernel_csv,
-    make_hilbert_sinc,
-    make_laplace,
-    make_one_sided_box,
-    make_sinc,
-    make_tabulated,
-    make_triangular,
-)
-from .montecarlo import (
-    ExperimentConfig,
-    MonteCarloResult,
-    ci_coverage,
-    empirical_sup_tail,
-    modulus_of_continuity,
-    normality_test,
-    run_replications,
-    sample_limit_Z,
-    sample_stationary_Y,
-    write_result_csv,
-    write_result_json,
-    write_trajectories_csv,
-)
-from .simulate import (
-    NoiseSeed,
-    SampledPath,
-    TimeGrid,
-    read_path_binary,
-    read_path_csv,
-    required_pad,
-    simulate_output,
-    simulate_pair,
-    wiener_increments,
-    write_path_binary,
-    write_path_csv,
-)
-from .spectral import (
-    CovarianceModel,
-    autocovariance_Y,
-    cov_finite,
-    cov_limit,
-    cov_matrix,
-    fejer,
-    fejer_l1_norm,
-    msq_increment_Y,
-    rho_exact,
-    rho_upper,
-    sigma,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    # kernels
-    "Kernel",
-    "KernelFamily",
-    "ConditionReport",
-    "make_triangular",
-    "make_laplace",
-    "make_sinc",
-    "make_hilbert_sinc",
-    "make_tabulated",
-    "make_one_sided_box",
-    "load_kernel_csv",
-    "family_from_name",
-    "kernel_from_spec",
-    "check_family_conditions",
-    "check_weighted_spectral",
-    "autocorrelation",
-    # simulation
-    "TimeGrid",
-    "SampledPath",
-    "NoiseSeed",
-    "required_pad",
-    "wiener_increments",
-    "simulate_output",
-    "simulate_pair",
-    "write_path_csv",
-    "read_path_csv",
-    "write_path_binary",
-    "read_path_binary",
-    # estimation
-    "CorrelogramEstimate",
-    "snap_tau_grid",
-    "cross_correlogram",
-    "theoretical_bias",
-    "estimate_correlogram",
-    "write_estimate_csv",
-    "read_estimate_csv",
-    # spectral quantities
-    "CovarianceModel",
-    "fejer",
-    "fejer_l1_norm",
-    "sigma",
-    "msq_increment_Y",
-    "autocovariance_Y",
-    "cov_limit",
-    "cov_finite",
-    "cov_matrix",
-    "rho_exact",
-    "rho_upper",
-    # entropy
-    "Pseudometric",
-    "uniform_metric",
-    "sigma_metric",
-    "sqrt_sigma_metric",
-    "rho_upper_metric",
-    "rho_exact_metric",
-    "covering_number",
-    "entropy_integral",
-    "c_r",
-    "epsilon_T_delta",
-    # bounds
-    "k_of_x",
-    "solve_2k",
-    "pointwise_ci",
-    "b_sup",
-    "corollary1_bound",
-    "corollary2_bound",
-    "theorem4_detail",
-    "TailBoundReport",
-    "theorem3_report",
-    "theorem4_report",
-    "corollary1_report",
-    "corollary2_report",
-    # replication harness
-    "ExperimentConfig",
-    "MonteCarloResult",
-    "run_replications",
-    "normality_test",
-    "sample_limit_Z",
-    "sample_stationary_Y",
-    "empirical_sup_tail",
-    "ci_coverage",
-    "modulus_of_continuity",
-    "write_result_csv",
-    "write_result_json",
-    "write_trajectories_csv",
-    # configuration and manifests
-    "load_config",
-    "config_digest",
-    "RunManifest",
-    "load_manifest",
-    "verify_manifest",
-    # errors
-    "PadError",
-    "CoverageError",
-    "ConsistencyError",
-    "InfiniteMassiveness",
-    "BoundUnavailable",
-    "__version__",
-]

@@ -34,6 +34,22 @@ from .kernels import Kernel, autocorrelation
 from .quadrature import sup_ftf
 from .spectral import CovarianceModel, cov_finite
 
+__all__ = [
+    "k_of_x",
+    "solve_2k",
+    "pointwise_ci",
+    "acf2_interval_min",
+    "b_sup",
+    "corollary2_bound",
+    "corollary1_bound",
+    "theorem4_detail",
+    "TailBoundReport",
+    "theorem3_report",
+    "corollary2_report",
+    "corollary1_report",
+    "theorem4_report",
+]
+
 _ARG_TOL = 1e-10
 _MAX_ITER = 200
 # Scan points of the doubled-lag self-convolution over [a, b], and of the

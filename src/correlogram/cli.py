@@ -188,23 +188,20 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
     increments = wiener_increments(grid, pad, seed)
 
     manifest = RunManifest.start("simulate", cfg)
-    written = []
     y_path = simulate_output(h, increments, grid, pad)
     for suffix, writer in ((".csv", write_path_csv), (".bin", write_path_binary)):
         target = out_dir / f"path_Y{suffix}"
         writer(y_path, target)
         manifest.add_output(target)
-        written.append(target)
     for label, g in zip(labels, windows):
         x_path = simulate_output(g, increments, grid, pad)
         for suffix, writer in ((".csv", write_path_csv), (".bin", write_path_binary)):
             target = out_dir / f"path_X_delta{label}{suffix}"
             writer(x_path, target)
             manifest.add_output(target)
-            written.append(target)
     manifest.finish(out_dir)
-    for target in written:
-        print(f"wrote {target}")
+    for output in manifest.outputs:
+        print(f"wrote {out_dir / output['name']}")
     return 0
 
 
@@ -228,8 +225,8 @@ def cmd_estimate(cfg: dict, out_dir: Path, args) -> int:
     manifest.add_output(target)
     manifest.add_output(target.with_suffix(".json"))
     manifest.finish(out_dir)
-    print(f"wrote {target}")
-    print(f"wrote {target.with_suffix('.json')}")
+    for output in manifest.outputs:
+        print(f"wrote {out_dir / output['name']}")
     return 0
 
 
@@ -247,7 +244,6 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
 
     manifest = RunManifest.start("bounds", cfg)
     signals: dict = {}
-    written = []
 
     y_tail = None
     if "corollary1" in methods or "corollary2" in methods:
@@ -289,7 +285,6 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
         target = out_dir / f"bound_{method}.json"
         report.to_json(target)
         manifest.add_output(target)
-        written.append(target)
 
     if signals:
         target = out_dir / "bounds_signals.json"
@@ -297,10 +292,9 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
             json.dump({"signals": signals}, fh, indent=2)
             fh.write("\n")
         manifest.add_output(target)
-        written.append(target)
     manifest.finish(out_dir)
-    for target in written:
-        print(f"wrote {target}")
+    for output in manifest.outputs:
+        print(f"wrote {out_dir / output['name']}")
     if signals:
         for method, msgs in signals.items():
             for msg in msgs:
@@ -331,21 +325,17 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
     manifest = RunManifest.start("montecarlo", cfg)
     result = run_replications(experiment, workers=args.workers)
 
-    written = []
     target = out_dir / "result.csv"
     write_result_csv(result, target)
     manifest.add_output(target)
-    written.append(target)
     target = out_dir / "result.json"
     write_result_json(result, target)
     manifest.add_output(target)
-    written.append(target)
 
     if args.emit_paths:
         target = out_dir / "trajectories.csv"
         write_trajectories_csv(result, target, max_reps=view["emit_max_reps"])
         manifest.add_output(target)
-        written.append(target)
         # First replication's paths, re-simulated from its own stream.
         h, g = experiment.kernels()
         grid = estimation_grid(experiment.T, experiment.dt, result.fine_taus)
@@ -354,11 +344,10 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
             target = out_dir / f"path_rep0_{label}.csv"
             write_path_csv(path, target)
             manifest.add_output(target)
-            written.append(target)
 
     manifest.finish(out_dir)
-    for target in written:
-        print(f"wrote {target}")
+    for output in manifest.outputs:
+        print(f"wrote {out_dir / output['name']}")
     return 0
 
 

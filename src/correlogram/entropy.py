@@ -25,6 +25,19 @@ from .errors import BoundUnavailable, InfiniteMassiveness
 from .kernels import Kernel
 from .spectral import CovarianceModel, _rho_upper_scale, rho_exact, sigma_profile
 
+__all__ = [
+    "Pseudometric",
+    "uniform_metric",
+    "sigma_metric",
+    "sqrt_sigma_metric",
+    "rho_upper_metric",
+    "rho_exact_metric",
+    "covering_number",
+    "entropy_integral",
+    "c_r",
+    "epsilon_T_delta",
+]
+
 _KINDS = ("uniform_d", "sigma", "sqrt_sigma", "rho_upper", "rho_exact")
 
 # Profile tabulation size for translation-invariant metrics. The running

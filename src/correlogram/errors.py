@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PadError",
+    "CoverageError",
+    "ConsistencyError",
+    "InfiniteMassiveness",
+    "BoundUnavailable",
+]
+
 
 class PadError(ValueError):
     """Increment padding does not cover the kernel support.

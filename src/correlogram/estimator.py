@@ -17,7 +17,6 @@ interpolating; the snapped grid is what the estimate reports.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ __all__ = [
     "theoretical_bias",
     "estimate_correlogram",
     "write_estimate_csv",
-    "read_estimate_csv",
 ]
 
 
@@ -211,26 +209,3 @@ def write_estimate_csv(est: CorrelogramEstimate, file) -> None:
     with open(file.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_estimate_csv(file) -> CorrelogramEstimate:
-    file = Path(file)
-    cols = {"tau": [], "h_hat": [], "h_mean": [], "z_hat": []}
-    with open(file, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            for k in cols:
-                cols[k].append(float(row[k]))
-    with open(file.with_suffix(".json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return CorrelogramEstimate(
-        tau_grid=np.array(cols["tau"]),
-        h_hat=np.array(cols["h_hat"]),
-        h_mean=np.array(cols["h_mean"]),
-        z_hat=np.array(cols["z_hat"]),
-        T=float(meta["T"]),
-        delta=float(meta["delta"]),
-        c=float(meta["c"]),
-        dt=meta.get("dt"),
-        seed=meta.get("seed"),
-    )

@@ -14,6 +14,28 @@ import numpy as np
 
 from .errors import ConsistencyError
 
+__all__ = [
+    "GL_NODES",
+    "GL_WEIGHTS",
+    "TIME_ROUTE_TOL",
+    "WINDOW_START",
+    "panel_edges",
+    "panel_nodes",
+    "row_blocks",
+    "integrate",
+    "si_tail",
+    "legendre_moments",
+    "ftf_abs",
+    "ftf_breakpoints",
+    "osc_rate",
+    "spectral_width",
+    "sup_ftf",
+    "spectral_window",
+    "lagged_product",
+    "lagged_product_time",
+    "lagged_product_frequency",
+]
+
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 #: Kernels whose stored support tail mass is at most this integrate in the

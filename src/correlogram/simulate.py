@@ -27,6 +27,7 @@ the same paths from the same seeds.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -312,12 +313,12 @@ def write_path_csv(path: SampledPath, file) -> None:
 
 def read_path_csv(file, label: str = "") -> SampledPath:
     """Read (t,value) rows on the grid ``t0 + j*dt`` with ``dt = t1 - t0``;
-    a time off that grid raises ``ValueError`` naming its row."""
+    fewer than two rows, or a time off that grid, raises ``ValueError``."""
     times, values = _read_two_columns(file)
-    if len(times) < 1:
-        raise ValueError(f"no samples in {file}")
+    if len(times) < 2:
+        raise ValueError(f"{len(times)} samples in {file}: two are needed to fix dt")
     t0 = times[0]
-    dt = times[1] - t0 if len(times) > 1 else 1.0
+    dt = times[1] - t0
     j = np.arange(len(times))
     # dt is off by up to half an ulp of t1, and sample j repeats that j times
     slack = 1e-6 * abs(dt) + j * np.spacing(abs(t0) + abs(dt))
@@ -340,13 +341,16 @@ def write_path_binary(path: SampledPath, file) -> None:
 
 
 def read_path_binary(file, label: str = "") -> SampledPath:
+    """Read a path in the ``_BIN_HEADER`` layout; a file whose size is not
+    that of the header plus its ``n`` values raises ``ValueError``."""
     with open(Path(file), "rb") as fh:
         header = fh.read(_BIN_HEADER.size)
         if len(header) != _BIN_HEADER.size:
             raise ValueError(f"truncated header in {file}")
         n, dt, t_start = _BIN_HEADER.unpack(header)
+        size, expected = os.fstat(fh.fileno()).st_size, _BIN_HEADER.size + 8 * n
+        if size != expected:
+            raise ValueError(f"{file} has {size} bytes, but a header of n={n} needs {expected}")
         raw = fh.read(8 * n)
-        if len(raw) != 8 * n:
-            raise ValueError(f"truncated payload in {file}: expected {n} samples")
     values = np.frombuffer(raw, dtype="<f8").astype(float)
     return SampledPath(grid=TimeGrid(t_start, dt, int(n)), values=values, label=label)

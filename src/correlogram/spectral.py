@@ -79,6 +79,7 @@ __all__ = [
     "sigma",
     "sigma_profile",
     "msq_increment_Y",
+    "autocovariance_Y",
     "cov_limit",
     "cov_finite",
     "cov_finite_detail",

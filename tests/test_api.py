@@ -1,7 +1,14 @@
-"""The public names of the package and of its submodules."""
+"""The public names of the submodules. The package ``correlogram`` holds
+only its docstring, and each submodule lists its public names in
+``__all__``."""
 
+import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import correlogram
 
@@ -9,6 +16,7 @@ SUBMODULES = [
     importlib.import_module(info.name)
     for info in pkgutil.iter_modules(correlogram.__path__, "correlogram.")
 ]
+SRC = Path(correlogram.__file__).parent
 
 # removed from the API: theorem 4 has one entropy integral
 # (entropy.entropy_integral) and one report path (bounds.theorem4_report);
@@ -17,7 +25,8 @@ SUBMODULES = [
 # wrapped once by Kernel; a Pseudometric is one array distance, and the
 # entropy profile table had no caller; the quadrature settings, which no
 # caller set, are module constants, and the bound-method names live in
-# bounds alone
+# bounds alone; the package re-exported every submodule, and no caller
+# read estimates back or asked for the version
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -52,19 +61,55 @@ DELETED = [
     "profile_fn",
     "QuadratureSettings",
     "_BOUND_METHODS",
+    "read_estimate_csv",
+    "__version__",
 ]
 
 
 def test_public_names():
-    assert len(correlogram.__all__) == len(set(correlogram.__all__))
-    for module in [correlogram, *SUBMODULES]:
-        for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), f"{module.__name__}.{name}"
-    namespace = {}
-    exec("from correlogram import *", namespace)
-    del namespace["__builtins__"]
-    assert set(namespace) == set(correlogram.__all__)
+    for module in SUBMODULES:
+        names = module.__all__
+        assert len(names) == len(set(names)), module.__name__
+        assert [name for name in names if not hasattr(module, name)] == [], module.__name__
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(names), module.__name__
     for module in [correlogram, *SUBMODULES]:
         public = [getattr(module, name) for name in getattr(module, "__all__", ())]
         for owner in [module, *(obj for obj in public if isinstance(obj, type))]:
             assert not [name for name in DELETED if hasattr(owner, name)], owner
+
+
+def test_package_holds_only_its_docstring():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert len(tree.body) == 1 and ast.get_docstring(tree)
+
+
+def test_package_imports_only_public_names():
+    # underscore helpers shared inside the package are exempt
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = importlib.import_module(f"correlogram.{node.module}")
+                missing += [
+                    f"{path.stem} imports {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not alias.name.startswith("_") and alias.name not in source.__all__
+                ]
+    assert missing == []
+
+
+def test_package_import_loads_no_submodule():
+    probe = (
+        "import sys, correlogram; "
+        "print(sorted(m for m in sys.modules if m.startswith('correlogram.')))"
+    )
+    paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

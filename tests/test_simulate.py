@@ -340,6 +340,21 @@ class TestPathIO:
         with pytest.raises(ValueError):
             read_path_binary(target)
 
+    @pytest.mark.parametrize("n, n_values", [(2**62, 10), (2, 5)])
+    def test_binary_header_must_match_file_size(self, tmp_path, n, n_values):
+        # a huge n in front of 80 bytes, and values left over after n
+        target = tmp_path / "p.bin"
+        target.write_bytes(struct.pack("<Qdd", n, 0.125, 0.0) + bytes(8 * n_values))
+        with pytest.raises(ValueError, match=f"p.bin has {24 + 8 * n_values} bytes"):
+            read_path_binary(target)
+
+    def test_csv_single_row_rejected(self, tmp_path):
+        # one row fixes no dt
+        target = tmp_path / "p.csv"
+        target.write_text("t,value\n0.5,1\n")
+        with pytest.raises(ValueError, match="two are needed to fix dt"):
+            read_path_csv(target)
+
 
 def test_next_fast_len_matches_scipy():
     n = np.arange(1, 20001)
