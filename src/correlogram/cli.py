@@ -29,7 +29,6 @@ from .bounds import (
     theorem4_report,
 )
 from .config import (
-    COMMANDS,
     ConfigError,
     RunManifest,
     command_view,
@@ -42,6 +41,7 @@ from .errors import (
     CoverageError,
     InfiniteMassiveness,
     PadError,
+    ReplicationError,
 )
 from .estimator import estimate_correlogram, estimation_grid, write_estimate_csv
 from .kernels import (
@@ -91,15 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-correlogram estimation experiments for Wiener-driven LTI systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "check-kernel": "verify window-family conditions and the weighted spectral integral",
-        "simulate": "simulate and write output paths over a delta ladder",
-        "estimate": "run one simulate-estimate cycle and write the estimate",
-        "bounds": "compute tail-bound reports over a threshold grid",
-        "montecarlo": "run the replication harness and write aggregate results",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", default=None, help="output directory (overrides env and config)")
         if name == "montecarlo":
@@ -118,57 +111,45 @@ def _kernels(view: dict) -> tuple:
         raise ConfigError(f"invalid h or g_family: {exc}") from exc
 
 
-def cmd_check_kernel(cfg: dict, out_dir: Path, args) -> int:
-    view = command_view(cfg, "check-kernel")
-    h, family = _kernels(view)
-    exponent = view["hunt_exponent"]
-    lambda_max = view["lambda_max"]
+# Each handler takes the command's view, the output directory, the run's
+# manifest (where it records every file it writes) and the parsed
+# arguments, and returns the exit code; its docstring is its --help text.
 
-    manifest = RunManifest.start("check-kernel", cfg)
+
+def cmd_check_kernel(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+    """verify window-family conditions and the weighted spectral integral"""
+    h, family = _kernels(view)
     try:
         report = check_family_conditions(
             family, view["deltas"], view["lambda_window"], tol=view["tol"]
         )
-        hunt = check_weighted_spectral(h, exponent, lambda_max)
+        hunt = check_weighted_spectral(h, view["hunt_exponent"], view["lambda_max"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    passed = report.passed and hunt.converged
-    payload = {
-        "family": report.as_dict(),
-        "hunt": {
-            "kernel": view["h"],
-            "exponent": exponent,
-            "lambda_max": lambda_max,
-            "value": hunt.value,
-            "relative_change": hunt.relative_change,
-            "converged": hunt.converged,
-        },
-        "passed": passed,
+    hunt = {
+        "kernel": view["h"],
+        "exponent": view["hunt_exponent"],
+        "lambda_max": view["lambda_max"],
+        **hunt,
     }
+    passed = report["passed"] and hunt["converged"]
     target = out_dir / "conditions.json"
     with open(target, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({"family": report, "hunt": hunt, "passed": passed}, fh, indent=2)
         fh.write("\n")
     manifest.add_output(target)
-    manifest.finish(out_dir)
 
-    for name, ok in (
-        ("square-integrable", report.l2_ok),
-        ("even", report.even_ok),
-        ("transform sup bounded", report.sup_bounded),
-        ("compact limit -> c", report.limit_ok),
-        ("weighted spectral integral finite", hunt.converged),
-    ):
+    oks = [check["passed"] for check in report["checks"].values()] + [hunt["converged"]]
+    for name, ok in zip(("square-integrable", "even", "transform sup bounded",
+                         "compact limit -> c", "weighted spectral integral finite"), oks):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    print(f"wrote {target}")
     return 0 if passed else 1
 
 
-def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
-    view = command_view(cfg, "simulate")
+def cmd_simulate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+    """simulate and write output paths over a delta ladder"""
     h, family = _kernels(view)
-    seed = NoiseSeed(**view["base_seed"])
     dt = view["dt"]
     deltas = view["deltas"]
     labels = [f"{d:g}" for d in deltas]
@@ -181,32 +162,23 @@ def cmd_simulate(cfg: dict, out_dir: Path, args) -> int:
         raise ConfigError("grid needs at least two samples; check T and dt")
     grid = TimeGrid(t_start=view["t_start"], dt=dt, n=n)
 
-    windows = [family(d) for d in deltas]
+    kernels = {"Y": h}
+    kernels.update((f"X_delta{label}", family(d)) for label, d in zip(labels, deltas))
     # One increment array padded for every kernel at once, so the same
     # Wiener path drives Y and each X_delta.
-    pad = max(required_pad(k, dt) for k in [h, *windows])
-    increments = wiener_increments(grid, pad, seed)
-
-    manifest = RunManifest.start("simulate", cfg)
-    y_path = simulate_output(h, increments, grid, pad)
-    for suffix, writer in ((".csv", write_path_csv), (".bin", write_path_binary)):
-        target = out_dir / f"path_Y{suffix}"
-        writer(y_path, target)
-        manifest.add_output(target)
-    for label, g in zip(labels, windows):
-        x_path = simulate_output(g, increments, grid, pad)
+    pad = max(required_pad(k, dt) for k in kernels.values())
+    increments = wiener_increments(grid, pad, NoiseSeed(**view["base_seed"]))
+    for name, k in kernels.items():
+        path = simulate_output(k, increments, grid, pad)
         for suffix, writer in ((".csv", write_path_csv), (".bin", write_path_binary)):
-            target = out_dir / f"path_X_delta{label}{suffix}"
-            writer(x_path, target)
+            target = out_dir / f"path_{name}{suffix}"
+            writer(path, target)
             manifest.add_output(target)
-    manifest.finish(out_dir)
-    for output in manifest.outputs:
-        print(f"wrote {out_dir / output['name']}")
     return 0
 
 
-def cmd_estimate(cfg: dict, out_dir: Path, args) -> int:
-    view = command_view(cfg, "estimate")
+def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+    """run one simulate-estimate cycle and write the estimate"""
     h, family = _kernels(view)
     g = family(view["delta"])
     try:
@@ -214,7 +186,6 @@ def cmd_estimate(cfg: dict, out_dir: Path, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    manifest = RunManifest.start("estimate", cfg)
     y_path, x_path = simulate_pair(h, g, grid, NoiseSeed(**view["base_seed"]))
     est = estimate_correlogram(
         h, g, view["c"], y_path, x_path, view["T"], view["tau_grid"],
@@ -224,14 +195,11 @@ def cmd_estimate(cfg: dict, out_dir: Path, args) -> int:
     write_estimate_csv(est, target)
     manifest.add_output(target)
     manifest.add_output(target.with_suffix(".json"))
-    manifest.finish(out_dir)
-    for output in manifest.outputs:
-        print(f"wrote {out_dir / output['name']}")
     return 0
 
 
-def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
-    view = command_view(cfg, "bounds")
+def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+    """compute tail-bound reports over a threshold grid"""
     h, family = _kernels(view)
     a, b = view["interval"]
     methods = view["methods"]
@@ -240,9 +208,12 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
     y_tail_M = view["y_tail_M"]
 
     model = CovarianceModel(h=h, g=family(view["delta"]), c=view["c"])
+    if "theorem4_sup" in methods and model.g.parity != "even":
+        raise ConfigError(
+            f"method theorem4_sup needs an even g_family window; "
+            f"{view['g_family']['name']!r} has parity {model.g.parity!r}"
+        )
     shared = {k: view[k] for k in ("T", "interval", "r", "delta", "c")}
-
-    manifest = RunManifest.start("bounds", cfg)
     signals: dict = {}
 
     y_tail = None
@@ -292,10 +263,6 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
             json.dump({"signals": signals}, fh, indent=2)
             fh.write("\n")
         manifest.add_output(target)
-    manifest.finish(out_dir)
-    for output in manifest.outputs:
-        print(f"wrote {out_dir / output['name']}")
-    if signals:
         for method, msgs in signals.items():
             for msg in msgs:
                 print(f"degenerate [{method}]: {msg}", file=sys.stderr)
@@ -303,8 +270,8 @@ def cmd_bounds(cfg: dict, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
-    view = command_view(cfg, "montecarlo")
+def cmd_montecarlo(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+    """run the replication harness and write aggregate results"""
     _kernels(view)  # fail fast on an unknown kernel or window name
     try:
         experiment = ExperimentConfig(
@@ -322,15 +289,11 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    manifest = RunManifest.start("montecarlo", cfg)
     result = run_replications(experiment, workers=args.workers)
-
-    target = out_dir / "result.csv"
-    write_result_csv(result, target)
-    manifest.add_output(target)
-    target = out_dir / "result.json"
-    write_result_json(result, target)
-    manifest.add_output(target)
+    for name, writer in (("result.csv", write_result_csv), ("result.json", write_result_json)):
+        target = out_dir / name
+        writer(result, target)
+        manifest.add_output(target)
 
     if args.emit_paths:
         target = out_dir / "trajectories.csv"
@@ -344,10 +307,6 @@ def cmd_montecarlo(cfg: dict, out_dir: Path, args) -> int:
             target = out_dir / f"path_rep0_{label}.csv"
             write_path_csv(path, target)
             manifest.add_output(target)
-
-    manifest.finish(out_dir)
-    for output in manifest.outputs:
-        print(f"wrote {out_dir / output['name']}")
     return 0
 
 
@@ -365,36 +324,35 @@ _DOMAIN_ERRORS = (
     ConsistencyError,
     InfiniteMassiveness,
     BoundUnavailable,
+    ReplicationError,
 )
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: parse its config view, run its handler, then write
+    the run manifest and print one ``wrote`` line per output file."""
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        view = command_view(cfg, args.command)
         out_dir = resolve_out_dir(args.out, cfg)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot prepare output directory: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _HANDLERS[args.command](cfg, out_dir, args)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"cannot prepare output directory: {exc}", file=sys.stderr)
+            return 2
+        manifest = RunManifest.start(args.command, cfg)
+        code = _HANDLERS[args.command](view, out_dir, manifest, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
-        # Replication failures arrive here tagged with their index.
-        if "replication" in str(exc):
-            print(f"domain failure: {exc}", file=sys.stderr)
-            return 1
-        raise
+    manifest.finish(out_dir)
+    for output in manifest.outputs:
+        print(f"wrote {out_dir / output['name']}")
+    return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ __all__ = [
     "ConsistencyError",
     "InfiniteMassiveness",
     "BoundUnavailable",
+    "ReplicationError",
 ]
 
 
@@ -46,3 +47,7 @@ class InfiniteMassiveness(RuntimeError):
 class BoundUnavailable(RuntimeError):
     """A tail bound could not be formed (for instance, the entropy
     integral it needs diverges)."""
+
+
+class ReplicationError(RuntimeError):
+    """A Monte Carlo replication failed; the message names its index."""

@@ -81,13 +81,23 @@ def snap_tau_grid(tau_grid: Sequence[float], dt: float) -> np.ndarray:
 
 def estimation_grid(T: float, dt: float, taus: Sequence[float]) -> TimeGrid:
     """The dt lattice over [min(0, taus[0]), T + max(0, taus[-1])]: every
-    sample ``cross_correlogram`` reads for the ascending lags ``taus``."""
+    sample ``cross_correlogram`` reads for the ascending lags ``taus``.
+    ``T`` must be a whole number of ``dt`` steps."""
     t_start = min(0.0, float(taus[0]))
     t_end = T + max(0.0, float(taus[-1]))
     n = int(round((t_end - t_start) / dt)) + 1
     if n < 2:
         raise ValueError("grid needs at least two samples; check T and dt")
+    _horizon_steps(T, dt)
     return TimeGrid(t_start=t_start, dt=dt, n=n)
+
+
+def _horizon_steps(T: float, dt: float) -> int:
+    """Lattice steps in the window [0, T), of which T must be a whole number."""
+    n_T = round(T / dt)
+    if n_T < 1 or abs(T / dt - n_T) > 1e-6:
+        raise ValueError(f"T={T} must be a positive multiple of dt={dt}")
+    return n_T
 
 
 def _lattice_index(t: float, grid) -> int:
@@ -114,9 +124,7 @@ def cross_correlogram(
     dt = grid.dt
     if not c > 0:
         raise ValueError("c must be positive")
-    n_T = round(T / dt)
-    if n_T < 1 or abs(T / dt - n_T) > 1e-6:
-        raise ValueError(f"T={T} must be a positive multiple of dt={dt}")
+    n_T = _horizon_steps(T, dt)
 
     tau = snap_tau_grid(tau_grid, dt)
     shifts = np.round(tau / dt).astype(int)

@@ -44,8 +44,6 @@ from .quadrature import (
 __all__ = [
     "Kernel",
     "KernelFamily",
-    "ConditionReport",
-    "WeightedSpectralCheck",
     "KERNELS",
     "WINDOW_FAMILIES",
     "make_triangular",
@@ -480,51 +478,6 @@ def kernel_from_spec(spec: dict) -> Kernel:
     return make(**params)
 
 
-@dataclass
-class ConditionReport:
-    """Outcome of the four window-family checks, with numeric evidence."""
-
-    family_name: str
-    deltas: list
-    l2_ok: bool
-    l2_norms: list
-    even_ok: bool
-    max_asymmetry: list
-    sup_bounded: bool
-    sup_ftf_per_delta: list
-    sup_ftf_constant: float
-    limit_ok: bool
-    limit_deviation: list
-    lambda_window: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.l2_ok and self.even_ok and self.sup_bounded and self.limit_ok
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family_name,
-            "deltas": list(map(float, self.deltas)),
-            "checks": {
-                "l2_finite": {"passed": self.l2_ok, "l2_norms": self.l2_norms},
-                "even": {"passed": self.even_ok, "max_asymmetry": self.max_asymmetry},
-                "ftf_sup_bounded": {
-                    "passed": self.sup_bounded,
-                    "per_delta": self.sup_ftf_per_delta,
-                    "constant": self.sup_ftf_constant,
-                },
-                "compact_limit": {
-                    "passed": self.limit_ok,
-                    "deviation_per_delta": self.limit_deviation,
-                    "lambda_window": self.lambda_window,
-                },
-            },
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-
 _EVEN_CHECK_POINTS = 512
 _SUP_SCAN_POINTS = 4096
 
@@ -534,8 +487,12 @@ def check_family_conditions(
     deltas: Sequence[float],
     lambda_window: float,
     tol: float = 1e-9,
-) -> ConditionReport:
+) -> dict:
     """Evaluate conditions (1a)-(1d) for sampled members of a window family.
+
+    Returns the ``family`` object of ``conditions.json``: the family name,
+    the deltas, one entry per check under ``checks`` (its ``passed`` flag
+    and numeric evidence), ``tol``, and ``passed`` when all four hold.
 
     Convergence in (1d) is operationalized as monotone decrease of the
     window-restricted deviation ``sup_{|lam|<=a} |g*(lam) - c|`` along the
@@ -553,7 +510,7 @@ def check_family_conditions(
 
     members = [family(d) for d in deltas]
 
-    l2_norms = [k.l2_norm for k in members]
+    l2_norms = [float(k.l2_norm) for k in members]
     l2_ok = all(math.isfinite(v) for v in l2_norms)
 
     max_asym = []
@@ -588,38 +545,36 @@ def check_family_conditions(
     decreasing = all(b < a * (1.0 + 1e-12) for a, b in zip(deviations, deviations[1:]))
     limit_ok = decreasing and deviations[-1] < tol
 
-    return ConditionReport(
-        family_name=family.family_name,
-        deltas=deltas,
-        l2_ok=l2_ok,
-        l2_norms=[float(v) for v in l2_norms],
-        even_ok=even_ok,
-        max_asymmetry=max_asym,
-        sup_bounded=sup_bounded,
-        sup_ftf_per_delta=sup_per_delta,
-        sup_ftf_constant=float(sup_constant),
-        limit_ok=limit_ok,
-        limit_deviation=deviations,
-        lambda_window=float(lambda_window),
-        tol=float(tol),
-    )
+    checks = {
+        "l2_finite": {"passed": l2_ok, "l2_norms": l2_norms},
+        "even": {"passed": even_ok, "max_asymmetry": max_asym},
+        "ftf_sup_bounded": {
+            "passed": sup_bounded,
+            "per_delta": sup_per_delta,
+            "constant": sup_constant,
+        },
+        "compact_limit": {
+            "passed": limit_ok,
+            "deviation_per_delta": deviations,
+            "lambda_window": float(lambda_window),
+        },
+    }
+    return {
+        "family": family.family_name,
+        "deltas": deltas,
+        "checks": checks,
+        "tol": float(tol),
+        "passed": all(check["passed"] for check in checks.values()),
+    }
 
 
-@dataclass(frozen=True)
-class WeightedSpectralCheck:
-    """Log-weighted spectral integral with a truncation-convergence flag."""
-
-    value: float
-    converged: bool
-    relative_change: float
-
-
-def check_weighted_spectral(k: Kernel, exponent: float, lambda_max: float) -> WeightedSpectralCheck:
+def check_weighted_spectral(k: Kernel, exponent: float, lambda_max: float) -> dict:
     """Compute ``int_{-L}^{L} |k*(lam)|^2 ln(1+|lam|)**exponent dlam``.
 
-    The convergence flag compares the value at ``lambda_max`` against the
-    value at ``2*lambda_max``; a relative change below 1e-3 is treated as
-    evidence of a finite integral.
+    Returns ``{"value", "relative_change", "converged"}``: the integral at
+    ``lambda_max``, its relative change at ``2*lambda_max``, and whether
+    that change is below 1e-3, which is treated as evidence of a finite
+    integral.
     """
     if not exponent > 1:
         raise ValueError("exponent must exceed 1")
@@ -636,7 +591,7 @@ def check_weighted_spectral(k: Kernel, exponent: float, lambda_max: float) -> We
     v2 = integral(2.0 * lambda_max)
     denom = max(abs(v2), 1e-300)
     rel = abs(v2 - v1) / denom
-    return WeightedSpectralCheck(value=v1, converged=bool(rel < 1e-3), relative_change=float(rel))
+    return {"value": v1, "relative_change": float(rel), "converged": bool(rel < 1e-3)}
 
 
 def autocorrelation(h: Kernel, lag):

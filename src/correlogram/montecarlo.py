@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ReplicationError
 from .estimator import cross_correlogram, estimation_grid, snap_tau_grid, theoretical_bias
 from .kernels import Kernel, family_from_name, kernel_from_spec
 from .simulate import NoiseSeed, PairSimulator, _write_csv, simulate_pair
@@ -80,6 +80,7 @@ class ExperimentConfig:
             raise ValueError("tau_grid must be nonempty")
         if np.any(taus < a - 1e-12) or np.any(taus > b + 1e-12):
             raise ValueError("tau_grid must lie inside the interval")
+        estimation_grid(self.T, self.dt, _lattice(self))  # T a whole number of dt steps
 
     def kernels(self) -> tuple:
         h = kernel_from_spec(self.h_spec)
@@ -107,7 +108,7 @@ def _replicate_share(args) -> np.ndarray:
             Y, X = simulate_pair(h, g, sim.grid, cfg.base_seed.spawn(i), simulator=sim)
             rows.append(math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias))
     except Exception as exc:
-        raise RuntimeError(f"replication {i} failed: {exc}") from exc
+        raise ReplicationError(f"replication {i} failed: {exc}") from exc
     return np.vstack(rows)
 
 

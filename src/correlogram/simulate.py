@@ -99,7 +99,6 @@ class SampledPath:
 
     grid: TimeGrid
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -239,10 +238,8 @@ def simulate_output(
     grid: TimeGrid,
     pad: int,
     plan: ConvolutionPlan | None = None,
-    label: str | None = None,
 ) -> SampledPath:
-    """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m``,
-    labelled ``label`` (default the kernel's name).
+    """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m``.
 
     The convolution is that of ``plan``, a ConvolutionPlan of
     ``(k, grid, pad)``, or of a plan built here.
@@ -257,7 +254,7 @@ def simulate_output(
         plan = ConvolutionPlan(k, grid, pad)
     elif plan.kernel is not k or plan.grid != grid or plan.pad != pad:
         raise ValueError("plan was built for another kernel, grid or pad")
-    return SampledPath(grid=grid, values=plan.convolve(increments), label=label or k.name)
+    return SampledPath(grid=grid, values=plan.convolve(increments))
 
 
 class PairSimulator:
@@ -290,8 +287,8 @@ def simulate_pair(
     pad, (h_plan, g_plan) = simulator.pad, simulator.plans
     dW = wiener_increments(grid, pad, seed, out=simulator.increments)
     return (
-        simulate_output(h, dW, grid, pad, plan=h_plan, label="Y"),
-        simulate_output(g, dW, grid, pad, plan=g_plan, label="X"),
+        simulate_output(h, dW, grid, pad, plan=h_plan),
+        simulate_output(g, dW, grid, pad, plan=g_plan),
     )
 
 
@@ -311,14 +308,25 @@ def write_path_csv(path: SampledPath, file) -> None:
     _write_csv(file, ["t", "value"], [path.grid.times(), path.values])
 
 
-def read_path_csv(file, label: str = "") -> SampledPath:
+def _file_grid(file, t_start: float, dt: float, n: int) -> TimeGrid:
+    """``TimeGrid(t_start, dt, n)`` read from ``file``; an invalid grid's
+    ``ValueError`` names the file."""
+    try:
+        return TimeGrid(t_start, dt, n)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, but {file} gives t_start={t_start!r}, dt={dt!r}") from None
+
+
+def read_path_csv(file) -> SampledPath:
     """Read (t,value) rows on the grid ``t0 + j*dt`` with ``dt = t1 - t0``;
-    fewer than two rows, or a time off that grid, raises ``ValueError``."""
+    fewer than two rows, a ``dt`` that is not positive, or a time off that
+    grid raises ``ValueError``."""
     times, values = _read_two_columns(file)
     if len(times) < 2:
         raise ValueError(f"{len(times)} samples in {file}: two are needed to fix dt")
     t0 = times[0]
     dt = times[1] - t0
+    grid = _file_grid(file, t0, dt, len(times))
     j = np.arange(len(times))
     # dt is off by up to half an ulp of t1, and sample j repeats that j times
     slack = 1e-6 * abs(dt) + j * np.spacing(abs(t0) + abs(dt))
@@ -326,7 +334,7 @@ def read_path_csv(file, label: str = "") -> SampledPath:
     if off.size:
         k = off[0]
         raise ValueError(f"t={times[k]!r} of sample {k} in {file} is off the grid {t0!r} + j*{dt!r}")
-    return SampledPath(grid=TimeGrid(t0, dt, len(times)), values=np.array(values), label=label)
+    return SampledPath(grid=grid, values=np.array(values))
 
 
 #: Binary path layout: little-endian header (n: uint64, dt: float64,
@@ -340,9 +348,10 @@ def write_path_binary(path: SampledPath, file) -> None:
         fh.write(np.ascontiguousarray(path.values, dtype="<f8").tobytes())
 
 
-def read_path_binary(file, label: str = "") -> SampledPath:
+def read_path_binary(file) -> SampledPath:
     """Read a path in the ``_BIN_HEADER`` layout; a file whose size is not
-    that of the header plus its ``n`` values raises ``ValueError``."""
+    that of the header plus its ``n`` values, or a header ``dt`` that is
+    not positive, raises ``ValueError``."""
     with open(Path(file), "rb") as fh:
         header = fh.read(_BIN_HEADER.size)
         if len(header) != _BIN_HEADER.size:
@@ -353,4 +362,4 @@ def read_path_binary(file, label: str = "") -> SampledPath:
             raise ValueError(f"{file} has {size} bytes, but a header of n={n} needs {expected}")
         raw = fh.read(8 * n)
     values = np.frombuffer(raw, dtype="<f8").astype(float)
-    return SampledPath(grid=TimeGrid(t_start, dt, int(n)), values=values, label=label)
+    return SampledPath(grid=_file_grid(file, t_start, dt, n), values=values)

@@ -63,6 +63,8 @@ DELETED = [
     "_BOUND_METHODS",
     "read_estimate_csv",
     "__version__",
+    "ConditionReport",
+    "WeightedSpectralCheck",
 ]
 
 

@@ -22,7 +22,7 @@ from correlogram.config import (
     resolve_out_dir,
     verify_manifest,
 )
-from correlogram.errors import BoundUnavailable
+from correlogram.errors import BoundUnavailable, ReplicationError
 from correlogram.simulate import read_path_binary, read_path_csv
 
 
@@ -137,7 +137,7 @@ class TestExitCodes:
 
     def test_replication_failure_maps_to_domain_exit(self, config_path, tmp_path, monkeypatch):
         def boom(cfg, workers=1):
-            raise RuntimeError("replication 3 failed: simulated")
+            raise ReplicationError("replication 3 failed: simulated")
 
         monkeypatch.setattr(cli, "run_replications", boom)
         code = run_cli("montecarlo", "--config", str(config_path), "--out", str(tmp_path / "o"))
@@ -292,6 +292,10 @@ class TestBounds:
     ("estimate", "h.times", {"name": "tabulated", "times": ["0", "1"], "values": [1, 0]}),
     ("estimate", "out_dir", 5),
     ("bounds", "out_dir", True),
+    # cross-key checks: T a whole number of dt steps, theorem 4 on an even window
+    ("estimate", "T", 40.005),
+    ("montecarlo", "T", 40.005),
+    ("bounds", "g_family", {"name": "one_sided_box"}),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -311,7 +315,18 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     err = capsys.readouterr().err
     assert all(part in err for part in key.split("."))
     assert ("argument" if key.startswith("--") else "config error") in err
-    assert not (tmp_path / "o" / "run_manifest.json").exists()
+    out = tmp_path / "o"
+    assert not (out.exists() and any(out.iterdir()))
+
+
+@pytest.mark.parametrize("command", ["check-kernel", "simulate", "estimate", "bounds", "montecarlo"])
+def test_wrote_lines_follow_the_manifest(config_path, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(config_path), "--out", str(out)) == 0
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    outputs = load_manifest(out / "run_manifest.json").outputs
+    assert wrote == [f"wrote {out / entry['name']}" for entry in outputs]
+    assert outputs
 
 
 class TestMontecarlo:

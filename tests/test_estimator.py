@@ -21,8 +21,8 @@ from correlogram.simulate import _CSV_CHUNK_ROWS, NoiseSeed, SampledPath, TimeGr
 
 
 def _const_paths(value_y, value_x, grid):
-    y = SampledPath(grid=grid, values=np.full(grid.n, value_y), label="Y")
-    x = SampledPath(grid=grid, values=np.full(grid.n, value_x), label="X")
+    y = SampledPath(grid=grid, values=np.full(grid.n, value_y))
+    x = SampledPath(grid=grid, values=np.full(grid.n, value_x))
     return y, x
 
 
@@ -44,8 +44,8 @@ class TestCrossCorrelogram:
         # ((T-dt)/2 + tau)/c exactly.
         dt, T, c = 0.05, 4.0, 1.5
         grid = TimeGrid(-1.0, dt, int(round(6.0 / dt)) + 1)
-        y = SampledPath(grid=grid, values=grid.times(), label="Y")
-        x = SampledPath(grid=grid, values=np.ones(grid.n), label="X")
+        y = SampledPath(grid=grid, values=grid.times())
+        x = SampledPath(grid=grid, values=np.ones(grid.n))
         taus = np.array([-0.5, 0.0, 0.75])
         vals = cross_correlogram(y, x, c=c, T=T, tau_grid=taus)
         np.testing.assert_allclose(vals, ((T - dt) / 2.0 + taus) / c, rtol=1e-12)

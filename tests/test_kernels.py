@@ -132,17 +132,17 @@ class TestFamilies:
     def test_triangular_ladder_passes_conditions(self):
         fam = family_from_name("triangular", 1.0)
         report = check_family_conditions(fam, [10, 100, 1000, 1e4, 1e5], 1.0)
-        assert report.passed
-        assert report.sup_ftf_constant == pytest.approx(1.0, abs=1e-9)
+        assert report["passed"]
+        assert report["checks"]["ftf_sup_bounded"]["constant"] == pytest.approx(1.0, abs=1e-9)
 
     def test_laplace_ladder_passes_conditions(self):
         report = check_family_conditions(family_from_name("laplace", 2.0), [10, 100, 1e3, 1e4, 1e5], 1.0)
-        assert report.passed
+        assert report["passed"]
 
     def test_one_sided_box_fails_evenness(self):
         report = check_family_conditions(family_from_name("one_sided_box", 1.0), [10, 100, 1000], 1.0)
-        assert not report.even_ok
-        assert not report.passed
+        assert not report["checks"]["even"]["passed"]
+        assert not report["passed"]
 
     def test_deltas_must_ascend(self):
         with pytest.raises(ValueError):
@@ -159,7 +159,7 @@ class TestFamilies:
         import json
 
         report = check_family_conditions(family_from_name("triangular", 1.0), [10, 100], 1.0)
-        parsed = json.loads(json.dumps(report.as_dict()))
+        parsed = json.loads(json.dumps(report))
         assert parsed["family"] == "triangular"
         assert set(parsed["checks"]) == {
             "l2_finite", "even", "ftf_sup_bounded", "compact_limit",
@@ -169,10 +169,11 @@ class TestFamilies:
 class TestWeightedSpectral:
     def test_band_limited_integral_converges(self):
         res = check_weighted_spectral(make_sinc(), 2.0, 50.0)
-        assert res.converged
+        assert list(res) == ["value", "relative_change", "converged"]
+        assert res["converged"]
         # closed form: 2 * int_0^pi ln(1+lam)^2 dlam
         want, _ = quad(lambda lam: np.log1p(lam) ** 2, 0.0, math.pi)
-        assert res.value == pytest.approx(2.0 * want, rel=1e-6)
+        assert res["value"] == pytest.approx(2.0 * want, rel=1e-6)
 
     def test_exponent_must_exceed_one(self):
         with pytest.raises(ValueError):

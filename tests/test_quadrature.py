@@ -183,7 +183,7 @@ class TestAgainstAdaptiveQuadrature:
         f = lambda lam: np.abs(k.ftf_eval(lam)) ** 2 * np.log1p(lam) ** 2.0
         pts = [k.band_limit] if k.band_limit is not None else None
         want, _ = quad(f, 0.0, 50.0, points=pts, **REF)
-        assert check_weighted_spectral(k, 2.0, 50.0).value == pytest.approx(2.0 * want, abs=1e-10)
+        assert check_weighted_spectral(k, 2.0, 50.0)["value"] == pytest.approx(2.0 * want, abs=1e-10)
 
     def test_fejer_head(self):
         X = 50.0 * math.pi

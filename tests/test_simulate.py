@@ -236,7 +236,6 @@ class TestConvolution:
         sim = PairSimulator(h, g, grid)
         got = [simulate_pair(h, g, grid, NoiseSeed(i), simulator=sim) for i in (2, 1)]
         for i, pair in zip((2, 1), got):
-            assert [p.label for p in pair] == ["Y", "X"]
             for a, b in zip(pair, simulate_pair(h, g, grid, NoiseSeed(i))):
                 np.testing.assert_array_equal(a.values, b.values)
         with pytest.raises(ValueError, match="other kernels"):
@@ -252,7 +251,6 @@ class TestConvolution:
         monkeypatch.setattr(SampledPath, "__post_init__", lambda p: checks.append(real(p)))
         pair = simulate_pair(h, g, grid, NoiseSeed(5))
         assert len(checks) == 2
-        assert [p.label for p in pair] == ["Y", "X"]
         for path, values in zip(pair, want):
             assert path.values.tobytes() == values.tobytes()
 
@@ -275,13 +273,13 @@ class TestPathIO:
     def _path(self):
         grid = TimeGrid(-0.5, 0.125, 17)
         values = NoiseSeed(21).generator().standard_normal(17)
-        return SampledPath(grid=grid, values=values, label="Y")
+        return SampledPath(grid=grid, values=values)
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         p = self._path()
         target = tmp_path / "p.csv"
         write_path_csv(p, target)
-        q = read_path_csv(target, label="Y")
+        q = read_path_csv(target)
         assert q.grid == p.grid
         np.testing.assert_array_equal(q.values, p.values)
 
@@ -295,7 +293,7 @@ class TestPathIO:
         p = self._path()
         target = tmp_path / "p.bin"
         write_path_binary(p, target)
-        q = read_path_binary(target, label="Y")
+        q = read_path_binary(target)
         assert q.grid == p.grid
         np.testing.assert_array_equal(q.values, p.values)
 
@@ -354,6 +352,18 @@ class TestPathIO:
         target.write_text("t,value\n0.5,1\n")
         with pytest.raises(ValueError, match="two are needed to fix dt"):
             read_path_csv(target)
+
+    def test_csv_descending_times_name_the_file(self, tmp_path):
+        target = tmp_path / "p.csv"
+        target.write_text("t,value\n1,1\n0,2\n")
+        with pytest.raises(ValueError, match="dt must be finite and positive, but .*p.csv gives"):
+            read_path_csv(target)
+
+    def test_binary_zero_dt_names_the_file(self, tmp_path):
+        target = tmp_path / "p.bin"
+        target.write_bytes(struct.pack("<Qdd", 2, 0.0, 0.0) + bytes(16))
+        with pytest.raises(ValueError, match="dt must be finite and positive, but .*p.bin gives"):
+            read_path_binary(target)
 
 
 def test_next_fast_len_matches_scipy():
