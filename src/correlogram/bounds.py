@@ -265,8 +265,6 @@ def theorem4_detail(
     (``rho_exact_metric``), whose sup_rho and covering numbers then come
     from one cached distance matrix on a 257-point grid.
     """
-    if model.g is None:
-        raise ValueError("the supremum bound needs the window kernel g")
     Cr = c_r(r)
     root = math.sqrt(Cr / math.log(2.0))
     if metric is None:

@@ -43,7 +43,7 @@ from .errors import (
     PadError,
     ReplicationError,
 )
-from .estimator import estimate_correlogram, estimation_grid, write_estimate_csv
+from .estimator import _horizon_steps, estimate_correlogram, estimation_grid, write_estimate_csv
 from .kernels import (
     check_family_conditions,
     check_weighted_spectral,
@@ -61,11 +61,9 @@ from .montecarlo import (
 )
 from .simulate import (
     NoiseSeed,
+    Simulator,
     TimeGrid,
-    required_pad,
-    simulate_output,
     simulate_pair,
-    wiener_increments,
     write_path_binary,
     write_path_csv,
 )
@@ -157,19 +155,15 @@ def cmd_simulate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     if clash:
         raise ConfigError(f"deltas {clash} would write the same path_X_delta file names")
 
-    n = int(round(view["T"] / dt)) + 1
-    if n < 2:
-        raise ConfigError("grid needs at least two samples; check T and dt")
-    grid = TimeGrid(t_start=view["t_start"], dt=dt, n=n)
+    try:
+        grid = TimeGrid(t_start=view["t_start"], dt=dt, n=_horizon_steps(view["T"], dt) + 1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    kernels = {"Y": h}
-    kernels.update((f"X_delta{label}", family(d)) for label, d in zip(labels, deltas))
-    # One increment array padded for every kernel at once, so the same
-    # Wiener path drives Y and each X_delta.
-    pad = max(required_pad(k, dt) for k in kernels.values())
-    increments = wiener_increments(grid, pad, NoiseSeed(**view["base_seed"]))
-    for name, k in kernels.items():
-        path = simulate_output(k, increments, grid, pad)
+    # One draw, so the same Wiener path drives Y and each X_delta.
+    simulator = Simulator([h, *map(family, deltas)], grid)
+    names = ["Y", *(f"X_delta{label}" for label in labels)]
+    for name, path in zip(names, simulator.draw(NoiseSeed(**view["base_seed"]))):
         for suffix, writer in ((".csv", write_path_csv), (".bin", write_path_binary)):
             target = out_dir / f"path_{name}{suffix}"
             writer(path, target)
@@ -186,7 +180,7 @@ def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    y_path, x_path = simulate_pair(h, g, grid, NoiseSeed(**view["base_seed"]))
+    y_path, x_path = simulate_pair(Simulator((h, g), grid), NoiseSeed(**view["base_seed"]))
     est = estimate_correlogram(
         h, g, view["c"], y_path, x_path, view["T"], view["tau_grid"],
         seed_info=view["base_seed"],
@@ -302,7 +296,7 @@ def cmd_montecarlo(view: dict, out_dir: Path, manifest: RunManifest, args) -> in
         # First replication's paths, re-simulated from its own stream.
         h, g = experiment.kernels()
         grid = estimation_grid(experiment.T, experiment.dt, result.fine_taus)
-        y_path, x_path = simulate_pair(h, g, grid, experiment.base_seed.spawn(0))
+        y_path, x_path = simulate_pair(Simulator((h, g), grid), experiment.base_seed.spawn(0))
         for label, path in (("Y", y_path), ("X", x_path)):
             target = out_dir / f"path_rep0_{label}.csv"
             write_path_csv(path, target)

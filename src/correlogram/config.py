@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -311,16 +311,8 @@ class RunManifest:
     def finish(self, out_dir) -> Path:
         self.timestamps["finished"] = _utc_now()
         target = Path(out_dir) / MANIFEST_NAME
-        payload = {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "artifact_version": self.artifact_version,
-            "timestamps": self.timestamps,
-            "outputs": self.outputs,
-            "config": self.config,
-        }
         with open(target, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return target
 

@@ -6,9 +6,9 @@ covariance against its finite-horizon truth, supremum tails for the
 interval bounds, and modulus-of-continuity tables for tightness.
 
 Replication i always draws from stream ``base_seed.spawn(i)``. With
-``w`` processes, process p runs replications p, p + w, p + 2w, ... with
-one ``PairSimulator`` (tap plans and buffers built once), which gives
-every replication the same bits as ``simulate_pair`` alone with that
+``w`` processes, process p runs replications p, p + w, p + 2w, ...
+through one ``Simulator`` (tap plans and buffers built once), which gives
+every replication the same bits as a fresh ``Simulator`` with that
 stream. Results are assembled by replication index, so output is
 byte-identical for any worker count (aggregation uses numpy's pairwise
 summation over a fixed ordering).
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConsistencyError, ReplicationError
 from .estimator import cross_correlogram, estimation_grid, snap_tau_grid, theoretical_bias
 from .kernels import Kernel, family_from_name, kernel_from_spec
-from .simulate import NoiseSeed, PairSimulator, _write_csv, simulate_pair
+from .simulate import NoiseSeed, Simulator, _write_csv, simulate_pair
 from .spectral import autocovariance_Y, cov_limit
 
 __all__ = [
@@ -97,15 +97,15 @@ def _lattice(cfg: ExperimentConfig) -> np.ndarray:
 
 def _replicate_share(args) -> np.ndarray:
     """Zhat rows of replications ``first, first + step, ...``, simulated with
-    one PairSimulator; module-level so process pools can pickle it."""
+    one Simulator; module-level so process pools can pickle it."""
     cfg, taus, bias, first, step = args
     rows = []
     i = first
     try:
         h, g = cfg.kernels()
-        sim = PairSimulator(h, g, estimation_grid(cfg.T, cfg.dt, taus))
+        sim = Simulator((h, g), estimation_grid(cfg.T, cfg.dt, taus))
         for i in range(first, cfg.replications, step):
-            Y, X = simulate_pair(h, g, sim.grid, cfg.base_seed.spawn(i), simulator=sim)
+            Y, X = simulate_pair(sim, cfg.base_seed.spawn(i))
             rows.append(math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias))
     except Exception as exc:
         raise ReplicationError(f"replication {i} failed: {exc}") from exc

@@ -17,11 +17,11 @@ Randomness comes from the counter-based Philox generator (numpy's
 replications no matter how work is scheduled.
 
 A ``ConvolutionPlan`` samples and trims one kernel's taps for one grid
-and pad and convolves increment rows with them; a ``PairSimulator``
-holds the two plans of a ``(Y, X)`` pair. ``simulate_output`` and
-``simulate_pair`` build them when they are not given one, and the
-replication harness reuses one simulator for a whole run, so both give
-the same paths from the same seeds.
+and pad and convolves increment rows with them. A ``Simulator`` holds the
+plans of any number of kernels under the largest pad any of them needs,
+and one increment buffer: each ``draw`` fills the buffer from one seed
+and convolves it with every plan, so all the paths of a draw share one
+Wiener input. Every command and the replication harness draw through it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ __all__ = [
     "required_pad",
     "wiener_increments",
     "ConvolutionPlan",
-    "PairSimulator",
+    "Simulator",
     "simulate_output",
     "simulate_pair",
     "write_path_csv",
@@ -160,7 +160,7 @@ def _check_sampling_rate(k: Kernel, dt: float):
             f"dt={dt} under-resolves the {k.name} window with delta={delta}; "
             f"use dt <= {1.0 / (10.0 * delta):g}",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=5,  # the caller of Simulator
         )
 
 
@@ -186,7 +186,7 @@ class ConvolutionPlan:
                 required_pad=need,
             )
         _check_sampling_rate(k, grid.dt)
-        self.kernel, self.grid, self.pad = k, grid, pad
+        self.grid, self.pad = grid, pad
         taps = k.time_eval(grid.dt * np.arange(-pad, pad + 1))
         nonzero = np.flatnonzero(taps)
         lo, hi = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, -1)
@@ -232,64 +232,42 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def simulate_output(
-    k: Kernel,
-    increments: np.ndarray,
-    grid: TimeGrid,
-    pad: int,
-    plan: ConvolutionPlan | None = None,
-) -> SampledPath:
-    """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m``.
-
-    The convolution is that of ``plan``, a ConvolutionPlan of
-    ``(k, grid, pad)``, or of a plan built here.
-    """
+def simulate_output(plan: ConvolutionPlan, increments: np.ndarray) -> SampledPath:
+    """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m`` of
+    the plan's kernel, grid and pad."""
     increments = np.asarray(increments, dtype=float)
-    pad = int(pad)
-    if increments.ndim != 1 or increments.size != grid.n + 2 * pad:
-        raise ValueError(
-            f"increments must have length n + 2*pad = {grid.n + 2 * pad}, got {increments.size}"
-        )
-    if plan is None:
-        plan = ConvolutionPlan(k, grid, pad)
-    elif plan.kernel is not k or plan.grid != grid or plan.pad != pad:
-        raise ValueError("plan was built for another kernel, grid or pad")
-    return SampledPath(grid=grid, values=plan.convolve(increments))
+    size = plan.grid.n + 2 * plan.pad
+    if increments.ndim != 1 or increments.size != size:
+        raise ValueError(f"increments must have length n + 2*pad = {size}, got {increments.size}")
+    return SampledPath(grid=plan.grid, values=plan.convolve(increments))
 
 
-class PairSimulator:
-    """The convolution plans and the increment buffer of kernels ``h`` and
-    ``g`` on one grid, for any number of ``simulate_pair`` calls.
+class Simulator:
+    """The convolution plans of the kernel sequence ``kernels`` on one grid
+    and one increment buffer, for any number of draws.
 
-    The pad is the larger of the two kernels' requirements, so both
-    outputs are unbiased over the whole grid and jointly stationary.
+    The pad is the largest any of the kernels needs, so every output is
+    unbiased over the whole grid and all are jointly stationary.
     """
 
-    def __init__(self, h: Kernel, g: Kernel, grid: TimeGrid):
-        self.h, self.g, self.grid = h, g, grid
-        self.pad = max(required_pad(h, grid.dt), required_pad(g, grid.dt))
-        self.plans = (ConvolutionPlan(h, grid, self.pad), ConvolutionPlan(g, grid, self.pad))
+    def __init__(self, kernels, grid: TimeGrid):
+        self.grid = grid
+        self.pad = max(required_pad(k, grid.dt) for k in kernels)
+        self.plans = tuple(ConvolutionPlan(k, grid, self.pad) for k in kernels)
         self.increments = np.empty(grid.n + 2 * self.pad)
 
+    def draw(self, seed: NoiseSeed):
+        """Yield one path per kernel, in order, all from the increments of
+        ``seed``; the next draw overwrites those increments."""
+        dW = wiener_increments(self.grid, self.pad, seed, out=self.increments)
+        for plan in self.plans:
+            yield simulate_output(plan, dW)
 
-def simulate_pair(
-    h: Kernel, g: Kernel, grid: TimeGrid, seed: NoiseSeed, simulator: PairSimulator | None = None
-):
-    """Simulate ``(Y, X)`` from one shared increment stream.
 
-    ``simulator``, a PairSimulator of ``(h, g, grid)``, saves rebuilding
-    the plans on every call; the paths are the same with or without it.
-    """
-    if simulator is None:
-        simulator = PairSimulator(h, g, grid)
-    elif simulator.h is not h or simulator.g is not g or simulator.grid != grid:
-        raise ValueError("simulator was built for other kernels or another grid")
-    pad, (h_plan, g_plan) = simulator.pad, simulator.plans
-    dW = wiener_increments(grid, pad, seed, out=simulator.increments)
-    return (
-        simulate_output(h, dW, grid, pad, plan=h_plan),
-        simulate_output(g, dW, grid, pad, plan=g_plan),
-    )
+def simulate_pair(simulator: Simulator, seed: NoiseSeed) -> tuple:
+    """``(Y, X)`` of one draw of a Simulator of ``(h, g)``."""
+    Y, X = simulator.draw(seed)
+    return Y, X
 
 
 def _write_csv(file, header, columns) -> None:

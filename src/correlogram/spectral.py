@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,18 +101,15 @@ class CovarianceModel:
     """Kernel pair and window constant for covariance queries."""
 
     h: Kernel
-    g: Optional[Kernel] = None
-    c: float = 1.0
+    g: Kernel
+    c: float
 
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError("c must be positive")
-        if self.g is not None:
-            gc = self.g.params.get("c")
-            if gc is not None and not math.isclose(gc, self.c, rel_tol=1e-12):
-                raise ValueError(
-                    f"model c={self.c} does not match the window constant c={gc}"
-                )
+        gc = self.g.params.get("c")
+        if gc is not None and not math.isclose(gc, self.c, rel_tol=1e-12):
+            raise ValueError(f"model c={self.c} does not match the window constant c={gc}")
 
 
 def fejer(T: float, lam) -> float:
@@ -306,11 +303,7 @@ class _PairWeights:
         and ``W2 = w H* H*(lam-u) g* g*(lam-u)``, each of shape (u, lambda)."""
         base = np.broadcast_to(self._base_edges, (u.size, self._base_edges.size))
         shifted = np.clip(u[:, None] + self.breaks, -self.L, self.L)
-        edges = np.sort(np.concatenate([base, shifted], axis=1), axis=1)
-        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        hw = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        lam = (mid[..., None] + hw[..., None] * GL_NODES).reshape(u.size, -1)
-        w = (hw[..., None] * GL_WEIGHTS).reshape(u.size, -1)
+        lam, w = panel_nodes(np.sort(np.concatenate([base, shifted], axis=1), axis=1))
         hs, hsu = self.h.ftf_eval(lam), self.h.ftf_eval(lam - u[:, None])
         gs, gsu = self.g.ftf_eval(lam), self.g.ftf_eval(lam - u[:, None])
         return lam, w * np.abs(hs) ** 2 * np.abs(gsu) ** 2, w * hs * hsu * gs * gsu
@@ -387,8 +380,6 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
     batch shares one lambda ladder, sized for its largest |tau1 -+ tau2|,
     and one u-panel set, sized for its largest |tau|.
     """
-    if model.g is None:
-        raise ValueError("finite-horizon covariance needs the window kernel g")
     if model.g.parity != "even":
         raise ValueError(
             "finite-horizon covariance is defined here for even real windows; "

@@ -26,7 +26,8 @@ SRC = Path(correlogram.__file__).parent
 # entropy profile table had no caller; the quadrature settings, which no
 # caller set, are module constants, and the bound-method names live in
 # bounds alone; the package re-exported every submodule, and no caller
-# read estimates back or asked for the version
+# read estimates back or asked for the version; one Simulator draws the
+# paths of any number of kernels
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -65,6 +66,7 @@ DELETED = [
     "__version__",
     "ConditionReport",
     "WeightedSpectralCheck",
+    "PairSimulator",
 ]
 
 
@@ -101,6 +103,23 @@ def test_package_imports_only_public_names():
                     if not alias.name.startswith("_") and alias.name not in source.__all__
                 ]
     assert missing == []
+
+
+def test_every_import_is_used():
+    # a name a module imports but never reads is left over from a deletion
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem} imports {name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 def test_package_import_loads_no_submodule():

@@ -296,6 +296,7 @@ class TestBounds:
     ("estimate", "T", 40.005),
     ("montecarlo", "T", 40.005),
     ("bounds", "g_family", {"name": "one_sided_box"}),
+    ("simulate", "T", 40.005),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -17,7 +17,14 @@ from correlogram.estimator import (
 )
 from correlogram.kernels import make_laplace, make_sinc, make_triangular
 from correlogram.quadrature import lagged_product_frequency, lagged_product_time
-from correlogram.simulate import _CSV_CHUNK_ROWS, NoiseSeed, SampledPath, TimeGrid, simulate_pair
+from correlogram.simulate import (
+    _CSV_CHUNK_ROWS,
+    NoiseSeed,
+    SampledPath,
+    Simulator,
+    TimeGrid,
+    simulate_pair,
+)
 
 
 def _const_paths(value_y, value_x, grid):
@@ -113,7 +120,7 @@ class TestEstimate:
         dt, T = 0.05, 10.0
         taus = (0.0, 0.5)
         grid = TimeGrid(0.0, dt, int(round((T + 0.5) / dt)) + 1)
-        y, x = simulate_pair(h, g, grid, NoiseSeed(99))
+        y, x = simulate_pair(Simulator((h, g), grid), NoiseSeed(99))
         return estimate_correlogram(
             h, g, c, y, x, T, taus, seed_info={"seed": 99, "stream_id": 0}
         )

@@ -34,6 +34,7 @@ from correlogram.simulate import (
     _DIRECT_MAX_TAPS,
     ConvolutionPlan,
     NoiseSeed,
+    Simulator,
     required_pad,
     simulate_pair,
 )
@@ -108,7 +109,7 @@ class TestRunReplications:
 
 
 class TestReplicationEngine:
-    """Each process reuses one PairSimulator for all of its replications."""
+    """Each process reuses one Simulator for all of its replications."""
 
     @pytest.mark.parametrize(
         "h_spec, branch",
@@ -134,7 +135,7 @@ class TestReplicationEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for i in range(cfg.replications):
-                Y, X = simulate_pair(h, g, grid, cfg.base_seed.spawn(i))
+                Y, X = simulate_pair(Simulator((h, g), grid), cfg.base_seed.spawn(i))
                 want.append(math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias))
         np.testing.assert_array_equal(res.z_fine, np.vstack(want))
 
@@ -166,7 +167,7 @@ class TestReplicationEngine:
         np.testing.assert_allclose(res.z_samples[[0, 4, 8]], frozen, rtol=1e-12, atol=0.0)
 
     def test_replication_working_set(self):
-        # At the acceptance model one process's PairSimulator (the increment
+        # At the acceptance model one process's Simulator (the increment
         # row, the tap spectra and the 62k-point FFT buffers of both plans)
         # plus one replication's paths and window outputs peak at about
         # 3.8 MB, whatever the number of replications. Keeping each
@@ -214,7 +215,7 @@ class TestReplicationEngine:
         def fail(*args):
             raise ValueError("no plan")
 
-        monkeypatch.setattr(mc, "PairSimulator", fail)
+        monkeypatch.setattr(mc, "Simulator", fail)
         with pytest.raises(RuntimeError, match="replication 0 failed: no plan"):
             run_quietly(small_experiment())
 

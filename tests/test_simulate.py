@@ -24,8 +24,8 @@ from correlogram.kernels import (
 from correlogram.simulate import (
     ConvolutionPlan,
     NoiseSeed,
-    PairSimulator,
     SampledPath,
+    Simulator,
     TimeGrid,
     read_path_binary,
     read_path_csv,
@@ -39,6 +39,11 @@ from correlogram.simulate import (
 
 
 K = simulate_mod._CSV_CHUNK_ROWS
+
+
+def output(k, increments, grid, pad):
+    """The path of a fresh plan of ``(k, grid, pad)``."""
+    return simulate_output(ConvolutionPlan(k, grid, pad), increments)
 
 
 def test_grid_times_are_affine():
@@ -129,7 +134,7 @@ class TestOutputs:
         h = make_laplace(2.0, 1.0)
         grid = TimeGrid(0.0, 0.01, 40001)
         pad = required_pad(h, 0.01)
-        path = simulate_output(h, wiener_increments(grid, pad, NoiseSeed(11)), grid, pad)
+        path = output(h, wiener_increments(grid, pad, NoiseSeed(11)), grid, pad)
         assert path.values.var() == pytest.approx(h.l2_norm**2, rel=0.2)
 
     def test_insufficient_pad_raises_with_hint(self):
@@ -137,7 +142,7 @@ class TestOutputs:
         grid = TimeGrid(0.0, 0.1, 51)
         inc = wiener_increments(grid, 3, NoiseSeed(0))
         with pytest.raises(PadError) as info:
-            simulate_output(h, inc, grid, 3)
+            output(h, inc, grid, 3)
         assert info.value.required_pad == required_pad(h, 0.1)
 
     def test_under_resolved_window_warns(self):
@@ -146,7 +151,7 @@ class TestOutputs:
         pad = required_pad(g, 0.01)
         inc = wiener_increments(grid, pad, NoiseSeed(0))
         with pytest.warns(RuntimeWarning, match="under-resolves"):
-            simulate_output(g, inc, grid, pad)
+            output(g, inc, grid, pad)
 
     def test_pair_shares_the_wiener_path(self):
         # With g close to a delta, X approximates c * white noise smoothed
@@ -154,8 +159,8 @@ class TestOutputs:
         # when the pair is re-run from the same seed.
         h, g = make_sinc(), make_triangular(2.0, 1.0)
         grid = TimeGrid(0.0, 0.05, 201)
-        y1, x1 = simulate_pair(h, g, grid, NoiseSeed(3))
-        y2, x2 = simulate_pair(h, g, grid, NoiseSeed(3))
+        y1, x1 = simulate_pair(Simulator((h, g), grid), NoiseSeed(3))
+        y2, x2 = simulate_pair(Simulator((h, g), grid), NoiseSeed(3))
         np.testing.assert_array_equal(y1.values, y2.values)
         np.testing.assert_array_equal(x1.values, x2.values)
 
@@ -165,8 +170,8 @@ class TestOutputs:
         grid = TimeGrid(0.0, 0.05, 101)
         pad = required_pad(g1, 0.05)
         inc = wiener_increments(grid, pad, NoiseSeed(9))
-        p1 = simulate_output(g1, inc, grid, pad)
-        p2 = simulate_output(g2, inc, grid, pad)
+        p1 = output(g1, inc, grid, pad)
+        p2 = output(g2, inc, grid, pad)
         np.testing.assert_allclose(2.0 * p1.values, p2.values, rtol=1e-12)
 
 
@@ -201,7 +206,7 @@ class TestConvolution:
         inc = wiener_increments(grid, pad, NoiseSeed(17))
         taps = kernel.time_eval(dt * np.arange(-pad, pad + 1))
         want = np.convolve(inc, taps)[2 * pad : 2 * pad + grid.n]
-        got = simulate_output(kernel, inc, grid, pad).values
+        got = output(kernel, inc, grid, pad).values
         atol = 1e-12 * np.abs(taps).sum() * np.abs(inc).max()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
         assert ("fft" if ffts else "direct") == branch
@@ -219,37 +224,55 @@ class TestConvolution:
         pad = required_pad(make_sinc(), 0.05)
         inc = [wiener_increments(grid, pad, NoiseSeed(17, i)) for i in range(4)]
         plan = ConvolutionPlan(kernel, grid, pad)
-        got = [simulate_output(kernel, row, grid, pad, plan=plan) for row in inc]
+        got = [simulate_output(plan, row) for row in inc]
         for row, path in zip(inc, got):
-            np.testing.assert_array_equal(path.values, simulate_output(kernel, row, grid, pad).values)
+            np.testing.assert_array_equal(path.values, output(kernel, row, grid, pad).values)
 
-    def test_plan_must_match_its_kernel_grid_and_pad(self):
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_output_rejects_increments_of_another_length(self, extra):
         k = make_triangular(2.0, 1.0)
         grid = TimeGrid(0.0, 0.05, 101)
         pad = required_pad(k, 0.05)
-        inc = wiener_increments(grid, pad + 1, NoiseSeed(1))
-        with pytest.raises(ValueError, match="plan"):
-            simulate_output(k, inc, grid, pad + 1, plan=ConvolutionPlan(k, grid, pad))
+        plan = ConvolutionPlan(k, grid, pad)
+        with pytest.raises(ValueError, match="increments must have length"):
+            simulate_output(plan, np.zeros(grid.n + 2 * pad + extra))
 
-    def test_pair_simulator_reuse(self):
+    def test_simulator_reuse(self):
         h, g, grid = make_sinc(), make_triangular(2.0, 1.0), TimeGrid(0.0, 0.05, 101)
-        sim = PairSimulator(h, g, grid)
-        got = [simulate_pair(h, g, grid, NoiseSeed(i), simulator=sim) for i in (2, 1)]
+        sim = Simulator((h, g), grid)
+        got = [simulate_pair(sim, NoiseSeed(i)) for i in (2, 1)]
         for i, pair in zip((2, 1), got):
-            for a, b in zip(pair, simulate_pair(h, g, grid, NoiseSeed(i))):
+            for a, b in zip(pair, simulate_pair(Simulator((h, g), grid), NoiseSeed(i))):
                 np.testing.assert_array_equal(a.values, b.values)
-        with pytest.raises(ValueError, match="other kernels"):
-            simulate_pair(h, make_triangular(2.0, 1.0), grid, NoiseSeed(1), simulator=sim)
+
+    def test_simulator_paths_are_plans_of_the_shared_pad(self):
+        # sinc on the FFT branch and two windows on the direct one: each
+        # path has the bits of its own plan under the largest pad, on the
+        # same increments
+        kernels = (make_sinc(), make_triangular(2.0, 1.0), make_triangular(1.0, 1.0))
+        grid = TimeGrid(-0.5, 0.05, 301)
+        pad = max(required_pad(k, grid.dt) for k in kernels)
+        sim = Simulator(kernels, grid)
+        assert sim.pad == pad == required_pad(kernels[0], grid.dt)
+        branches = ["fft" if p.taps.size > simulate_mod._DIRECT_MAX_TAPS else "direct"
+                    for p in sim.plans]
+        assert branches == ["fft", "direct", "direct"]
+        paths = list(sim.draw(NoiseSeed(7, 3)))
+        dW = wiener_increments(grid, pad, NoiseSeed(7, 3))
+        assert len(paths) == len(kernels)
+        for k, path in zip(kernels, paths):
+            assert path.values.tobytes() == output(k, dW, grid, pad).values.tobytes()
 
     def test_pair_validates_each_path_once(self, monkeypatch):
         h, g, grid = make_sinc(), make_triangular(2.0, 1.0), TimeGrid(0.0, 0.05, 101)
         pad = max(required_pad(h, grid.dt), required_pad(g, grid.dt))
         dW = wiener_increments(grid, pad, NoiseSeed(5))
-        want = [simulate_output(k, dW, grid, pad).values for k in (h, g)]
+        want = [output(k, dW, grid, pad).values for k in (h, g)]
         checks = []
         real = SampledPath.__post_init__
         monkeypatch.setattr(SampledPath, "__post_init__", lambda p: checks.append(real(p)))
-        pair = simulate_pair(h, g, grid, NoiseSeed(5))
+        sim = Simulator((h, g), grid)
+        pair = simulate_pair(sim, NoiseSeed(5))
         assert len(checks) == 2
         for path, values in zip(pair, want):
             assert path.values.tobytes() == values.tobytes()
@@ -265,7 +288,7 @@ class TestConvolution:
         k = make_tabulated([0.02, 0.03, 0.04], values)
         grid = TimeGrid(0.0, 0.1, 21)
         pad = required_pad(k, 0.1)
-        path = simulate_output(k, wiener_increments(grid, pad, NoiseSeed(4)), grid, pad)
+        path = output(k, wiener_increments(grid, pad, NoiseSeed(4)), grid, pad)
         np.testing.assert_array_equal(path.values, np.zeros(grid.n))
 
 
