@@ -270,12 +270,7 @@ def theorem4_detail(
     if metric is None:
         metric = rho_upper_metric(model.h, sup_ftf(model.g), model.c)
 
-    if metric.translation_invariant:
-        _, run_max = metric.profile(a, b)
-        sup_rho = float(run_max[-1])
-    else:
-        # the grid of the greedy covering, so both share one distance matrix
-        sup_rho = float(metric.matrix(a, b).max())
+    sup_rho = metric.sup(a, b)
     eps_TD = epsilon_T_delta(r, sup_rho)
     if sup_rho == 0.0:
         raise BoundUnavailable("increment metric vanishes on the interval")
@@ -328,7 +323,7 @@ class TailBoundReport:
     """Bound values over an ascending x grid, capped at 1.
 
     ``constants`` keeps the named intermediates and the uncapped values
-    under ``raw_bounds``.
+    under ``raw_bounds``; it and ``settings`` hold JSON-native values.
     """
 
     method: str
@@ -352,26 +347,12 @@ class TailBoundReport:
             "method": self.method,
             "x": [float(v) for v in self.x_values],
             "bound": [float(v) for v in self.bound_values],
-            "constants": _jsonable(self.constants),
-            "settings": _jsonable(self.settings),
+            "constants": self.constants,
+            "settings": self.settings,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-
-
-def _jsonable(d: dict) -> dict:
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, np.ndarray):
-            out[k] = [float(x) for x in v]
-        elif isinstance(v, (np.floating, np.integer)):
-            out[k] = float(v)
-        elif isinstance(v, list):
-            out[k] = [float(x) for x in v]
-        else:
-            out[k] = v
-    return out
 
 
 def _capped_report(method, xs, raw, constants, settings) -> TailBoundReport:

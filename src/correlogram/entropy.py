@@ -3,10 +3,12 @@
 A pseudometric on the lag axis induces covering numbers N(eps) of an
 interval [a, b], entropies H(eps) = ln N(eps), and the entropy integral
 int_0^s ln(1 + N(eps)) d eps behind the constant of the supremum bound.
-Every pseudometric is one array distance ``dist(t1, t2)``.
-Translation-invariant ones are handled through their distance profile
-u -> dist(0, u); everything else gets a greedy farthest-point covering
-on the distance matrix of a grid, which only upper bounds N.
+Theorem 4 uses two pseudometrics: the horizon-free ``rho_upper_metric``
+and the finite-horizon ``rho_exact_metric``. Each is one array distance
+``dist(t1, t2)``. Translation-invariant ones are handled through their
+distance profile u -> dist(0, u); everything else gets a greedy
+farthest-point covering on the distance matrix of a grid, which only
+upper bounds N.
 
 Also home to the small scalar helpers C_r and eps_{T, Delta} used by
 the supremum tail bound.
@@ -27,9 +29,6 @@ from .spectral import CovarianceModel, _rho_upper_scale, rho_exact, sigma_profil
 
 __all__ = [
     "Pseudometric",
-    "uniform_metric",
-    "sigma_metric",
-    "sqrt_sigma_metric",
     "rho_upper_metric",
     "rho_exact_metric",
     "covering_number",
@@ -37,8 +36,6 @@ __all__ = [
     "c_r",
     "epsilon_T_delta",
 ]
-
-_KINDS = ("uniform_d", "sigma", "sqrt_sigma", "rho_upper", "rho_exact")
 
 # Profile tabulation size for translation-invariant metrics. The running
 # maximum over this grid is what makes the covering numbers conservative.
@@ -53,17 +50,13 @@ class Pseudometric:
 
     ``dist(t1, t2)`` takes broadcastable lag arrays and returns their
     distances; scalar lags give a float. A translation-invariant metric
-    depends on t2 - t1 only.
+    depends on t2 - t1 only. ``kind`` names the metric in messages.
     """
 
     kind: str
     dist: Callable
     translation_invariant: bool
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown pseudometric kind {self.kind!r}")
 
     def profile(self, a: float, b: float) -> tuple:
         """Cached (u grid, running-max profile) over [0, b - a]."""
@@ -87,33 +80,13 @@ class Pseudometric:
             self._cache[key] = d
         return self._cache[key]
 
-
-def _invariant(kind: str, lag_fn: Callable[[np.ndarray], np.ndarray]) -> Pseudometric:
-    """The translation-invariant metric dist(t1, t2) = lag_fn(t2 - t1),
-    with ``lag_fn`` applied to the raveled lag differences."""
-
-    def dist(t1, t2):
-        u = np.subtract(t2, t1, dtype=float)
-        out = np.asarray(lag_fn(u.ravel()), dtype=float).reshape(u.shape)
-        return out.item() if out.ndim == 0 else out
-
-    return Pseudometric(kind=kind, dist=dist, translation_invariant=True)
-
-
-def uniform_metric() -> Pseudometric:
-    """Plain distance |t - s| on the lag axis."""
-    return _invariant("uniform_d", np.abs)
-
-
-def sigma_metric(h: Kernel) -> Pseudometric:
-    """Mean-square spectral pseudometric sigma(t2 - t1) of the output."""
-    return _invariant("sigma", sigma_profile(h))
-
-
-def sqrt_sigma_metric(h: Kernel) -> Pseudometric:
-    """Square root of sigma; the entropy scale the CLT conditions use."""
-    base = sigma_profile(h)
-    return _invariant("sqrt_sigma", lambda u: np.sqrt(base(u)))
+    def sup(self, a: float, b: float) -> float:
+        """Largest distance between two lags of [a, b]: the end of the
+        running-max profile for a translation-invariant metric, else the
+        largest entry of the distance matrix."""
+        if self.translation_invariant:
+            return float(self.profile(a, b)[1][-1])
+        return float(self.matrix(a, b).max())
 
 
 def rho_upper_metric(h: Kernel, g_family_sup: float, c: float) -> Pseudometric:
@@ -124,7 +97,13 @@ def rho_upper_metric(h: Kernel, g_family_sup: float, c: float) -> Pseudometric:
     """
     base = sigma_profile(h)
     scale = _rho_upper_scale(h, g_family_sup, c)
-    return _invariant("rho_upper", lambda u: scale * np.sqrt(base(u)))
+
+    def dist(t1, t2):
+        u = np.subtract(t2, t1, dtype=float)
+        out = (scale * np.sqrt(base(u.ravel()))).reshape(u.shape)
+        return out.item() if out.ndim == 0 else out
+
+    return Pseudometric(kind="rho_upper", dist=dist, translation_invariant=True)
 
 
 def rho_exact_metric(model: CovarianceModel, T: float) -> Pseudometric:

@@ -81,8 +81,10 @@ def snap_tau_grid(tau_grid: Sequence[float], dt: float) -> np.ndarray:
 
 def estimation_grid(T: float, dt: float, taus: Sequence[float]) -> TimeGrid:
     """The dt lattice over [min(0, taus[0]), T + max(0, taus[-1])]: every
-    sample ``cross_correlogram`` reads for the ascending lags ``taus``.
-    ``T`` must be a whole number of ``dt`` steps."""
+    sample ``cross_correlogram`` reads for the ascending lags ``taus``,
+    snapped to the lattice as it snaps them. ``T`` must be a whole number
+    of ``dt`` steps."""
+    taus = snap_tau_grid(taus, dt)
     t_start = min(0.0, float(taus[0]))
     t_end = T + max(0.0, float(taus[-1]))
     n = int(round((t_end - t_start) / dt)) + 1

@@ -272,8 +272,7 @@ def make_hilbert_sinc() -> Kernel:
     """Hilbert transform of the sinc kernel, ``(1 - cos(pi t))/(pi t)``.
 
     Transform is ``i*sign(lam)`` on [-pi, pi]; the kernel is odd with unit
-    L2 norm. Same truncation caveat as ``make_sinc``. The envelope is the
-    band indicator: ``|ftf|`` vanishes at 0, so it is not nonincreasing.
+    L2 norm. Same truncation caveat as ``make_sinc``.
     """
 
     def time_eval(t):
@@ -289,7 +288,6 @@ def make_hilbert_sinc() -> Kernel:
         effective_support=SINC_SUPPORT_RADIUS,
         support_tol=_hilbert_sinc_tail_mass(SINC_SUPPORT_RADIUS),
         band_limit=math.pi,
-        ftf_envelope=lambda lam: np.abs(lam) <= np.pi,
         params={},
     )
 

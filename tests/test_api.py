@@ -27,7 +27,8 @@ SRC = Path(correlogram.__file__).parent
 # caller set, are module constants, and the bound-method names live in
 # bounds alone; the package re-exported every submodule, and no caller
 # read estimates back or asked for the version; one Simulator draws the
-# paths of any number of kernels
+# paths of any number of kernels; theorem 4 uses two pseudometrics, whose
+# kind is a free label, and the bound reports hold JSON-native values
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -67,7 +68,26 @@ DELETED = [
     "ConditionReport",
     "WeightedSpectralCheck",
     "PairSimulator",
+    "uniform_metric",
+    "sigma_metric",
+    "sqrt_sigma_metric",
+    "_KINDS",
+    "_invariant",
+    "_jsonable",
 ]
+
+# public names that neither another module nor the acceptance suite reads
+# yet, each with what will read it
+AWAITING_CALLER = {
+    "rho_exact_metric": "ROADMAP item 1",
+    "pointwise_ci": "ROADMAP item 2",
+    "ci_coverage": "ROADMAP item 2",
+    "modulus_of_continuity": "ROADMAP item 2",
+    "cov_matrix": "ROADMAP item 2",
+    "read_path_csv": "ROADMAP item 6",
+    "read_path_binary": "ROADMAP item 6",
+    "verify_manifest": "the manifest contract of the README",
+}
 
 
 def test_public_names():
@@ -120,6 +140,51 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem} imports {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def _defines(stmt, name) -> bool:
+    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+    return getattr(stmt, "name", None) == name or any(
+        isinstance(t, ast.Name) and t.id == name for t in targets
+    )
+
+
+def _reads(tree, skip=None) -> set:
+    """Names, attributes and imported names the module ``tree`` reads,
+    outside the top-level statements that define ``skip``."""
+    read = set()
+    body = [stmt for stmt in tree.body if not _defines(stmt, skip)]
+    for node in (n for stmt in body for n in ast.walk(stmt)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_public_names_have_a_caller():
+    # a public name nothing reads is API kept for no caller
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
+    }
+    reads = {stem: _reads(tree) for stem, tree in trees.items()}
+    acceptance = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+    acceptance = _reads(ast.parse(acceptance))
+    unread, waiting = [], []
+    for module in SUBMODULES:
+        stem = module.__name__.rpartition(".")[2]
+        outside = acceptance.union(*(read for other, read in reads.items() if other != stem))
+        for name in module.__all__:
+            read = name in outside or name in _reads(trees[stem], skip=name)
+            if read and name in AWAITING_CALLER:
+                waiting.append(f"{stem}.{name} has a caller")
+            elif not read and name not in AWAITING_CALLER:
+                unread.append(f"{stem}.{name}")
+    public = {name for module in SUBMODULES for name in module.__all__}
+    waiting += [f"{name} is not public" for name in AWAITING_CALLER if name not in public]
+    assert unread == [] and waiting == []
 
 
 def test_package_import_loads_no_submodule():

@@ -221,6 +221,15 @@ class TestEstimate:
         assert run_cli("estimate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert "two samples" in capsys.readouterr().err
 
+    def test_negative_lag_off_the_lattice_is_snapped(self, tmp_path):
+        # -0.015 snaps to -0.02, where the simulated grid must start
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(BASE_CONFIG, dt=0.01, tau_grid=[-0.015, 0.5])))
+        out = tmp_path / "est"
+        assert run_cli("estimate", "--config", str(cfg), "--out", str(out)) == 0
+        taus = np.loadtxt(out / "estimate.csv", delimiter=",", skiprows=1)[:, 0]
+        np.testing.assert_allclose(taus, [-0.02, 0.5], rtol=0, atol=1e-12)
+
 
 class TestBounds:
     def test_all_methods_written(self, config_path, tmp_path):
@@ -292,11 +301,13 @@ class TestBounds:
     ("estimate", "h.times", {"name": "tabulated", "times": ["0", "1"], "values": [1, 0]}),
     ("estimate", "out_dir", 5),
     ("bounds", "out_dir", True),
-    # cross-key checks: T a whole number of dt steps, theorem 4 on an even window
+    # cross-key checks: T a whole number of dt steps, theorem 4 on an even
+    # window, montecarlo lags inside the interval
     ("estimate", "T", 40.005),
     ("montecarlo", "T", 40.005),
     ("bounds", "g_family", {"name": "one_sided_box"}),
     ("simulate", "T", 40.005),
+    ("montecarlo", "tau_grid", [0.0, 1.5]),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))

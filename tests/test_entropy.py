@@ -17,14 +17,17 @@ from correlogram.entropy import (
     epsilon_T_delta,
     rho_exact_metric,
     rho_upper_metric,
-    sigma_metric,
-    sqrt_sigma_metric,
-    uniform_metric,
 )
 from correlogram.errors import BoundUnavailable, InfiniteMassiveness
 from correlogram.kernels import make_hilbert_sinc, make_laplace, make_sinc, make_triangular
 import correlogram.spectral as spectral_mod
-from correlogram.spectral import CovarianceModel, sigma
+from correlogram.spectral import CovarianceModel, rho_upper, sigma
+
+
+def uniform_metric() -> Pseudometric:
+    """Plain distance |t - s| on the lag axis, whose covering numbers have
+    the closed form ceil(span / (2 eps))."""
+    return Pseudometric("uniform", lambda s, t: np.abs(np.subtract(t, s, dtype=float)), True)
 
 
 def pseudometric_axioms(p: Pseudometric, a: float, b: float, n: int, seed: int) -> dict:
@@ -63,11 +66,9 @@ for _name, _make in [
     ("hilbert_sinc", make_hilbert_sinc),
     ("laplace", lambda: make_laplace(1.0, 1.0)),
 ]:
-    _ARRAY_METRICS += [
-        (f"sigma-{_name}", lambda make=_make: sigma_metric(make())),
-        (f"sqrt_sigma-{_name}", lambda make=_make: sqrt_sigma_metric(make())),
-        (f"rho_upper-{_name}", lambda make=_make: rho_upper_metric(make(), 1.0, 1.0)),
-    ]
+    _ARRAY_METRICS.append(
+        (f"rho_upper-{_name}", lambda make=_make: rho_upper_metric(make(), 1.0, 1.0))
+    )
 
 
 class TestArrayRadii:
@@ -82,7 +83,7 @@ class TestArrayRadii:
             monkeypatch.setattr(spectral_mod, "_SIGMA_TAIL", 1e-4)
         a, b = interval
         p = make()
-        sup = p.profile(a, b)[1][-1]
+        sup = p.sup(a, b)
         eps = np.geomspace(1.01 * sup, 1e-6 * sup, 301)
         deltas = []
         real = entropy_mod._delta_of_eps
@@ -102,9 +103,9 @@ class TestArrayRadii:
 
     def test_bisection_is_sixty_array_calls(self):
         calls = []
-        base = sigma_metric(make_sinc())
+        base = rho_upper_metric(make_sinc(), 1.0, 1.0)
         p = Pseudometric(
-            "sigma", lambda t1, t2: calls.append(np.size(t2)) or base.dist(t1, t2), True
+            "rho_upper", lambda t1, t2: calls.append(np.size(t2)) or base.dist(t1, t2), True
         )
         p.profile(0.0, 1.0)
         calls.clear()
@@ -119,9 +120,6 @@ class TestArrayRadii:
 
 
 _CONSTRUCTORS = {
-    "uniform": uniform_metric,
-    "sigma": lambda: sigma_metric(make_sinc()),
-    "sqrt_sigma": lambda: sqrt_sigma_metric(make_sinc()),
     "rho_upper": lambda: rho_upper_metric(make_sinc(), 1.0, 1.0),
     "rho_exact": lambda: rho_exact_metric(
         CovarianceModel(h=make_sinc(), g=make_triangular(10.0, 1.0), c=1.0), 30.0
@@ -143,18 +141,19 @@ class TestDistContract:
 
 
 class TestSigmaMetrics:
+    # rho_upper_metric is the sigma-based metric: a fixed multiple of sqrt(sigma)
     def setup_method(self):
         self.h = make_sinc()
-        self.p = sigma_metric(self.h)
+        self.p = rho_upper_metric(self.h, 1.0, 1.0)
 
     def test_profile_agrees_with_direct_distance(self):
         for u in (0.05, 0.3, 0.8):
             assert self.p.dist(0.2, 0.2 + u) == pytest.approx(
-                sigma(self.h, u), abs=1e-10
+                rho_upper(self.h, 1.0, 1.0, 0.2, 0.2 + u), rel=1e-9
             )
 
     def test_known_count_on_unit_interval(self):
-        eps = sigma(self.h, 0.1)
+        eps = rho_upper(self.h, 1.0, 1.0, 0.0, 0.1)
         assert covering_number(self.p, 0.0, 1.0, eps) == 5
 
     def test_axioms_hold_numerically(self):
@@ -163,21 +162,34 @@ class TestSigmaMetrics:
         assert report["symmetry"] < 1e-12
         assert report["triangle_violation"] < 1e-10
 
-    def test_sqrt_metric_dominates_at_small_scales(self):
-        q = sqrt_sigma_metric(self.h)
-        # sqrt(x) > x for x < 1
-        d, dq = self.p.dist(0.0, 0.01), q.dist(0.0, 0.01)
-        assert dq == pytest.approx(math.sqrt(d), rel=1e-9)
-        assert dq > d
-
     def test_rho_upper_metric_scales_sigma_root(self):
-        # the envelope metric is a fixed multiple of sqrt(sigma)
-        pr = rho_upper_metric(self.h, 1.0, 1.0)
-        kappa = pr.dist(0.0, 0.5) / sqrt_sigma_metric(self.h).dist(0.0, 0.5)
+        kappa = self.p.dist(0.0, 0.5) / math.sqrt(sigma(self.h, 0.5))
         for u in (0.1, 0.9):
-            assert pr.dist(0.0, u) == pytest.approx(
-                kappa * sqrt_sigma_metric(self.h).dist(0.0, u), rel=1e-6
+            assert self.p.dist(0.0, u) == pytest.approx(
+                kappa * math.sqrt(sigma(self.h, u)), rel=1e-6
             )
+
+
+class TestSup:
+    def test_invariant_metric_takes_the_running_max(self):
+        # |sin(pi u)| peaks at u = 1/2 and is back to 0 at the span 3
+        p = Pseudometric("periodic", lambda s, t: np.abs(np.sin(np.pi * np.subtract(t, s))), True)
+        assert p.dist(0.0, 3.0) < 1e-12
+        assert p.sup(0.0, 3.0) == pytest.approx(1.0, abs=1e-6)
+        assert p.sup(0.0, 0.25) == pytest.approx(math.sin(np.pi / 4.0), rel=1e-12)
+
+    def test_exact_metric_takes_the_largest_grid_distance(self):
+        p = rho_exact_metric(
+            CovarianceModel(h=make_sinc(), g=make_triangular(10.0, 1.0), c=1.0), 30.0
+        )
+        top = p.sup(0.0, 0.5)
+        # every pair of a 17-point subgrid of the 257 grid points, and the
+        # largest pair itself, evaluated afresh
+        coarse = np.linspace(0.0, 0.5, 17)
+        assert np.all(p.dist(coarse[:, None], coarse) <= top * (1.0 + 1e-12))
+        i, j = np.unravel_index(np.argmax(p.matrix(0.0, 0.5)), (257, 257))
+        grid = np.linspace(0.0, 0.5, 257)
+        assert p.dist(grid[i], grid[j]) == pytest.approx(top, rel=1e-12)
 
 
 class TestGreedyFallback:
