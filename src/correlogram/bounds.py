@@ -323,14 +323,13 @@ class TailBoundReport:
     """Bound values over an ascending x grid, capped at 1.
 
     ``constants`` keeps the named intermediates and the uncapped values
-    under ``raw_bounds``; it and ``settings`` hold JSON-native values.
+    under ``raw_bounds``, as JSON-native values.
     """
 
     method: str
     x_values: np.ndarray
     bound_values: np.ndarray
     constants: dict = field(default_factory=dict)
-    settings: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -342,20 +341,22 @@ class TailBoundReport:
         if np.any(v < 0) or np.any(v > 1):
             raise ValueError("reported bounds must lie in [0, 1]")
 
-    def to_json(self, path) -> None:
+    def to_json(self, path, settings: dict) -> None:
+        """Write the report and the JSON-native config ``settings`` the
+        method ran with."""
         payload = {
             "method": self.method,
             "x": [float(v) for v in self.x_values],
             "bound": [float(v) for v in self.bound_values],
             "constants": self.constants,
-            "settings": self.settings,
+            "settings": settings,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
 
-def _capped_report(method, xs, raw, constants, settings) -> TailBoundReport:
+def _capped_report(method, xs, raw, constants) -> TailBoundReport:
     raw = np.asarray(raw, dtype=float)
     constants = dict(constants)
     constants["raw_bounds"] = [float(v) for v in raw]
@@ -364,14 +365,13 @@ def _capped_report(method, xs, raw, constants, settings) -> TailBoundReport:
         x_values=np.asarray(xs, dtype=float),
         bound_values=np.minimum(np.maximum(raw, 0.0), 1.0),
         constants=constants,
-        settings=dict(settings),
     )
 
 
-def theorem3_report(xs: Sequence[float], settings: Optional[dict] = None) -> TailBoundReport:
+def theorem3_report(xs: Sequence[float]) -> TailBoundReport:
     """Pointwise tail 2 K(x) on a grid of thresholds."""
     raw = [2.0 * k_of_x(x) for x in xs]
-    return _capped_report("theorem3_pointwise", xs, raw, {}, settings or {})
+    return _capped_report("theorem3_pointwise", xs, raw, {})
 
 
 def corollary2_report(
@@ -380,13 +380,12 @@ def corollary2_report(
     b: float,
     xs: Sequence[float],
     y_tail: Callable[[float], float],
-    settings: Optional[dict] = None,
 ) -> TailBoundReport:
     inf_acf = acf2_interval_min(h, a, b)
     B = 16.0 * h.l2_norm**2 - 16.0 * inf_acf
     raw = [corollary2_bound(x, y_tail, B) for x in xs]
     consts = {"B_ab": B, "inf_acf2": inf_acf}
-    return _capped_report("corollary2", xs, raw, consts, settings or {})
+    return _capped_report("corollary2", xs, raw, consts)
 
 
 def corollary1_report(
@@ -396,20 +395,17 @@ def corollary1_report(
     xs: Sequence[float],
     gamma: float,
     y_onesided_tail: Callable[[float], float],
-    settings: Optional[dict] = None,
 ) -> TailBoundReport:
     sup_b = b_sup(h, a, b)
     raw = [corollary1_bound(x, gamma, y_onesided_tail, sup_b) for x in xs]
     consts = {"gamma": float(gamma), "sup_b": float(sup_b)}
-    return _capped_report("corollary1", xs, raw, consts, settings or {})
+    return _capped_report("corollary1", xs, raw, consts)
 
 
-def theorem4_report(
-    detail: dict, multipliers: Sequence[float], settings: Optional[dict] = None
-) -> TailBoundReport:
+def theorem4_report(detail: dict, multipliers: Sequence[float]) -> TailBoundReport:
     """Supremum tail 2 exp(-x/A) at thresholds x = m A, from the constants
     of ``theorem4_detail``; A is its ``A_TD``."""
     A = detail["A_TD"]
     xs = [m * A for m in multipliers]
     raw = [2.0 * math.exp(-x / A) for x in xs]
-    return _capped_report("theorem4_sup", xs, raw, detail, settings or {})
+    return _capped_report("theorem4_sup", xs, raw, detail)

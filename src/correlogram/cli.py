@@ -181,12 +181,10 @@ def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
         raise ConfigError(str(exc)) from exc
 
     y_path, x_path = simulate_pair(Simulator((h, g), grid), NoiseSeed(**view["base_seed"]))
-    est = estimate_correlogram(
-        h, g, view["c"], y_path, x_path, view["T"], view["tau_grid"],
-        seed_info=view["base_seed"],
-    )
+    columns = estimate_correlogram(h, g, view["c"], y_path, x_path, view["T"], view["tau_grid"])
+    sidecar = dict({k: view[k] for k in ("T", "delta", "c", "dt")}, seed=view["base_seed"])
     target = out_dir / "estimate.csv"
-    write_estimate_csv(est, target)
+    write_estimate_csv(columns, sidecar, target)
     manifest.add_output(target)
     manifest.add_output(target.with_suffix(".json"))
     return 0
@@ -207,7 +205,14 @@ def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
             f"method theorem4_sup needs an even g_family window; "
             f"{view['g_family']['name']!r} has parity {model.g.parity!r}"
         )
+    # the config values each method ran with, written into its report
     shared = {k: view[k] for k in ("T", "interval", "r", "delta", "c")}
+    settings = {
+        "theorem3_pointwise": shared,
+        "theorem4_sup": dict(shared, x_multipliers=multipliers),
+        "corollary1": dict(shared, gamma=view["gamma"], y_tail_M=y_tail_M),
+        "corollary2": dict(shared, y_tail_M=y_tail_M),
+    }
     signals: dict = {}
 
     y_tail = None
@@ -223,24 +228,16 @@ def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
             warnings.simplefilter("always")
             try:
                 if method == "theorem3_pointwise":
-                    report = theorem3_report(xs, settings=shared)
+                    report = theorem3_report(xs)
                 elif method == "theorem4_sup":
                     # Thresholds are multiples of the constant A, so the
                     # expensive entropy optimization runs exactly once.
-                    report = theorem4_report(
-                        theorem4_detail(model, view["T"], a, b, view["r"]), multipliers,
-                        settings=dict(shared, x_multipliers=multipliers),
-                    )
+                    detail = theorem4_detail(model, view["T"], a, b, view["r"])
+                    report = theorem4_report(detail, multipliers)
                 elif method == "corollary1":
-                    report = corollary1_report(
-                        h, a, b, xs, view["gamma"], y_tail,
-                        settings=dict(shared, gamma=view["gamma"], y_tail_M=y_tail_M),
-                    )
+                    report = corollary1_report(h, a, b, xs, view["gamma"], y_tail)
                 else:
-                    report = corollary2_report(
-                        h, a, b, xs, y_tail,
-                        settings=dict(shared, y_tail_M=y_tail_M),
-                    )
+                    report = corollary2_report(h, a, b, xs, y_tail)
             except (BoundUnavailable, InfiniteMassiveness) as exc:
                 signals.setdefault(method, []).append(str(exc))
                 continue
@@ -248,7 +245,7 @@ def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
         if degenerate:
             signals.setdefault(method, []).extend(degenerate)
         target = out_dir / f"bound_{method}.json"
-        report.to_json(target)
+        report.to_json(target, settings[method])
         manifest.add_output(target)
 
     if signals:

@@ -144,8 +144,9 @@ def _seed(key, value) -> dict:
 
 
 def _methods(key, value) -> list:
-    if type(value) is not list or not all(v in _METHODS for v in value):
-        _fail(key, f"a list of bound methods from {list(_METHODS)}", value)
+    if (type(value) is not list or not value or not all(v in _METHODS for v in value)
+            or len(set(value)) < len(value)):
+        _fail(key, f"a non-empty list of distinct bound methods from {list(_METHODS)}", value)
     return list(value)
 
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .quadrature import lagged_product
 from .simulate import SampledPath, TimeGrid, _write_csv
 
 __all__ = [
-    "CorrelogramEstimate",
     "snap_tau_grid",
     "estimation_grid",
     "cross_correlogram",
@@ -39,38 +37,6 @@ __all__ = [
     "estimate_correlogram",
     "write_estimate_csv",
 ]
-
-
-@dataclass(frozen=True)
-class CorrelogramEstimate:
-    """Estimator output on a lag grid, with its mean and fluctuation.
-
-    ``z_hat`` equals ``sqrt(T) * (h_hat - h_mean)`` by construction.
-    """
-
-    tau_grid: np.ndarray
-    h_hat: np.ndarray
-    h_mean: np.ndarray
-    z_hat: np.ndarray
-    T: float
-    delta: float
-    c: float
-    dt: Optional[float] = None
-    seed: Optional[dict] = None
-
-    def __post_init__(self):
-        for name in ("tau_grid", "h_hat", "h_mean", "z_hat"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-D")
-            object.__setattr__(self, name, arr)
-        n = self.tau_grid.size
-        if not all(getattr(self, f).size == n for f in ("h_hat", "h_mean", "z_hat")):
-            raise ValueError("arrays must share tau_grid length")
-        if np.any(np.diff(self.tau_grid) < 0):
-            raise ValueError("tau_grid must be ascending")
-        if not self.T > 0:
-            raise ValueError("T must be positive")
 
 
 def snap_tau_grid(tau_grid: Sequence[float], dt: float) -> np.ndarray:
@@ -83,10 +49,14 @@ def estimation_grid(T: float, dt: float, taus: Sequence[float]) -> TimeGrid:
     """The dt lattice over [min(0, taus[0]), T + max(0, taus[-1])]: every
     sample ``cross_correlogram`` reads for the ascending lags ``taus``,
     snapped to the lattice as it snaps them. ``T`` must be a whole number
-    of ``dt`` steps."""
-    taus = snap_tau_grid(taus, dt)
-    t_start = min(0.0, float(taus[0]))
-    t_end = T + max(0.0, float(taus[-1]))
+    of ``dt`` steps, and no two lags may snap to one lattice lag."""
+    snapped = snap_tau_grid(taus, dt)
+    same = np.flatnonzero(np.diff(snapped) == 0)
+    if same.size:
+        lo, hi = float(taus[same[0]]), float(taus[same[0] + 1])
+        raise ValueError(f"tau_grid lags {lo} and {hi} snap to one lattice lag at dt={dt}")
+    t_start = min(0.0, float(snapped[0]))
+    t_end = T + max(0.0, float(snapped[-1]))
     n = int(round((t_end - t_start) / dt)) + 1
     if n < 2:
         raise ValueError("grid needs at least two samples; check T and dt")
@@ -179,43 +149,22 @@ def estimate_correlogram(
     X: SampledPath,
     T: float,
     tau_grid: Sequence[float],
-    seed_info: Optional[dict] = None,
-) -> CorrelogramEstimate:
-    """Run one full estimate: snapped lags, Hhat, quadrature mean, Zhat."""
-    dt = Y.grid.dt
-    tau = snap_tau_grid(tau_grid, dt)
+) -> dict:
+    """Run one full estimate: the columns ``tau`` (the snapped lags),
+    ``h_hat``, ``h_mean`` (its quadrature mean) and
+    ``z_hat = sqrt(T) (h_hat - h_mean)``, in that order."""
+    tau = snap_tau_grid(tau_grid, Y.grid.dt)
     h_hat = cross_correlogram(Y, X, c, T, tau)
     h_mean = theoretical_bias(h, g, c, tau)
     z_hat = math.sqrt(T) * (h_hat - h_mean)
-    return CorrelogramEstimate(
-        tau_grid=tau,
-        h_hat=h_hat,
-        h_mean=h_mean,
-        z_hat=z_hat,
-        T=float(T),
-        delta=float(g.params.get("delta", math.nan)),
-        c=float(c),
-        dt=dt,
-        seed=dict(seed_info) if seed_info else None,
-    )
+    return {"tau": tau, "h_hat": h_hat, "h_mean": h_mean, "z_hat": z_hat}
 
 
-def write_estimate_csv(est: CorrelogramEstimate, file) -> None:
-    """CSV columns (tau, h_hat, h_mean, z_hat) plus a JSON sidecar.
-
-    The sidecar, written next to the CSV with extension ``.json``, holds
-    {T, delta, c, dt, seed}.
-    """
+def write_estimate_csv(columns: dict, sidecar: dict, file) -> None:
+    """Write the named ``columns`` as CSV, the names as its header, and
+    ``sidecar`` next to it as JSON with extension ``.json``."""
     file = Path(file)
-    columns = [est.tau_grid, est.h_hat, est.h_mean, est.z_hat]
-    _write_csv(file, ["tau", "h_hat", "h_mean", "z_hat"], columns)
-    sidecar = {
-        "T": est.T,
-        "delta": est.delta,
-        "c": est.c,
-        "dt": est.dt,
-        "seed": est.seed,
-    }
+    _write_csv(file, list(columns), list(columns.values()))
     with open(file.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")

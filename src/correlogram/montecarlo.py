@@ -80,7 +80,7 @@ class ExperimentConfig:
             raise ValueError("tau_grid must be nonempty")
         if np.any(taus < a - 1e-12) or np.any(taus > b + 1e-12):
             raise ValueError("tau_grid must lie inside the interval")
-        estimation_grid(self.T, self.dt, _lattice(self))  # T a whole number of dt steps
+        estimation_grid(self.T, self.dt, self.tau_grid)  # T whole in dt, no two lags snap together
 
     def kernels(self) -> tuple:
         h = kernel_from_spec(self.h_spec)
@@ -133,7 +133,6 @@ class MonteCarloResult:
     fine_taus: np.ndarray
     z_fine: np.ndarray
     sup_samples: np.ndarray
-    lattice_spacing: float
     coverage: Optional[list] = None
     moduli: Optional[list] = None
 
@@ -208,7 +207,6 @@ def run_replications(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloResul
         fine_taus=taus,
         z_fine=Z,
         sup_samples=np.max(np.abs(Z), axis=1),
-        lattice_spacing=cfg.dt,
     )
 
 
@@ -394,7 +392,7 @@ def modulus_of_continuity(
     hs = sorted(float(x) for x in h_ladder)
     if not hs or hs[0] <= 0:
         raise ValueError("h ladder must be positive")
-    s = result.lattice_spacing
+    s = result.config.dt
     if s > hs[0] / 4.0:
         raise ValueError(
             f"lag lattice spacing {s:g} too coarse for h={hs[0]:g}; need <= h/4"
@@ -499,7 +497,7 @@ def write_result_json(result: MonteCarloResult, path) -> None:
             "stream_id": int(cfg.base_seed.stream_id),
             "interval": [float(v) for v in cfg.interval],
         },
-        "lattice_spacing": result.lattice_spacing,
+        "lattice_spacing": cfg.dt,
         "tau_grid": [float(t) for t in result.tau_grid],
         "mean": [float(v) for v in result.mean],
         "variance": [float(v) for v in result.variance],

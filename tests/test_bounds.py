@@ -373,9 +373,9 @@ class TestReports:
             )
 
     def test_json_payload(self, tmp_path):
-        rep = theorem3_report([1.0, 2.0], settings={"note": "unit"})
+        rep = theorem3_report([1.0, 2.0])
         target = tmp_path / "rep.json"
-        rep.to_json(target)
+        rep.to_json(target, {"note": "unit"})
         payload = json.loads(target.read_text())
         assert payload["method"] == "theorem3_pointwise"
         assert payload["settings"]["note"] == "unit"

@@ -211,7 +211,9 @@ class TestEstimate:
         assert lines[0] == "tau,h_hat,h_mean,z_hat"
         assert len(lines) == 4  # three lags
         sidecar = json.loads((out / "estimate.json").read_text())
-        assert sidecar["T"] == 40.0
+        assert sidecar == {
+            "T": 40.0, "delta": 10.0, "c": 1.0, "dt": 0.02, "seed": {"seed": 42, "stream_id": 0}
+        }
         assert verify_manifest(out / "run_manifest.json") == []
 
     def test_one_sample_grid_is_usage_error(self, tmp_path, capsys):
@@ -235,10 +237,18 @@ class TestBounds:
     def test_all_methods_written(self, config_path, tmp_path):
         out = tmp_path / "bnd"
         assert run_cli("bounds", "--config", str(config_path), "--out", str(out)) == 0
+        shared = {"T": 40.0, "interval": [0.0, 1.0], "r": 0.5, "delta": 10.0, "c": 1.0}
+        settings = {
+            "theorem3_pointwise": shared,
+            "theorem4_sup": dict(shared, x_multipliers=[1.5, 2.0, 3.0]),
+            "corollary1": dict(shared, gamma=0.5, y_tail_M=200),
+            "corollary2": dict(shared, y_tail_M=200),
+        }
         for m in ("theorem3_pointwise", "theorem4_sup", "corollary1", "corollary2"):
             payload = json.loads((out / f"bound_{m}.json").read_text())
             assert payload["method"] == m
             assert all(0.0 <= v <= 1.0 for v in payload["bound"])
+            assert payload["settings"] == settings[m]
         t4 = json.loads((out / "bound_theorem4_sup.json").read_text())
         # thresholds are stored as absolute values, multiples of A
         A = t4["constants"]["A_TD"]
@@ -308,6 +318,11 @@ class TestBounds:
     ("bounds", "g_family", {"name": "one_sided_box"}),
     ("simulate", "T", 40.005),
     ("montecarlo", "tau_grid", [0.0, 1.5]),
+    # methods non-empty and distinct; lags on distinct lattice lags
+    ("bounds", "methods", []),
+    ("bounds", "methods", ["corollary1", "corollary1"]),
+    ("estimate", "tau_grid", [0.0, 0.004, 0.5]),
+    ("montecarlo", "tau_grid", [0.0, 0.004, 0.5]),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from correlogram.errors import CoverageError
 from correlogram.estimator import (
-    CorrelogramEstimate,
     cross_correlogram,
     estimate_correlogram,
     snap_tau_grid,
@@ -115,22 +114,21 @@ class TestTheoreticalBias:
 
 
 class TestEstimate:
-    def _run(self, tmp_path=None):
+    def _run(self):
         h, g, c = make_sinc(), make_triangular(2.0, 1.0), 1.0
         dt, T = 0.05, 10.0
         taus = (0.0, 0.5)
         grid = TimeGrid(0.0, dt, int(round((T + 0.5) / dt)) + 1)
         y, x = simulate_pair(Simulator((h, g), grid), NoiseSeed(99))
-        return estimate_correlogram(
-            h, g, c, y, x, T, taus, seed_info={"seed": 99, "stream_id": 0}
-        )
+        return estimate_correlogram(h, g, c, y, x, T, taus)
 
     def test_fields_are_consistent(self):
         est = self._run()
+        assert list(est) == ["tau", "h_hat", "h_mean", "z_hat"]
         np.testing.assert_allclose(
-            est.z_hat, np.sqrt(est.T) * (est.h_hat - est.h_mean), rtol=1e-12
+            est["z_hat"], np.sqrt(10.0) * (est["h_hat"] - est["h_mean"]), rtol=1e-12
         )
-        assert est.h_mean[0] == pytest.approx(
+        assert est["h_mean"][0] == pytest.approx(
             theoretical_bias(make_sinc(), make_triangular(2.0, 1.0), 1.0, 0.0),
             abs=1e-9,
         )
@@ -138,52 +136,20 @@ class TestEstimate:
     def test_csv_round_trip(self, tmp_path):
         est = self._run()
         target = tmp_path / "est.csv"
-        write_estimate_csv(est, target)
+        sidecar = {"T": 10.0, "delta": 2.0, "c": 1.0, "dt": 0.05,
+                   "seed": {"seed": 99, "stream_id": 0}}
+        write_estimate_csv(est, sidecar, target)
         tau, h_hat, _, z_hat = np.loadtxt(target, delimiter=",", skiprows=1, unpack=True)
-        np.testing.assert_array_equal(tau, est.tau_grid)
-        np.testing.assert_array_equal(h_hat, est.h_hat)
-        np.testing.assert_array_equal(z_hat, est.z_hat)
-        with open(tmp_path / "est.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        assert meta["T"] == est.T and meta["delta"] == est.delta
-        assert meta["seed"] == {"seed": 99, "stream_id": 0}
+        np.testing.assert_array_equal(tau, est["tau"])
+        np.testing.assert_array_equal(h_hat, est["h_hat"])
+        np.testing.assert_array_equal(z_hat, est["z_hat"])
+        meta = (tmp_path / "est.json").read_text(encoding="utf-8")
+        assert meta == json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
 
     def test_csv_bytes_match_csv_writer(self, tmp_path, csv_edge_column, csv_writer_bytes):
         n = 3 * _CSV_CHUNK_ROWS + 7
-        cols = [np.arange(n) / 3.0] + [csv_edge_column(n, shift) for shift in (0, 3, 5)]
-        est = CorrelogramEstimate(*cols, T=1.0, delta=1.0, c=1.0)
-        rows = [[repr(float(v)) for v in row] for row in zip(*cols)]
-        write_estimate_csv(est, tmp_path / "est.csv")
         header = ["tau", "h_hat", "h_mean", "z_hat"]
+        cols = [np.arange(n) / 3.0] + [csv_edge_column(n, shift) for shift in (0, 3, 5)]
+        rows = [[repr(float(v)) for v in row] for row in zip(*cols)]
+        write_estimate_csv(dict(zip(header, cols)), {}, tmp_path / "est.csv")
         assert (tmp_path / "est.csv").read_bytes() == csv_writer_bytes(header, rows)
-
-    def test_sidecar_written(self, tmp_path):
-        est = self._run()
-        target = tmp_path / "est.csv"
-        write_estimate_csv(est, target)
-        sidecar = json.loads((tmp_path / "est.json").read_text())
-        assert sidecar["T"] == est.T
-        assert sidecar["seed"]["seed"] == 99
-
-
-def test_estimate_validation():
-    with pytest.raises(ValueError):
-        CorrelogramEstimate(
-            tau_grid=np.array([0.0, 1.0]),
-            h_hat=np.zeros(2),
-            h_mean=np.zeros(2),
-            z_hat=np.zeros(3),
-            T=1.0,
-            delta=1.0,
-            c=1.0,
-        )
-    with pytest.raises(ValueError):
-        CorrelogramEstimate(
-            tau_grid=np.array([1.0, 0.0]),
-            h_hat=np.zeros(2),
-            h_mean=np.zeros(2),
-            z_hat=np.zeros(2),
-            T=1.0,
-            delta=1.0,
-            c=1.0,
-        )

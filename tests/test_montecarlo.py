@@ -351,7 +351,7 @@ class TestDownstreamTables:
 
     def test_modulus_requires_fine_lattice(self, result):
         with pytest.raises(ValueError):
-            modulus_of_continuity(result, [result.lattice_spacing / 2], [1.0])
+            modulus_of_continuity(result, [result.config.dt / 2], [1.0])
 
     def test_csv_and_json_round_trip(self, result, tmp_path):
         write_result_csv(result, tmp_path / "r.csv")
