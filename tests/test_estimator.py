@@ -143,8 +143,16 @@ class TestEstimate:
         np.testing.assert_array_equal(tau, est["tau"])
         np.testing.assert_array_equal(h_hat, est["h_hat"])
         np.testing.assert_array_equal(z_hat, est["z_hat"])
+
+    def test_sidecar_written(self, tmp_path):
+        est = self._run()
+        target = tmp_path / "est.csv"
+        sidecar = {"T": 10.0, "delta": 2.0, "c": 1.0, "dt": 0.05,
+                   "seed": {"seed": 99, "stream_id": 0}}
+        write_estimate_csv(est, sidecar, target)
         meta = (tmp_path / "est.json").read_text(encoding="utf-8")
         assert meta == json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        assert json.loads(meta)["seed"]["seed"] == 99
 
     def test_csv_bytes_match_csv_writer(self, tmp_path, csv_edge_column, csv_writer_bytes):
         n = 3 * _CSV_CHUNK_ROWS + 7
