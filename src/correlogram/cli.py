@@ -34,6 +34,7 @@ from .config import (
     command_view,
     load_config,
     resolve_out_dir,
+    view_kernels,
 )
 from .errors import (
     BoundUnavailable,
@@ -44,14 +45,8 @@ from .errors import (
     ReplicationError,
 )
 from .estimator import _horizon_steps, estimate_correlogram, estimation_grid, write_estimate_csv
-from .kernels import (
-    check_family_conditions,
-    check_weighted_spectral,
-    family_from_name,
-    kernel_from_spec,
-)
+from .kernels import check_family_conditions, check_weighted_spectral
 from .montecarlo import (
-    ExperimentConfig,
     empirical_sup_tail,
     run_replications,
     sample_stationary_Y,
@@ -101,35 +96,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernels(view: dict) -> tuple:
-    """The kernel h and the window family (delta -> g_delta) of a command view."""
-    try:
-        return kernel_from_spec(view["h"]), family_from_name(view["g_family"]["name"], view["c"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"invalid h or g_family: {exc}") from exc
-
-
-# Each handler takes the command's view, the output directory, the run's
-# manifest (where it records every file it writes) and the parsed
+# Each handler takes the command's checked view, the output directory, the
+# run's manifest (where it records every file it writes) and the parsed
 # arguments, and returns the exit code; its docstring is its --help text.
 
 
 def cmd_check_kernel(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     """verify window-family conditions and the weighted spectral integral"""
-    h, family = _kernels(view)
-    try:
-        report = check_family_conditions(
-            family, view["deltas"], view["lambda_window"], tol=view["tol"]
-        )
-        hunt = check_weighted_spectral(h, view["hunt_exponent"], view["lambda_max"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    h, family = view_kernels(view)
+    report = check_family_conditions(family, view["deltas"], view["lambda_window"], tol=view["tol"])
     hunt = {
         "kernel": view["h"],
         "exponent": view["hunt_exponent"],
         "lambda_max": view["lambda_max"],
-        **hunt,
+        **check_weighted_spectral(h, view["hunt_exponent"], view["lambda_max"]),
     }
     passed = report["passed"] and hunt["converged"]
     target = out_dir / "conditions.json"
@@ -147,22 +127,12 @@ def cmd_check_kernel(view: dict, out_dir: Path, manifest: RunManifest, args) -> 
 
 def cmd_simulate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     """simulate and write output paths over a delta ladder"""
-    h, family = _kernels(view)
-    dt = view["dt"]
-    deltas = view["deltas"]
-    labels = [f"{d:g}" for d in deltas]
-    clash = [d for d, label in zip(deltas, labels) if labels.count(label) > 1]
-    if clash:
-        raise ConfigError(f"deltas {clash} would write the same path_X_delta file names")
-
-    try:
-        grid = TimeGrid(t_start=view["t_start"], dt=dt, n=_horizon_steps(view["T"], dt) + 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    h, family = view_kernels(view)
+    dt, deltas = view["dt"], view["deltas"]
+    grid = TimeGrid(t_start=view["t_start"], dt=dt, n=_horizon_steps(view["T"], dt) + 1)
     # One draw, so the same Wiener path drives Y and each X_delta.
     simulator = Simulator([h, *map(family, deltas)], grid)
-    names = ["Y", *(f"X_delta{label}" for label in labels)]
+    names = ["Y", *(f"X_delta{d:g}" for d in deltas)]
     for name, path in zip(names, simulator.draw(NoiseSeed(**view["base_seed"]))):
         for suffix, writer in ((".csv", write_path_csv), (".bin", write_path_binary)):
             target = out_dir / f"path_{name}{suffix}"
@@ -173,13 +143,9 @@ def cmd_simulate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
 
 def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     """run one simulate-estimate cycle and write the estimate"""
-    h, family = _kernels(view)
+    h, family = view_kernels(view)
     g = family(view["delta"])
-    try:
-        grid = estimation_grid(view["T"], view["dt"], view["tau_grid"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    grid = estimation_grid(view["T"], view["dt"], view["tau_grid"])
     y_path, x_path = simulate_pair(Simulator((h, g), grid), NoiseSeed(**view["base_seed"]))
     columns = estimate_correlogram(h, g, view["c"], y_path, x_path, view["T"], view["tau_grid"])
     sidecar = dict({k: view[k] for k in ("T", "delta", "c", "dt")}, seed=view["base_seed"])
@@ -192,7 +158,7 @@ def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
 
 def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     """compute tail-bound reports over a threshold grid"""
-    h, family = _kernels(view)
+    h, family = view_kernels(view)
     a, b = view["interval"]
     methods = view["methods"]
     xs = sorted(set(view["x_grid"]))
@@ -200,11 +166,6 @@ def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     y_tail_M = view["y_tail_M"]
 
     model = CovarianceModel(h=h, g=family(view["delta"]), c=view["c"])
-    if "theorem4_sup" in methods and model.g.parity != "even":
-        raise ConfigError(
-            f"method theorem4_sup needs an even g_family window; "
-            f"{view['g_family']['name']!r} has parity {model.g.parity!r}"
-        )
     # the config values each method ran with, written into its report
     shared = {k: view[k] for k in ("T", "interval", "r", "delta", "c")}
     settings = {
@@ -263,37 +224,32 @@ def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
 
 def cmd_montecarlo(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     """run the replication harness and write aggregate results"""
-    _kernels(view)  # fail fast on an unknown kernel or window name
-    try:
-        experiment = ExperimentConfig(
-            h_spec=view["h"],
-            g_family_spec=view["g_family"],
-            T=view["T"],
-            delta=view["delta"],
-            c=view["c"],
-            dt=view["dt"],
-            tau_grid=view["tau_grid"],
-            replications=view["replications"],
-            base_seed=NoiseSeed(**view["base_seed"]),
-            interval=view["interval"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    result = run_replications(experiment, workers=args.workers)
-    for name, writer in (("result.csv", write_result_csv), ("result.json", write_result_json)):
-        target = out_dir / name
-        writer(result, target)
-        manifest.add_output(target)
+    result = run_replications(view, workers=args.workers)
+    target = out_dir / "result.csv"
+    write_result_csv(result, target)
+    manifest.add_output(target)
+    # result.json's config block: the view's values, h and g_family under
+    # their result.json names and base_seed as two keys
+    config = dict(
+        h_spec=view["h"],
+        g_family_spec=view["g_family"],
+        **{k: view[k] for k in ("T", "delta", "c", "dt", "tau_grid", "replications")},
+        **view["base_seed"],
+        interval=view["interval"],
+    )
+    target = out_dir / "result.json"
+    write_result_json(result, config, target)
+    manifest.add_output(target)
 
     if args.emit_paths:
         target = out_dir / "trajectories.csv"
         write_trajectories_csv(result, target, max_reps=view["emit_max_reps"])
         manifest.add_output(target)
         # First replication's paths, re-simulated from its own stream.
-        h, g = experiment.kernels()
-        grid = estimation_grid(experiment.T, experiment.dt, result.fine_taus)
-        y_path, x_path = simulate_pair(Simulator((h, g), grid), experiment.base_seed.spawn(0))
+        h, family = view_kernels(view)
+        grid = estimation_grid(view["T"], view["dt"], result.fine_taus)
+        seed = NoiseSeed(**view["base_seed"]).spawn(0)
+        y_path, x_path = simulate_pair(Simulator((h, family(view["delta"])), grid), seed)
         for label, path in (("Y", y_path), ("X", x_path)):
             target = out_dir / f"path_rep0_{label}.csv"
             write_path_csv(path, target)
@@ -320,23 +276,26 @@ _DOMAIN_ERRORS = (
 
 
 def main(argv=None) -> int:
-    """Run one command: parse its config view, run its handler, then write
-    the run manifest and print one ``wrote`` line per output file."""
+    """Run one command: parse and check its config view, which is where
+    every usage error exits 2, before the output directory exists; run its
+    handler, then write the run manifest and print one ``wrote`` line per
+    output file."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         view = command_view(cfg, args.command)
-        out_dir = resolve_out_dir(args.out, cfg)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot prepare output directory: {exc}", file=sys.stderr)
-            return 2
-        manifest = RunManifest.start(args.command, cfg)
-        code = _HANDLERS[args.command](view, out_dir, manifest, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out_dir = resolve_out_dir(args.out, cfg)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot prepare output directory: {exc}", file=sys.stderr)
+        return 2
+    manifest = RunManifest.start(args.command, cfg)
+    try:
+        code = _HANDLERS[args.command](view, out_dir, manifest, args)
     except _DOMAIN_ERRORS as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return 1

@@ -5,8 +5,12 @@ experiment (kernels, horizon, lattice, seed); a ``command_defaults``
 section holds per-command overrides that are merged over the globals
 when that command runs. ``KEYS`` lists every key with the commands
 that take it, the parser of its value and its default; a value that
-does not parse is a ``ConfigError``. JSON keeps float round-trips
-lossless since both sides print shortest representations.
+does not parse is a ``ConfigError``. ``command_view`` then runs the
+command's checks that span keys, so the view it returns is one the
+command can run. JSON keeps float round-trips lossless since both sides
+print shortest representations; non-finite numbers (the constants
+``NaN`` and ``Infinity``, which JSON itself does not have, or ``1e999``)
+are rejected on load.
 
 Every command writes a ``run_manifest.json`` recording the command
 name, a SHA-256 digest of the configuration, the artifact version, and
@@ -27,6 +31,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .bounds import _METHODS
+from .estimator import _horizon_steps, estimation_grid
+from .kernels import family_from_name, kernel_from_spec
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -35,6 +41,7 @@ __all__ = [
     "KEYS",
     "load_config",
     "command_view",
+    "view_kernels",
     "canonical_json",
     "config_digest",
     "resolve_out_dir",
@@ -197,6 +204,28 @@ def _command_keys(command: str) -> list:
     return [k for k in KEYS if k.commands is None or command in k.commands]
 
 
+class _NonFinite(str):
+    """A non-finite number of a parsed document, kept by its JSON text: the
+    constants NaN, Infinity and -Infinity, or a number beyond the float
+    range such as 1e999."""
+
+
+def _float(text: str):
+    value = float(text)
+    return value if math.isfinite(value) else _NonFinite(text)
+
+
+def _reject_non_finite(value, where: str) -> None:
+    """ConfigError naming the first non-finite number in ``value`` and
+    the dotted path to it."""
+    if isinstance(value, _NonFinite):
+        raise ConfigError(f"config value {where} is {value}; every number must be finite")
+    if isinstance(value, list):
+        value = dict(enumerate(value))
+    for key, item in value.items() if isinstance(value, dict) else ():
+        _reject_non_finite(item, f"{where}.{key}" if where else str(key))
+
+
 def load_config(path) -> dict:
     """Parse and structurally validate a run configuration file."""
     try:
@@ -204,11 +233,12 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_float=_float, parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config document must be a JSON object")
+    _reject_non_finite(cfg, "")
     unknown = set(cfg) - {k.name for k in KEYS if k.commands is None}
     unknown -= {"out_dir", "command_defaults"}
     if unknown:
@@ -232,16 +262,82 @@ def load_config(path) -> dict:
     return cfg
 
 
+def view_kernels(view: dict) -> tuple:
+    """The kernel h and the window family (delta -> g_delta) of a command view."""
+    return kernel_from_spec(view["h"]), family_from_name(view["g_family"]["name"], view["c"])
+
+
+# The checks that span keys, one per command: each takes the parsed view
+# and its window family, and raises ValueError on values the command
+# cannot run together.
+
+
+def _check_kernel(view: dict, family) -> None:
+    if view["deltas"] != sorted(view["deltas"]):
+        raise ValueError(f"check-kernel deltas {view['deltas']} must be ascending")
+
+
+def _simulate(view: dict, family) -> None:
+    _horizon_steps(view["T"], view["dt"])
+    labels = [f"{d:g}" for d in view["deltas"]]
+    clash = [d for d, label in zip(view["deltas"], labels) if labels.count(label) > 1]
+    if clash:
+        raise ValueError(f"deltas {clash} would write the same path_X_delta file names")
+
+
+def _estimate(view: dict, family) -> None:
+    estimation_grid(view["T"], view["dt"], view["tau_grid"])
+
+
+def _bounds(view: dict, family) -> None:
+    parity = family(view["delta"]).parity
+    if "theorem4_sup" in view["methods"] and parity != "even":
+        raise ValueError(
+            f"method theorem4_sup needs an even g_family window; "
+            f"{view['g_family']['name']!r} has parity {parity!r}"
+        )
+
+
+def _montecarlo(view: dict, family) -> None:
+    (a, b), taus = view["interval"], view["tau_grid"]
+    if taus[0] < a - 1e-12 or taus[-1] > b + 1e-12:
+        raise ValueError(f"tau_grid {list(taus)} must lie inside interval [{a}, {b}]")
+    _estimate(view, family)
+
+
+_SPANNING = {
+    "check-kernel": _check_kernel,
+    "simulate": _simulate,
+    "estimate": _estimate,
+    "bounds": _bounds,
+    "montecarlo": _montecarlo,
+}
+
+
 def command_view(cfg: dict, command: str) -> dict:
     """The parsed value of every key the command takes: its
-    command_defaults section over the top level over the defaults."""
+    command_defaults section over the top level over the defaults.
+
+    The view is checked whole: its kernel specs build and the command's
+    checks that span keys pass, so every usage error is a ConfigError
+    raised here, before the command creates its output directory.
+    """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     merged = {**cfg, **cfg.get("command_defaults", {}).get(command, {})}
-    return {
+    view = {
         k.name: k.parse(k.name, merged.get(k.name, k.default))
         for k in _command_keys(command)
     }
+    try:
+        _, family = view_kernels(view)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"invalid h or g_family: {exc}") from exc
+    try:
+        _SPANNING[command](view, family)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return view
 
 
 def canonical_json(obj) -> str:

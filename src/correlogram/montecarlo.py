@@ -25,14 +25,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import view_kernels
 from .errors import ConsistencyError, ReplicationError
 from .estimator import cross_correlogram, estimation_grid, snap_tau_grid, theoretical_bias
-from .kernels import Kernel, family_from_name, kernel_from_spec
+from .kernels import Kernel
 from .simulate import NoiseSeed, Simulator, _write_csv, simulate_pair
 from .spectral import autocovariance_Y, cov_limit
 
 __all__ = [
-    "ExperimentConfig",
     "MonteCarloResult",
     "run_replications",
     "normality_test",
@@ -48,65 +48,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One replication experiment, fully specified by plain data.
-
-    Kernels are carried as spec mappings (name + parameters) rather
-    than objects so configs can cross process boundaries.
-    """
-
-    h_spec: dict
-    g_family_spec: dict
-    T: float
-    delta: float
-    c: float
-    dt: float
-    tau_grid: tuple
-    replications: int
-    base_seed: NoiseSeed
-    interval: tuple
-
-    def __post_init__(self):
-        if not (self.T > 0 and self.delta > 0 and self.c > 0 and self.dt > 0):
-            raise ValueError("T, delta, c and dt must all be positive")
-        if not (isinstance(self.replications, (int, np.integer)) and self.replications >= 2):
-            raise ValueError("need at least 2 replications")
-        a, b = self.interval
-        if not a < b:
-            raise ValueError("interval must satisfy a < b")
-        taus = np.asarray(self.tau_grid, dtype=float)
-        if taus.size == 0:
-            raise ValueError("tau_grid must be nonempty")
-        if np.any(taus < a - 1e-12) or np.any(taus > b + 1e-12):
-            raise ValueError("tau_grid must lie inside the interval")
-        estimation_grid(self.T, self.dt, self.tau_grid)  # T whole in dt, no two lags snap together
-
-    def kernels(self) -> tuple:
-        h = kernel_from_spec(self.h_spec)
-        fam = family_from_name(self.g_family_spec["name"], self.c)
-        return h, fam(self.delta)
+def _kernels(view: dict) -> tuple:
+    """The kernel h and the window g_delta of a montecarlo view."""
+    h, family = view_kernels(view)
+    return h, family(view["delta"])
 
 
-def _lattice(cfg: ExperimentConfig) -> np.ndarray:
-    a, b = cfg.interval
-    k0 = int(round(a / cfg.dt))
-    k1 = int(round(b / cfg.dt))
-    return cfg.dt * np.arange(k0, k1 + 1)
+def _lattice(view: dict) -> np.ndarray:
+    (a, b), dt = view["interval"], view["dt"]
+    return dt * np.arange(int(round(a / dt)), int(round(b / dt)) + 1)
 
 
 def _replicate_share(args) -> np.ndarray:
     """Zhat rows of replications ``first, first + step, ...``, simulated with
     one Simulator; module-level so process pools can pickle it."""
-    cfg, taus, bias, first, step = args
+    view, taus, bias, first, step = args
+    T, seed = view["T"], NoiseSeed(**view["base_seed"])
     rows = []
     i = first
     try:
-        h, g = cfg.kernels()
-        sim = Simulator((h, g), estimation_grid(cfg.T, cfg.dt, taus))
-        for i in range(first, cfg.replications, step):
-            Y, X = simulate_pair(sim, cfg.base_seed.spawn(i))
-            rows.append(math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias))
+        sim = Simulator(_kernels(view), estimation_grid(T, view["dt"], taus))
+        for i in range(first, view["replications"], step):
+            Y, X = simulate_pair(sim, seed.spawn(i))
+            rows.append(math.sqrt(T) * (cross_correlogram(Y, X, view["c"], T, taus) - bias))
     except Exception as exc:
         raise ReplicationError(f"replication {i} failed: {exc}") from exc
     return np.vstack(rows)
@@ -118,11 +82,9 @@ class MonteCarloResult:
 
     ``z_fine`` holds every replication's Zhat on the dt lattice of the
     interval (rows = replications); ``z_samples`` is its restriction to
-    the configured tau_grid. ``coverage`` and ``moduli`` start empty and
-    are attached by ci_coverage / modulus_of_continuity.
+    the configured tau_grid.
     """
 
-    config: ExperimentConfig
     tau_grid: np.ndarray
     z_samples: np.ndarray
     mean: np.ndarray
@@ -133,8 +95,6 @@ class MonteCarloResult:
     fine_taus: np.ndarray
     z_fine: np.ndarray
     sup_samples: np.ndarray
-    coverage: Optional[list] = None
-    moduli: Optional[list] = None
 
     def __post_init__(self):
         if np.any(self.variance < 0):
@@ -160,30 +120,33 @@ def jackknife_se(samples: np.ndarray, stat_fn: Callable[[np.ndarray], float]) ->
     return float(math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
 
 
-def run_replications(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloResult:
-    """Simulate-estimate M times and aggregate.
+def run_replications(view: dict, workers: int = 1) -> MonteCarloResult:
+    """Simulate-estimate the replications of a montecarlo view
+    (``config.command_view(cfg, "montecarlo")``) and aggregate.
 
-    Deterministic in ``cfg.base_seed``; the worker count only changes
-    wall time, never output bytes.
+    Deterministic in the view's ``base_seed``; the worker count only
+    changes wall time, never output bytes. The processes get the view,
+    plain data, and build the kernels from it.
     """
-    h, g = cfg.kernels()
-    taus = _lattice(cfg)
-    bias = theoretical_bias(h, g, cfg.c, taus)
+    M, dt = view["replications"], view["dt"]
+    h, g = _kernels(view)
+    taus = _lattice(view)
+    bias = theoretical_bias(h, g, view["c"], taus)
     # Under fork every pool process starts up front, so never ask for more
     # than there are replications. Process w runs replications w, w + procs, ...
-    procs = max(1, min(workers, cfg.replications))
-    jobs = [(cfg, taus, bias, w, procs) for w in range(procs)]
+    procs = max(1, min(workers, M))
+    jobs = [(view, taus, bias, w, procs) for w in range(procs)]
     if procs == 1:
         done = map(_replicate_share, jobs)
     else:
         with ProcessPoolExecutor(max_workers=procs) as pool:
             done = list(pool.map(_replicate_share, jobs))
-    Z = np.empty((cfg.replications, taus.size))
+    Z = np.empty((M, taus.size))
     for w, z in enumerate(done):
         Z[w::procs] = z
 
-    tau_req = snap_tau_grid(cfg.tau_grid, cfg.dt)
-    cols = np.array([int(round((t - taus[0]) / cfg.dt)) for t in tau_req])
+    tau_req = snap_tau_grid(view["tau_grid"], dt)
+    cols = np.array([int(round((t - taus[0]) / dt)) for t in tau_req])
     Ztau = Z[:, cols]
     variance = Ztau.var(axis=0, ddof=1)
     variance_se = np.array(
@@ -196,7 +159,6 @@ def run_replications(cfg: ExperimentConfig, workers: int = 1) -> MonteCarloResul
         stat, p = normality_test(Ztau[:, j], max(float(targets[j]), 0.0))
         ks.append((float(t), stat, p))
     return MonteCarloResult(
-        config=cfg,
         tau_grid=tau_req,
         z_samples=Ztau,
         mean=Ztau.mean(axis=0),
@@ -332,7 +294,7 @@ def ci_coverage(
     Pointwise reports compare |Zhat(tau)| > x * sqrt(var(tau)) per
     configured lag (variance defaults to the empirical one); supremum
     reports compare the lattice sup. valid means empirical <= bound
-    + 3 standard errors.
+    + 3 standard errors. Returns the rows and leaves the result as it is.
     """
     M = result.z_samples.shape[0]
     rows = []
@@ -374,7 +336,6 @@ def ci_coverage(
                         "valid": bool(emp <= bound + 3.0 * se),
                     }
                 )
-    result.coverage = rows
     return rows
 
 
@@ -385,14 +346,16 @@ def modulus_of_continuity(
 ) -> list:
     """Empirical P{sup over |t2-t1| < h of |Zhat(t2)-Zhat(t1)| > delta}.
 
-    Needs the lag lattice to resolve the smallest h with at least four
-    points; coarser lattices are rejected instead of silently reporting
-    zeros.
+    Needs the lag lattice ``fine_taus`` to resolve the smallest h with at
+    least four points; coarser lattices, and a lattice of one lag, are
+    rejected instead of silently reporting zeros. Returns the rows and
+    leaves the result as it is.
     """
     hs = sorted(float(x) for x in h_ladder)
     if not hs or hs[0] <= 0:
         raise ValueError("h ladder must be positive")
-    s = result.config.dt
+    taus = result.fine_taus
+    s = float(taus[1] - taus[0]) if taus.size > 1 else math.inf
     if s > hs[0] / 4.0:
         raise ValueError(
             f"lag lattice spacing {s:g} too coarse for h={hs[0]:g}; need <= h/4"
@@ -416,7 +379,6 @@ def modulus_of_continuity(
                     "mc_se": math.sqrt(p * (1.0 - p) / M),
                 }
             )
-    result.moduli = rows
     return rows
 
 
@@ -459,45 +421,12 @@ def write_result_csv(result: MonteCarloResult, path) -> None:
         for q in (0.5, 0.75, 0.9, 0.95, 0.99):
             x = float(np.quantile(result.sup_samples, q))
             wr.writerow(["sup_quantile", repr(q), "", repr(x), ""])
-        for row in result.coverage or ():
-            wr.writerow(
-                [
-                    f"coverage_{row['method']}",
-                    "" if row["tau"] is None else repr(row["tau"]),
-                    repr(row["x"]),
-                    repr(row["empirical"]),
-                    repr(row["mc_se"]),
-                ]
-            )
-        for row in result.moduli or ():
-            wr.writerow(
-                [
-                    "modulus",
-                    repr(row["h"]),
-                    repr(row["delta"]),
-                    repr(row["probability"]),
-                    repr(row["mc_se"]),
-                ]
-            )
 
 
-def write_result_json(result: MonteCarloResult, path) -> None:
-    cfg = result.config
+def write_result_json(result: MonteCarloResult, config: dict, path) -> None:
+    """The aggregates as JSON, after the caller's ``config`` block."""
     payload = {
-        "config": {
-            "h_spec": cfg.h_spec,
-            "g_family_spec": cfg.g_family_spec,
-            "T": cfg.T,
-            "delta": cfg.delta,
-            "c": cfg.c,
-            "dt": cfg.dt,
-            "tau_grid": [float(t) for t in cfg.tau_grid],
-            "replications": int(cfg.replications),
-            "seed": int(cfg.base_seed.seed),
-            "stream_id": int(cfg.base_seed.stream_id),
-            "interval": [float(v) for v in cfg.interval],
-        },
-        "lattice_spacing": cfg.dt,
+        "config": config,
         "tau_grid": [float(t) for t in result.tau_grid],
         "mean": [float(v) for v in result.mean],
         "variance": [float(v) for v in result.variance],
@@ -507,8 +436,6 @@ def write_result_json(result: MonteCarloResult, path) -> None:
             {"tau": t, "stat": s, "p": p} for (t, s, p) in result.ks_results
         ],
         "sup_samples_mean": float(result.sup_samples.mean()),
-        "coverage": result.coverage,
-        "moduli": result.moduli,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

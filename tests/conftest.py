@@ -13,33 +13,35 @@ import warnings
 import numpy as np
 import pytest
 
-from correlogram.montecarlo import ExperimentConfig, run_replications
-from correlogram.simulate import NoiseSeed
+from correlogram.config import command_view
+from correlogram.montecarlo import run_replications
 
 ACCEPTANCE_SEED = 20260813
 
 
-def acceptance_experiment(h_name: str, replications: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        h_spec={"name": h_name},
-        g_family_spec={"name": "triangular"},
-        T=500.0,
-        delta=100.0,
-        c=1.0,
-        dt=0.01,
-        tau_grid=(0.0, 0.5, 1.0),
-        replications=replications,
-        base_seed=NoiseSeed(ACCEPTANCE_SEED, 0),
-        interval=(0.0, 1.0),
-    )
+def acceptance_experiment(h_name: str, replications: int) -> dict:
+    """The montecarlo view of the acceptance model."""
+    section = {
+        "h": {"name": h_name},
+        "g_family": {"name": "triangular"},
+        "T": 500.0,
+        "delta": 100.0,
+        "c": 1.0,
+        "dt": 0.01,
+        "tau_grid": [0.0, 0.5, 1.0],
+        "replications": replications,
+        "base_seed": {"seed": ACCEPTANCE_SEED, "stream_id": 0},
+        "interval": [0.0, 1.0],
+    }
+    return command_view({"command_defaults": {"montecarlo": section}}, "montecarlo")
 
 
-def _run_quietly(cfg: ExperimentConfig):
+def _run_quietly(view: dict):
     # delta=100 at dt=0.01 deliberately trips the resolution advisory;
     # the ensembles are still the configuration the validation targets.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return run_replications(cfg, workers=1)
+        return run_replications(view, workers=1)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, outputs, manifests, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import correlogram.cli as cli
 from correlogram.config import (
+    COMMANDS,
     KEYS,
     ConfigError,
     canonical_json,
@@ -21,6 +23,7 @@ from correlogram.config import (
     load_manifest,
     resolve_out_dir,
     verify_manifest,
+    view_kernels,
 )
 from correlogram.errors import BoundUnavailable, ReplicationError
 from correlogram.simulate import read_path_binary, read_path_csv
@@ -70,11 +73,24 @@ class TestConfigModule:
         with pytest.raises(ConfigError, match="unknown commands"):
             load_config(target)
 
+    def test_load_rejects_out_of_range_number(self, tmp_path):
+        # Python reads 1e999 as inf, which no config value may be
+        target = tmp_path / "c.json"
+        target.write_text('{"command_defaults": {"estimate": {"tau_grid": [0, 1e999]}}}')
+        with pytest.raises(ConfigError, match="estimate.tau_grid.1 is 1e999"):
+            load_config(target)
+
     def test_command_view_merges_defaults(self):
         cfg = {"T": 99.0, "command_defaults": {"simulate": {"T": 8.0}}}
         assert command_view(cfg, "simulate")["T"] == 8.0
         assert command_view(cfg, "estimate")["T"] == 99.0
         assert command_view(cfg, "estimate")["c"] == 1.0  # global default
+
+    def test_view_kernels_built_from_specs(self):
+        view = command_view({"delta": 10.0}, "montecarlo")
+        h, family = view_kernels(view)
+        assert h.band_limit == pytest.approx(math.pi)
+        assert family(view["delta"]).time_eval(0.0) == pytest.approx(10.0)  # c * delta
 
     def test_readme_key_table_matches_keys(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -200,7 +216,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "config error" in err and "path_X_delta" in err
         assert f"deltas {named} " in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestEstimate:
@@ -323,16 +339,29 @@ class TestBounds:
     ("bounds", "methods", ["corollary1", "corollary1"]),
     ("estimate", "tau_grid", [0.0, 0.004, 0.5]),
     ("montecarlo", "tau_grid", [0.0, 0.004, 0.5]),
+    # check-kernel's delta ladder ascends; a montecarlo run needs two
+    # replications and an interval [a, b] with a < b
+    ("check-kernel", "deltas", [100, 10]),
+    ("montecarlo", "replications", 1),
+    ("montecarlo", "interval", [1.0, 0.0]),
+    # JSON has no non-finite numbers: NaN and Infinity fail every command,
+    # wherever they stand ("bounds.r.NaN": NaN under key r of bounds' section)
+    ("check-kernel", "bounds.r.NaN", math.nan),
+    ("estimate", "h.delta.Infinity", {"name": "triangular", "delta": math.inf, "c": 1}),
+    ("simulate", "t_start.-Infinity", -math.inf),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+    section, _, name = key.partition(".")
+    if section not in COMMANDS:  # a key of the command's own section
+        section, name = command, key
     if key.startswith("--"):
         argv += [key, bad]
     elif key == "out_dir":  # a top-level key only
         cfg[key] = bad
     else:
-        cfg["command_defaults"].setdefault(command, {})[key.split(".")[0]] = bad
+        cfg["command_defaults"].setdefault(section, {})[name.split(".")[0]] = bad
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     try:
         code = run_cli(*argv)
@@ -342,8 +371,7 @@ def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     err = capsys.readouterr().err
     assert all(part in err for part in key.split("."))
     assert ("argument" if key.startswith("--") else "config error") in err
-    out = tmp_path / "o"
-    assert not (out.exists() and any(out.iterdir()))
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["check-kernel", "simulate", "estimate", "bounds", "montecarlo"])

@@ -1,5 +1,6 @@
 """Replication harness: determinism, normality checks, aggregation."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -16,7 +17,6 @@ from correlogram.errors import ConsistencyError
 from correlogram.estimator import cross_correlogram, estimation_grid, theoretical_bias
 from correlogram.kernels import make_hilbert_sinc, make_sinc
 from correlogram.montecarlo import (
-    ExperimentConfig,
     ci_coverage,
     empirical_sup_tail,
     jackknife_se,
@@ -30,6 +30,7 @@ from correlogram.montecarlo import (
     write_trajectories_csv,
 )
 from correlogram.bounds import theorem3_report
+from correlogram.config import command_view
 from correlogram.simulate import (
     _DIRECT_MAX_TAPS,
     ConvolutionPlan,
@@ -41,41 +42,27 @@ from correlogram.simulate import (
 
 
 def small_experiment(**overrides):
-    base = dict(
-        h_spec={"name": "sinc"},
-        g_family_spec={"name": "triangular"},
+    """A montecarlo view; ``overrides`` set its config keys."""
+    section = dict(
+        h={"name": "sinc"},
+        g_family={"name": "triangular"},
         T=20.0,
         delta=10.0,
         c=1.0,
         dt=0.05,
-        tau_grid=(0.0, 0.5),
+        tau_grid=[0.0, 0.5],
         replications=6,
-        base_seed=NoiseSeed(314, 0),
-        interval=(0.0, 0.5),
+        base_seed={"seed": 314, "stream_id": 0},
+        interval=[0.0, 0.5],
     )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    section.update(overrides)
+    return command_view({"command_defaults": {"montecarlo": section}}, "montecarlo")
 
 
-def run_quietly(cfg, workers=1):
+def run_quietly(view, workers=1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return run_replications(cfg, workers=workers)
-
-
-class TestConfig:
-    def test_needs_two_replications(self):
-        with pytest.raises(ValueError):
-            small_experiment(replications=1)
-
-    def test_interval_ordering(self):
-        with pytest.raises(ValueError):
-            small_experiment(interval=(1.0, 0.0))
-
-    def test_kernels_built_from_specs(self):
-        h, g = small_experiment().kernels()
-        assert h.band_limit == pytest.approx(math.pi)
-        assert g.time_eval(0.0) == pytest.approx(10.0)  # c * delta
+        return run_replications(view, workers=workers)
 
 
 class TestRunReplications:
@@ -122,21 +109,22 @@ class TestReplicationEngine:
     )
     def test_rows_equal_single_pair_runs(self, h_spec, branch):
         # M = 9 over two processes' shares: replications 0, 2, ..., 8 and 1, 3, ..., 7
-        cfg = small_experiment(h_spec=h_spec, replications=9)
-        res = run_quietly(cfg)
-        np.testing.assert_array_equal(res.z_fine, run_quietly(cfg, workers=2).z_fine)
-        h, g = cfg.kernels()
-        taus = mc._lattice(cfg)
-        grid = estimation_grid(cfg.T, cfg.dt, taus)
-        plan = ConvolutionPlan(h, grid, max(required_pad(k, cfg.dt) for k in (h, g)))
+        view = small_experiment(h=h_spec, replications=9)
+        res = run_quietly(view)
+        np.testing.assert_array_equal(res.z_fine, run_quietly(view, workers=2).z_fine)
+        h, g = mc._kernels(view)
+        T, dt, c = view["T"], view["dt"], view["c"]
+        taus = mc._lattice(view)
+        grid = estimation_grid(T, dt, taus)
+        plan = ConvolutionPlan(h, grid, max(required_pad(k, dt) for k in (h, g)))
         assert ("fft" if plan.taps.size > _DIRECT_MAX_TAPS else "direct") == branch
-        bias = theoretical_bias(h, g, cfg.c, taus)
-        want = []
+        bias = theoretical_bias(h, g, c, taus)
+        seed, want = NoiseSeed(**view["base_seed"]), []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            for i in range(cfg.replications):
-                Y, X = simulate_pair(Simulator((h, g), grid), cfg.base_seed.spawn(i))
-                want.append(math.sqrt(cfg.T) * (cross_correlogram(Y, X, cfg.c, cfg.T, taus) - bias))
+            for i in range(view["replications"]):
+                Y, X = simulate_pair(Simulator((h, g), grid), seed.spawn(i))
+                want.append(math.sqrt(T) * (cross_correlogram(Y, X, c, T, taus) - bias))
         np.testing.assert_array_equal(res.z_fine, np.vstack(want))
 
     @pytest.mark.parametrize(
@@ -172,15 +160,15 @@ class TestReplicationEngine:
         # plus one replication's paths and window outputs peak at about
         # 3.8 MB, whatever the number of replications. Keeping each
         # replication's paths alive would add 0.8 MB per replication.
-        cfg = acceptance_experiment("sinc", 4)
-        h, g = cfg.kernels()
-        taus = mc._lattice(cfg)
-        bias = theoretical_bias(h, g, cfg.c, taus)
+        view = acceptance_experiment("sinc", 4)
+        h, g = mc._kernels(view)
+        taus = mc._lattice(view)
+        bias = theoretical_bias(h, g, view["c"], taus)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             tracemalloc.start()
             try:
-                z = mc._replicate_share((cfg, taus, bias, 0, 1))
+                z = mc._replicate_share((view, taus, bias, 0, 1))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -205,10 +193,10 @@ class TestReplicationEngine:
                 return map(fn, iterable)
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
-        cfg = small_experiment(replications=12)
-        res = run_quietly(cfg, workers=workers)
+        view = small_experiment(replications=12)
+        res = run_quietly(view, workers=workers)
         assert sizes == [want]
-        np.testing.assert_array_equal(res.z_fine, run_quietly(cfg).z_fine)
+        np.testing.assert_array_equal(res.z_fine, run_quietly(view).z_fine)
 
     def test_failure_names_the_replication(self, monkeypatch):
         # also when the simulator cannot be built, before any replication ran
@@ -336,31 +324,39 @@ def result():
 class TestDownstreamTables:
     def test_coverage_rows(self, result):
         rep = theorem3_report([5.8067383035758137])
+        before = copy.deepcopy(vars(result))
         rows = ci_coverage(
             result, [rep], pointwise_variances=np.ones(len(result.tau_grid))
         )
         assert all(set(r) >= {"method", "x", "empirical", "bound", "valid"} for r in rows)
         assert all(isinstance(r["valid"], bool) for r in rows)
-        assert result.coverage is rows
+        np.testing.assert_equal(vars(result), before)
 
     def test_modulus_rows_monotone_in_threshold(self, result):
+        before = copy.deepcopy(vars(result))
         rows = modulus_of_continuity(result, [0.2], [0.5, 1.0, 2.0])
         probs = [r["probability"] for r in rows]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
         assert all(0.0 <= p <= 1.0 for p in probs)
+        np.testing.assert_equal(vars(result), before)
 
     def test_modulus_requires_fine_lattice(self, result):
+        # half the lattice spacing dt = 0.05 of small_experiment
         with pytest.raises(ValueError):
-            modulus_of_continuity(result, [result.config.dt / 2], [1.0])
+            modulus_of_continuity(result, [0.05 / 2], [1.0])
+        # a lattice of one lag has no spacing at all
+        one_lag = dataclasses.replace(result, fine_taus=result.fine_taus[:1])
+        with pytest.raises(ValueError):
+            modulus_of_continuity(one_lag, [1.0], [1.0])
 
     def test_csv_and_json_round_trip(self, result, tmp_path):
         write_result_csv(result, tmp_path / "r.csv")
-        write_result_json(result, tmp_path / "r.json")
+        write_result_json(result, {"replications": 12}, tmp_path / "r.json")
         write_trajectories_csv(result, tmp_path / "t.csv", max_reps=3)
 
         payload = json.loads((tmp_path / "r.json").read_text())
         np.testing.assert_allclose(payload["variance"], result.variance, rtol=1e-12)
-        assert payload["config"]["replications"] == 12
+        assert payload["config"] == {"replications": 12}
 
         header, *rows = (tmp_path / "r.csv").read_text().strip().splitlines()
         assert header.split(",")[0] == "statistic"
