@@ -61,6 +61,7 @@ from .simulate import (
     simulate_pair,
     write_path_binary,
     write_path_csv,
+    write_path_csvs,
 )
 from .spectral import CovarianceModel
 
@@ -130,14 +131,15 @@ def cmd_simulate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     h, family = view_kernels(view)
     dt, deltas = view["dt"], view["deltas"]
     grid = TimeGrid(t_start=view["t_start"], dt=dt, n=_horizon_steps(view["T"], dt) + 1)
-    # One draw, so the same Wiener path drives Y and each X_delta.
-    simulator = Simulator([h, *map(family, deltas)], grid)
-    names = ["Y", *(f"X_delta{d:g}" for d in deltas)]
-    for name, path in zip(names, simulator.draw(NoiseSeed(**view["base_seed"]))):
-        for suffix, writer in ((".csv", write_path_csv), (".bin", write_path_binary)):
-            target = out_dir / f"path_{name}{suffix}"
-            writer(path, target)
-            manifest.add_output(target)
+    # One draw, so the same Wiener path drives Y and each X_delta; the
+    # Simulator and its buffers are gone before the files are written.
+    paths = list(Simulator([h, *map(family, deltas)], grid).draw(NoiseSeed(**view["base_seed"])))
+    stems = [f"path_{name}" for name in ["Y", *(f"X_delta{d:g}" for d in deltas)]]
+    write_path_csvs(paths, [out_dir / f"{stem}.csv" for stem in stems])
+    for path, stem in zip(paths, stems):
+        write_path_binary(path, out_dir / f"{stem}.bin")
+        manifest.add_output(out_dir / f"{stem}.csv")
+        manifest.add_output(out_dir / f"{stem}.bin")
     return 0
 
 

@@ -289,6 +289,20 @@ def _estimate(view: dict, family) -> None:
     estimation_grid(view["T"], view["dt"], view["tau_grid"])
 
 
+#: The most float64 values one numpy array can hold: its size in bytes must
+#: fit numpy's signed index type, as wide as ``sys.maxsize``.
+_MAX_ARRAY_VALUES = sys.maxsize // 8
+
+
+def _fits_array(what: str, rows, cols) -> None:
+    """ValueError when the ``rows x cols`` float64 array ``what`` cannot
+    exist; ``cols`` may be a float, and neither is multiplied out, so a
+    count too large for a float is rejected too."""
+    if rows > _MAX_ARRAY_VALUES / cols:
+        raise ValueError(f"{what} would be {rows} x {cols} values, more than "
+                         f"the {_MAX_ARRAY_VALUES} one float64 array holds")
+
+
 def _bounds(view: dict, family) -> None:
     parity = family(view["delta"]).parity
     if "theorem4_sup" in view["methods"] and parity != "even":
@@ -296,6 +310,9 @@ def _bounds(view: dict, family) -> None:
             f"method theorem4_sup needs an even g_family window; "
             f"{view['g_family']['name']!r} has parity {parity!r}"
         )
+    M, points = view["y_tail_M"], view["y_tail_points"]
+    _fits_array("the y_tail draws (y_tail_M x y_tail_points)", M, points)
+    _fits_array("the y_tail Gram matrix (y_tail_points x y_tail_points)", points, points)
 
 
 def _montecarlo(view: dict, family) -> None:
@@ -303,6 +320,10 @@ def _montecarlo(view: dict, family) -> None:
     if taus[0] < a - 1e-12 or taus[-1] > b + 1e-12:
         raise ValueError(f"tau_grid {list(taus)} must lie inside interval [{a}, {b}]")
     _estimate(view, family)
+    # every replication's Zhat on the dt lattice of the interval
+    dt = view["dt"]
+    _fits_array(f"the replications' Zhat on the lattice of [{a:g}, {b:g}] at dt={dt:g} "
+                f"(replications x lattice lags)", view["replications"], (b - a) / dt + 1)
 
 
 _SPANNING = {

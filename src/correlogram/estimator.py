@@ -23,11 +23,12 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .errors import CoverageError
 from .kernels import Kernel
 from .quadrature import lagged_product
-from .simulate import SampledPath, TimeGrid, _write_csv
+from .simulate import SampledPath, TimeGrid, _write_csv, next_fast_len
 
 __all__ = [
     "snap_tau_grid",
@@ -37,6 +38,12 @@ __all__ = [
     "estimate_correlogram",
     "write_estimate_csv",
 ]
+
+#: Lag count up to which the correlogram takes one dot product per lag;
+#: more lags go through one FFT cross-correlation. The loop's cost grows
+#: with the lag count, the FFT's does not; the two cross between about 130
+#: and 260 lags for 5e4 to 5e5 samples in the window [0, T).
+_DOT_MAX_LAGS = 256
 
 
 def snap_tau_grid(tau_grid: Sequence[float], dt: float) -> np.ndarray:
@@ -89,6 +96,15 @@ def cross_correlogram(
     The integration window is ``t_j in [0, T)``; each requested lag is
     snapped to the lattice first. Raises when the shared grid does not
     cover every shifted window.
+
+    Up to ``_DOT_MAX_LAGS`` lags take one dot product each. More lags take
+    one zero-padded real FFT cross-correlation of the ``Y`` samples that
+    the shifts ``lo..hi`` reach, ``n_T + hi - lo`` of them, against the
+    window of ``X``, at the first fast length that holds them, so nothing
+    wraps into a kept shift; the requested shifts are then picked out.
+    The FFT route's sums differ from the loop's by rounding only, at most
+    ``1e-12 * dt/(cT) * |Y segment|_2 * |X window|_2`` per lag (the test
+    suite checks this bound).
     """
     if Y.grid != X.grid:
         raise ValueError("Y and X must share one sampling grid")
@@ -121,10 +137,19 @@ def cross_correlogram(
 
     x_win = X.values[j0 : j0 + n_T]
     scale = dt / (c * T)
-    out = np.empty(tau.size)
-    for i, k in enumerate(shifts):
-        out[i] = scale * float(np.dot(Y.values[j0 + k : j0 + k + n_T], x_win))
-    return out
+    if shifts.size <= _DOT_MAX_LAGS:
+        out = np.empty(tau.size)
+        for i, k in enumerate(shifts):
+            out[i] = scale * float(np.dot(Y.values[j0 + k : j0 + k + n_T], x_win))
+        return out
+    # corr[m] = sum_j y_seg[m + j] x_win[j] for every shift lo + m in [lo, hi]:
+    # at a length >= len(y_seg) = n_T + span - 1 no product wraps into them.
+    y_seg = Y.values[j0 + lo_shift : j0 + hi_shift + n_T]
+    size = next_fast_len(y_seg.size)
+    spectrum = rfft(y_seg, size)
+    spectrum *= rfft(x_win, size).conj()
+    corr = irfft(spectrum, size)
+    return scale * corr[shifts - lo_shift]
 
 
 def theoretical_bias(h: Kernel, g: Kernel, c: float, tau):
@@ -164,7 +189,7 @@ def write_estimate_csv(columns: dict, sidecar: dict, file) -> None:
     """Write the named ``columns`` as CSV, the names as its header, and
     ``sidecar`` next to it as JSON with extension ``.json``."""
     file = Path(file)
-    _write_csv(file, list(columns), list(columns.values()))
+    _write_csv([file], list(columns), [list(columns.values())])
     with open(file.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")

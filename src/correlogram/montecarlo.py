@@ -447,4 +447,4 @@ def write_trajectories_csv(result: MonteCarloResult, path, max_reps: Optional[in
     z = np.asarray(result.z_fine, dtype=float)[: None if max_reps is None else max(max_reps, 0)]
     taus = np.asarray(result.fine_taus, dtype=float)
     reps = np.repeat(np.arange(len(z)), taus.size)
-    _write_csv(path, ["replication", "tau", "z"], [reps, np.tile(taus, len(z)), z.ravel()])
+    _write_csv([path], ["replication", "tau", "z"], [[reps, np.tile(taus, len(z)), z.ravel()]])

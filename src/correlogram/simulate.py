@@ -30,6 +30,7 @@ import math
 import os
 import struct
 import warnings
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +51,8 @@ __all__ = [
     "Simulator",
     "simulate_output",
     "simulate_pair",
+    "next_fast_len",
+    "write_path_csvs",
     "write_path_csv",
     "read_path_csv",
     "write_path_binary",
@@ -270,20 +273,56 @@ def simulate_pair(simulator: Simulator, seed: NoiseSeed) -> tuple:
     return Y, X
 
 
-def _write_csv(file, header, columns) -> None:
-    """Write ``header`` and equal-length 1-D array ``columns`` as UTF-8 CSV, in
-    chunks. The bytes equal ``csv.writer`` output with ``repr`` cells: commas,
-    CRLF line ends, no quoting, floats as ``repr(float)``, integers in decimal."""
-    with open(Path(file), "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for i in range(0, min(map(len, columns)), _CSV_CHUNK_ROWS):
-            cells = [map(repr, col[i : i + _CSV_CHUNK_ROWS].tolist()) for col in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+def _write_csv(files, header, columns, shared=lambda i, k: []) -> None:
+    """Write one UTF-8 CSV per file of ``files``, in chunks of rows: the
+    ``header`` line, then rows of the ``shared`` cells followed by that
+    file's equal-length 1-D arrays in ``columns``, whose shortest sets the
+    row count. ``shared(i, k)`` gives the cell lists of rows ``i`` to
+    ``i + k - 1`` of the columns every file starts with, formatted once per
+    chunk for all the files.
+
+    The bytes equal ``csv.writer`` output with ``repr`` cells: commas, CRLF
+    line ends, no quoting, floats as ``repr(float)``, integers in decimal."""
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(Path(f), "w", newline="", encoding="utf-8"))
+                   for f in files]
+        for fh in handles:
+            fh.write(",".join(header) + "\r\n")
+        n = min(len(col) for own in columns for col in own)
+        for i in range(0, n, _CSV_CHUNK_ROWS):
+            k = min(_CSV_CHUNK_ROWS, n - i)
+            first = shared(i, k)
+            for fh, own in zip(handles, columns):
+                cells = first + [_cells(col[i : i + k]) for col in own]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _cells(values: np.ndarray) -> list:
+    """The CSV cells of a 1-D array: ``repr`` of each Python float or int."""
+    return list(map(repr, values.tolist()))
+
+
+def write_path_csvs(paths, files) -> None:
+    """Write each of ``paths``, all on one grid, as (t,value) rows with a
+    header line to the file of ``files`` at the same index, with the bytes
+    ``write_path_csv`` gives it. One pass over row chunks formats each
+    chunk's ``t`` cells once for every file; ``t_start + dt*j`` is computed
+    per chunk, with the bits of ``grid.times()``."""
+    grid = paths[0].grid
+    if any(p.grid != grid for p in paths):
+        raise ValueError("paths must share one sampling grid")
+    if len(files) != len(paths):
+        raise ValueError(f"{len(paths)} paths need as many files, got {len(files)}")
+
+    def times(i, k):
+        return [_cells(grid.t_start + grid.dt * np.arange(i, i + k))]
+
+    _write_csv(files, ["t", "value"], [[p.values] for p in paths], shared=times)
 
 
 def write_path_csv(path: SampledPath, file) -> None:
     """Write (t,value) rows with a header line."""
-    _write_csv(file, ["t", "value"], [path.grid.times(), path.values])
+    write_path_csvs([path], [file])
 
 
 def _file_grid(file, t_start: float, dt: float, n: int) -> TimeGrid:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -26,7 +27,7 @@ from correlogram.config import (
     view_kernels,
 )
 from correlogram.errors import BoundUnavailable, ReplicationError
-from correlogram.simulate import read_path_binary, read_path_csv
+from correlogram.simulate import read_path_binary, read_path_csv, write_path_csv
 
 
 BASE_CONFIG = {
@@ -92,6 +93,25 @@ class TestConfigModule:
         assert h.band_limit == pytest.approx(math.pi)
         assert family(view["delta"]).time_eval(0.0) == pytest.approx(10.0)  # c * delta
 
+    @pytest.mark.parametrize("command, section, named", [
+        ("bounds", {"y_tail_M": 10**30}, "y_tail draws (y_tail_M x y_tail_points)"),
+        ("bounds", {"y_tail_points": 2**31}, "Gram matrix (y_tail_points x y_tail_points)"),
+        ("montecarlo", {"replications": 2**57}, "(replications x lattice lags)"),
+        ("montecarlo", {"interval": [0.0, 1e308]}, "(replications x lattice lags)"),
+    ])
+    def test_count_no_array_holds_is_rejected(self, command, section, named):
+        # checked in the view only: such a config must never run
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            command_view({"command_defaults": {command: section}}, command)
+
+    @pytest.mark.parametrize("command, section", [
+        ("bounds", {"y_tail_M": (2**60 - 1) // 101 - 10**6}),
+        ("bounds", {"y_tail_M": 1, "y_tail_points": 2**30 - 1}),
+        ("montecarlo", {"replications": (2**60 - 1) // 101 - 10**6}),
+    ])
+    def test_count_an_array_holds_passes_the_view(self, command, section):
+        command_view({"command_defaults": {command: section}}, command)
+
     def test_readme_key_table_matches_keys(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         lines = readme.read_text(encoding="utf-8").splitlines()
@@ -145,6 +165,15 @@ class TestExitCodes:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"T": -5.0}))
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+    def test_count_no_array_holds_exits_before_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "bounds", lambda *args: pytest.fail("bounds ran"))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command_defaults": {"bounds": {"y_tail_M": 10**30}}}))
+        assert run_cli("bounds", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "y_tail_M" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -200,6 +229,14 @@ class TestSimulate:
         m1.pop("timestamps")
         m2.pop("timestamps")
         assert m1 == m2
+
+    def test_csv_files_equal_one_path_per_file(self, config_path, tmp_path):
+        # the one-pass ladder writes each path's bytes as write_path_csv does
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", str(config_path), "--out", str(out)) == 0
+        for stem in ("path_Y", "path_X_delta1", "path_X_delta2"):
+            write_path_csv(read_path_binary(out / f"{stem}.bin"), tmp_path / "one.csv")
+            assert (out / f"{stem}.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     @pytest.mark.parametrize("deltas,named", [
         ([5.0, 5.0000001], "[5.0, 5.0000001]"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import correlogram.estimator as estimator_mod
 from correlogram.errors import CoverageError
 from correlogram.estimator import (
     cross_correlogram,
@@ -82,6 +83,67 @@ class TestCrossCorrelogram:
         y, x = _const_paths(1.0, 1.0, grid)
         with pytest.raises(ValueError):
             cross_correlogram(y, x, c=1.0, T=5.03, tau_grid=[0.0])
+
+
+class TestFFTRoute:
+    """cross_correlogram against one dot product per lag: the loop route
+    for up to _DOT_MAX_LAGS lags, the FFT route above."""
+
+    DT, T, C = 0.01, 200.0, 1.5
+
+    def _paths(self, lo, hi):
+        # noise on a lattice covering the window shifted by every lag in [lo, hi]
+        n_T = round(self.T / self.DT)
+        grid = TimeGrid(min(0, lo) * self.DT, self.DT, n_T + max(0, hi) - min(0, lo))
+        rng = NoiseSeed(31).generator()
+        y = SampledPath(grid=grid, values=rng.standard_normal(grid.n))
+        x = SampledPath(grid=grid, values=1.0 + rng.standard_normal(grid.n))
+        return y, x
+
+    def _dot_loop(self, y, x, shifts):
+        """The reference: (dt / (c T)) Y[j0+k : j0+k+n_T] . X[j0 : j0+n_T] per
+        lag k, and the tolerance |fft - loop| <= 1e-12 scale |Y_seg| |x_win|
+        fixed from the float64 epsilon times a margin for the transform
+        length."""
+        n_T, j0 = round(self.T / self.DT), round(-y.grid.t_start / self.DT)
+        scale = self.DT / (self.C * self.T)
+        x_win = x.values[j0 : j0 + n_T]
+        want = np.array([scale * float(np.dot(y.values[j0 + k : j0 + k + n_T], x_win))
+                         for k in shifts])
+        y_seg = y.values[j0 + shifts.min() : j0 + shifts.max() + n_T]
+        return want, 1e-12 * scale * np.linalg.norm(y_seg) * np.linalg.norm(x_win)
+
+    @pytest.mark.parametrize(
+        "shifts, route",
+        [
+            (np.arange(1001), "fft"),
+            (np.arange(-600, 401), "fft"),
+            (np.sort(np.random.default_rng(3).choice(np.arange(-3000, 9000), 300, replace=False)),
+             "fft"),
+            (np.arange(-200, 57), "fft"),
+            (np.arange(-200, 56), "loop"),
+            (np.array([-3000, 0, 50, 9000]), "loop"),
+        ],
+        ids=["dense_1001", "negative_1001", "sparse_300_wide", "one_above", "at_limit", "sparse_4"],
+    )
+    def test_matches_dot_loop(self, monkeypatch, shifts, route):
+        ffts = []
+        real_rfft = estimator_mod.rfft
+
+        def counting_rfft(*args, **kwargs):
+            ffts.append(args)
+            return real_rfft(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_mod, "rfft", counting_rfft)
+        assert (shifts.size > estimator_mod._DOT_MAX_LAGS) == (route == "fft")
+        y, x = self._paths(int(shifts.min()), int(shifts.max()))
+        got = cross_correlogram(y, x, self.C, self.T, shifts * self.DT)
+        want, atol = self._dot_loop(y, x, shifts)
+        assert ("fft" if ffts else "loop") == route
+        if route == "loop":
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
 class TestTheoreticalBias:

@@ -35,6 +35,7 @@ from correlogram.simulate import (
     wiener_increments,
     write_path_binary,
     write_path_csv,
+    write_path_csvs,
 )
 
 
@@ -352,6 +353,44 @@ class TestPathIO:
         # measured 8.1 MB, nearly all of it the 4 MB times array and its
         # temporaries; formatting the whole file as one chunk peaks at 79 MB
         assert peak < 16e6
+
+    @pytest.mark.parametrize("n_paths", [1, 3])
+    @pytest.mark.parametrize("extra", [1 - K, -1, 0, 1, 2 * K + 7])
+    def test_ladder_bytes_match_csv_writer(
+        self, tmp_path, csv_edge_column, csv_writer_bytes, extra, n_paths
+    ):
+        # every file of one pass has the bytes of its own path: one row, both
+        # sides of the first chunk edge, and a partial fourth chunk
+        n = K + extra
+        grid = TimeGrid(-1 / 3, 1 / 3, n)
+        paths = [SampledPath(grid=grid, values=csv_edge_column(n, 3 * i)) for i in range(n_paths)]
+        files = [tmp_path / f"p{i}.csv" for i in range(n_paths)]
+        write_path_csvs(paths, files)
+        for path, file in zip(paths, files):
+            rows = [[repr(float(t)), repr(float(v))] for t, v in zip(grid.times(), path.values)]
+            assert file.read_bytes() == csv_writer_bytes(["t", "value"], rows)
+
+    def test_ladder_needs_one_grid_and_a_file_per_path(self, tmp_path):
+        a = SampledPath(grid=TimeGrid(0.0, 0.5, 4), values=np.zeros(4))
+        b = SampledPath(grid=TimeGrid(0.0, 0.25, 4), values=np.zeros(4))
+        with pytest.raises(ValueError, match="one sampling grid"):
+            write_path_csvs([a, b], [tmp_path / "a.csv", tmp_path / "b.csv"])
+        with pytest.raises(ValueError, match="2 paths need as many files"):
+            write_path_csvs([a, a], [tmp_path / "a.csv"])
+
+    def test_ladder_write_memory_is_chunked(self, tmp_path):
+        n = 200_001
+        grid = TimeGrid(0.0, 1e-3, n)
+        rng = NoiseSeed(5).generator()
+        paths = [SampledPath(grid=grid, values=rng.normal(size=n)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            write_path_csvs(paths, [tmp_path / f"p{i}.csv" for i in range(3)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 0.18 MB; the whole grid's times alone would be 1.6 MB
+        assert peak < 1e6
 
     def test_truncated_binary_rejected(self, tmp_path):
         p = self._path()
