@@ -267,26 +267,28 @@ def view_kernels(view: dict) -> tuple:
     return kernel_from_spec(view["h"]), family_from_name(view["g_family"]["name"], view["c"])
 
 
-# The checks that span keys, one per command: each takes the parsed view
-# and its window family, and raises ValueError on values the command
-# cannot run together.
+# The checks that span keys, one per command: each takes the parsed view,
+# its kernel h and its window family, and raises ValueError on values the
+# command cannot run together.
 
 
-def _check_kernel(view: dict, family) -> None:
+def _check_kernel(view: dict, h, family) -> None:
     if view["deltas"] != sorted(view["deltas"]):
         raise ValueError(f"check-kernel deltas {view['deltas']} must be ascending")
 
 
-def _simulate(view: dict, family) -> None:
+def _simulate(view: dict, h, family) -> None:
     _horizon_steps(view["T"], view["dt"])
+    _fits_increments(view, [h, *map(family, view["deltas"])])
     labels = [f"{d:g}" for d in view["deltas"]]
     clash = [d for d, label in zip(view["deltas"], labels) if labels.count(label) > 1]
     if clash:
         raise ValueError(f"deltas {clash} would write the same path_X_delta file names")
 
 
-def _estimate(view: dict, family) -> None:
+def _estimate(view: dict, h, family) -> None:
     estimation_grid(view["T"], view["dt"], view["tau_grid"])
+    _fits_increments(view, (h, family(view["delta"])), "tau_grid")
 
 
 #: The most float64 values one numpy array can hold: its size in bytes must
@@ -303,7 +305,22 @@ def _fits_array(what: str, rows, cols) -> None:
                          f"the {_MAX_ARRAY_VALUES} one float64 array holds")
 
 
-def _bounds(view: dict, family) -> None:
+def _fits_increments(view: dict, kernels, key: Optional[str] = None) -> None:
+    """ValueError when the Wiener increments that a ``Simulator`` of
+    ``kernels`` draws cannot be one array: the dt lattice over [min(0, lo),
+    T + max(0, hi)], lo and hi the ends of ``view[key]`` (0 without a key),
+    plus a pad at each end that covers the widest kernel, counted in floats."""
+    T, dt = view["T"], view["dt"]
+    lo, hi = (view[key][0], view[key][-1]) if key else (0.0, 0.0)
+    span = T + max(0.0, hi) - min(0.0, lo) + 2.0 * max(k.effective_support for k in kernels)
+    if span / dt + 1.0 > _MAX_ARRAY_VALUES:
+        where = f" and {key} [{lo:g}, {hi:g}]" if key else ""
+        raise ValueError(f"the Wiener increments over T={T:g}{where} at dt={dt:g} would be "
+                         f"{span / dt + 1.0:.3g} values (samples and pads), more than "
+                         f"the {_MAX_ARRAY_VALUES} one float64 array holds")
+
+
+def _bounds(view: dict, h, family) -> None:
     parity = family(view["delta"]).parity
     if "theorem4_sup" in view["methods"] and parity != "even":
         raise ValueError(
@@ -315,15 +332,15 @@ def _bounds(view: dict, family) -> None:
     _fits_array("the y_tail Gram matrix (y_tail_points x y_tail_points)", points, points)
 
 
-def _montecarlo(view: dict, family) -> None:
-    (a, b), taus = view["interval"], view["tau_grid"]
+def _montecarlo(view: dict, h, family) -> None:
+    (a, b), taus, dt = view["interval"], view["tau_grid"], view["dt"]
     if taus[0] < a - 1e-12 or taus[-1] > b + 1e-12:
         raise ValueError(f"tau_grid {list(taus)} must lie inside interval [{a}, {b}]")
-    _estimate(view, family)
-    # every replication's Zhat on the dt lattice of the interval
-    dt = view["dt"]
+    estimation_grid(view["T"], dt, taus)
+    # every replication simulates over, and keeps Zhat on, the whole interval
     _fits_array(f"the replications' Zhat on the lattice of [{a:g}, {b:g}] at dt={dt:g} "
                 f"(replications x lattice lags)", view["replications"], (b - a) / dt + 1)
+    _fits_increments(view, (h, family(view["delta"])), "interval")
 
 
 _SPANNING = {
@@ -351,11 +368,11 @@ def command_view(cfg: dict, command: str) -> dict:
         for k in _command_keys(command)
     }
     try:
-        _, family = view_kernels(view)
+        h, family = view_kernels(view)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"invalid h or g_family: {exc}") from exc
     try:
-        _SPANNING[command](view, family)
+        _SPANNING[command](view, h, family)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return view

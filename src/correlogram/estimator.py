@@ -56,7 +56,10 @@ def estimation_grid(T: float, dt: float, taus: Sequence[float]) -> TimeGrid:
     """The dt lattice over [min(0, taus[0]), T + max(0, taus[-1])]: every
     sample ``cross_correlogram`` reads for the ascending lags ``taus``,
     snapped to the lattice as it snaps them. ``T`` must be a whole number
-    of ``dt`` steps, and no two lags may snap to one lattice lag."""
+    of ``dt`` steps, no count of steps may overflow a float, and no two lags
+    may snap to one lattice lag."""
+    if not all(math.isfinite(float(tau) / dt) for tau in (taus[0], taus[-1])):
+        raise ValueError(f"tau_grid lags {taus[0]}..{taus[-1]} overflow a float in steps of dt={dt}")
     snapped = snap_tau_grid(taus, dt)
     same = np.flatnonzero(np.diff(snapped) == 0)
     if same.size:
@@ -64,7 +67,10 @@ def estimation_grid(T: float, dt: float, taus: Sequence[float]) -> TimeGrid:
         raise ValueError(f"tau_grid lags {lo} and {hi} snap to one lattice lag at dt={dt}")
     t_start = min(0.0, float(snapped[0]))
     t_end = T + max(0.0, float(snapped[-1]))
-    n = int(round((t_end - t_start) / dt)) + 1
+    steps = (t_end - t_start) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"T={T} plus the tau_grid span overflows a float in steps of dt={dt}")
+    n = int(round(steps)) + 1
     if n < 2:
         raise ValueError("grid needs at least two samples; check T and dt")
     _horizon_steps(T, dt)
@@ -73,6 +79,8 @@ def estimation_grid(T: float, dt: float, taus: Sequence[float]) -> TimeGrid:
 
 def _horizon_steps(T: float, dt: float) -> int:
     """Lattice steps in the window [0, T), of which T must be a whole number."""
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T={T} overflows a float in steps of dt={dt}")
     n_T = round(T / dt)
     if n_T < 1 or abs(T / dt - n_T) > 1e-6:
         raise ValueError(f"T={T} must be a positive multiple of dt={dt}")

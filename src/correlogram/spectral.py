@@ -255,99 +255,74 @@ class _Distinct:
             out[:, self.k[j] % _LAG_BLOCK] = reduce(E)
 
 
-class _PairWeights:
-    """Lag-free (u x lambda) weight products of F1(u) and G(u).
+def _pair_weights(h: Kernel, g: Kernel, L: float, L_core: float, lag_rate: float,
+                  rate: float) -> Callable:
+    """``u -> (lam, W1, W2)``: nodes and the lag-free (u x lambda) weight
+    products ``W1 = w |H*|^2 |g*(lam-u)|^2``, ``W2 = w H* H*(lam-u) g* g*(lam-u)``.
 
-    The lambda ladder is built once per batch: phase-capped panels inside
-    the spectral core of H (where most of |H*|^2 lives), then panels
-    growing geometrically through the mass tail out to the truncation
-    point, never wider than the transforms' own oscillation scale. Each
-    u-node merges its shifted breakpoints into the ladder; a shifted point
-    outside the window is clipped onto an endpoint, where its panel has
-    zero width and adds exactly 0, so all rows have the same node count.
+    The lambda ladder is built once: panels two radians of the largest lag
+    or transform ``rate`` wide inside the spectral core L_core of H (where
+    most of |H*|^2 lives), then panels growing geometrically through the
+    mass tail out to the truncation point L, never wider than the
+    transforms' own oscillation scale. Each u-node merges its shifted
+    breakpoints into the ladder; one outside the window is clipped onto an
+    endpoint, where its panel has zero width and adds exactly 0, so all
+    rows have the same node count.
     """
+    core = min(L_core + 2.0, L)
+    width = 2.0 / max(1.0, lag_rate, rate)
+    x, pts = 0.0, [0.0]
+    while x < core - 1e-12:
+        x = min(x + width, core)
+        pts.append(x)
+    w_osc = 9.0 / rate if rate > 0 else math.inf
+    while x < L - 1e-12:
+        step = min(width + 0.35 * (x - core), w_osc)
+        x = min(x + max(step, width), L)
+        pts.append(x)
+    pos = np.asarray(pts)
+    base_edges = np.concatenate([-pos[:0:-1], pos])
+    breaks = np.array(sorted(set(ftf_breakpoints(h)) | set(ftf_breakpoints(g))))
 
-    def __init__(self, model: CovarianceModel, lag_rate: float):
-        h, g = model.h, model.g
-        self.h, self.g = h, g
-        g_sup = sup_ftf(g)
-        # absolute tail target for the lambda truncation of F1 and G
-        lam_tail = 0.25 * _COVARIANCE_TOL * 2.0 * math.pi * model.c**2 / max(g_sup**2, 1e-300)
-        self.L = spectral_window(h, abs_mass_tol=lam_tail, start=WINDOW_START)
-        h_mass = 2.0 * math.pi * h.l2_norm**2
-        self.L_core = spectral_window(h, abs_mass_tol=1e-3 * h_mass, start=2.0)
-        self.breaks = np.array(sorted(set(ftf_breakpoints(h)) | set(ftf_breakpoints(g))))
-        self.osc_rate = max(osc_rate(h), osc_rate(g))
-        rate = max(1.0, lag_rate, self.osc_rate)
-        self.max_width = 2.0 / rate
-        self._base_edges = self._build_base_edges()
-
-    def _build_base_edges(self) -> np.ndarray:
-        L, core = self.L, min(self.L_core + 2.0, self.L)
-        w = self.max_width
-        pts = [0.0]
-        x = 0.0
-        while x < core - 1e-12:
-            x = min(x + w, core)
-            pts.append(x)
-        w_osc = 9.0 / self.osc_rate if self.osc_rate > 0 else math.inf
-        while x < L - 1e-12:
-            step = min(w + 0.35 * (x - core), w_osc)
-            x = min(x + max(step, w), L)
-            pts.append(x)
-        pos = np.asarray(pts)
-        return np.concatenate([-pos[:0:-1], pos])
-
-    def weights(self, u: np.ndarray) -> tuple:
-        """Nodes ``lam`` and the products ``W1 = w |H*|^2 |g*(lam-u)|^2``
-        and ``W2 = w H* H*(lam-u) g* g*(lam-u)``, each of shape (u, lambda)."""
-        base = np.broadcast_to(self._base_edges, (u.size, self._base_edges.size))
-        shifted = np.clip(u[:, None] + self.breaks, -self.L, self.L)
+    def weights(u: np.ndarray) -> tuple:
+        base = np.broadcast_to(base_edges, (u.size, base_edges.size))
+        shifted = np.clip(u[:, None] + breaks, -L, L)
         lam, w = panel_nodes(np.sort(np.concatenate([base, shifted], axis=1), axis=1))
-        hs, hsu = self.h.ftf_eval(lam), self.h.ftf_eval(lam - u[:, None])
-        gs, gsu = self.g.ftf_eval(lam), self.g.ftf_eval(lam - u[:, None])
+        hs, hsu = h.ftf_eval(lam), h.ftf_eval(lam - u[:, None])
+        gs, gsu = g.ftf_eval(lam), g.ftf_eval(lam - u[:, None])
         return lam, w * np.abs(hs) ** 2 * np.abs(gsu) ** 2, w * hs * hsu * gs * gsu
 
+    return weights
 
-def _u_panels(
-    T: float, fine_end: float, u_top: float, phase_rate: float, tail_cap: float
-) -> tuple:
-    """Positive-u panel edges and the head end u_A: a directly resolved
-    head, then wider panels.
 
-    Head panels have width ~pi/T (half a Fejér oscillation) out to
-    u_A = 40pi/T; past the head, panel width is capped by the integrand's
-    own phase rate out to ``fine_end`` (where the H(.)H(.-u) pair term has
-    decayed), then grows geometrically, never exceeding ``tail_cap`` (the
-    variation scale of the surviving slow factor).
+def _u_rule(T: float, fine_end: float, u_top: float, phase_rate: float, tail_cap: float) -> tuple:
+    """Nodes and real weights of int Phi_T(u) s(u) du over both half-lines.
+
+    Head panels ~pi/T wide (half a Fejér oscillation) out to u_A = 40pi/T
+    carry Gauss-Legendre weights times Phi_T. Past the head, panel width is
+    capped by the integrand's own phase rate out to ``fine_end`` (where the
+    H(.)H(.-u) pair term has decayed), then grows geometrically up to
+    ``u_top``, never beyond ``tail_cap`` (the variation scale of the slow
+    factor). There Phi_T(u) = (1 - cos Tu) / (pi T u^2): the smooth part
+    gets Gauss-Legendre weights on s/u^2, the cosine part Filon-Legendre
+    weights (the Legendre projection of s/u^2 against the analytic moments
+    int P_n(x) e^{icx} dx = 2 i^n j_n(c)). Both are linear in s, so each
+    node carries one real weight, the same at u and -u.
     """
     u_A = min(40.0 * math.pi / T, max(fine_end, 1.0))
     w_head = min(math.pi / T, 0.25)
     n_head = max(1, int(math.ceil(u_A / w_head)))
     edges = list(np.linspace(0.0, u_A, n_head + 1))
     w_cap = min(0.25, 1.0 / phase_rate)
-    u = edges[-1]
+    x = edges[-1]
     fine_top = min(fine_end + 1.0, u_top)
-    while u < fine_top:
-        u = min(u + min(w_cap, u), fine_top)
-        edges.append(u)
-    while u < u_top:
-        step = min(max(min(w_cap, u), 0.3 * u), tail_cap)
-        u = min(u + step, u_top)
-        edges.append(u)
-    return edges, u_A
-
-
-def _u_rule(T: float, edges: list, u_A: float) -> tuple:
-    """Nodes and real weights of int Phi_T(u) s(u) du over both half-lines.
-
-    Head panels (up to u_A) carry Gauss-Legendre weights times Phi_T.
-    Past the head, Phi_T(u) = (1 - cos Tu) / (pi T u^2): the smooth part
-    gets Gauss-Legendre weights on s/u^2, the cosine part Filon-Legendre
-    weights (the Legendre projection of s/u^2 against the analytic moments
-    int P_n(x) e^{icx} dx = 2 i^n j_n(c)). Both are linear in s, so each
-    node carries one real weight, the same at u and -u.
-    """
+    while x < fine_top:
+        x = min(x + min(w_cap, x), fine_top)
+        edges.append(x)
+    while x < u_top:
+        step = min(max(min(w_cap, x), 0.3 * x), tail_cap)
+        x = min(x + step, u_top)
+        edges.append(x)
     edges = np.asarray(edges, dtype=float)
     m = 0.5 * (edges[:-1] + edges[1:])
     hw = 0.5 * (edges[1:] - edges[:-1])
@@ -390,15 +365,19 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
     tau1, tau2 = np.broadcast_arrays(np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float))
     t1, t2 = tau1.ravel(), tau2.ravel()
     a, b = t1 - t2, t1 + t2
-    pair = _PairWeights(model, _max_abs(a, b))
-    L = pair.L
     h, g = model.h, model.g
-
-    # outer truncation: envelope of |F1| + |G| against the Fejér tail
-    env_g = ftf_abs(g)
-    env_h = ftf_abs(h)
     g_sup = sup_ftf(g)
     h_mass = 2.0 * math.pi * h.l2_norm**2
+    rate_g = osc_rate(g)
+    rate = max(osc_rate(h), rate_g)
+    # absolute tail target for the lambda truncation of F1 and G
+    lam_tail = 0.25 * _COVARIANCE_TOL * 2.0 * math.pi * model.c**2 / max(g_sup**2, 1e-300)
+    L = spectral_window(h, abs_mass_tol=lam_tail, start=WINDOW_START)
+    L_core = spectral_window(h, abs_mass_tol=1e-3 * h_mass, start=2.0)
+    weights = _pair_weights(h, g, L, L_core, _max_abs(a, b), rate)
+
+    # outer truncation: envelope of |F1| + |G| against the Fejér tail
+    env_g, env_h = ftf_abs(g), ftf_abs(h)
 
     def s_env(u_arr):
         x = np.maximum(np.asarray(u_arr, dtype=float) - L, 0.0)
@@ -418,11 +397,8 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
         if float(np.sum(vals * widths)) < tail_target:
             break
         u_top *= 1.4
-    phase_rate = max(1.0, _max_abs(t1, t2), osc_rate(g), osc_rate(h))
-    fine_end = 2.0 * pair.L_core
-    rate_g = osc_rate(g)
     tail_cap = 9.0 / rate_g if rate_g > 0 else math.inf
-    u, wt = _u_rule(T, *_u_panels(T, fine_end, u_top, phase_rate, tail_cap))
+    u, wt = _u_rule(T, 2.0 * L_core, u_top, max(1.0, _max_abs(t1, t2), rate), tail_cap)
 
     # The cov integrand is F1(u; a) + e^{-i t2 u} G(u; b) for the (t1, t2)
     # accumulation and conj(F1) + e^{-i t1 u} G for the swapped one. Per
@@ -442,7 +418,7 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
     q = np.zeros(2 * n, dtype=complex)
 
     def accumulate(uc, wc):
-        lam, W1, W2 = pair.weights(uc)
+        lam, W1, W2 = weights(uc)
         wW1 = (wc[:, None] * W1).ravel()
         for js in A.blocks:
             for j, E in A.phases(lam.ravel(), js):
@@ -465,8 +441,7 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
     total21 = np.conj(f1[A.index]) + q[n:]
 
     scale = 1.0 / (2.0 * math.pi * model.c**2)
-    c12 = scale * total12
-    c21 = scale * total21
+    c12, c21 = scale * total12, scale * total21
     detail = {
         "value": 0.5 * (c12.real + c21.real),
         "imag_residue": np.maximum(np.abs(c12.imag), np.abs(c21.imag)),
@@ -475,11 +450,9 @@ def cov_finite_detail(model: CovarianceModel, T: float, tau1, tau2) -> dict:
     for key, arr in detail.items():
         arr = arr.reshape(tau1.shape)
         detail[key] = arr.item() if arr.ndim == 0 else arr
-    detail["u_top"] = u_top
-    detail["lambda_window"] = L
-    detail["distinct_lags"] = {"a": A.vals.size, "b": B.vals.size, "t": Tt.vals.size}
-    detail["lattice"] = {"a": A.lattice, "b": B.lattice, "t": Tt.lattice}
-    return detail
+    return dict(detail, u_top=u_top, lambda_window=L,
+                distinct_lags={"a": A.vals.size, "b": B.vals.size, "t": Tt.vals.size},
+                lattice={"a": A.lattice, "b": B.lattice, "t": Tt.lattice})
 
 
 def cov_finite(model: CovarianceModel, T: float, tau1, tau2):

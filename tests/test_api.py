@@ -78,6 +78,8 @@ DELETED = [
     "_jsonable",
     "CorrelogramEstimate",
     "ExperimentConfig",
+    "_PairWeights",
+    "_u_panels",
 ]
 
 # public names that neither another module nor the acceptance suite reads

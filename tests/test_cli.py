@@ -386,6 +386,15 @@ class TestBounds:
     ("check-kernel", "bounds.r.NaN", math.nan),
     ("estimate", "h.delta.Infinity", {"name": "triangular", "delta": math.inf, "c": 1}),
     ("simulate", "t_start.-Infinity", -math.inf),
+    # a lattice whose step count overflows a float
+    ("simulate", "dt", 1e-320),
+    ("estimate", "dt", 1e-320),
+    ("montecarlo", "dt", 1e-320),
+    ("estimate", "tau_grid", [0.0, 1e308]),
+    # a lattice that fits a float but whose increments no array holds
+    ("estimate", "dt", 1e-17),
+    ("estimate", "tau_grid", [0.0, 1e300]),
+    ("simulate", "T", 1e300),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))

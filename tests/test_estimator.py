@@ -11,6 +11,7 @@ from correlogram.errors import CoverageError
 from correlogram.estimator import (
     cross_correlogram,
     estimate_correlogram,
+    estimation_grid,
     snap_tau_grid,
     theoretical_bias,
     write_estimate_csv,
@@ -37,6 +38,12 @@ def test_snap_rounds_to_lattice():
     np.testing.assert_allclose(
         snap_tau_grid([0.0, 0.104, 0.25], 0.1), [0.0, 0.1, 0.2], atol=1e-12
     )
+
+
+def test_grid_whose_span_overflows_is_rejected():
+    # each lag is a finite float of dt steps, the span between them is not
+    with pytest.raises(ValueError, match="overflows a float"):
+        estimation_grid(40.0, 0.01, [-1e306, 1e306])
 
 
 class TestCrossCorrelogram:
