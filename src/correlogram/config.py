@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple, Optional
 from .bounds import _METHODS
 from .estimator import _horizon_steps, estimation_grid
 from .kernels import family_from_name, kernel_from_spec
+from .simulate import required_pad
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -278,8 +279,8 @@ def _check_kernel(view: dict, h, family) -> None:
 
 
 def _simulate(view: dict, h, family) -> None:
-    _horizon_steps(view["T"], view["dt"])
-    _fits_increments(view, [h, *map(family, view["deltas"])])
+    n = _horizon_steps(view["T"], view["dt"]) + 1
+    _fits_simulator(f"T={view['T']:g}", [h, *map(family, view["deltas"])], n, view["dt"])
     labels = [f"{d:g}" for d in view["deltas"]]
     clash = [d for d, label in zip(view["deltas"], labels) if labels.count(label) > 1]
     if clash:
@@ -287,8 +288,10 @@ def _simulate(view: dict, h, family) -> None:
 
 
 def _estimate(view: dict, h, family) -> None:
-    estimation_grid(view["T"], view["dt"], view["tau_grid"])
-    _fits_increments(view, (h, family(view["delta"])), "tau_grid")
+    taus = view["tau_grid"]
+    grid = estimation_grid(view["T"], view["dt"], taus)
+    _fits_simulator(f"T={view['T']:g} and tau_grid [{taus[0]:g}, {taus[-1]:g}]",
+                    (h, family(view["delta"])), grid.n, grid.dt)
 
 
 #: The most float64 values one numpy array can hold: its size in bytes must
@@ -296,28 +299,38 @@ def _estimate(view: dict, h, family) -> None:
 _MAX_ARRAY_VALUES = sys.maxsize // 8
 
 
-def _fits_array(what: str, rows, cols) -> None:
-    """ValueError when the ``rows x cols`` float64 array ``what`` cannot
-    exist; ``cols`` may be a float, and neither is multiplied out, so a
+def _memory_values() -> int:
+    """The float64 values the machine's physical memory holds, or
+    ``_MAX_ARRAY_VALUES`` where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return _MAX_ARRAY_VALUES
+
+
+def _fits_array(what: str, rows, cols=1) -> None:
+    """ValueError when the ``rows x cols`` float64 array ``what`` cannot fit
+    in memory; ``cols`` may be a float, and neither is multiplied out, so a
     count too large for a float is rejected too."""
-    if rows > _MAX_ARRAY_VALUES / cols:
-        raise ValueError(f"{what} would be {rows} x {cols} values, more than "
-                         f"the {_MAX_ARRAY_VALUES} one float64 array holds")
+    limit = _memory_values()
+    if rows > limit / cols:
+        shape = f"{rows} x {cols}" if cols != 1 else f"{rows}"
+        raise ValueError(f"{what} would be {shape} values, more than "
+                         f"the {limit} float64 values ({8 * limit / 2**30:.3g} GiB) "
+                         f"that fit in memory")
 
 
-def _fits_increments(view: dict, kernels, key: Optional[str] = None) -> None:
-    """ValueError when the Wiener increments that a ``Simulator`` of
-    ``kernels`` draws cannot be one array: the dt lattice over [min(0, lo),
-    T + max(0, hi)], lo and hi the ends of ``view[key]`` (0 without a key),
-    plus a pad at each end that covers the widest kernel, counted in floats."""
-    T, dt = view["T"], view["dt"]
-    lo, hi = (view[key][0], view[key][-1]) if key else (0.0, 0.0)
-    span = T + max(0.0, hi) - min(0.0, lo) + 2.0 * max(k.effective_support for k in kernels)
-    if span / dt + 1.0 > _MAX_ARRAY_VALUES:
-        where = f" and {key} [{lo:g}, {hi:g}]" if key else ""
-        raise ValueError(f"the Wiener increments over T={T:g}{where} at dt={dt:g} would be "
-                         f"{span / dt + 1.0:.3g} values (samples and pads), more than "
-                         f"the {_MAX_ARRAY_VALUES} one float64 array holds")
+def _fits_simulator(what: str, kernels, n: int, dt: float) -> None:
+    """ValueError when a ``Simulator`` of ``kernels`` on the ``n``-sample
+    grid ``what`` at ``dt`` cannot fit in memory: its ``n + 2*pad`` Wiener
+    increments and each kernel's ``2*pad + 1`` sampled taps, ``pad`` the
+    largest ``required_pad`` of the kernels."""
+    if not math.isfinite(max(k.effective_support for k in kernels) / dt):
+        raise ValueError(f"the kernel supports overflow a float in steps of dt={dt:g}")
+    pad = max(required_pad(k, dt) for k in kernels)
+    _fits_array(f"the Wiener increments and kernel taps over {what} at dt={dt:g} "
+                f"({n} samples, pad {pad}, {len(kernels)} kernels)",
+                n + 2 * pad + len(kernels) * (2 * pad + 1))
 
 
 def _bounds(view: dict, h, family) -> None:
@@ -340,7 +353,10 @@ def _montecarlo(view: dict, h, family) -> None:
     # every replication simulates over, and keeps Zhat on, the whole interval
     _fits_array(f"the replications' Zhat on the lattice of [{a:g}, {b:g}] at dt={dt:g} "
                 f"(replications x lattice lags)", view["replications"], (b - a) / dt + 1)
-    _fits_increments(view, (h, family(view["delta"])), "interval")
+    # the grid of the interval lattice's ends, one lag when both snap to it
+    grid = estimation_grid(view["T"], dt, sorted({dt * round(a / dt), dt * round(b / dt)}))
+    _fits_simulator(f"T={view['T']:g} and interval [{a:g}, {b:g}]",
+                    (h, family(view["delta"])), grid.n, dt)
 
 
 _SPANNING = {

@@ -11,7 +11,8 @@ through one ``Simulator`` (tap plans and buffers built once), which gives
 every replication the same bits as a fresh ``Simulator`` with that
 stream. Results are assembled by replication index, so output is
 byte-identical for any worker count (aggregation uses numpy's pairwise
-summation over a fixed ordering).
+summation over a fixed ordering). The process pool is imported only when
+``workers > 1``, so no other run loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -139,6 +139,8 @@ def run_replications(view: dict, workers: int = 1) -> MonteCarloResult:
     if procs == 1:
         done = map(_replicate_share, jobs)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=procs) as pool:
             done = list(pool.map(_replicate_share, jobs))
     Z = np.empty((M, taus.size))
@@ -297,6 +299,12 @@ def ci_coverage(
     + 3 standard errors. Returns the rows and leaves the result as it is.
     """
     M = result.z_samples.shape[0]
+
+    def row(method, tau, x, emp, bound) -> dict:
+        se = math.sqrt(emp * (1.0 - emp) / M)
+        return {"method": method, "tau": tau, "x": float(x), "empirical": emp,
+                "bound": float(bound), "mc_se": se, "valid": bool(emp <= bound + 3.0 * se)}
+
     rows = []
     for rep in reports:
         if rep.method == "theorem3_pointwise":
@@ -309,33 +317,10 @@ def ci_coverage(
                 scale = math.sqrt(max(var, 0.0))
                 for x, bound in zip(rep.x_values, rep.bound_values):
                     emp = float(np.mean(np.abs(result.z_samples[:, j]) > x * scale))
-                    se = math.sqrt(emp * (1.0 - emp) / M)
-                    rows.append(
-                        {
-                            "method": rep.method,
-                            "tau": float(tau),
-                            "x": float(x),
-                            "empirical": emp,
-                            "bound": float(bound),
-                            "mc_se": se,
-                            "valid": bool(emp <= bound + 3.0 * se),
-                        }
-                    )
+                    rows.append(row(rep.method, float(tau), x, emp, bound))
         else:
             for x, bound in zip(rep.x_values, rep.bound_values):
-                emp = result.sup_survival(float(x))
-                se = math.sqrt(emp * (1.0 - emp) / M)
-                rows.append(
-                    {
-                        "method": rep.method,
-                        "tau": None,
-                        "x": float(x),
-                        "empirical": emp,
-                        "bound": float(bound),
-                        "mc_se": se,
-                        "valid": bool(emp <= bound + 3.0 * se),
-                    }
-                )
+                rows.append(row(rep.method, None, x, result.sup_survival(float(x)), bound))
     return rows
 
 

@@ -175,8 +175,9 @@ class ConvolutionPlan:
     taps reach are convolved with them, keeping the valid part: by direct
     summation for a short tap array, otherwise by a real FFT at the first
     fast length that holds the increment segment, which keeps wrap-around
-    out of the valid part. The FFT branch keeps the tap spectrum and two
-    work buffers, so a row costs one ``rfft`` and one ``irfft``.
+    out of the valid part. The FFT branch keeps the tap spectrum and one
+    work spectrum: a row costs one ``rfft``, which zero-pads the segment
+    itself, and one ``irfft``, whose valid slice is the returned path.
     """
 
     def __init__(self, k: Kernel, grid: TimeGrid, pad: int):
@@ -198,9 +199,8 @@ class ConvolutionPlan:
         # reach increments 2*pad - hi through 2*pad + n - 1 - lo.
         self.segment = slice(2 * pad - hi, 2 * pad + grid.n - lo)
         if self.taps.size > _DIRECT_MAX_TAPS:
-            size = next_fast_len(grid.n + hi - lo)
-            self.spectrum = rfft(self.taps, size)
-            self._signal = np.empty(size)
+            self.size = next_fast_len(grid.n + hi - lo)
+            self.spectrum = rfft(self.taps, self.size)
             self._spectrum = np.empty_like(self.spectrum)
 
     def convolve(self, increments: np.ndarray) -> np.ndarray:
@@ -213,13 +213,9 @@ class ConvolutionPlan:
             return np.convolve(x, self.taps, mode="valid")
         # A circular convolution of length >= len(x) wraps only into its first
         # len(taps) - 1 samples, which the valid part skips.
-        signal, spectrum = self._signal, self._spectrum
-        signal[: x.size] = x
-        signal[x.size :] = 0.0  # unset at first, then the last irfft's output
-        rfft(signal, out=spectrum)
+        spectrum = rfft(x, self.size, out=self._spectrum)
         spectrum *= self.spectrum
-        irfft(spectrum, signal.size, out=signal)
-        return signal[self.taps.size - 1 : x.size].copy()
+        return irfft(spectrum, self.size)[self.taps.size - 1 : x.size]
 
 
 def next_fast_len(n: int) -> int:

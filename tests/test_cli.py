@@ -99,8 +99,10 @@ class TestConfigModule:
         ("montecarlo", {"replications": 2**57}, "(replications x lattice lags)"),
         ("montecarlo", {"interval": [0.0, 1e308]}, "(replications x lattice lags)"),
     ])
-    def test_count_no_array_holds_is_rejected(self, command, section, named):
-        # checked in the view only: such a config must never run
+    def test_count_no_array_holds_is_rejected(self, monkeypatch, command, section, named):
+        # checked in the view only: such a config must never run. Without
+        # os.sysconf, numpy's index type bounds the count on any machine.
+        monkeypatch.delattr(os, "sysconf")
         with pytest.raises(ConfigError, match=re.escape(named)):
             command_view({"command_defaults": {command: section}}, command)
 
@@ -109,8 +111,21 @@ class TestConfigModule:
         ("bounds", {"y_tail_M": 1, "y_tail_points": 2**30 - 1}),
         ("montecarlo", {"replications": (2**60 - 1) // 101 - 10**6}),
     ])
-    def test_count_an_array_holds_passes_the_view(self, command, section):
+    def test_count_an_array_holds_passes_the_view(self, monkeypatch, command, section):
+        monkeypatch.delattr(os, "sysconf")
         command_view({"command_defaults": {command: section}}, command)
+
+    @pytest.mark.parametrize("command, key, named", [
+        ("bounds", "y_tail_M", "y_tail draws (y_tail_M x y_tail_points)"),
+        ("montecarlo", "replications", "(replications x lattice lags)"),
+    ])
+    def test_memory_bounds_the_count(self, monkeypatch, command, key, named):
+        # on a machine of 1 GiB, 2**27 float64 values, a count of 101-value
+        # rows fits up to 2**27 // 101 rows; checked in the view only
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}.__getitem__)
+        command_view({"command_defaults": {command: {key: 2**27 // 101}}}, command)
+        with pytest.raises(ConfigError, match=re.escape(named) + r".*\(1 GiB\)"):
+            command_view({"command_defaults": {command: {key: 2**27 // 101 + 1}}}, command)
 
     def test_readme_key_table_matches_keys(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -395,6 +410,10 @@ class TestBounds:
     ("estimate", "dt", 1e-17),
     ("estimate", "tau_grid", [0.0, 1e300]),
     ("simulate", "T", 1e300),
+    # a lattice that fits numpy's index type but not the machine's memory
+    ("estimate", "dt", 1e-12),
+    ("simulate", "dt", 1e-12),
+    ("montecarlo", "dt", 1e-12),
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, command, key, bad):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -493,10 +512,11 @@ def _child_env() -> dict:
 def test_import_leaves_out_scipy():
     # scipy.optimize, scipy.special and scipy.fft cost about 0.65 s of every
     # start and 40 MB of resident memory; numpy and correlogram.quadrature
-    # stand in for the five helpers they supplied.
+    # stand in for the five helpers they supplied. The process pool, which
+    # only montecarlo --workers N > 1 uses, is imported there.
     probe = (
-        "import sys, correlogram.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, correlogram.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, timeout=120

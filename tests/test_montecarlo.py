@@ -1,5 +1,6 @@
 """Replication harness: determinism, normality checks, aggregation."""
 
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -192,7 +193,8 @@ class TestReplicationEngine:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        # run_replications imports the pool only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         view = small_experiment(replications=12)
         res = run_quietly(view, workers=workers)
         assert sizes == [want]

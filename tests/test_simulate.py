@@ -187,11 +187,14 @@ class TestConvolution:
             (make_sinc(), 0.05, "fft"),
             (make_hilbert_sinc(), 0.05, "fft"),
             (make_one_sided_box(10.0, 1.0), 0.01, "direct"),
+            # 1000 taps, trimmed of their zero half: an FFT on an offset segment
+            (make_one_sided_box(0.1, 1.0), 0.01, "fft"),
             (make_laplace(2.0, 1.0), 0.01, "fft"),
             (make_triangular(10.0, 1.0), 0.01, "direct"),
             (make_triangular(100.0, 1.0), 0.01, "direct"),
         ],
-        ids=["sinc", "hilbert_sinc", "one_sided_box", "laplace", "triangular10", "triangular100"],
+        ids=["sinc", "hilbert_sinc", "one_sided_box", "one_sided_box_fft", "laplace",
+             "triangular10", "triangular100"],
     )
     def test_matches_direct_sum(self, monkeypatch, kernel, dt, branch, extra_pad):
         ffts = []
@@ -440,7 +443,8 @@ def test_workload_plan_lengths_match_scipy(dt):
     # at T = 500
     grid = TimeGrid(0.0, dt, int(round(500.0 / dt)) + 1)
     plan = ConvolutionPlan(make_sinc(), grid, required_pad(make_sinc(), dt))
-    assert plan._signal.size == scipy.fft.next_fast_len(grid.n + plan.taps.size - 1, real=True)
+    assert plan.spectrum.size == plan.size // 2 + 1
+    assert plan.size == scipy.fft.next_fast_len(grid.n + plan.taps.size - 1, real=True)
 
 
 def test_path_values_validated():
