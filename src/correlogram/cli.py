@@ -14,6 +14,7 @@ base_seed; nothing is seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -36,14 +37,7 @@ from .config import (
     resolve_out_dir,
     view_kernels,
 )
-from .errors import (
-    BoundUnavailable,
-    ConsistencyError,
-    CoverageError,
-    InfiniteMassiveness,
-    PadError,
-    ReplicationError,
-)
+from .errors import BoundUnavailable, DomainError, InfiniteMassiveness
 from .estimator import _horizon_steps, estimate_correlogram, estimation_grid, write_estimate_csv
 from .kernels import check_family_conditions, check_weighted_spectral
 from .montecarlo import (
@@ -162,53 +156,43 @@ def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     """compute tail-bound reports over a threshold grid"""
     h, family = view_kernels(view)
     a, b = view["interval"]
-    methods = view["methods"]
+    T, r, gamma, M = (view[k] for k in ("T", "r", "gamma", "y_tail_M"))
     xs = sorted(set(view["x_grid"]))
     multipliers = sorted(set(view["theorem4_x_multipliers"]))
-    y_tail_M = view["y_tail_M"]
-
     model = CovarianceModel(h=h, g=family(view["delta"]), c=view["c"])
-    # the config values each method ran with, written into its report
+    # the corollaries share one set of stationary draws of Y, made on first use
+    seed = NoiseSeed(**view["base_seed"]).spawn(_AUX_STREAM_OFFSET)
+    ys = np.linspace(a, b, view["y_tail_points"])
+    draws = functools.cache(lambda: sample_stationary_Y(h, ys, M, seed))
+    # method -> (report builder, the config values written beside its report).
+    # Theorem 4's thresholds are multiples of its constant A, so its entropy
+    # optimization runs once; corollary 1 takes the tail of sup Y, corollary 2
+    # that of sup |Y|.
     shared = {k: view[k] for k in ("T", "interval", "r", "delta", "c")}
-    settings = {
-        "theorem3_pointwise": shared,
-        "theorem4_sup": dict(shared, x_multipliers=multipliers),
-        "corollary1": dict(shared, gamma=view["gamma"], y_tail_M=y_tail_M),
-        "corollary2": dict(shared, y_tail_M=y_tail_M),
+    table = {
+        "theorem3_pointwise": (lambda: theorem3_report(xs), shared),
+        "theorem4_sup": (lambda: theorem4_report(theorem4_detail(model, T, a, b, r), multipliers),
+                         dict(shared, x_multipliers=multipliers)),
+        "corollary1": (lambda: corollary1_report(h, a, b, xs, gamma, empirical_sup_tail(draws())),
+                       dict(shared, gamma=gamma, y_tail_M=M)),
+        "corollary2": (lambda: corollary2_report(h, a, b, xs, empirical_sup_tail(np.abs(draws()))),
+                       dict(shared, y_tail_M=M)),
     }
     signals: dict = {}
-
-    y_tail = None
-    if "corollary1" in methods or "corollary2" in methods:
-        draws = sample_stationary_Y(
-            h, np.linspace(a, b, view["y_tail_points"]), y_tail_M,
-            NoiseSeed(**view["base_seed"]).spawn(_AUX_STREAM_OFFSET),
-        )
-        y_tail = empirical_sup_tail(draws)
-
-    for method in methods:
+    for method in view["methods"]:
+        build, settings = table[method]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                if method == "theorem3_pointwise":
-                    report = theorem3_report(xs)
-                elif method == "theorem4_sup":
-                    # Thresholds are multiples of the constant A, so the
-                    # expensive entropy optimization runs exactly once.
-                    detail = theorem4_detail(model, view["T"], a, b, view["r"])
-                    report = theorem4_report(detail, multipliers)
-                elif method == "corollary1":
-                    report = corollary1_report(h, a, b, xs, view["gamma"], y_tail)
-                else:
-                    report = corollary2_report(h, a, b, xs, y_tail)
+                report = build()
             except (BoundUnavailable, InfiniteMassiveness) as exc:
-                signals.setdefault(method, []).append(str(exc))
+                signals[method] = [str(exc)]
                 continue
         degenerate = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
         if degenerate:
-            signals.setdefault(method, []).extend(degenerate)
+            signals[method] = degenerate
         target = out_dir / f"bound_{method}.json"
-        report.to_json(target, settings[method])
+        report.to_json(target, settings)
         manifest.add_output(target)
 
     if signals:
@@ -267,15 +251,6 @@ _HANDLERS = {
     "montecarlo": cmd_montecarlo,
 }
 
-_DOMAIN_ERRORS = (
-    PadError,
-    CoverageError,
-    ConsistencyError,
-    InfiniteMassiveness,
-    BoundUnavailable,
-    ReplicationError,
-)
-
 
 def main(argv=None) -> int:
     """Run one command: parse and check its config view, which is where
@@ -298,7 +273,7 @@ def main(argv=None) -> int:
     manifest = RunManifest.start(args.command, cfg)
     try:
         code = _HANDLERS[args.command](view, out_dir, manifest, args)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return 1
     manifest.finish(out_dir)

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -47,7 +47,6 @@ __all__ = [
     "config_digest",
     "resolve_out_dir",
     "RunManifest",
-    "load_manifest",
     "verify_manifest",
 ]
 
@@ -472,39 +471,28 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def load_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        return RunManifest(
-            command=raw["command"],
-            config_digest=raw["config_digest"],
-            artifact_version=raw["artifact_version"],
-            timestamps=raw.get("timestamps", {}),
-            outputs=raw.get("outputs", []),
-            config=raw.get("config", {}),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"manifest {path} is missing field {exc}") from exc
-
-
 def verify_manifest(path) -> list:
     """Re-derive every digest in a manifest; return a list of problems.
 
     An empty list means the stored config digest matches the embedded
     config and every listed output file still hashes to its recorded
-    value. Output files are looked up next to the manifest.
+    value. Output files are looked up next to the manifest. A manifest
+    that lacks a field of ``RunManifest`` is a ConfigError naming it.
     """
     path = Path(path)
-    manifest = load_manifest(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    missing = [f.name for f in fields(RunManifest) if f.name not in manifest]
+    if missing:
+        raise ConfigError(f"manifest {path} is missing fields {missing}")
     problems = []
-    recomputed = config_digest(manifest.config)
-    if recomputed != manifest.config_digest:
+    recomputed = config_digest(manifest["config"])
+    if recomputed != manifest["config_digest"]:
         problems.append(
-            f"config digest mismatch: stored {manifest.config_digest}, "
+            f"config digest mismatch: stored {manifest['config_digest']}, "
             f"recomputed {recomputed}"
         )
-    for entry in manifest.outputs:
+    for entry in manifest["outputs"]:
         target = path.parent / entry["name"]
         if not target.is_file():
             problems.append(f"missing output file {entry['name']}")

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = [
+    "DomainError",
     "PadError",
     "CoverageError",
     "ConsistencyError",
@@ -10,7 +11,11 @@ __all__ = [
 ]
 
 
-class PadError(ValueError):
+class DomainError(Exception):
+    """The base of every domain exception, on which every command exits 1."""
+
+
+class PadError(DomainError, ValueError):
     """Increment padding does not cover the kernel support.
 
     Carries ``required_pad``, the smallest number of extra increments per
@@ -22,7 +27,7 @@ class PadError(ValueError):
         self.required_pad = required_pad
 
 
-class CoverageError(ValueError):
+class CoverageError(DomainError, ValueError):
     """A sampled path does not span the time range an estimator needs.
 
     Carries ``required_span`` as a ``(t_lo, t_hi)`` tuple.
@@ -33,21 +38,21 @@ class CoverageError(ValueError):
         self.required_span = required_span
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(DomainError, RuntimeError):
     """A numerical self-check failed (imaginary residue, asymmetry,
     negative variance beyond rounding slack). Indicates quadrature
     failure rather than bad user input."""
 
 
-class InfiniteMassiveness(RuntimeError):
+class InfiniteMassiveness(DomainError, RuntimeError):
     """The covering radius collapsed to zero: the distance profile exceeds
     the requested epsilon arbitrarily close to zero separation."""
 
 
-class BoundUnavailable(RuntimeError):
+class BoundUnavailable(DomainError, RuntimeError):
     """A tail bound could not be formed (for instance, the entropy
     integral it needs diverges)."""
 
 
-class ReplicationError(RuntimeError):
+class ReplicationError(DomainError, RuntimeError):
     """A Monte Carlo replication failed; the message names its index."""

@@ -115,7 +115,7 @@ class Kernel:
         Optional nonincreasing bound on ``|ftf_eval|`` valid for
         ``lam >= 0``; used to size quadrature tails.
     params : dict
-        Construction parameters (``delta``, ``c``, ...) for manifests.
+        Construction parameters (``delta``, ``c``, ...).
 
     The three callables are given as array formulas; construction wraps
     them so that they take any array-like and return a Python scalar for
@@ -271,7 +271,7 @@ def make_sinc() -> Kernel:
 def make_hilbert_sinc() -> Kernel:
     """Hilbert transform of the sinc kernel, ``(1 - cos(pi t))/(pi t)``.
 
-    Transform is ``i*sign(lam)`` on [-pi, pi]; the kernel is odd with unit
+    Transform is ``-i*sign(lam)`` on [-pi, pi]; the kernel is odd with unit
     L2 norm. Same truncation caveat as ``make_sinc``.
     """
 
@@ -282,7 +282,7 @@ def make_hilbert_sinc() -> Kernel:
     return Kernel(
         name="hilbert_sinc",
         time_eval=time_eval,
-        ftf_eval=lambda lam: (1j * np.sign(lam)) * (np.abs(lam) <= np.pi),
+        ftf_eval=lambda lam: (-1j * np.sign(lam)) * (np.abs(lam) <= np.pi),
         parity="odd",
         l2_norm=1.0,
         effective_support=SINC_SUPPORT_RADIUS,

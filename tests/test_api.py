@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import correlogram
+from correlogram import errors
 
 SUBMODULES = [
     importlib.import_module(info.name)
@@ -30,7 +31,8 @@ SRC = Path(correlogram.__file__).parent
 # paths of any number of kernels; theorem 4 uses two pseudometrics, whose
 # kind is a free label, and the bound reports hold JSON-native values;
 # an estimate is its columns, and the CLI writes the config values beside it;
-# a Monte Carlo run takes its checked config view
+# a Monte Carlo run takes its checked config view; every domain exception is
+# an errors.DomainError, and verify_manifest reads the manifest as JSON
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -80,6 +82,8 @@ DELETED = [
     "ExperimentConfig",
     "_PairWeights",
     "_u_panels",
+    "load_manifest",
+    "_DOMAIN_ERRORS",
 ]
 
 # public names that neither another module nor the acceptance suite reads
@@ -109,6 +113,12 @@ def test_public_names():
         public = [getattr(module, name) for name in getattr(module, "__all__", ())]
         for owner in [module, *(obj for obj in public if isinstance(obj, type))]:
             assert not [name for name in DELETED if hasattr(owner, name)], owner
+
+
+def test_every_domain_error_is_a_domain_error():
+    # the CLI exits 1 on DomainError alone, so any other would end in a traceback
+    assert [name for name in errors.__all__
+            if not issubclass(getattr(errors, name), errors.DomainError)] == []
 
 
 def test_package_holds_only_its_docstring():

@@ -21,13 +21,21 @@ from correlogram.config import (
     command_view,
     config_digest,
     load_config,
-    load_manifest,
     resolve_out_dir,
     verify_manifest,
     view_kernels,
 )
-from correlogram.errors import BoundUnavailable, ReplicationError
-from correlogram.simulate import read_path_binary, read_path_csv, write_path_csv
+from correlogram.bounds import corollary2_report
+from correlogram.errors import (
+    BoundUnavailable,
+    ConsistencyError,
+    CoverageError,
+    InfiniteMassiveness,
+    PadError,
+    ReplicationError,
+)
+from correlogram.montecarlo import empirical_sup_tail, sample_stationary_Y
+from correlogram.simulate import NoiseSeed, read_path_binary, read_path_csv, write_path_csv
 
 
 BASE_CONFIG = {
@@ -195,13 +203,31 @@ class TestExitCodes:
             cli.main([])
         assert info.value.code == 2
 
-    def test_replication_failure_maps_to_domain_exit(self, config_path, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("exc", [
+        PadError("pad too short", required_pad=3),
+        CoverageError("path too short", required_span=(0.0, 1.0)),
+        ConsistencyError("imaginary residue"),
+        InfiniteMassiveness("covering radius collapsed"),
+        BoundUnavailable("entropy integral diverges"),
+        ReplicationError("replication 3 failed: simulated"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_replication_failure_maps_to_domain_exit(self, config_path, tmp_path, monkeypatch,
+                                                     capsys, exc):
         def boom(cfg, workers=1):
-            raise ReplicationError("replication 3 failed: simulated")
+            raise exc
 
         monkeypatch.setattr(cli, "run_replications", boom)
         code = run_cli("montecarlo", "--config", str(config_path), "--out", str(tmp_path / "o"))
         assert code == 1
+        assert f"domain failure: {exc}" in capsys.readouterr().err
+
+    def test_other_error_propagates(self, config_path, tmp_path, monkeypatch):
+        def boom(cfg, workers=1):
+            raise ValueError("not a domain failure")
+
+        monkeypatch.setattr(cli, "run_replications", boom)
+        with pytest.raises(ValueError, match="not a domain failure"):
+            run_cli("montecarlo", "--config", str(config_path), "--out", str(tmp_path / "o"))
 
 
 class TestCheckKernel:
@@ -341,6 +367,21 @@ class TestBounds:
         # the healthy methods still produced their reports
         assert (out / "bound_corollary2.json").exists()
 
+    def test_corollary2_takes_the_tail_of_sup_abs_Y(self, config_path, tmp_path):
+        # corollary 2 needs P{sup |Y| > u}; corollary 1 takes P{sup Y > u}
+        out = tmp_path / "c2"
+        assert run_cli("bounds", "--config", str(config_path), "--out", str(out)) == 0
+        view = command_view(load_config(config_path), "bounds")
+        h, _ = view_kernels(view)
+        a, b = view["interval"]
+        draws = sample_stationary_Y(
+            h, np.linspace(a, b, view["y_tail_points"]), view["y_tail_M"],
+            NoiseSeed(**view["base_seed"]).spawn(cli._AUX_STREAM_OFFSET),
+        )
+        want = corollary2_report(h, a, b, view["x_grid"], empirical_sup_tail(np.abs(draws)))
+        payload = json.loads((out / "bound_corollary2.json").read_text())
+        assert payload["constants"]["raw_bounds"] == want.constants["raw_bounds"]
+
 
 @pytest.mark.parametrize("command, key, bad", [
     ("check-kernel", "tol", "abc"),
@@ -444,7 +485,7 @@ def test_wrote_lines_follow_the_manifest(config_path, tmp_path, capsys, command)
     out = tmp_path / "o"
     assert run_cli(command, "--config", str(config_path), "--out", str(out)) == 0
     wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
-    outputs = load_manifest(out / "run_manifest.json").outputs
+    outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
     assert wrote == [f"wrote {out / entry['name']}" for entry in outputs]
     assert outputs
 
@@ -462,8 +503,8 @@ class TestMontecarlo:
             "result.csv", "result.json", "trajectories.csv",
             "path_rep0_Y.csv", "path_rep0_X.csv", "run_manifest.json",
         } == names
-        manifest = load_manifest(out / "run_manifest.json")
-        assert manifest.command == "montecarlo"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "montecarlo"
         assert verify_manifest(out / "run_manifest.json") == []
 
     def test_one_sided_box_kernel(self, tmp_path):
@@ -495,6 +536,16 @@ class TestMontecarlo:
         target.write_text(target.read_text().replace("0", "1", 1))
         problems = verify_manifest(out / "run_manifest.json")
         assert any("result.csv" in p for p in problems)
+
+    def test_manifest_without_a_field_is_a_config_error(self, config_path, tmp_path):
+        out = tmp_path / "mc3"
+        run_cli("montecarlo", "--config", str(config_path), "--out", str(out))
+        target = out / "run_manifest.json"
+        manifest = json.loads(target.read_text())
+        del manifest["config_digest"]
+        target.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="config_digest"):
+            verify_manifest(target)
 
 
 def test_env_var_sets_out_dir(config_path, tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from correlogram.estimator import (
     theoretical_bias,
     write_estimate_csv,
 )
-from correlogram.kernels import make_laplace, make_sinc, make_triangular
+from correlogram.kernels import make_hilbert_sinc, make_laplace, make_sinc, make_triangular
 from correlogram.quadrature import lagged_product_frequency, lagged_product_time
 from correlogram.simulate import (
     _CSV_CHUNK_ROWS,
@@ -165,11 +165,13 @@ class TestTheoreticalBias:
             assert theoretical_bias(h, g, c, tau) == pytest.approx(want, abs=1e-9)
 
     def test_routes_agree(self):
-        h, g, c = make_laplace(1.0, 1.0), make_triangular(5.0, 1.0), 1.0
-        for tau in (0.0, 0.7):
-            t_route = lagged_product_time(g, h, np.array([tau]), +1)[0] / c
-            s_route = lagged_product_frequency(g, h, np.array([tau]), +1)[0] / c
-            assert t_route == pytest.approx(s_route, abs=1e-7)
+        g, c = make_triangular(5.0, 1.0), 1.0
+        # the odd hilbert_sinc also checks the phase of its transform
+        for h, taus in ((make_laplace(1.0, 1.0), [0.0, 0.7]),
+                        (make_hilbert_sinc(), [-0.7, -0.2, 0.3, 0.9])):
+            t_route = lagged_product_time(g, h, np.array(taus), +1) / c
+            s_route = lagged_product_frequency(g, h, np.array(taus), +1) / c
+            np.testing.assert_allclose(t_route, s_route, rtol=0, atol=1e-7)
 
     def test_concentrates_on_h(self):
         # As delta grows the smoothed mean approaches H(tau) itself.

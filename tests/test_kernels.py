@@ -100,6 +100,12 @@ class TestSincPair:
         np.testing.assert_allclose(np.abs(h.ftf_eval(lam)), 1.0, atol=1e-12)
         # transform of an odd real function is purely imaginary
         assert np.max(np.abs(np.real(h.ftf_eval(lam)))) < 1e-12
+        # and its phase is -i sign(lam): int e^{-i lam t} h(t) dt is
+        # -2i int_0^inf sin(lam t) h(t) dt for an odd h
+        for x in lam:
+            want = -2.0 * quad(h.time_eval, 0.0, np.inf, weight="sin", wvar=x)[0]
+            assert h.ftf_eval(x).imag == pytest.approx(want, abs=1e-6)
+            assert h.ftf_eval(-x).imag == pytest.approx(-want, abs=1e-6)
 
     def test_unit_l2(self):
         assert make_sinc().l2_norm == pytest.approx(1.0, rel=1e-9)
