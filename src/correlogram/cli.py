@@ -53,9 +53,8 @@ from .simulate import (
     Simulator,
     TimeGrid,
     simulate_pair,
-    write_path_binary,
-    write_path_csv,
     write_path_csvs,
+    write_path_files,
 )
 from .spectral import CovarianceModel
 
@@ -125,15 +124,15 @@ def cmd_simulate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     h, family = view_kernels(view)
     dt, deltas = view["dt"], view["deltas"]
     grid = TimeGrid(t_start=view["t_start"], dt=dt, n=_horizon_steps(view["T"], dt) + 1)
-    # One draw, so the same Wiener path drives Y and each X_delta; the
-    # Simulator and its buffers are gone before the files are written.
-    paths = list(Simulator([h, *map(family, deltas)], grid).draw(NoiseSeed(**view["base_seed"])))
+    # One draw, so the same Wiener path drives Y and each X_delta; each
+    # block goes to every file as it is made.
+    paths = Simulator([h, *map(family, deltas)], grid).stream(NoiseSeed(**view["base_seed"]))
     stems = [f"path_{name}" for name in ["Y", *(f"X_delta{d:g}" for d in deltas)]]
-    write_path_csvs(paths, [out_dir / f"{stem}.csv" for stem in stems])
-    for path, stem in zip(paths, stems):
-        write_path_binary(path, out_dir / f"{stem}.bin")
-        manifest.add_output(out_dir / f"{stem}.csv")
-        manifest.add_output(out_dir / f"{stem}.bin")
+    csvs, bins = ([out_dir / f"{stem}{ext}" for stem in stems] for ext in (".csv", ".bin"))
+    write_path_files(paths, csvs, bins)
+    for csv_file, bin_file in zip(csvs, bins):
+        manifest.add_output(csv_file)
+        manifest.add_output(bin_file)
     return 0
 
 
@@ -142,7 +141,8 @@ def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     h, family = view_kernels(view)
     g = family(view["delta"])
     grid = estimation_grid(view["T"], view["dt"], view["tau_grid"])
-    y_path, x_path = simulate_pair(Simulator((h, g), grid), NoiseSeed(**view["base_seed"]))
+    y_path, x_path = simulate_pair(Simulator((h, g), grid), NoiseSeed(**view["base_seed"]),
+                                   stream=True)
     columns = estimate_correlogram(h, g, view["c"], y_path, x_path, view["T"], view["tau_grid"])
     sidecar = dict({k: view[k] for k in ("T", "delta", "c", "dt")}, seed=view["base_seed"])
     target = out_dir / "estimate.csv"
@@ -235,10 +235,10 @@ def cmd_montecarlo(view: dict, out_dir: Path, manifest: RunManifest, args) -> in
         h, family = view_kernels(view)
         grid = estimation_grid(view["T"], view["dt"], result.fine_taus)
         seed = NoiseSeed(**view["base_seed"]).spawn(0)
-        y_path, x_path = simulate_pair(Simulator((h, family(view["delta"])), grid), seed)
-        for label, path in (("Y", y_path), ("X", x_path)):
-            target = out_dir / f"path_rep0_{label}.csv"
-            write_path_csv(path, target)
+        paths = simulate_pair(Simulator((h, family(view["delta"])), grid), seed, stream=True)
+        targets = [out_dir / f"path_rep0_{label}.csv" for label in ("Y", "X")]
+        write_path_csvs(paths, targets)
+        for target in targets:
             manifest.add_output(target)
     return 0
 

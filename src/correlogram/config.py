@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 from .bounds import _METHODS
 from .estimator import _horizon_steps, estimation_grid
 from .kernels import family_from_name, kernel_from_spec
-from .simulate import required_pad
+from .simulate import _BLOCK_SAMPLES, _DIRECT_MAX_TAPS, next_fast_len, required_pad
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -290,7 +290,8 @@ def _estimate(view: dict, h, family) -> None:
     taus = view["tau_grid"]
     grid = estimation_grid(view["T"], view["dt"], taus)
     _fits_simulator(f"T={view['T']:g} and tau_grid [{taus[0]:g}, {taus[-1]:g}]",
-                    (h, family(view["delta"])), grid.n, grid.dt)
+                    (h, family(view["delta"])), grid.n, grid.dt,
+                    lags=(_horizon_steps(view["T"], grid.dt), _lag_steps(taus, grid.dt)))
 
 
 #: The most float64 values one numpy array can hold: its size in bytes must
@@ -319,17 +320,50 @@ def _fits_array(what: str, rows, cols=1) -> None:
                          f"that fit in memory")
 
 
-def _fits_simulator(what: str, kernels, n: int, dt: float) -> None:
-    """ValueError when a ``Simulator`` of ``kernels`` on the ``n``-sample
-    grid ``what`` at ``dt`` cannot fit in memory: its ``n + 2*pad`` Wiener
-    increments and each kernel's ``2*pad + 1`` sampled taps, ``pad`` the
-    largest ``required_pad`` of the kernels."""
+def _lag_steps(taus, dt: float) -> int:
+    """Lattice steps between the smallest and the largest of the lags ``taus``."""
+    return round(taus[-1] / dt) - round(taus[0] / dt)
+
+
+def _fits_simulator(what: str, kernels, n: int, dt: float, lags=None) -> None:
+    """ValueError when a streamed run of ``kernels`` on the ``n``-sample grid
+    ``what`` at ``dt`` cannot count its samples in a 64-bit index or cannot
+    fit in memory. With ``lags = (n_T, span)`` the run also sums a
+    correlogram over ``n_T`` window samples and ``span`` lag steps.
+
+    A run holds one block of ``b = min(n, _BLOCK_SAMPLES)`` samples at a
+    time, so its working set does not grow with ``n``. Counted in float64
+    values, with ``pad`` the largest ``required_pad`` of the kernels and
+    ``taps = 2*pad + 1`` (no kernel keeps more taps after trimming, and
+    each plan is taken to be an FFT plan of length ``size``, the first fast
+    length of ``b + taps - 1``, once ``taps`` exceeds ``_DIRECT_MAX_TAPS``):
+    - the sampling of one kernel's taps: its times and values, ``2*taps``;
+    - per kernel: its trimmed taps, its tap spectrum (``size + 2``) and two
+      blocks of output, one of them waiting for the paths read after it;
+    - the block's increments with their history, ``b + 2*pad``, one work
+      spectrum and one inverse transform, ``2*size + 2``;
+    - for the correlogram, the ``Y`` and ``X`` buffers, each at most two
+      blocks plus the ``span`` look-ahead, and the two spectra and the
+      inverse transform of its FFT route, ``3*(fast(b + span) + 2)``.
+    """
     if not math.isfinite(max(k.effective_support for k in kernels) / dt):
         raise ValueError(f"the kernel supports overflow a float in steps of dt={dt:g}")
+    if n > sys.maxsize:
+        raise ValueError(f"{what} at dt={dt:g} is {n} samples, more than a 64-bit index counts")
     pad = max(required_pad(k, dt) for k in kernels)
-    _fits_array(f"the Wiener increments and kernel taps over {what} at dt={dt:g} "
-                f"({n} samples, pad {pad}, {len(kernels)} kernels)",
-                n + 2 * pad + len(kernels) * (2 * pad + 1))
+    taps = 2 * pad + 1
+    _fits_array(f"the sampled kernel taps over {what} at dt={dt:g} (pad {pad}, "
+                f"{len(kernels)} kernels)", len(kernels) + 2, taps)
+    b = min(n, _BLOCK_SAMPLES)
+    size = next_fast_len(b + taps - 1) if taps > _DIRECT_MAX_TAPS else 0
+    values = 2 * taps + len(kernels) * (taps + size + 2 + 2 * b) + b + 2 * pad + 2 * size + 2
+    if lags is not None:
+        n_T, span = lags
+        _fits_array(f"the correlogram look-ahead of {what} at dt={dt:g} "
+                    f"({span} lag steps)", 2, 2 * b + span)
+        values += 2 * (2 * b + span) + 3 * (next_fast_len(min(n_T, b) + span) + 2)
+    _fits_array(f"the streamed working set over {what} at dt={dt:g} "
+                f"({n} samples in blocks of {b}, pad {pad}, {len(kernels)} kernels)", values)
 
 
 def _bounds(view: dict, h, family) -> None:
@@ -353,9 +387,10 @@ def _montecarlo(view: dict, h, family) -> None:
     _fits_array(f"the replications' Zhat on the lattice of [{a:g}, {b:g}] at dt={dt:g} "
                 f"(replications x lattice lags)", view["replications"], (b - a) / dt + 1)
     # the grid of the interval lattice's ends, one lag when both snap to it
-    grid = estimation_grid(view["T"], dt, sorted({dt * round(a / dt), dt * round(b / dt)}))
-    _fits_simulator(f"T={view['T']:g} and interval [{a:g}, {b:g}]",
-                    (h, family(view["delta"])), grid.n, dt)
+    ends = sorted({dt * round(a / dt), dt * round(b / dt)})
+    grid = estimation_grid(view["T"], dt, ends)
+    _fits_simulator(f"T={view['T']:g} and interval [{a:g}, {b:g}]", (h, family(view["delta"])),
+                    grid.n, dt, lags=(_horizon_steps(view["T"], dt), _lag_steps(ends, dt)))
 
 
 _SPANNING = {

@@ -13,6 +13,13 @@ Carlo, so the centered scaled process
 
 carries no centering noise. Lags are snapped to the lattice instead of
 interpolating; the snapped grid is what the estimate reports.
+
+The lagged products are summed over the window [0, T) in blocks of
+``_BLOCK_SAMPLES`` samples, from paths that arrive in blocks
+too (``PathBlocks``, or the views of a whole ``SampledPath``): a window
+block waits only for the ``Y`` samples its largest lag reaches. So the
+estimate's working set does not grow with ``T``, and a window of at
+most one block is summed in one piece.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from numpy.fft import irfft, rfft
 from .errors import CoverageError
 from .kernels import Kernel
 from .quadrature import lagged_product
-from .simulate import SampledPath, TimeGrid, _write_csv, next_fast_len
+from .simulate import _BLOCK_SAMPLES, TimeGrid, _write_csv, next_fast_len
 
 __all__ = [
     "snap_tau_grid",
@@ -92,27 +99,25 @@ def _lattice_index(t: float, grid) -> int:
     return int(round(j))
 
 
-def cross_correlogram(
-    Y: SampledPath,
-    X: SampledPath,
-    c: float,
-    T: float,
-    tau_grid: Sequence[float],
-) -> np.ndarray:
+def cross_correlogram(Y, X, c: float, T: float, tau_grid: Sequence[float]) -> np.ndarray:
     """Left-Riemann lagged products ``(1/(cT)) sum_j Y(t_j+tau) X(t_j) dt``.
 
-    The integration window is ``t_j in [0, T)``; each requested lag is
-    snapped to the lattice first. Raises when the shared grid does not
-    cover every shifted window.
+    ``Y`` and ``X`` are ``SampledPath``s or ``PathBlocks`` on one grid. The
+    integration window is ``t_j in [0, T)``; each requested lag is snapped
+    to the lattice first. Raises when the shared grid does not cover every
+    shifted window.
 
-    Up to ``_DOT_MAX_LAGS`` lags take one dot product each. More lags take
-    one zero-padded real FFT cross-correlation of the ``Y`` samples that
-    the shifts ``lo..hi`` reach, ``n_T + hi - lo`` of them, against the
-    window of ``X``, at the first fast length that holds them, so nothing
-    wraps into a kept shift; the requested shifts are then picked out.
-    The FFT route's sums differ from the loop's by rounding only, at most
+    The window is summed in blocks of ``_BLOCK_SAMPLES`` samples.
+    Up to ``_DOT_MAX_LAGS`` lags take one dot product per lag and block.
+    More lags take, per block of ``m`` samples, one zero-padded real FFT
+    cross-correlation of the ``m + hi - lo`` ``Y`` samples that the shifts
+    ``lo..hi`` reach against the block of ``X``, at the first fast length
+    that holds them, so nothing wraps into a kept shift; the requested
+    shifts are then picked out. Either way the block sums differ from one
+    dot product per lag over the whole window by rounding only, at most
     ``1e-12 * dt/(cT) * |Y segment|_2 * |X window|_2`` per lag (the test
-    suite checks this bound).
+    suite checks this bound); a window of one block takes the same dot
+    products, or the same transform, as that one piece.
     """
     if Y.grid != X.grid:
         raise ValueError("Y and X must share one sampling grid")
@@ -142,22 +147,50 @@ def cross_correlogram(
             f"requested lags",
             required_span=span,
         )
+    sums = _lagged_sums(zip(Y.iter_blocks(), X.iter_blocks()), j0, n_T, shifts)
+    return dt / (c * T) * sums
 
-    x_win = X.values[j0 : j0 + n_T]
-    scale = dt / (c * T)
-    if shifts.size <= _DOT_MAX_LAGS:
-        out = np.empty(tau.size)
-        for i, k in enumerate(shifts):
-            out[i] = scale * float(np.dot(Y.values[j0 + k : j0 + k + n_T], x_win))
-        return out
-    # corr[m] = sum_j y_seg[m + j] x_win[j] for every shift lo + m in [lo, hi]:
-    # at a length >= len(y_seg) = n_T + span - 1 no product wraps into them.
-    y_seg = Y.values[j0 + lo_shift : j0 + hi_shift + n_T]
-    size = next_fast_len(y_seg.size)
-    spectrum = rfft(y_seg, size)
-    spectrum *= rfft(x_win, size).conj()
-    corr = irfft(spectrum, size)
-    return scale * corr[shifts - lo_shift]
+
+def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
+    """``sum_{j < n_T} y[j0 + k + j] x[j0 + j]`` for each shift ``k`` of
+    ``shifts``, from the consecutive ``(y, x)`` grid blocks of ``blocks``.
+
+    The window ``j0 .. j0 + n_T - 1`` is summed in blocks of
+    ``_BLOCK_SAMPLES``. The buffers ``y`` and ``x`` hold the grid
+    samples from ``start`` on; a window block is summed once ``y`` reaches
+    its largest shift, and the samples before the next window block's
+    smallest shift are dropped."""
+    lo, hi = (int(shifts.min()), int(shifts.max())) if shifts.size else (0, 0)
+    block = min(n_T, _BLOCK_SAMPLES)
+    dots = shifts.size <= _DOT_MAX_LAGS
+    size = None if dots else next_fast_len(block + hi - lo)
+    y = x = np.empty(0)
+    start = done = 0
+    total = None
+    for y_new, x_new in blocks:
+        if done == n_T:
+            continue
+        y = y_new if not y.size else np.concatenate((y, y_new))
+        x = x_new if not x.size else np.concatenate((x, x_new))
+        while done < n_T:
+            m = min(block, n_T - done)
+            a = j0 + done - start
+            if a + hi + m > y.size:
+                break
+            x_win = x[a : a + m]
+            if dots:
+                part = np.array([np.dot(y[a + k : a + k + m], x_win) for k in shifts])
+            else:
+                # corr[i] = sum_j y[a + lo + i + j] x_win[j] for every shift lo + i:
+                # at a length >= m + hi - lo no product wraps into them.
+                spectrum = rfft(y[a + lo : a + hi + m], size)
+                spectrum *= rfft(x_win, size).conj()
+                part = irfft(spectrum, size)[shifts - lo]
+            total = part if total is None else total + part
+            done += m
+        drop = min(max(j0 + done + min(lo, 0) - start, 0), y.size)
+        y, x, start = y[drop:], x[drop:], start + drop
+    return total
 
 
 def theoretical_bias(h: Kernel, g: Kernel, c: float, tau):
@@ -178,14 +211,15 @@ def estimate_correlogram(
     h: Kernel,
     g: Kernel,
     c: float,
-    Y: SampledPath,
-    X: SampledPath,
+    Y,
+    X,
     T: float,
     tau_grid: Sequence[float],
 ) -> dict:
-    """Run one full estimate: the columns ``tau`` (the snapped lags),
-    ``h_hat``, ``h_mean`` (its quadrature mean) and
-    ``z_hat = sqrt(T) (h_hat - h_mean)``, in that order."""
+    """Run one full estimate from the paths ``Y`` and ``X`` (``SampledPath``s
+    or ``PathBlocks``): the columns ``tau`` (the snapped lags), ``h_hat``,
+    ``h_mean`` (its quadrature mean) and ``z_hat = sqrt(T) (h_hat - h_mean)``,
+    in that order."""
     tau = snap_tau_grid(tau_grid, Y.grid.dt)
     h_hat = cross_correlogram(Y, X, c, T, tau)
     h_mean = theoretical_bias(h, g, c, tau)

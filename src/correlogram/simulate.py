@@ -17,11 +17,20 @@ Randomness comes from the counter-based Philox generator (numpy's
 replications no matter how work is scheduled.
 
 A ``ConvolutionPlan`` samples and trims one kernel's taps for one grid
-and pad and convolves increment rows with them. A ``Simulator`` holds the
-plans of any number of kernels under the largest pad any of them needs,
-and one increment buffer: each ``draw`` fills the buffer from one seed
-and convolves it with every plan, so all the paths of a draw share one
-Wiener input. Every command and the replication harness draw through it.
+and pad and convolves increments with them. A ``Simulator`` holds the
+plans of any number of kernels under the largest pad any of them needs:
+each draw reads one seed's increment stream and convolves it with every
+plan, so all the paths of a draw share one Wiener input. Every command
+and the replication harness draw through it.
+
+Paths are made in blocks of ``_BLOCK_SAMPLES`` output samples. A draw
+takes the increments of one block at a time from the generator, keeping
+from one block to the next only the history the longest taps reach, and
+each plan convolves a block by overlap-save: the block's increments and
+that history in, the block's outputs out. A path of at most one block is
+one block. So a draw's working set does not grow with the grid: a
+``PathBlocks`` hands the blocks on as they are made, and the path writers
+write them as they come. ``SampledPath`` is a whole path in memory.
 """
 
 from __future__ import annotations
@@ -30,9 +39,11 @@ import math
 import os
 import struct
 import warnings
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -44,6 +55,7 @@ from .kernels import Kernel, _read_two_columns
 __all__ = [
     "TimeGrid",
     "SampledPath",
+    "PathBlocks",
     "NoiseSeed",
     "required_pad",
     "wiener_increments",
@@ -52,10 +64,9 @@ __all__ = [
     "simulate_output",
     "simulate_pair",
     "next_fast_len",
+    "write_path_files",
     "write_path_csvs",
-    "write_path_csv",
     "read_path_csv",
-    "write_path_binary",
     "read_path_binary",
 ]
 
@@ -68,6 +79,12 @@ _CSV_CHUNK_ROWS = 512  # rows per write in _write_csv; larger chunks are no fast
 #: FFT's does not; the two cross between about 400 and 600 taps for
 #: 5e4 to 5e5 output samples.
 _DIRECT_MAX_TAPS = 512
+
+#: Output samples per block of a draw, and window samples per block of a
+#: correlogram (``estimator.cross_correlogram``); a multiple of
+#: ``_CSV_CHUNK_ROWS``. Working arrays hold about one block plus the
+#: longest taps or lags, whatever the length of the grid.
+_BLOCK_SAMPLES = 65536
 
 
 @dataclass(frozen=True)
@@ -110,6 +127,28 @@ class SampledPath:
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
+
+    def iter_blocks(self) -> Iterator[np.ndarray]:
+        """The values as consecutive views of ``_BLOCK_SAMPLES`` samples
+        (the last one shorter), as a ``PathBlocks`` of this path gives them."""
+        return (self.values[j : j + _BLOCK_SAMPLES] for j in range(0, self.grid.n, _BLOCK_SAMPLES))
+
+
+@dataclass(frozen=True)
+class PathBlocks:
+    """One path on ``grid`` read once, in order: ``blocks`` yields the
+    consecutive 1-D arrays of at most ``_BLOCK_SAMPLES`` values that make
+    up its ``grid.n`` samples."""
+
+    grid: TimeGrid
+    blocks: Iterator[np.ndarray]
+
+    def iter_blocks(self) -> Iterator[np.ndarray]:
+        """The blocks, each checked finite as ``SampledPath`` checks its values."""
+        for block in self.blocks:
+            if not np.all(np.isfinite(block)):
+                raise ValueError("values must be finite")
+            yield block
 
 
 @dataclass(frozen=True)
@@ -168,16 +207,20 @@ def _check_sampling_rate(k: Kernel, dt: float):
 
 
 class ConvolutionPlan:
-    """One kernel's taps on one grid and pad, reused for every increment row.
+    """One kernel's taps on one grid and pad, reused for every block of
+    every draw.
 
     The kernel is sampled as ``k(i*dt)``, ``i = -pad..pad``, and exact-zero
-    samples are trimmed from both ends. Only the increments the remaining
-    taps reach are convolved with them, keeping the valid part: by direct
-    summation for a short tap array, otherwise by a real FFT at the first
-    fast length that holds the increment segment, which keeps wrap-around
-    out of the valid part. The FFT branch keeps the tap spectrum and one
-    work spectrum: a row costs one ``rfft``, which zero-pads the segment
-    itself, and one ``irfft``, whose valid slice is the returned path.
+    samples are trimmed from both ends. Output ``j`` then reads the
+    ``taps.size`` increments from ``first + j`` on, so a block of ``m``
+    outputs reads ``m + taps.size - 1`` increments, ``taps.size - 1`` of them
+    shared with the block before (overlap-save). A short tap array is summed
+    directly. A long one goes through a real FFT at ``size``, the first fast
+    length that holds one block plus the taps: the plan keeps the tap
+    spectrum and one work spectrum, a block costs one ``rfft``, which
+    zero-pads the block's increments itself, and one ``irfft``, whose
+    wrap-around stays in the ``taps.size - 1`` leading samples that the
+    block's outputs skip.
     """
 
     def __init__(self, k: Kernel, grid: TimeGrid, pad: int):
@@ -193,29 +236,38 @@ class ConvolutionPlan:
         self.grid, self.pad = grid, pad
         taps = k.time_eval(grid.dt * np.arange(-pad, pad + 1))
         nonzero = np.flatnonzero(taps)
-        lo, hi = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, -1)
-        self.taps = taps[lo : hi + 1]
+        # an all-zero kernel keeps its zero centre tap and gives zero paths
+        self.zero = nonzero.size == 0
+        lo, hi = (pad, pad) if self.zero else (int(nonzero[0]), int(nonzero[-1]))
+        self.taps = taps[lo : hi + 1].copy()
         # values[j] = sum_i taps[i] * increments[2*pad + j - i], so taps[lo..hi]
-        # reach increments 2*pad - hi through 2*pad + n - 1 - lo.
-        self.segment = slice(2 * pad - hi, 2 * pad + grid.n - lo)
+        # reach increments 2*pad - hi + j through 2*pad - lo + j.
+        self.first = 2 * pad - hi
+        self.block = min(grid.n, _BLOCK_SAMPLES)
         if self.taps.size > _DIRECT_MAX_TAPS:
-            self.size = next_fast_len(grid.n + hi - lo)
+            self.size = next_fast_len(self.block + self.taps.size - 1)
             self.spectrum = rfft(self.taps, self.size)
             self._spectrum = np.empty_like(self.spectrum)
 
-    def convolve(self, increments: np.ndarray) -> np.ndarray:
-        """New array ``sum_m k(t_j - s_m) * dW_m`` of one ``n + 2*pad``
-        increment row."""
-        x = increments[self.segment]
-        if self.taps.size == 0:
-            return np.zeros(self.grid.n)
+    def convolve_block(self, x: np.ndarray) -> np.ndarray:
+        """New array of the ``x.size - taps.size + 1`` outputs that read the
+        increments ``x``, at most ``block`` of them."""
+        if self.zero:
+            return np.zeros(x.size - self.taps.size + 1)
         if self.taps.size <= _DIRECT_MAX_TAPS:
             return np.convolve(x, self.taps, mode="valid")
-        # A circular convolution of length >= len(x) wraps only into its first
-        # len(taps) - 1 samples, which the valid part skips.
         spectrum = rfft(x, self.size, out=self._spectrum)
         spectrum *= self.spectrum
-        return irfft(spectrum, self.size)[self.taps.size - 1 : x.size]
+        return irfft(spectrum, self.size)[self.taps.size - 1 : x.size].copy()
+
+    def convolve(self, increments: np.ndarray) -> np.ndarray:
+        """New array ``sum_m k(t_j - s_m) * dW_m`` of one ``n + 2*pad``
+        increment row, convolved block by block."""
+        n, history = self.grid.n, self.taps.size - 1
+        parts = [self.convolve_block(increments[self.first + j : self.first + j + history
+                                                + min(self.block, n - j)])
+                 for j in range(0, n, self.block)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def next_fast_len(n: int) -> int:
@@ -243,54 +295,115 @@ def simulate_output(plan: ConvolutionPlan, increments: np.ndarray) -> SampledPat
 
 class Simulator:
     """The convolution plans of the kernel sequence ``kernels`` on one grid
-    and one increment buffer, for any number of draws.
+    and one increment buffer of one block, for any number of draws.
 
     The pad is the largest any of the kernels needs, so every output is
-    unbiased over the whole grid and all are jointly stationary.
+    unbiased over the whole grid and all are jointly stationary. A block of
+    ``m`` outputs reads the ``m + history`` increments from ``first + j``
+    on, where ``first`` is the lowest and ``first + history`` the highest
+    first increment any plan's taps reach.
     """
 
     def __init__(self, kernels, grid: TimeGrid):
         self.grid = grid
         self.pad = max(required_pad(k, grid.dt) for k in kernels)
         self.plans = tuple(ConvolutionPlan(k, grid, self.pad) for k in kernels)
-        self.increments = np.empty(grid.n + 2 * self.pad)
+        self.first = min(p.first for p in self.plans)
+        self.history = max(p.first + p.taps.size - 1 for p in self.plans) - self.first
+        self.block = min(grid.n, _BLOCK_SAMPLES)
+        self.increments = np.empty(self.block + self.history)
+
+    def blocks(self, seed: NoiseSeed) -> Iterator[tuple]:
+        """Yield each block of a draw from ``seed`` as a tuple of one new
+        array per kernel, in order.
+
+        The increments are those of ``wiener_increments(grid, pad, seed)``,
+        drawn a block at a time from one generator; the ``history`` last
+        ones of a block stay in the buffer for the next. The next draw
+        overwrites the buffer."""
+        gen, scale, buf = seed.generator(), math.sqrt(self.grid.dt), self.increments
+        for skip in range(0, self.first, buf.size):  # increments no tap reaches
+            gen.standard_normal(out=buf[: min(buf.size, self.first - skip)])
+        for j in range(0, self.grid.n, self.block):
+            m = min(self.block, self.grid.n - j)
+            if j:
+                buf[: self.history] = buf[self.block : self.block + self.history]
+            fresh = buf[self.history if j else 0 : self.history + m]
+            gen.standard_normal(out=fresh)
+            fresh *= scale
+            yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1])
+                        for plan in self.plans)
 
     def draw(self, seed: NoiseSeed):
-        """Yield one path per kernel, in order, all from the increments of
-        ``seed``; the next draw overwrites those increments."""
-        dW = wiener_increments(self.grid, self.pad, seed, out=self.increments)
+        """Yield one whole ``SampledPath`` per kernel, in order, all from the
+        ``n + 2*pad`` increments of ``seed`` in one row, each convolved block
+        by block (``simulate_output``)."""
+        dW = wiener_increments(self.grid, self.pad, seed)
         for plan in self.plans:
             yield simulate_output(plan, dW)
 
+    def stream(self, seed: NoiseSeed) -> tuple:
+        """One ``PathBlocks`` per kernel, in order, over the blocks of a draw
+        from ``seed``. A block waits in its path's queue until that path
+        reads it, so paths read in step (as ``zip`` reads them) hold one
+        block each at a time."""
+        blocks = self.blocks(seed)
+        pending = [deque() for _ in self.plans]
 
-def simulate_pair(simulator: Simulator, seed: NoiseSeed) -> tuple:
-    """``(Y, X)`` of one draw of a Simulator of ``(h, g)``."""
-    Y, X = simulator.draw(seed)
+        def path(queue):
+            while True:
+                if not queue:  # make the next block of every path
+                    parts = next(blocks, None)
+                    if parts is None:
+                        return
+                    for waiting, part in zip(pending, parts):
+                        waiting.append(part)
+                yield queue.popleft()  # held no longer than its path needs it
+
+        return tuple(PathBlocks(self.grid, path(queue)) for queue in pending)
+
+
+def simulate_pair(simulator: Simulator, seed: NoiseSeed, stream: bool = False) -> tuple:
+    """``(Y, X)`` of one draw of a Simulator of ``(h, g)``: two whole
+    ``SampledPath``s, or with ``stream`` the two ``PathBlocks`` of
+    ``Simulator.stream``."""
+    Y, X = simulator.stream(seed) if stream else simulator.draw(seed)
     return Y, X
 
 
 def _write_csv(files, header, columns, shared=lambda i, k: []) -> None:
-    """Write one UTF-8 CSV per file of ``files``, in chunks of rows: the
-    ``header`` line, then rows of the ``shared`` cells followed by that
-    file's equal-length 1-D arrays in ``columns``, whose shortest sets the
-    row count. ``shared(i, k)`` gives the cell lists of rows ``i`` to
-    ``i + k - 1`` of the columns every file starts with, formatted once per
-    chunk for all the files.
+    """Write one UTF-8 CSV per file of ``files``: the ``header`` line, then
+    the rows ``_write_rows`` writes of ``columns`` and ``shared``.
 
     The bytes equal ``csv.writer`` output with ``repr`` cells: commas, CRLF
     line ends, no quoting, floats as ``repr(float)``, integers in decimal."""
     with ExitStack() as stack:
-        handles = [stack.enter_context(open(Path(f), "w", newline="", encoding="utf-8"))
-                   for f in files]
-        for fh in handles:
-            fh.write(",".join(header) + "\r\n")
-        n = min(len(col) for own in columns for col in own)
-        for i in range(0, n, _CSV_CHUNK_ROWS):
-            k = min(_CSV_CHUNK_ROWS, n - i)
-            first = shared(i, k)
-            for fh, own in zip(handles, columns):
-                cells = first + [_cells(col[i : i + k]) for col in own]
-                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        _write_rows(_open_csvs(stack, files, header), columns, shared)
+
+
+def _open_csvs(stack: ExitStack, files, header) -> list:
+    """The open handles of ``files``, closed with ``stack``, each holding
+    the ``header`` line."""
+    handles = [stack.enter_context(open(Path(f), "w", newline="", encoding="utf-8"))
+               for f in files]
+    for fh in handles:
+        fh.write(",".join(header) + "\r\n")
+    return handles
+
+
+def _write_rows(handles, columns, shared=lambda i, k: []) -> None:
+    """Append rows to each handle, in chunks of ``_CSV_CHUNK_ROWS``: the
+    ``shared`` cells followed by that handle's equal-length 1-D arrays in
+    ``columns``, whose shortest sets the row count. ``shared(i, k)`` gives
+    the cell lists of rows ``i`` to ``i + k - 1`` of the columns every file
+    starts with, formatted once per chunk for all the files."""
+    n = min(len(col) for own in columns for col in own)
+    for i in range(0, n, _CSV_CHUNK_ROWS):
+        k = min(_CSV_CHUNK_ROWS, n - i)
+        first = shared(i, k)
+        for fh, own in zip(handles, columns):
+            cells = first + [_cells(col[i : i + k]) for col in own]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _cells(values: np.ndarray) -> list:
@@ -298,27 +411,53 @@ def _cells(values: np.ndarray) -> list:
     return list(map(repr, values.tolist()))
 
 
-def write_path_csvs(paths, files) -> None:
-    """Write each of ``paths``, all on one grid, as (t,value) rows with a
-    header line to the file of ``files`` at the same index, with the bytes
-    ``write_path_csv`` gives it. One pass over row chunks formats each
-    chunk's ``t`` cells once for every file; ``t_start + dt*j`` is computed
-    per chunk, with the bits of ``grid.times()``."""
+#: Binary path layout: little-endian header (n: uint64, dt: float64,
+#: t_start: float64) followed by n little-endian float64 values.
+_BIN_HEADER = struct.Struct("<Qdd")
+
+
+def write_path_files(paths, csv_files, bin_files=()) -> None:
+    """Write each of ``paths``, ``SampledPath``s or ``PathBlocks`` all on one
+    grid, to the CSV file of ``csv_files`` and, when ``bin_files`` is given,
+    the binary file of ``bin_files`` at the same index, in one pass over
+    their blocks: a block goes to every file before the next is read.
+
+    A CSV holds (t,value) rows under a header line; each row chunk's ``t``
+    cells are formatted once for every file, from ``t_start + dt*j``, with
+    the bits of ``grid.times()``. A binary file has the ``_BIN_HEADER``
+    layout."""
     grid = paths[0].grid
     if any(p.grid != grid for p in paths):
         raise ValueError("paths must share one sampling grid")
-    if len(files) != len(paths):
-        raise ValueError(f"{len(paths)} paths need as many files, got {len(files)}")
+    for files in (csv_files, bin_files):
+        if files and len(files) != len(paths):
+            raise ValueError(f"{len(paths)} paths need as many files, got {len(files)}")
+    with ExitStack() as stack:
+        csvs = _open_csvs(stack, csv_files, ["t", "value"])
+        bins = [stack.enter_context(open(Path(f), "wb")) for f in bin_files]
+        for fh in bins:
+            fh.write(_BIN_HEADER.pack(grid.n, grid.dt, grid.t_start))
+        j = 0
+        for blocks in zip(*(p.iter_blocks() for p in paths)):
+            if csvs:
+                _write_rows(csvs, [[b] for b in blocks], shared=lambda i, k: [
+                    _cells(grid.t_start + grid.dt * np.arange(j + i, j + i + k))])
+            for fh, block in zip(bins, blocks):
+                fh.write(np.ascontiguousarray(block, dtype="<f8"))
+            j += blocks[0].size
 
-    def times(i, k):
-        return [_cells(grid.t_start + grid.dt * np.arange(i, i + k))]
 
-    _write_csv(files, ["t", "value"], [[p.values] for p in paths], shared=times)
+def write_path_csvs(paths, files) -> None:
+    """Write each of ``paths`` as (t,value) rows with a header line to the
+    file of ``files`` at the same index, in one pass (``write_path_files``)."""
+    write_path_files(paths, files)
 
 
-def write_path_csv(path: SampledPath, file) -> None:
-    """Write (t,value) rows with a header line."""
-    write_path_csvs([path], [file])
+def write_path_csv(path, file) -> None:
+    """Write (t,value) rows with a header line: the one-path case of
+    ``write_path_files``, under the name that the tests and the layer
+    probes of ``perfbench/layers.py`` call."""
+    write_path_files([path], [file])
 
 
 def _file_grid(file, t_start: float, dt: float, n: int) -> TimeGrid:
@@ -350,15 +489,11 @@ def read_path_csv(file) -> SampledPath:
     return SampledPath(grid=grid, values=np.array(values))
 
 
-#: Binary path layout: little-endian header (n: uint64, dt: float64,
-#: t_start: float64) followed by n little-endian float64 values.
-_BIN_HEADER = struct.Struct("<Qdd")
-
-
-def write_path_binary(path: SampledPath, file) -> None:
-    with open(Path(file), "wb") as fh:
-        fh.write(_BIN_HEADER.pack(path.grid.n, path.grid.dt, path.grid.t_start))
-        fh.write(np.ascontiguousarray(path.values, dtype="<f8").tobytes())
+def write_path_binary(path, file) -> None:
+    """Write a path in the ``_BIN_HEADER`` layout: the one-path case of
+    ``write_path_files``, under the name that the tests and the layer
+    probes of ``perfbench/layers.py`` call."""
+    write_path_files([path], [], [file])
 
 
 def read_path_binary(file) -> SampledPath:

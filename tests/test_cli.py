@@ -26,6 +26,7 @@ from correlogram.config import (
     view_kernels,
 )
 from correlogram.bounds import corollary2_report
+from correlogram.estimator import estimation_grid
 from correlogram.errors import (
     BoundUnavailable,
     ConsistencyError,
@@ -134,6 +135,19 @@ class TestConfigModule:
         command_view({"command_defaults": {command: {key: 2**27 // 101}}}, command)
         with pytest.raises(ConfigError, match=re.escape(named) + r".*\(1 GiB\)"):
             command_view({"command_defaults": {command: {key: 2**27 // 101 + 1}}}, command)
+
+    def test_view_counts_the_streamed_working_set(self, monkeypatch):
+        # estimate on 1001 lags at dt = 1e-3 over T = 1.2e6 streams its 1.2e9
+        # samples through a working set of a few MB, so it passes the view of
+        # a machine of 8 GiB, 2**30 float64 values, which its whole paths
+        # alone would overfill. Checked in the view only: never run it.
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}.__getitem__)
+        cfg = {"delta": 100.0, "dt": 1e-3, "T": 1.2e6, "tau_grid": [i / 1000 for i in range(1001)]}
+        view = command_view(cfg, "estimate")
+        assert estimation_grid(view["T"], view["dt"], view["tau_grid"]).n > 2**30
+        # a kernel support whose sampled taps alone exceed that memory
+        with pytest.raises(ConfigError, match="sampled kernel taps"):
+            command_view(dict(cfg, dt=1e-10, T=1.0), "estimate")
 
     def test_readme_key_table_matches_keys(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -611,6 +625,39 @@ def test_commands_run_without_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
     assert (tmp_path / "out" / "bounds" / "bound_theorem4_sup.json").exists()
+
+
+_PEAK_RSS = """
+import resource, sys, warnings
+
+warnings.simplefilter("ignore", RuntimeWarning)
+from correlogram.cli import main
+
+config, out = sys.argv[1:]
+code = main(["estimate", "--config", config, "--out", out])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_estimate_memory_is_flat_in_T(tmp_path):
+    # estimate on 1001 lags at dt = 1e-3 streams its paths in blocks, so ten
+    # times the horizon leaves the peak resident set where it was; holding
+    # whole paths took about 49 bytes a sample (70 MB at T = 500, 280 MB at
+    # T = 5000)
+    peaks = []
+    for T in (500.0, 5000.0):
+        cfg = dict(BASE_CONFIG, delta=100.0, dt=1e-3, T=T, tau_grid=[i / 1000 for i in range(1001)])
+        config = tmp_path / f"T{T:g}.json"
+        config.write_text(json.dumps(cfg))
+        out = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, str(config), str(tmp_path / f"out{T:g}")],
+            env=_child_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        code, peak_kib = map(int, out.stdout.splitlines()[-1].split())
+        assert code == 0
+        peaks.append(peak_kib)
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 _PROBE_NUMPY_MA = """

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import correlogram.estimator as estimator_mod
+import correlogram.simulate as simulate_mod
 from correlogram.errors import CoverageError
 from correlogram.estimator import (
     cross_correlogram,
@@ -21,6 +22,7 @@ from correlogram.quadrature import lagged_product_frequency, lagged_product_time
 from correlogram.simulate import (
     _CSV_CHUNK_ROWS,
     NoiseSeed,
+    PathBlocks,
     SampledPath,
     Simulator,
     TimeGrid,
@@ -151,6 +153,34 @@ class TestFFTRoute:
             assert got.tobytes() == want.tobytes()
         else:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
+    @pytest.mark.parametrize(
+        "shifts, route",
+        [
+            (np.arange(1001), "fft"),
+            (np.arange(-600, 401), "fft"),
+            (np.arange(-200, 56), "loop"),
+            (np.array([-3000, 0, 50, 9000]), "loop"),
+        ],
+        ids=["dense_1001", "negative_1001", "at_limit", "sparse_4"],
+    )
+    def test_window_blocks_match_dot_loop(self, monkeypatch, shifts, route, streamed):
+        # the 20 000-sample window in blocks of 333, no whole number of them,
+        # from whole paths or from paths streamed in uneven blocks
+        monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", 333)
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 333)
+        ffts = []
+        real_rfft = estimator_mod.rfft
+        monkeypatch.setattr(estimator_mod, "rfft", lambda *a, **k: ffts.append(a) or real_rfft(*a, **k))
+        y, x = self._paths(int(shifts.min()), int(shifts.max()))
+        want, atol = self._dot_loop(y, x, shifts)
+        if streamed:
+            y, x = (PathBlocks(p.grid, iter(np.array_split(p.values, 97))) for p in (y, x))
+        got = cross_correlogram(y, x, self.C, self.T, shifts * self.DT)
+        assert len(ffts) == (2 * -(-20000 // 333) if route == "fft" else 0)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
 class TestTheoreticalBias:

@@ -4,6 +4,7 @@ import io
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from correlogram.kernels import (
 from correlogram.simulate import (
     ConvolutionPlan,
     NoiseSeed,
+    PathBlocks,
     SampledPath,
     Simulator,
     TimeGrid,
@@ -36,6 +38,7 @@ from correlogram.simulate import (
     write_path_binary,
     write_path_csv,
     write_path_csvs,
+    write_path_files,
 )
 
 
@@ -296,6 +299,116 @@ class TestConvolution:
         np.testing.assert_array_equal(path.values, np.zeros(grid.n))
 
 
+def _owns_its_samples(values: np.ndarray) -> bool:
+    return values.base is None or values.base.size == values.size
+
+
+class TestBlocks:
+    """Draws in blocks of _BLOCK_SAMPLES outputs: the increment stream, the
+    overlap-save convolution and the streamed paths."""
+
+    @pytest.mark.parametrize("block, n", [(1, 50), (7, 200), (65536, 200_003), (131073, 200_003)])
+    def test_block_increments_equal_one_draw(self, monkeypatch, block, n):
+        # a unit kernel reads one increment per output, and the triangle
+        # beside it makes the Simulator keep a history between blocks
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", block)
+        dt = 0.01
+        unit = make_tabulated([-dt, 0.0, dt], [0.0, 1.0, 0.0])
+        grid = TimeGrid(0.0, dt, n)
+        sim = Simulator((unit, make_triangular(10.0, 1.0)), grid)
+        assert (sim.block, sim.history) == (min(block, n), 18)
+        got = np.concatenate([parts[0] for parts in sim.blocks(NoiseSeed(5, 2))])
+        dW = wiener_increments(grid, sim.pad, NoiseSeed(5, 2))
+        assert got.tobytes() == dW[sim.pad : sim.pad + n].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:dt=.*under-resolves:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kernel, dt, taps",
+        [
+            (make_triangular(10.0, 1.0), 0.01, 19),
+            (make_triangular(1.0, 1.0), 0.01, 199),
+            (make_triangular(0.390625, 1.0), 0.01, 511),
+            (make_sinc(), 0.05, 2401),
+            (make_one_sided_box(0.1, 1.0), 0.01, 1000),
+        ],
+        ids=["direct19", "direct199", "direct511", "fft_sinc", "fft_one_sided"],
+    )
+    def test_streamed_paths_equal_whole_path_convolution(self, monkeypatch, kernel, dt, taps):
+        # blocks shorter than the taps, and a grid that is no whole number of
+        # blocks: the direct route keeps the bits of one convolution over the
+        # whole row, the FFT route stays within its rounding bound
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", taps // 3)
+        grid = TimeGrid(0.0, dt, 5 * (taps // 3) + 11)
+        sim = Simulator((kernel,), grid)
+        plan = sim.plans[0]
+        assert plan.taps.size == taps and sim.block == taps // 3
+        Y, = sim.stream(NoiseSeed(8))
+        got = np.concatenate(list(Y.iter_blocks()))
+        dW = wiener_increments(grid, sim.pad, NoiseSeed(8))
+        want = np.convolve(dW[plan.first : plan.first + grid.n + taps - 1], plan.taps, mode="valid")
+        if taps <= simulate_mod._DIRECT_MAX_TAPS:
+            assert got.tobytes() == want.tobytes()
+        else:
+            atol = 1e-12 * np.abs(plan.taps).sum() * np.abs(dW).max()
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+        assert [p.values.tobytes() for p in sim.draw(NoiseSeed(8))] == [got.tobytes()]
+
+    @pytest.mark.parametrize("block", [65536, 150])
+    @pytest.mark.parametrize(
+        "kernel", [make_sinc(), make_triangular(2.0, 1.0)], ids=["fft", "direct"]
+    )
+    def test_blocks_and_paths_own_their_samples(self, monkeypatch, kernel, block):
+        # no block or path keeps the transform's wrapped samples and padding alive
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", block)
+        grid = TimeGrid(0.0, 0.05, 1001)
+        sim = Simulator((kernel, make_triangular(2.0, 1.0)), grid)
+        blocks = [part for parts in sim.blocks(NoiseSeed(3)) for part in parts]
+        assert len(blocks) == 2 * -(-grid.n // block)
+        paths = list(sim.draw(NoiseSeed(3)))
+        assert all(_owns_its_samples(v) for v in blocks + [p.values for p in paths])
+
+    def test_stream_holds_one_block_per_path(self, monkeypatch):
+        # read in step, the draw makes no block ahead of the readers and
+        # keeps no block that both paths have read
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 100)
+        grid = TimeGrid(0.0, 0.05, 1001)
+        sim = Simulator((make_sinc(), make_triangular(2.0, 1.0)), grid)
+        made, convolve_block = [], ConvolutionPlan.convolve_block
+
+        def tracked(plan, x):
+            block = convolve_block(plan, x)
+            made.append(weakref.ref(block))
+            return block
+
+        monkeypatch.setattr(ConvolutionPlan, "convolve_block", tracked)
+        Y, X = sim.stream(NoiseSeed(3))
+        sizes = []
+        for y, x in zip(Y.iter_blocks(), X.iter_blocks()):
+            sizes.append((y.size, x.size, len(made)))
+            assert all(ref() is None for ref in made[:-2])
+        assert sizes == [(100, 100, 2 * k) for k in range(1, 11)] + [(1, 1, 22)]
+
+    def test_streamed_block_must_be_finite(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        path = PathBlocks(grid, iter([np.ones(2), np.array([1.0, np.inf])]))
+        with pytest.raises(ValueError, match="finite"):
+            list(path.iter_blocks())
+
+    def test_streamed_files_equal_whole_path_files(self, monkeypatch, tmp_path):
+        # one pass over the blocks writes the bytes of the whole paths
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 3 * K)
+        grid = TimeGrid(-0.5, 0.05, 7 * K + 5)
+        sim = Simulator((make_sinc(), make_triangular(2.0, 1.0)), grid)
+        names = [tmp_path / f"{stem}{ext}" for stem in ("y", "x") for ext in (".csv", ".bin")]
+        write_path_files(sim.stream(NoiseSeed(4)), names[::2], names[1::2])
+        for path, csv_file, bin_file in zip(sim.draw(NoiseSeed(4)), names[::2], names[1::2]):
+            write_path_csv(path, tmp_path / "whole.csv")
+            write_path_binary(path, tmp_path / "whole.bin")
+            assert csv_file.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+            assert bin_file.read_bytes() == (tmp_path / "whole.bin").read_bytes()
+            assert read_path_binary(bin_file).values.tobytes() == path.values.tobytes()
+
+
 class TestPathIO:
     def _path(self):
         grid = TimeGrid(-0.5, 0.125, 17)
@@ -439,12 +552,14 @@ def test_next_fast_len_matches_scipy():
 
 @pytest.mark.parametrize("dt", [0.01, 1e-3])
 def test_workload_plan_lengths_match_scipy(dt):
-    # the sinc plans of the montecarlo (dt = 0.01) and path (dt = 1e-3) runs
-    # at T = 500
+    # the sinc plans of the montecarlo (dt = 0.01, one block of 50 001
+    # samples) and path (dt = 1e-3, blocks of _BLOCK_SAMPLES) runs at T = 500
     grid = TimeGrid(0.0, dt, int(round(500.0 / dt)) + 1)
     plan = ConvolutionPlan(make_sinc(), grid, required_pad(make_sinc(), dt))
+    block = {0.01: grid.n, 1e-3: simulate_mod._BLOCK_SAMPLES}[dt]
+    assert plan.block == block == min(grid.n, simulate_mod._BLOCK_SAMPLES)
     assert plan.spectrum.size == plan.size // 2 + 1
-    assert plan.size == scipy.fft.next_fast_len(grid.n + plan.taps.size - 1, real=True)
+    assert plan.size == scipy.fft.next_fast_len(block + plan.taps.size - 1, real=True)
 
 
 def test_path_values_validated():
