@@ -15,11 +15,11 @@ carries no centering noise. Lags are snapped to the lattice instead of
 interpolating; the snapped grid is what the estimate reports.
 
 The lagged products are summed over the window [0, T) in blocks of
-``_BLOCK_SAMPLES`` samples, from paths that arrive in blocks
-too (``PathBlocks``, or the views of a whole ``SampledPath``): a window
-block waits only for the ``Y`` samples its largest lag reaches. So the
-estimate's working set does not grow with ``T``, and a window of at
-most one block is summed in one piece.
+``simulate._BLOCK_SAMPLES`` samples, from paths that arrive in blocks too
+(``PathBlocks``, or a whole ``SampledPath`` in views of a block each): a
+window block waits only for the ``Y`` samples its largest lag reaches.
+So the estimate's working set does not grow with ``T``, and a window of
+at most one block is summed in one piece.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from numpy.fft import irfft, rfft
 from .errors import CoverageError
 from .kernels import Kernel
 from .quadrature import lagged_product
-from .simulate import _BLOCK_SAMPLES, TimeGrid, _write_csv, next_fast_len
+from .simulate import _BLOCK_SAMPLES, TimeGrid, _blocks_in_step, _write_csv, next_fast_len
 
 __all__ = [
     "snap_tau_grid",
@@ -147,7 +147,7 @@ def cross_correlogram(Y, X, c: float, T: float, tau_grid: Sequence[float]) -> np
             f"requested lags",
             required_span=span,
         )
-    sums = _lagged_sums(zip(Y.iter_blocks(), X.iter_blocks()), j0, n_T, shifts)
+    sums = _lagged_sums(_blocks_in_step((Y, X)), j0, n_T, shifts)
     return dt / (c * T) * sums
 
 

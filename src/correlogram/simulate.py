@@ -130,15 +130,15 @@ class SampledPath:
 
     def iter_blocks(self) -> Iterator[np.ndarray]:
         """The values as consecutive views of ``_BLOCK_SAMPLES`` samples
-        (the last one shorter), as a ``PathBlocks`` of this path gives them."""
+        (the last one shorter), as a ``Simulator``'s ``PathBlocks`` give them."""
         return (self.values[j : j + _BLOCK_SAMPLES] for j in range(0, self.grid.n, _BLOCK_SAMPLES))
 
 
 @dataclass(frozen=True)
 class PathBlocks:
     """One path on ``grid`` read once, in order: ``blocks`` yields the
-    consecutive 1-D arrays of at most ``_BLOCK_SAMPLES`` values that make
-    up its ``grid.n`` samples."""
+    consecutive 1-D arrays that make up its ``grid.n`` samples, at most
+    ``_BLOCK_SAMPLES`` each when a ``Simulator`` makes them."""
 
     grid: TimeGrid
     blocks: Iterator[np.ndarray]
@@ -319,8 +319,8 @@ class Simulator:
 
         The increments are those of ``wiener_increments(grid, pad, seed)``,
         drawn a block at a time from one generator; the ``history`` last
-        ones of a block stay in the buffer for the next. The next draw
-        overwrites the buffer."""
+        ones of a block stay in the buffer for the next. Read a draw to its
+        end before the next one starts: they share the buffer."""
         gen, scale, buf = seed.generator(), math.sqrt(self.grid.dt), self.increments
         for skip in range(0, self.first, buf.size):  # increments no tap reaches
             gen.standard_normal(out=buf[: min(buf.size, self.first - skip)])
@@ -361,6 +361,16 @@ class Simulator:
                 yield queue.popleft()  # held no longer than its path needs it
 
         return tuple(PathBlocks(self.grid, path(queue)) for queue in pending)
+
+
+def _blocks_in_step(paths) -> Iterator[tuple]:
+    """The blocks of ``paths`` (``SampledPath``s or ``PathBlocks`` on one
+    grid), one tuple per step; blocks of one step must be of one size."""
+    for blocks in zip(*(p.iter_blocks() for p in paths)):
+        if any(b.size != blocks[0].size for b in blocks):
+            raise ValueError(f"paths must come in blocks of one size, got "
+                             f"{[b.size for b in blocks]}")
+        yield blocks
 
 
 def simulate_pair(simulator: Simulator, seed: NoiseSeed, stream: bool = False) -> tuple:
@@ -438,7 +448,7 @@ def write_path_files(paths, csv_files, bin_files=()) -> None:
         for fh in bins:
             fh.write(_BIN_HEADER.pack(grid.n, grid.dt, grid.t_start))
         j = 0
-        for blocks in zip(*(p.iter_blocks() for p in paths)):
+        for blocks in _blocks_in_step(paths):
             if csvs:
                 _write_rows(csvs, [[b] for b in blocks], shared=lambda i, k: [
                     _cells(grid.t_start + grid.dt * np.arange(j + i, j + i + k))])

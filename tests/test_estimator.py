@@ -183,6 +183,13 @@ class TestFFTRoute:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
+    def test_paths_must_come_in_blocks_of_one_size(self):
+        y, x = self._paths(0, 10)
+        blocks = PathBlocks(x.grid, iter(np.array_split(x.values, 3)))
+        with pytest.raises(ValueError, match="blocks of one size"):
+            cross_correlogram(y, blocks, self.C, self.T, [0.0, 0.1])
+
+
 class TestTheoreticalBias:
     def test_matches_overlap_integral(self):
         # E Hhat(tau) = (1/c) int g(s) H(s+tau) ds
