@@ -141,8 +141,7 @@ def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     h, family = view_kernels(view)
     g = family(view["delta"])
     grid = estimation_grid(view["T"], view["dt"], view["tau_grid"])
-    y_path, x_path = simulate_pair(Simulator((h, g), grid), NoiseSeed(**view["base_seed"]),
-                                   stream=True)
+    y_path, x_path = simulate_pair(Simulator((h, g), grid), NoiseSeed(**view["base_seed"]))
     columns = estimate_correlogram(h, g, view["c"], y_path, x_path, view["T"], view["tau_grid"])
     sidecar = dict({k: view[k] for k in ("T", "delta", "c", "dt")}, seed=view["base_seed"])
     target = out_dir / "estimate.csv"
@@ -235,7 +234,7 @@ def cmd_montecarlo(view: dict, out_dir: Path, manifest: RunManifest, args) -> in
         h, family = view_kernels(view)
         grid = estimation_grid(view["T"], view["dt"], result.fine_taus)
         seed = NoiseSeed(**view["base_seed"]).spawn(0)
-        paths = simulate_pair(Simulator((h, family(view["delta"])), grid), seed, stream=True)
+        paths = simulate_pair(Simulator((h, family(view["delta"])), grid), seed)
         targets = [out_dir / f"path_rep0_{label}.csv" for label in ("Y", "X")]
         write_path_csvs(paths, targets)
         for target in targets:

@@ -158,8 +158,8 @@ def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
     The window ``j0 .. j0 + n_T - 1`` is summed in blocks of
     ``_BLOCK_SAMPLES``. The buffers ``y`` and ``x`` hold the grid
     samples from ``start`` on; a window block is summed once ``y`` reaches
-    its largest shift, and the samples before the next window block's
-    smallest shift are dropped."""
+    its largest shift and ``x`` the block's end, and the samples before the
+    next window block's smallest shift are dropped."""
     lo, hi = (int(shifts.min()), int(shifts.max())) if shifts.size else (0, 0)
     block = min(n_T, _BLOCK_SAMPLES)
     dots = shifts.size <= _DOT_MAX_LAGS
@@ -175,7 +175,7 @@ def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
         while done < n_T:
             m = min(block, n_T - done)
             a = j0 + done - start
-            if a + hi + m > y.size:
+            if a + max(hi, 0) + m > y.size:  # x grows with y
                 break
             x_win = x[a : a + m]
             if dots:

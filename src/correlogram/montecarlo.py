@@ -69,7 +69,7 @@ def _replicate_share(args) -> np.ndarray:
     try:
         sim = Simulator(_kernels(view), estimation_grid(T, view["dt"], taus))
         for i in range(first, view["replications"], step):
-            Y, X = simulate_pair(sim, seed.spawn(i), stream=True)
+            Y, X = simulate_pair(sim, seed.spawn(i))
             rows.append(math.sqrt(T) * (cross_correlogram(Y, X, view["c"], T, taus) - bias))
     except Exception as exc:
         raise ReplicationError(f"replication {i} failed: {exc}") from exc

@@ -58,10 +58,8 @@ __all__ = [
     "PathBlocks",
     "NoiseSeed",
     "required_pad",
-    "wiener_increments",
     "ConvolutionPlan",
     "Simulator",
-    "simulate_output",
     "simulate_pair",
     "next_fast_len",
     "write_path_files",
@@ -177,20 +175,18 @@ def required_pad(k: Kernel, dt: float) -> int:
     return int(math.ceil(k.effective_support / dt - 1e-12))
 
 
-def wiener_increments(grid: TimeGrid, pad: int, seed: NoiseSeed, out=None) -> np.ndarray:
-    """Draw ``n + 2*pad`` i.i.d. N(0, dt) Wiener increments.
+def wiener_increments(grid: TimeGrid, pad: int, seed: NoiseSeed) -> np.ndarray:
+    """Draw ``n + 2*pad`` i.i.d. N(0, dt) Wiener increments in one row, the
+    increments that ``Simulator.blocks`` draws a block at a time: the
+    whole-row reference of the tests, under the name that the layer probes
+    of ``perfbench/layers.py`` call.
 
     Increment ``m`` covers ``[s_m, s_m + dt)`` with
-    ``s_m = t_start + (m - pad)*dt``. ``out``, a float array of that
-    length, receives the draws in place of a new array.
+    ``s_m = t_start + (m - pad)*dt``.
     """
     if not (isinstance(pad, (int, np.integer)) and pad >= 0):
         raise ValueError("pad must be a nonnegative integer")
-    size = grid.n + 2 * int(pad)
-    out = np.empty(size) if out is None else out
-    if out.shape != (size,):
-        raise ValueError(f"out must have shape ({size},), got {out.shape}")
-    seed.generator().standard_normal(out=out)
+    out = seed.generator().standard_normal(grid.n + 2 * int(pad))
     out *= math.sqrt(grid.dt)
     return out
 
@@ -260,15 +256,6 @@ class ConvolutionPlan:
         spectrum *= self.spectrum
         return irfft(spectrum, self.size)[self.taps.size - 1 : x.size].copy()
 
-    def convolve(self, increments: np.ndarray) -> np.ndarray:
-        """New array ``sum_m k(t_j - s_m) * dW_m`` of one ``n + 2*pad``
-        increment row, convolved block by block."""
-        n, history = self.grid.n, self.taps.size - 1
-        parts = [self.convolve_block(increments[self.first + j : self.first + j + history
-                                                + min(self.block, n - j)])
-                 for j in range(0, n, self.block)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
 
 def next_fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast."""
@@ -285,12 +272,18 @@ def next_fast_len(n: int) -> int:
 
 def simulate_output(plan: ConvolutionPlan, increments: np.ndarray) -> SampledPath:
     """Moving-average output ``values[j] = sum_m k(t_j - s_m) * dW_m`` of
-    the plan's kernel, grid and pad."""
+    the plan's kernel, grid and pad, from one ``n + 2*pad`` increment row
+    (``wiener_increments``) convolved block by block as a draw convolves
+    it: the whole-row reference of the tests, under the name that the
+    layer probes of ``perfbench/layers.py`` call."""
     increments = np.asarray(increments, dtype=float)
-    size = plan.grid.n + 2 * plan.pad
+    n, size = plan.grid.n, plan.grid.n + 2 * plan.pad
     if increments.ndim != 1 or increments.size != size:
         raise ValueError(f"increments must have length n + 2*pad = {size}, got {increments.size}")
-    return SampledPath(grid=plan.grid, values=plan.convolve(increments))
+    reach = plan.taps.size - 1
+    parts = [plan.convolve_block(increments[plan.first + j :][: reach + min(plan.block, n - j)])
+             for j in range(0, n, plan.block)]
+    return SampledPath(grid=plan.grid, values=parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
 class Simulator:
@@ -335,12 +328,10 @@ class Simulator:
                         for plan in self.plans)
 
     def draw(self, seed: NoiseSeed):
-        """Yield one whole ``SampledPath`` per kernel, in order, all from the
-        ``n + 2*pad`` increments of ``seed`` in one row, each convolved block
-        by block (``simulate_output``)."""
-        dW = wiener_increments(self.grid, self.pad, seed)
-        for plan in self.plans:
-            yield simulate_output(plan, dW)
+        """Yield one whole ``SampledPath`` per kernel, in order: the blocks of
+        a draw from ``seed`` joined."""
+        for parts in zip(*self.blocks(seed)):
+            yield SampledPath(self.grid, parts[0] if len(parts) == 1 else np.concatenate(parts))
 
     def stream(self, seed: NoiseSeed) -> tuple:
         """One ``PathBlocks`` per kernel, in order, over the blocks of a draw
@@ -373,11 +364,10 @@ def _blocks_in_step(paths) -> Iterator[tuple]:
         yield blocks
 
 
-def simulate_pair(simulator: Simulator, seed: NoiseSeed, stream: bool = False) -> tuple:
-    """``(Y, X)`` of one draw of a Simulator of ``(h, g)``: two whole
-    ``SampledPath``s, or with ``stream`` the two ``PathBlocks`` of
-    ``Simulator.stream``."""
-    Y, X = simulator.stream(seed) if stream else simulator.draw(seed)
+def simulate_pair(simulator: Simulator, seed: NoiseSeed) -> tuple:
+    """``(Y, X)`` of one draw of a Simulator of ``(h, g)``: the two
+    ``PathBlocks`` of ``Simulator.stream``."""
+    Y, X = simulator.stream(seed)
     return Y, X
 
 

@@ -130,10 +130,12 @@ class TestFFTRoute:
             (np.sort(np.random.default_rng(3).choice(np.arange(-3000, 9000), 300, replace=False)),
              "fft"),
             (np.arange(-200, 57), "fft"),
+            (np.arange(-600, -300), "fft"),
             (np.arange(-200, 56), "loop"),
             (np.array([-3000, 0, 50, 9000]), "loop"),
         ],
-        ids=["dense_1001", "negative_1001", "sparse_300_wide", "one_above", "at_limit", "sparse_4"],
+        ids=["dense_1001", "negative_1001", "sparse_300_wide", "one_above", "all_negative_300",
+             "at_limit", "sparse_4"],
     )
     def test_matches_dot_loop(self, monkeypatch, shifts, route):
         ffts = []
@@ -161,10 +163,13 @@ class TestFFTRoute:
         [
             (np.arange(1001), "fft"),
             (np.arange(-600, 401), "fft"),
+            (np.arange(-600, -300), "fft"),
             (np.arange(-200, 56), "loop"),
             (np.array([-3000, 0, 50, 9000]), "loop"),
+            (np.array([-500]), "loop"),
         ],
-        ids=["dense_1001", "negative_1001", "at_limit", "sparse_4"],
+        ids=["dense_1001", "negative_1001", "all_negative_300", "at_limit", "sparse_4",
+             "all_negative_1"],
     )
     def test_window_blocks_match_dot_loop(self, monkeypatch, shifts, route, streamed):
         # the 20 000-sample window in blocks of 333, no whole number of them,

@@ -109,16 +109,10 @@ class TestIncrements:
         assert abs(inc.mean()) < 3.0 * math.sqrt(0.01 / inc.size)
 
     def test_draws_equal_scaled_normal_stream(self):
-        # the same bits as Generator.normal(0, sqrt(dt)), also when drawn in place
+        # the same bits as Generator.normal(0, sqrt(dt))
         grid = TimeGrid(0.0, 0.01, 2001)
         want = NoiseSeed(5, 3).generator().normal(0.0, 0.1, size=2201)
         np.testing.assert_array_equal(wiener_increments(grid, 100, NoiseSeed(5, 3)), want)
-        rows = np.zeros((2, 2201))
-        row = rows[1]
-        assert wiener_increments(grid, 100, NoiseSeed(5, 3), out=row) is row
-        np.testing.assert_array_equal(rows, [np.zeros(2201), want])
-        with pytest.raises(ValueError):
-            wiener_increments(grid, 100, NoiseSeed(5, 3), out=rows)
 
     def test_pad_must_be_nonnegative_int(self):
         grid = TimeGrid(0.0, 0.1, 11)
@@ -163,10 +157,10 @@ class TestOutputs:
         # when the pair is re-run from the same seed.
         h, g = make_sinc(), make_triangular(2.0, 1.0)
         grid = TimeGrid(0.0, 0.05, 201)
-        y1, x1 = simulate_pair(Simulator((h, g), grid), NoiseSeed(3))
-        y2, x2 = simulate_pair(Simulator((h, g), grid), NoiseSeed(3))
-        np.testing.assert_array_equal(y1.values, y2.values)
-        np.testing.assert_array_equal(x1.values, x2.values)
+        y1, x1 = _joined(simulate_pair(Simulator((h, g), grid), NoiseSeed(3)))
+        y2, x2 = _joined(simulate_pair(Simulator((h, g), grid), NoiseSeed(3)))
+        np.testing.assert_array_equal(y1, y2)
+        np.testing.assert_array_equal(x1, x2)
 
     def test_linearity_in_the_kernel(self):
         # simulate_output is linear: doubling c doubles the path.
@@ -247,10 +241,10 @@ class TestConvolution:
     def test_simulator_reuse(self):
         h, g, grid = make_sinc(), make_triangular(2.0, 1.0), TimeGrid(0.0, 0.05, 101)
         sim = Simulator((h, g), grid)
-        got = [simulate_pair(sim, NoiseSeed(i)) for i in (2, 1)]
+        got = [_joined(simulate_pair(sim, NoiseSeed(i))) for i in (2, 1)]
         for i, pair in zip((2, 1), got):
-            for a, b in zip(pair, simulate_pair(Simulator((h, g), grid), NoiseSeed(i))):
-                np.testing.assert_array_equal(a.values, b.values)
+            for a, b in zip(pair, _joined(simulate_pair(Simulator((h, g), grid), NoiseSeed(i)))):
+                np.testing.assert_array_equal(a, b)
 
     def test_simulator_paths_are_plans_of_the_shared_pad(self):
         # sinc on the FFT branch and two windows on the direct one: each
@@ -279,7 +273,7 @@ class TestConvolution:
         real = SampledPath.__post_init__
         monkeypatch.setattr(SampledPath, "__post_init__", lambda p: checks.append(real(p)))
         sim = Simulator((h, g), grid)
-        pair = simulate_pair(sim, NoiseSeed(5))
+        pair = list(sim.draw(NoiseSeed(5)))
         assert len(checks) == 2
         for path, values in zip(pair, want):
             assert path.values.tobytes() == values.tobytes()
@@ -297,6 +291,11 @@ class TestConvolution:
         pad = required_pad(k, 0.1)
         path = output(k, wiener_increments(grid, pad, NoiseSeed(4)), grid, pad)
         np.testing.assert_array_equal(path.values, np.zeros(grid.n))
+
+
+def _joined(paths) -> list:
+    """The values of each of ``paths`` (``PathBlocks``) in one array."""
+    return [np.concatenate(list(p.iter_blocks())) for p in paths]
 
 
 def _owns_its_samples(values: np.ndarray) -> bool:
@@ -352,6 +351,7 @@ class TestBlocks:
             atol = 1e-12 * np.abs(plan.taps).sum() * np.abs(dW).max()
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
         assert [p.values.tobytes() for p in sim.draw(NoiseSeed(8))] == [got.tobytes()]
+        assert simulate_output(plan, dW).values.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("block", [65536, 150])
     @pytest.mark.parametrize(
