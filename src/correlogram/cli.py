@@ -53,7 +53,6 @@ from .simulate import (
     Simulator,
     TimeGrid,
     simulate_pair,
-    write_path_csvs,
     write_path_files,
 )
 from .spectral import CovarianceModel
@@ -236,7 +235,7 @@ def cmd_montecarlo(view: dict, out_dir: Path, manifest: RunManifest, args) -> in
         seed = NoiseSeed(**view["base_seed"]).spawn(0)
         paths = simulate_pair(Simulator((h, family(view["delta"])), grid), seed)
         targets = [out_dir / f"path_rep0_{label}.csv" for label in ("Y", "X")]
-        write_path_csvs(paths, targets)
+        write_path_files(paths, targets)
         for target in targets:
             manifest.add_output(target)
     return 0

@@ -31,10 +31,14 @@ that history in, the block's outputs out. A path of at most one block is
 one block. So a draw's working set does not grow with the grid: a
 ``PathBlocks`` hands the blocks on as they are made, and the path writers
 write them as they come. ``SampledPath`` is a whole path in memory.
+
+Every CSV goes through ``_write_rows``, which formats a chunk of rows in
+numpy: ``_float_cells`` gives each float the bytes of its ``repr``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -63,14 +67,18 @@ __all__ = [
     "simulate_pair",
     "next_fast_len",
     "write_path_files",
-    "write_path_csvs",
     "read_path_csv",
     "read_path_binary",
 ]
 
 _UINT64_MAX = 2**64 - 1
 
-_CSV_CHUNK_ROWS = 512  # rows per write in _write_csv; larger chunks are no faster, use more memory
+#: Rows per chunk of ``_write_rows``: the largest power of two whose
+#: temporaries stay under 1 MB (0.65 MB traced in a 3-path write, 1.2 MB at
+#: 4096 rows). Formatting a chunk takes about 80 numpy calls, and their
+#: fixed cost makes a row of a 3-path write take 605, 390, 362, 327 and
+#: 464 ns at 512, 1024, 2048, 4096 and 8192 rows a chunk.
+_CSV_CHUNK_ROWS = 2048
 
 #: Trimmed tap count up to which direct summation is used; longer tap
 #: arrays go through the FFT. Direct cost grows with the tap count, the
@@ -371,44 +379,227 @@ def simulate_pair(simulator: Simulator, seed: NoiseSeed) -> tuple:
     return Y, X
 
 
-def _write_csv(files, header, columns, shared=lambda i, k: []) -> None:
+def _write_csv(files, header, columns) -> None:
     """Write one UTF-8 CSV per file of ``files``: the ``header`` line, then
-    the rows ``_write_rows`` writes of ``columns`` and ``shared``.
+    the rows ``_write_rows`` writes of ``columns``.
 
     The bytes equal ``csv.writer`` output with ``repr`` cells: commas, CRLF
     line ends, no quoting, floats as ``repr(float)``, integers in decimal."""
     with ExitStack() as stack:
-        _write_rows(_open_csvs(stack, files, header), columns, shared)
+        _write_rows(_open_csvs(stack, files, header), columns)
 
 
 def _open_csvs(stack: ExitStack, files, header) -> list:
-    """The open handles of ``files``, closed with ``stack``, each holding
+    """The binary handles of ``files``, closed with ``stack``, each holding
     the ``header`` line."""
-    handles = [stack.enter_context(open(Path(f), "w", newline="", encoding="utf-8"))
-               for f in files]
+    handles = [stack.enter_context(open(Path(f), "wb")) for f in files]
     for fh in handles:
-        fh.write(",".join(header) + "\r\n")
+        fh.write((",".join(header) + "\r\n").encode("utf-8"))
     return handles
 
 
-def _write_rows(handles, columns, shared=lambda i, k: []) -> None:
+def _write_rows(handles, columns, lead=None) -> None:
     """Append rows to each handle, in chunks of ``_CSV_CHUNK_ROWS``: the
-    ``shared`` cells followed by that handle's equal-length 1-D arrays in
-    ``columns``, whose shortest sets the row count. ``shared(i, k)`` gives
-    the cell lists of rows ``i`` to ``i + k - 1`` of the columns every file
-    starts with, formatted once per chunk for all the files."""
-    n = min(len(col) for own in columns for col in own)
-    for i in range(0, n, _CSV_CHUNK_ROWS):
-        k = min(_CSV_CHUNK_ROWS, n - i)
-        first = shared(i, k)
+    ``lead`` column, when given, followed by that handle's 1-D arrays in
+    ``columns``. Every column must have the same length. The ``lead`` cells,
+    the column every file starts with, are formatted once per chunk for all
+    the files."""
+    lengths = [len(col) for col in [lead] + [col for own in columns for col in own]
+               if col is not None]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns must have one length, got lengths {lengths}")
+    for i in range(0, lengths[0] if lengths else 0, _CSV_CHUNK_ROWS):
+        rows = slice(i, i + _CSV_CHUNK_ROWS)
+        first = [] if lead is None else [_cells(lead[rows])]
         for fh, own in zip(handles, columns):
-            cells = first + [_cells(col[i : i + k]) for col in own]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            fh.write(_csv_lines(first + [_cells(col[rows]) for col in own]))
 
 
-def _cells(values: np.ndarray) -> list:
-    """The CSV cells of a 1-D array: ``repr`` of each Python float or int."""
-    return list(map(repr, values.tolist()))
+def _csv_lines(cells) -> bytes:
+    """The CSV lines of the rows of ``cells``, one NUL-padded byte matrix
+    per column: each row's cells joined by commas and ended by CRLF, with
+    the NUL bytes removed."""
+    n = len(cells[0])
+    comma = np.broadcast_to(np.uint8(ord(",")), (n, 1))
+    parts = [part for column in cells for part in (column, comma)]
+    parts[-1] = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (n, 2))
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+def _cells(values) -> np.ndarray:
+    """The CSV cells of a 1-D array, one row of NUL-padded bytes each:
+    ``_float_cells`` of a float array, ``repr`` of each element of any
+    other (an integer column)."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        return _float_cells(values)
+    text = np.array(list(map(repr, values.tolist())), dtype="S")
+    return text.view(np.uint8).reshape(values.size, -1)
+
+
+@functools.cache
+def _digit_tables() -> dict:
+    """The tables of ``_float_cells``, built on its first call: powers
+    indexed by the decimal exponent ``e`` (0 to 20), made from Python ints,
+    and ``words``, the 4-byte words a cell is spelled with.
+
+    Word ``10000 v + g`` spells the four-digit group ``g`` in variant ``v``:
+    0 with all its digits, 1 without leading zeros, 2 the same but ``0``
+    for zero, 3 without trailing zeros, 4 the same but ``0`` for zero.
+    Words 50000 to 50002 are nothing, ``-`` and ``.``. Unused bytes are
+    NUL. ``base`` holds the word offsets of a cell's 11 words (sign, four
+    integer groups, ``.``, five fraction groups), ``lead`` those of integer
+    groups 2 to 4 after zero groups only, ``trail`` those of fraction
+    groups 1 to 4 before zero groups only."""
+    e = range(21)
+
+    def table(values):
+        return np.array(list(values), dtype=np.int64)
+
+    g = np.arange(10000, dtype=np.uint16)[:, None]
+    place = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits = (g // place % 10 + ord("0")).astype(np.uint8)
+    lead = g >= place  # a digit after the leading zeros
+    trail = g % (10 * place) != 0  # a digit before the trailing zeros
+    first, last = place == 1000, place == 1
+    words = np.zeros((50003, 4), np.uint8)
+    for v, keep in enumerate([True, lead, lead | last, trail, trail | first]):
+        words[10000 * v : 10000 * (v + 1)] = np.where(keep, digits, 0)
+    words[50001:, 0] = [ord("-"), ord(".")]
+    return {
+        "ten_e": np.array([10.0**i for i in e]),
+        "five_e": table(5**i for i in e),
+        "int_unit": table(10**i if i < 19 else 0 for i in e),
+        "head_div": table(10 ** max(i - 8, 0) for i in e),
+        "head_mul": table(10 ** max(8 - i, 0) for i in e),
+        "tail_mul": table(10 ** min(20 - i, 12) for i in e),
+        "words": words.view(np.uint32).ravel(),
+        "base": table([50000, 10000, 0, 0, 0, 50002, 0, 0, 0, 0, 30000])[:, None],
+        "lead": table([10000, 10000, 20000])[:, None],
+        "trail": table([40000, 30000, 30000, 30000])[:, None],
+    }
+
+
+def _shortest_digits(a: np.ndarray, tables: dict) -> tuple:
+    """``(digits, e)``: ``digits 10^-e`` is the decimal ``repr`` writes for
+    each ``a`` in ``[1e-4, 1e16)``, as int64 arrays.
+
+    ``repr`` takes the shortest digits that read back to ``a``, the nearest
+    such digits when there are several, ties to even. They are found here by
+    Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020).
+    With ``a = c 2^q`` (``c`` the 53-bit significand), the doubles that read
+    back to ``a`` span ``c +- 1/2`` units of ``2^q``. The exponent
+    ``e = -floor(log10(2^q))`` makes that span between 1 and 10 units of
+    ``10^-e``, so it holds at most one multiple of ``10^(1-e)``: the
+    shortest digits, when it holds one. Else they are ``s`` or ``s + 1``
+    units of ``10^-e``, ``s = floor(a 10^e)``, whichever is in the span, or
+    nearer ``a`` when both are.
+
+    Two refinements of the full algorithm change no result in this range
+    and are left out. The span's ends count only for even ``c``, but no
+    candidate falls on an end: an end is an odd multiple of ``2^(q-1)``,
+    a whole number of units of ``10^-e`` only for ``q = 1``, where ``a`` is
+    an even integer, its own ``s``, and both ends are odd. At a power of
+    two the lower half of the span is ``1/4``; for each of the 67 powers of
+    two in the range the symmetric span gives the same digits
+    (``test_powers_and_their_neighbours`` holds them all).
+
+    ``a 10^e = 2 c 5^e / 2^t`` with ``t = 1 - q - e >= 0``. A float product
+    gives ``s`` to within a few units. The remainder ``2 c 5^e - s 2^t``,
+    computed modulo 2^64 by wrapping products, is exact because it is small,
+    and corrects ``s``. The bounds below are then integers in units of
+    ``2^-(t+1)`` of ``10^-e``."""
+    bits = a.view(np.int64)
+    q = (bits >> 52) - 1075
+    e = -((q * 661971961083) >> 41)  # 0 <= e <= 20
+    t = 1 - q - e
+    five = tables["five_e"][e]
+    s = (a * tables["ten_e"][e]).astype(np.int64)
+    rem = (((bits & (2**52 - 1)) + 2**52) << 1) * five - (s << t)
+    s += rem >> t
+    unit = 2 << t
+    frac = (rem & ((unit >> 1) - 1)) << 1  # a 10^e = s + frac / unit
+    half = five << 1  # the half span
+    tens = s // 10 * 10
+    below = (s - tens) * unit + frac
+    tens_in = below <= half
+    tens_up_in = 10 * unit - below <= half
+    s_in = frac <= half
+    s_up_in = unit - frac <= half
+    nearer_s = (2 * frac < unit) | ((2 * frac == unit) & (s & 1 == 0))
+    digits = np.where(tens_in != tens_up_in, tens + 10 * tens_up_in,
+                      s + (s_up_in & ~(s_in & nearer_s)))
+    return digits, e
+
+
+def _digit_groups(a: np.ndarray, tables: dict) -> np.ndarray:
+    """The decimals of ``_shortest_digits(a)`` as an ``(11, n)`` int64
+    array of four-digit groups, one column per value: rows 1 to 4 hold 16
+    integer digits and rows 6 to 10 hold 20 fraction digits; rows 0 and 5
+    are zero."""
+    digits, e = _shortest_digits(a, tables)
+    whole = a.astype(np.int64)
+    fraction = digits - whole * tables["int_unit"][e]
+    head = fraction // tables["head_div"][e]  # the first 8 fraction digits
+    tail = (fraction - head * tables["head_div"][e]) * tables["tail_mul"][e]
+    head *= tables["head_mul"][e]
+    # five 8-digit pairs of groups: twice 8 integer digits, then 4 (after
+    # a zero group), 8 and 8 fraction digits
+    pairs = np.empty((5, a.size), np.int64)
+    np.floor_divide(whole, 10**8, out=pairs[0])
+    pairs[1] = whole - pairs[0] * 10**8
+    np.floor_divide(head, 10**4, out=pairs[2])
+    pairs[3] = (head - pairs[2] * 10**4) * 10**4 + tail // 10**8
+    pairs[4] = tail % 10**8
+    groups = np.zeros((11, a.size), np.int64)
+    np.floor_divide(pairs, 10**4, out=groups[1::2])
+    np.subtract(pairs, groups[1::2] * 10**4, out=groups[2::2])
+    return groups
+
+
+def _float_cells(values) -> np.ndarray:
+    """The bytes of ``repr(float(x))`` for each ``x`` of a 1-D array, as the
+    rows of an ``(n, w)`` uint8 matrix with NUL bytes in the unused places.
+
+    ``repr`` writes ``1e-4 <= |x| < 1e16`` positionally. Those values are
+    spelled here from ``_digit_groups`` with the words of ``_digit_tables``:
+    a sign, 16 integer digits, the point and 20 fraction digits, without the
+    zeros before the first integer digit and after the last fraction digit
+    but one on each side of the point. Words that no cell uses are left
+    out, so ``w`` is 44 bytes or less. Zero, nonfinite values and the exponent
+    form, rare in paths, go through ``repr``, in 44 bytes."""
+    x = np.asarray(values, dtype=float)
+    tables = _digit_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    every = fast.all()
+    if not every:
+        a = np.where(fast, a, 1.0)
+    words = _digit_groups(a, tables)
+    words[0] = negative = np.signbit(x)
+    # lead[i]: integer groups 1 to i + 1 are zero; trail[i]: fraction groups
+    # i + 2 to 5 are zero (row by row: accumulate along rows is slow)
+    zero = words == 0
+    lead, trail = zero[1:4], zero[7:]
+    for i in (1, 2):
+        lead[i] &= lead[i - 1]
+    for i in (2, 1, 0):
+        trail[i] &= trail[i + 1]
+    words += tables["base"]
+    np.add(words[2:5], tables["lead"], out=words[2:5], where=lead)
+    np.add(words[6:10], tables["trail"], out=words[6:10], where=trail)
+    if every:  # drop the words that are empty in every cell
+        first, end = 1 + lead.all(axis=1).sum(), 11 - trail.all(axis=1).sum()
+        if negative.any():
+            first -= 1
+            words[first] = words[0]
+        words = words[first:end]
+    cells = np.take(tables["words"], words.T).view(np.uint8)
+    if not every:
+        slow = np.flatnonzero(~fast)
+        text = np.array([repr(v) for v in x[slow].tolist()], dtype="S44")
+        cells[slow] = text.view(np.uint8).reshape(-1, 44)
+    return cells
 
 
 #: Binary path layout: little-endian header (n: uint64, dt: float64,
@@ -423,9 +614,9 @@ def write_path_files(paths, csv_files, bin_files=()) -> None:
     their blocks: a block goes to every file before the next is read.
 
     A CSV holds (t,value) rows under a header line; each row chunk's ``t``
-    cells are formatted once for every file, from ``t_start + dt*j``, with
-    the bits of ``grid.times()``. A binary file has the ``_BIN_HEADER``
-    layout."""
+    column is made for that chunk only, from ``t_start + dt*j`` with the
+    bits of ``grid.times()``, and formatted once for every file. A binary
+    file has the ``_BIN_HEADER`` layout."""
     grid = paths[0].grid
     if any(p.grid != grid for p in paths):
         raise ValueError("paths must share one sampling grid")
@@ -439,18 +630,13 @@ def write_path_files(paths, csv_files, bin_files=()) -> None:
             fh.write(_BIN_HEADER.pack(grid.n, grid.dt, grid.t_start))
         j = 0
         for blocks in _blocks_in_step(paths):
-            if csvs:
-                _write_rows(csvs, [[b] for b in blocks], shared=lambda i, k: [
-                    _cells(grid.t_start + grid.dt * np.arange(j + i, j + i + k))])
+            for i in range(0, blocks[0].size, _CSV_CHUNK_ROWS) if csvs else ():
+                rows = [b[i : i + _CSV_CHUNK_ROWS] for b in blocks]
+                times = grid.t_start + grid.dt * np.arange(j + i, j + i + rows[0].size)
+                _write_rows(csvs, [[r] for r in rows], lead=times)
             for fh, block in zip(bins, blocks):
                 fh.write(np.ascontiguousarray(block, dtype="<f8"))
             j += blocks[0].size
-
-
-def write_path_csvs(paths, files) -> None:
-    """Write each of ``paths`` as (t,value) rows with a header line to the
-    file of ``files`` at the same index, in one pass (``write_path_files``)."""
-    write_path_files(paths, files)
 
 
 def write_path_csv(path, file) -> None:

@@ -32,7 +32,8 @@ SRC = Path(correlogram.__file__).parent
 # kind is a free label, and the bound reports hold JSON-native values;
 # an estimate is its columns, and the CLI writes the config values beside it;
 # a Monte Carlo run takes its checked config view; every domain exception is
-# an errors.DomainError, and verify_manifest reads the manifest as JSON
+# an errors.DomainError, and verify_manifest reads the manifest as JSON;
+# the CSV-only ladder writer was write_path_files without binary files
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -84,6 +85,7 @@ DELETED = [
     "_u_panels",
     "load_manifest",
     "_DOMAIN_ERRORS",
+    "write_path_csvs",
 ]
 
 # public names that neither another module nor the acceptance suite reads

@@ -274,3 +274,9 @@ class TestEstimate:
         rows = [[repr(float(v)) for v in row] for row in zip(*cols)]
         write_estimate_csv(dict(zip(header, cols)), {}, tmp_path / "est.csv")
         assert (tmp_path / "est.csv").read_bytes() == csv_writer_bytes(header, rows)
+
+    def test_short_column_refused(self, tmp_path):
+        # the rows once stopped at the shortest column without a word
+        columns = {"tau": np.zeros(5), "h_hat": np.ones(5), "h_mean": np.ones(4), "z_hat": np.ones(5)}
+        with pytest.raises(ValueError, match=r"one length, got lengths \[5, 5, 4, 5\]"):
+            write_estimate_csv(columns, {}, tmp_path / "est.csv")

@@ -37,7 +37,6 @@ from correlogram.simulate import (
     wiener_increments,
     write_path_binary,
     write_path_csv,
-    write_path_csvs,
     write_path_files,
 )
 
@@ -466,8 +465,7 @@ class TestPathIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 8.1 MB, nearly all of it the 4 MB times array and its
-        # temporaries; formatting the whole file as one chunk peaks at 79 MB
+        # measured 0.64 MB, 0.85 MB when this write builds the digit tables
         assert peak < 16e6
 
     @pytest.mark.parametrize("n_paths", [1, 3])
@@ -481,7 +479,7 @@ class TestPathIO:
         grid = TimeGrid(-1 / 3, 1 / 3, n)
         paths = [SampledPath(grid=grid, values=csv_edge_column(n, 3 * i)) for i in range(n_paths)]
         files = [tmp_path / f"p{i}.csv" for i in range(n_paths)]
-        write_path_csvs(paths, files)
+        write_path_files(paths, files)
         for path, file in zip(paths, files):
             rows = [[repr(float(t)), repr(float(v))] for t, v in zip(grid.times(), path.values)]
             assert file.read_bytes() == csv_writer_bytes(["t", "value"], rows)
@@ -490,9 +488,9 @@ class TestPathIO:
         a = SampledPath(grid=TimeGrid(0.0, 0.5, 4), values=np.zeros(4))
         b = SampledPath(grid=TimeGrid(0.0, 0.25, 4), values=np.zeros(4))
         with pytest.raises(ValueError, match="one sampling grid"):
-            write_path_csvs([a, b], [tmp_path / "a.csv", tmp_path / "b.csv"])
+            write_path_files([a, b], [tmp_path / "a.csv", tmp_path / "b.csv"])
         with pytest.raises(ValueError, match="2 paths need as many files"):
-            write_path_csvs([a, a], [tmp_path / "a.csv"])
+            write_path_files([a, a], [tmp_path / "a.csv"])
 
     def test_ladder_write_memory_is_chunked(self, tmp_path):
         n = 200_001
@@ -501,11 +499,12 @@ class TestPathIO:
         paths = [SampledPath(grid=grid, values=rng.normal(size=n)) for _ in range(3)]
         tracemalloc.start()
         try:
-            write_path_csvs(paths, [tmp_path / f"p{i}.csv" for i in range(3)])
+            write_path_files(paths, [tmp_path / f"p{i}.csv" for i in range(3)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 0.18 MB; the whole grid's times alone would be 1.6 MB
+        # measured 0.65 MB, 0.86 MB when this write builds the digit tables;
+        # the whole grid's times alone would be 1.6 MB
         assert peak < 1e6
 
     def test_truncated_binary_rejected(self, tmp_path):
@@ -542,6 +541,82 @@ class TestPathIO:
         target.write_bytes(struct.pack("<Qdd", 2, 0.0, 0.0) + bytes(16))
         with pytest.raises(ValueError, match="dt must be finite and positive, but .*p.bin gives"):
             read_path_binary(target)
+
+
+def cell_text(values):
+    """The CSV cells that ``_cells`` makes of a 1-D array, as text."""
+    lines = (simulate_mod._csv_lines([simulate_mod._cells(values[i : i + 2**16])])
+             for i in range(0, len(values), 2**16))
+    return b"".join(lines).decode().split("\r\n")[:-1]
+
+
+def repr_text(values):
+    return [repr(v) for v in np.asarray(values).tolist()]
+
+
+class TestCells:
+    # every cell has the bytes of repr, whether numpy formats it (1e-4 <=
+    # |x| < 1e16) or repr does (zero, nonfinite, exponent form)
+    def test_random_bit_patterns(self):
+        # about 97% print in exponent form, which repr takes about 1.6 us
+        # for, here and in the reference: 10^6 of them take 3.8 s
+        bits = NoiseSeed(27).generator().integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False)
+        values = bits.view(float)[np.isfinite(bits.view(float))]
+        assert cell_text(values) == repr_text(values)
+
+    def test_random_positional_values(self):
+        # random significands and signs under every binary exponent that
+        # holds a value of 1e-4 <= |x| < 1e16, all of them formatted in numpy
+        rng = NoiseSeed(28).generator()
+        n = 3 * 10**5
+        bits = (rng.integers(0, 2**52, n, dtype=np.uint64)
+                | rng.integers(1009, 1077, n, dtype=np.uint64) << np.uint64(52)
+                | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+        values = bits.view(float)
+        values = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+        assert values.size > 0.97 * n
+        assert cell_text(values) == repr_text(values)
+
+    def test_powers_and_their_neighbours(self):
+        powers = np.array([2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)])
+        near_2_53 = np.arange(2**53 - 2000, 2**53 + 2000).astype(float)
+        values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), near_2_53])
+        values = np.concatenate([values, -values])
+        assert cell_text(values) == repr_text(values)
+
+    def test_edge_column(self, csv_edge_column):
+        values = csv_edge_column(64, 5)
+        assert cell_text(values) == repr_text(values)
+
+    def test_nonfinite(self):
+        values = np.array([np.nan, np.inf, -np.inf, -np.nan, 0.5])
+        assert cell_text(values) == ["nan", "inf", "-inf", "nan", "0.5"]
+
+    def test_int64_column_keeps_repr(self):
+        values = np.array([0, -1, 7, 10**15, 2**63 - 1, -(2**63)], dtype=np.int64)
+        assert cell_text(values) == repr_text(values)
+
+    def test_narrow_chunks(self):
+        # a chunk leaves out the words none of its cells uses: chunks of one
+        # magnitude, of one sign, or of few fraction digits
+        rng = NoiseSeed(29).generator()
+        for k in range(-4, 16):
+            values = 10.0**k * rng.uniform(1, 10, 100)
+            signs = rng.choice([-1.0, 1.0], values.size)
+            for chunk in (values, -values, signs * values, np.round(values, 2), signs * np.round(values, 1)):
+                assert cell_text(chunk) == repr_text(chunk)
+
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_any_floats(self, values):
+        assert cell_text(np.array(values)) == repr_text(values)
+
+    @given(values=st.lists(st.tuples(st.booleans(), st.floats(1e-4, 1e16, exclude_max=True)),
+                           min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_any_positional_floats(self, values):
+        values = [-v if negative else v for negative, v in values]
+        assert cell_text(np.array(values)) == repr_text(values)
 
 
 def test_next_fast_len_matches_scipy():
