@@ -16,10 +16,9 @@ interpolating; the snapped grid is what the estimate reports.
 
 The lagged products are summed over the window [0, T) in blocks of
 ``simulate._BLOCK_SAMPLES`` samples, from paths that arrive in blocks too
-(``PathBlocks``, or a whole ``SampledPath`` in views of a block each): a
-window block waits only for the ``Y`` samples its largest lag reaches.
-So the estimate's working set does not grow with ``T``, and a window of
-at most one block is summed in one piece.
+(``PathBlocks``, or a whole ``SampledPath`` in views of a block each), so
+the estimate's working set, which ``_lagged_values`` counts, does not
+grow with ``T``; a window of at most one block is summed in one piece.
 """
 
 from __future__ import annotations
@@ -94,11 +93,6 @@ def _horizon_steps(T: float, dt: float) -> int:
     return n_T
 
 
-def _lattice_index(t: float, grid) -> int:
-    j = (t - grid.t_start) / grid.dt
-    return int(round(j))
-
-
 def cross_correlogram(Y, X, c: float, T: float, tau_grid: Sequence[float]) -> np.ndarray:
     """Left-Riemann lagged products ``(1/(cT)) sum_j Y(t_j+tau) X(t_j) dt``.
 
@@ -107,7 +101,6 @@ def cross_correlogram(Y, X, c: float, T: float, tau_grid: Sequence[float]) -> np
     to the lattice first. Raises when the shared grid does not cover every
     shifted window.
 
-    The window is summed in blocks of ``_BLOCK_SAMPLES`` samples.
     Up to ``_DOT_MAX_LAGS`` lags take one dot product per lag and block.
     More lags take, per block of ``m`` samples, one zero-padded real FFT
     cross-correlation of the ``m + hi - lo`` ``Y`` samples that the shifts
@@ -130,7 +123,7 @@ def cross_correlogram(Y, X, c: float, T: float, tau_grid: Sequence[float]) -> np
     tau = snap_tau_grid(tau_grid, dt)
     shifts = np.round(tau / dt).astype(int)
 
-    j0 = _lattice_index(0.0, grid)
+    j0 = round(-grid.t_start / dt)  # the lattice index of t = 0
     if abs(grid.t_start + j0 * dt) > 1e-9 * dt:
         raise ValueError("grid does not contain t=0 on its lattice")
 
@@ -153,13 +146,12 @@ def cross_correlogram(Y, X, c: float, T: float, tau_grid: Sequence[float]) -> np
 
 def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
     """``sum_{j < n_T} y[j0 + k + j] x[j0 + j]`` for each shift ``k`` of
-    ``shifts``, from the consecutive ``(y, x)`` grid blocks of ``blocks``.
+    ``shifts``, from the ``(j, (y, x))`` grid blocks of ``_blocks_in_step``.
 
-    The window ``j0 .. j0 + n_T - 1`` is summed in blocks of
-    ``_BLOCK_SAMPLES``. The buffers ``y`` and ``x`` hold the grid
-    samples from ``start`` on; a window block is summed once ``y`` reaches
-    its largest shift and ``x`` the block's end, and the samples before the
-    next window block's smallest shift are dropped."""
+    The buffers ``y`` and ``x`` hold the grid samples from ``start`` on; a
+    window block is summed once ``y`` reaches its largest shift and ``x``
+    the block's end, and the samples before the next window block's
+    smallest shift are dropped."""
     lo, hi = (int(shifts.min()), int(shifts.max())) if shifts.size else (0, 0)
     block = min(n_T, _BLOCK_SAMPLES)
     dots = shifts.size <= _DOT_MAX_LAGS
@@ -167,7 +159,7 @@ def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
     y = x = np.empty(0)
     start = done = 0
     total = None
-    for y_new, x_new in blocks:
+    for _, (y_new, x_new) in blocks:
         if done == n_T:
             continue
         y = y_new if not y.size else np.concatenate((y, y_new))
@@ -191,6 +183,16 @@ def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
         drop = min(max(j0 + done + min(lo, 0) - start, 0), y.size)
         y, x, start = y[drop:], x[drop:], start + drop
     return total
+
+
+def _lagged_values(n_T: int, span: int, block: int) -> tuple:
+    """``(buffer, values)`` of ``_lagged_sums`` over ``n_T`` window samples
+    and ``span`` lag steps from paths in blocks of ``block``: the most its
+    ``y`` or ``x`` holds, two blocks and the look-ahead, and the most float64
+    values it holds, both buffers and the transforms of its FFT route."""
+    buffer = 2 * block + span
+    size = next_fast_len(min(n_T, _BLOCK_SAMPLES) + span)
+    return buffer, 2 * buffer + 3 * (size + 2)
 
 
 def theoretical_bias(h: Kernel, g: Kernel, c: float, tau):

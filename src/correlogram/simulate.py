@@ -18,19 +18,17 @@ replications no matter how work is scheduled.
 
 A ``ConvolutionPlan`` samples and trims one kernel's taps for one grid
 and pad and convolves increments with them. A ``Simulator`` holds the
-plans of any number of kernels under the largest pad any of them needs:
-each draw reads one seed's increment stream and convolves it with every
-plan, so all the paths of a draw share one Wiener input. Every command
-and the replication harness draw through it.
+plans of any number of kernels under the largest pad any of them needs;
+each draw convolves one seed's increment stream with every plan, so all
+the paths of a draw share one Wiener input. Every command and the
+replication harness draw through it.
 
-Paths are made in blocks of ``_BLOCK_SAMPLES`` output samples. A draw
-takes the increments of one block at a time from the generator, keeping
-from one block to the next only the history the longest taps reach, and
-each plan convolves a block by overlap-save: the block's increments and
-that history in, the block's outputs out. A path of at most one block is
-one block. So a draw's working set does not grow with the grid: a
-``PathBlocks`` hands the blocks on as they are made, and the path writers
-write them as they come. ``SampledPath`` is a whole path in memory.
+Paths are made in blocks of ``_BLOCK_SAMPLES`` output samples, each
+convolved by overlap-save from its increments and the history the longest
+taps reach, so a draw's working set, which ``_draw_values`` counts, does
+not grow with the grid: a ``PathBlocks`` hands the blocks on as they are
+made, and the path writers write them as they come. A path of at most
+one block is one block. ``SampledPath`` is a whole path in memory.
 
 Every CSV goes through ``_write_rows``, which formats a chunk of rows in
 numpy: ``_float_cells`` gives each float the bytes of its ``repr``.
@@ -88,8 +86,7 @@ _DIRECT_MAX_TAPS = 512
 
 #: Output samples per block of a draw, and window samples per block of a
 #: correlogram (``estimator.cross_correlogram``); a multiple of
-#: ``_CSV_CHUNK_ROWS``. Working arrays hold about one block plus the
-#: longest taps or lags, whatever the length of the grid.
+#: ``_CSV_CHUNK_ROWS``.
 _BLOCK_SAMPLES = 65536
 
 
@@ -313,6 +310,7 @@ class Simulator:
         self.history = max(p.first + p.taps.size - 1 for p in self.plans) - self.first
         self.block = min(grid.n, _BLOCK_SAMPLES)
         self.increments = np.empty(self.block + self.history)
+        self._owner = None  # the token of the draw that holds the buffer
 
     def blocks(self, seed: NoiseSeed) -> Iterator[tuple]:
         """Yield each block of a draw from ``seed`` as a tuple of one new
@@ -320,13 +318,18 @@ class Simulator:
 
         The increments are those of ``wiener_increments(grid, pad, seed)``,
         drawn a block at a time from one generator; the ``history`` last
-        ones of a block stay in the buffer for the next. Read a draw to its
-        end before the next one starts: they share the buffer."""
+        ones of a block stay in the buffer for the next. Draws share the
+        buffer: one that resumes after a later draw has taken it raises
+        ``RuntimeError``, and one left unread holds nothing up."""
         gen, scale, buf = seed.generator(), math.sqrt(self.grid.dt), self.increments
+        token = self._owner = object()
         for skip in range(0, self.first, buf.size):  # increments no tap reaches
             gen.standard_normal(out=buf[: min(buf.size, self.first - skip)])
         for j in range(0, self.grid.n, self.block):
             m = min(self.block, self.grid.n - j)
+            if self._owner is not token:
+                raise RuntimeError("a later draw of this Simulator has taken its increment "
+                                   "buffer; read a draw to its end before the next one starts")
             if j:
                 buf[: self.history] = buf[self.block : self.block + self.history]
             fresh = buf[self.history if j else 0 : self.history + m]
@@ -334,12 +337,6 @@ class Simulator:
             fresh *= scale
             yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1])
                         for plan in self.plans)
-
-    def draw(self, seed: NoiseSeed):
-        """Yield one whole ``SampledPath`` per kernel, in order: the blocks of
-        a draw from ``seed`` joined."""
-        for parts in zip(*self.blocks(seed)):
-            yield SampledPath(self.grid, parts[0] if len(parts) == 1 else np.concatenate(parts))
 
     def stream(self, seed: NoiseSeed) -> tuple:
         """One ``PathBlocks`` per kernel, in order, over the blocks of a draw
@@ -362,14 +359,37 @@ class Simulator:
         return tuple(PathBlocks(self.grid, path(queue)) for queue in pending)
 
 
+def _draw_values(kernels, n: int, dt: float) -> tuple:
+    """``(block, values)``: the output samples per block of a draw of
+    ``kernels`` on an ``n``-sample grid at ``dt``, and the most float64
+    values it holds: the sampled times and taps, ``2*taps`` for ``taps =
+    2*pad + 1`` (no plan keeps more); per plan its taps, tap spectrum and
+    two output blocks (one waiting in ``stream``), as an FFT plan once
+    ``taps`` exceeds ``_DIRECT_MAX_TAPS``; the increments with their
+    history; one work spectrum and one inverse transform."""
+    pad = max(required_pad(k, dt) for k in kernels)
+    taps, block = 2 * pad + 1, min(n, _BLOCK_SAMPLES)
+    size = next_fast_len(block + taps - 1) if taps > _DIRECT_MAX_TAPS else 0
+    plans = len(kernels) * (taps + size + 2 + 2 * block)
+    return block, 2 * taps + plans + block + 2 * pad + 2 * size + 2
+
+
 def _blocks_in_step(paths) -> Iterator[tuple]:
-    """The blocks of ``paths`` (``SampledPath``s or ``PathBlocks`` on one
-    grid), one tuple per step; blocks of one step must be of one size."""
-    for blocks in zip(*(p.iter_blocks() for p in paths)):
+    """``(j, blocks)`` per step over ``paths``, ``SampledPath``s or
+    ``PathBlocks`` on one grid: their blocks, of one size, from grid sample
+    ``j`` on. The blocks of a path must hold the ``n`` samples of its grid."""
+    n, count = paths[0].grid.n, 0
+    for blocks in zip(*(p.iter_blocks() for p in paths), strict=True):
         if any(b.size != blocks[0].size for b in blocks):
             raise ValueError(f"paths must come in blocks of one size, got "
                              f"{[b.size for b in blocks]}")
-        yield blocks
+        if count + blocks[0].size > n:
+            raise ValueError(f"the paths' blocks run past their grid's n={n}: "
+                             f"{count + blocks[0].size} samples so far")
+        yield count, blocks
+        count += blocks[0].size
+    if count != n:
+        raise ValueError(f"the paths' blocks hold {count} samples, but their grid has n={n}")
 
 
 def simulate_pair(simulator: Simulator, seed: NoiseSeed) -> tuple:
@@ -565,18 +585,18 @@ def _float_cells(values) -> np.ndarray:
     spelled here from ``_digit_groups`` with the words of ``_digit_tables``:
     a sign, 16 integer digits, the point and 20 fraction digits, without the
     zeros before the first integer digit and after the last fraction digit
-    but one on each side of the point. Words that no cell uses are left
-    out, so ``w`` is 44 bytes or less. Zero, nonfinite values and the exponent
-    form, rare in paths, go through ``repr``, in 44 bytes."""
+    but one on each side of the point. Words that no such cell uses are left
+    out, so their part of ``w`` is 44 bytes or less. Zero, nonfinite values
+    and the exponent form, rare in paths, go through ``repr``, and ``w``
+    widens to the longest of them."""
     x = np.asarray(values, dtype=float)
     tables = _digit_tables()
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
-    every = fast.all()
-    if not every:
-        a = np.where(fast, a, 1.0)
+    slow = np.flatnonzero(~fast)
+    a[slow] = 1.0  # spelled in words that every positional cell uses
     words = _digit_groups(a, tables)
-    words[0] = negative = np.signbit(x)
+    words[0] = negative = np.signbit(x) & fast
     # lead[i]: integer groups 1 to i + 1 are zero; trail[i]: fraction groups
     # i + 2 to 5 are zero (row by row: accumulate along rows is slow)
     zero = words == 0
@@ -588,17 +608,17 @@ def _float_cells(values) -> np.ndarray:
     words += tables["base"]
     np.add(words[2:5], tables["lead"], out=words[2:5], where=lead)
     np.add(words[6:10], tables["trail"], out=words[6:10], where=trail)
-    if every:  # drop the words that are empty in every cell
-        first, end = 1 + lead.all(axis=1).sum(), 11 - trail.all(axis=1).sum()
-        if negative.any():
-            first -= 1
-            words[first] = words[0]
-        words = words[first:end]
-    cells = np.take(tables["words"], words.T).view(np.uint8)
-    if not every:
-        slow = np.flatnonzero(~fast)
-        text = np.array([repr(v) for v in x[slow].tolist()], dtype="S44")
-        cells[slow] = text.view(np.uint8).reshape(-1, 44)
+    # drop the words that are empty in every cell
+    first, end = 1 + lead.all(axis=1).sum(), 11 - trail.all(axis=1).sum()
+    if negative.any():
+        first -= 1
+        words[first] = words[0]
+    cells = np.take(tables["words"], words[first:end].T).view(np.uint8)
+    if slow.size:
+        text = np.array([repr(v) for v in x[slow].tolist()], dtype="S")
+        width = max(cells.shape[1], text.itemsize)
+        cells = np.pad(cells, ((0, 0), (0, width - cells.shape[1])))
+        cells[slow] = text.astype(f"S{width}").view(np.uint8).reshape(-1, width)
     return cells
 
 
@@ -628,15 +648,13 @@ def write_path_files(paths, csv_files, bin_files=()) -> None:
         bins = [stack.enter_context(open(Path(f), "wb")) for f in bin_files]
         for fh in bins:
             fh.write(_BIN_HEADER.pack(grid.n, grid.dt, grid.t_start))
-        j = 0
-        for blocks in _blocks_in_step(paths):
+        for j, blocks in _blocks_in_step(paths):
             for i in range(0, blocks[0].size, _CSV_CHUNK_ROWS) if csvs else ():
                 rows = [b[i : i + _CSV_CHUNK_ROWS] for b in blocks]
                 times = grid.t_start + grid.dt * np.arange(j + i, j + i + rows[0].size)
                 _write_rows(csvs, [[r] for r in rows], lead=times)
             for fh, block in zip(bins, blocks):
                 fh.write(np.ascontiguousarray(block, dtype="<f8"))
-            j += blocks[0].size
 
 
 def write_path_csv(path, file) -> None:

@@ -86,6 +86,7 @@ DELETED = [
     "load_manifest",
     "_DOMAIN_ERRORS",
     "write_path_csvs",
+    "draw",
 ]
 
 # public names that neither another module nor the acceptance suite reads

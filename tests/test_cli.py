@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import correlogram.cli as cli
+import correlogram.config as config_mod
 from correlogram.config import (
     COMMANDS,
     KEYS,
@@ -26,7 +28,7 @@ from correlogram.config import (
     view_kernels,
 )
 from correlogram.bounds import corollary2_report
-from correlogram.estimator import estimation_grid
+from correlogram.estimator import _horizon_steps, cross_correlogram, estimation_grid
 from correlogram.errors import (
     BoundUnavailable,
     ConsistencyError,
@@ -35,8 +37,22 @@ from correlogram.errors import (
     PadError,
     ReplicationError,
 )
-from correlogram.montecarlo import empirical_sup_tail, sample_stationary_Y
-from correlogram.simulate import NoiseSeed, read_path_binary, read_path_csv, write_path_csv
+from correlogram.montecarlo import (
+    _lattice,
+    _replicate_share,
+    empirical_sup_tail,
+    sample_stationary_Y,
+)
+from correlogram.simulate import (
+    NoiseSeed,
+    Simulator,
+    TimeGrid,
+    read_path_binary,
+    read_path_csv,
+    simulate_pair,
+    write_path_csv,
+    write_path_files,
+)
 
 
 BASE_CONFIG = {
@@ -148,6 +164,52 @@ class TestConfigModule:
         # a kernel support whose sampled taps alone exceed that memory
         with pytest.raises(ConfigError, match="sampled kernel taps"):
             command_view(dict(cfg, dt=1e-10, T=1.0), "estimate")
+
+    def test_traced_working_set_stays_within_the_view_count(self, monkeypatch, tmp_path):
+        # a real simulate, estimate and replication, each in four blocks with
+        # a sinc FFT plan, allocate no more than the 8 bytes a value of the
+        # working set that their view counts; a buffer that grows without
+        # its count (say a plan's transforms at twice their length) fails
+        counts = []
+        real = config_mod._fits_array
+        monkeypatch.setattr(config_mod, "_fits_array", lambda what, rows, cols=1: (
+            counts.append((what, rows * cols)), real(what, rows, cols)))
+        cfg = {"dt": 1e-3, "T": 200.0, "tau_grid": [i / 1000 for i in range(1001)],
+               "command_defaults": {
+                   "simulate": {"deltas": [10.0]},
+                   "montecarlo": {"dt": 0.01, "T": 2000.0, "tau_grid": [0.0, 0.5, 1.0],
+                                  "replications": 2}}}
+
+        def simulate(view, h, family):
+            grid = TimeGrid(view["t_start"], view["dt"], _horizon_steps(view["T"], view["dt"]) + 1)
+            stems = [tmp_path / f"path{i}" for i in range(1 + len(view["deltas"]))]
+            write_path_files(Simulator([h, *map(family, view["deltas"])], grid).stream(NoiseSeed(1)),
+                             [f.with_suffix(".csv") for f in stems],
+                             [f.with_suffix(".bin") for f in stems])
+
+        def estimate(view, h, family):
+            grid = estimation_grid(view["T"], view["dt"], view["tau_grid"])
+            Y, X = simulate_pair(Simulator((h, family(view["delta"])), grid), NoiseSeed(1))
+            cross_correlogram(Y, X, view["c"], view["T"], view["tau_grid"])
+
+        def replication(view, h, family):
+            taus = _lattice(view)
+            _replicate_share((view, taus, np.zeros(taus.size), 0, view["replications"]))
+
+        for command, run in [("simulate", simulate), ("estimate", estimate),
+                             ("montecarlo", replication)]:
+            counts.clear()
+            view = command_view(cfg, command)
+            values, = [v for what, v in counts if what.startswith("the streamed working set")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                tracemalloc.start()
+                try:
+                    run(view, *view_kernels(view))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 8 * values, (command, peak, 8 * values)
 
     def test_readme_key_table_matches_keys(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -93,6 +93,25 @@ class TestCrossCorrelogram:
         with pytest.raises(ValueError):
             cross_correlogram(y, x, c=1.0, T=5.03, tau_grid=[0.0])
 
+    @pytest.mark.parametrize("sizes, message", [
+        ([5, 5], "hold 10 samples, but their grid has n=21"),
+        ([8, 8, 8], "run past their grid's n=21: 24 samples so far"),
+    ], ids=["short", "past"])
+    def test_blocks_must_fill_the_grid(self, sizes, message):
+        # blocks that stop after the window or run past the grid would sum
+        # the wrong samples, or only some of them
+        grid = TimeGrid(0.0, 0.1, 21)
+        Y, X = (PathBlocks(grid, (np.ones(m) for m in sizes)) for _ in range(2))
+        with pytest.raises(ValueError, match=message):
+            cross_correlogram(Y, X, 1.0, 1.0, [0.0, 0.5, 1.0])
+
+    def test_streamed_pair_is_read_once(self):
+        grid = estimation_grid(2.0, 0.05, [0.0, 1.0])
+        Y, X = simulate_pair(Simulator((make_sinc(), make_triangular(2.0, 1.0)), grid), NoiseSeed(1))
+        cross_correlogram(Y, X, 1.0, 2.0, [0.0, 1.0])
+        with pytest.raises(ValueError, match=f"hold 0 samples, but their grid has n={grid.n}"):
+            cross_correlogram(Y, X, 1.0, 2.0, [0.0, 1.0])
+
 
 class TestFFTRoute:
     """cross_correlogram against one dot product per lag: the loop route

@@ -257,25 +257,28 @@ class TestConvolution:
         branches = ["fft" if p.taps.size > simulate_mod._DIRECT_MAX_TAPS else "direct"
                     for p in sim.plans]
         assert branches == ["fft", "direct", "direct"]
-        paths = list(sim.draw(NoiseSeed(7, 3)))
+        paths = _joined(sim.stream(NoiseSeed(7, 3)))
         dW = wiener_increments(grid, pad, NoiseSeed(7, 3))
         assert len(paths) == len(kernels)
-        for k, path in zip(kernels, paths):
-            assert path.values.tobytes() == output(k, dW, grid, pad).values.tobytes()
+        for k, values in zip(kernels, paths):
+            assert values.tobytes() == output(k, dW, grid, pad).values.tobytes()
 
     def test_pair_validates_each_path_once(self, monkeypatch):
         h, g, grid = make_sinc(), make_triangular(2.0, 1.0), TimeGrid(0.0, 0.05, 101)
         pad = max(required_pad(h, grid.dt), required_pad(g, grid.dt))
         dW = wiener_increments(grid, pad, NoiseSeed(5))
         want = [output(k, dW, grid, pad).values for k in (h, g)]
+        # each path's blocks are checked once as they are read, and no whole
+        # path is built to check it again
         checks = []
-        real = SampledPath.__post_init__
-        monkeypatch.setattr(SampledPath, "__post_init__", lambda p: checks.append(real(p)))
+        real = PathBlocks.iter_blocks
+        monkeypatch.setattr(PathBlocks, "iter_blocks", lambda p: checks.append(p) or real(p))
+        monkeypatch.setattr(SampledPath, "__post_init__", lambda p: pytest.fail("whole path built"))
         sim = Simulator((h, g), grid)
-        pair = list(sim.draw(NoiseSeed(5)))
+        pair = _joined(simulate_pair(sim, NoiseSeed(5)))
         assert len(checks) == 2
-        for path, values in zip(pair, want):
-            assert path.values.tobytes() == values.tobytes()
+        for got, values in zip(pair, want):
+            assert got.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize(
         "values",
@@ -349,7 +352,7 @@ class TestBlocks:
         else:
             atol = 1e-12 * np.abs(plan.taps).sum() * np.abs(dW).max()
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
-        assert [p.values.tobytes() for p in sim.draw(NoiseSeed(8))] == [got.tobytes()]
+        assert [v.tobytes() for v in _joined(sim.stream(NoiseSeed(8)))] == [got.tobytes()]
         assert simulate_output(plan, dW).values.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("block", [65536, 150])
@@ -363,8 +366,8 @@ class TestBlocks:
         sim = Simulator((kernel, make_triangular(2.0, 1.0)), grid)
         blocks = [part for parts in sim.blocks(NoiseSeed(3)) for part in parts]
         assert len(blocks) == 2 * -(-grid.n // block)
-        paths = list(sim.draw(NoiseSeed(3)))
-        assert all(_owns_its_samples(v) for v in blocks + [p.values for p in paths])
+        streamed = [b for path in sim.stream(NoiseSeed(3)) for b in path.iter_blocks()]
+        assert all(_owns_its_samples(v) for v in blocks + streamed)
 
     def test_stream_holds_one_block_per_path(self, monkeypatch):
         # read in step, the draw makes no block ahead of the readers and
@@ -387,6 +390,36 @@ class TestBlocks:
             assert all(ref() is None for ref in made[:-2])
         assert sizes == [(100, 100, 2 * k) for k in range(1, 11)] + [(1, 1, 22)]
 
+    def test_interleaved_draws_are_refused(self, monkeypatch):
+        # two draws of one Simulator share its increment buffer: the first
+        # may not resume once the second has taken it, and a draw left
+        # unread holds up no later one
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 100)
+        grid = TimeGrid(0.0, 0.05, 1001)
+        kernels = (make_sinc(), make_triangular(2.0, 1.0))
+        sim = Simulator(kernels, grid)
+        first, second = (zip(*(p.iter_blocks() for p in sim.stream(NoiseSeed(i)))) for i in (1, 2))
+        next(first)
+        next(second)
+        with pytest.raises(RuntimeError, match="later draw"):
+            next(first)
+        got = _joined(sim.stream(NoiseSeed(2)))
+        want = _joined(Simulator(kernels, grid).stream(NoiseSeed(2)))
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([3, 3], "hold 6 samples, but their grid has n=10"),
+        ([4, 4, 4], "run past their grid's n=10: 12 samples so far"),
+    ], ids=["short", "past"])
+    def test_files_need_blocks_that_fill_the_grid(self, tmp_path, sizes, message):
+        # a binary file whose header promises samples it lacks is refused
+        # when written, not only when read back
+        grid = TimeGrid(0.0, 0.1, 10)
+        paths = [PathBlocks(grid, (np.ones(m) for m in sizes)) for _ in range(2)]
+        names = [tmp_path / f"{stem}{ext}" for stem in ("y", "x") for ext in (".csv", ".bin")]
+        with pytest.raises(ValueError, match=message):
+            write_path_files(paths, names[::2], names[1::2])
+
     def test_streamed_block_must_be_finite(self):
         grid = TimeGrid(0.0, 1.0, 4)
         path = PathBlocks(grid, iter([np.ones(2), np.array([1.0, np.inf])]))
@@ -400,7 +433,9 @@ class TestBlocks:
         sim = Simulator((make_sinc(), make_triangular(2.0, 1.0)), grid)
         names = [tmp_path / f"{stem}{ext}" for stem in ("y", "x") for ext in (".csv", ".bin")]
         write_path_files(sim.stream(NoiseSeed(4)), names[::2], names[1::2])
-        for path, csv_file, bin_file in zip(sim.draw(NoiseSeed(4)), names[::2], names[1::2]):
+        whole = _joined(sim.stream(NoiseSeed(4)))
+        for values, csv_file, bin_file in zip(whole, names[::2], names[1::2]):
+            path = SampledPath(grid, values)
             write_path_csv(path, tmp_path / "whole.csv")
             write_path_binary(path, tmp_path / "whole.bin")
             assert csv_file.read_bytes() == (tmp_path / "whole.csv").read_bytes()
