@@ -30,8 +30,8 @@ not grow with the grid: a ``PathBlocks`` hands the blocks on as they are
 made, and the path writers write them as they come. A path of at most
 one block is one block. ``SampledPath`` is a whole path in memory.
 
-Every CSV goes through ``_write_rows``, which formats a chunk of rows in
-numpy: ``_float_cells`` gives each float the bytes of its ``repr``.
+Path, estimate and trajectories CSVs go through ``_write_rows``, which
+formats row chunks in numpy: ``_float_cells`` gives each float its ``repr``.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ class ConvolutionPlan:
     spectrum and one work spectrum, a block costs one ``rfft``, which
     zero-pads the block's increments itself, and one ``irfft``, whose
     wrap-around stays in the ``taps.size - 1`` leading samples that the
-    block's outputs skip.
+    block's outputs skip. Each call rewrites the whole work spectrum.
     """
 
     def __init__(self, k: Kernel, grid: TimeGrid, pad: int):
@@ -293,7 +293,7 @@ def simulate_output(plan: ConvolutionPlan, increments: np.ndarray) -> SampledPat
 
 class Simulator:
     """The convolution plans of the kernel sequence ``kernels`` on one grid
-    and one increment buffer of one block, for any number of draws.
+    and the increment buffer a finished draw left, for any number of draws.
 
     The pad is the largest any of the kernels needs, so every output is
     unbiased over the whole grid and all are jointly stationary. A block of
@@ -309,27 +309,23 @@ class Simulator:
         self.first = min(p.first for p in self.plans)
         self.history = max(p.first + p.taps.size - 1 for p in self.plans) - self.first
         self.block = min(grid.n, _BLOCK_SAMPLES)
-        self.increments = np.empty(self.block + self.history)
-        self._owner = None  # the token of the draw that holds the buffer
+        self._spare = []
 
     def blocks(self, seed: NoiseSeed) -> Iterator[tuple]:
         """Yield each block of a draw from ``seed`` as a tuple of one new
         array per kernel, in order.
 
         The increments are those of ``wiener_increments(grid, pad, seed)``,
-        drawn a block at a time from one generator; the ``history`` last
-        ones of a block stay in the buffer for the next. Draws share the
-        buffer: one that resumes after a later draw has taken it raises
-        ``RuntimeError``, and one left unread holds nothing up."""
-        gen, scale, buf = seed.generator(), math.sqrt(self.grid.dt), self.increments
-        token = self._owner = object()
+        drawn a block at a time from one generator into a buffer that the
+        draw holds to its end; the ``history`` last ones of a block stay in
+        it for the next. A draw takes the buffer a finished draw left or
+        makes its own, so draws may be read interleaved."""
+        gen, scale = seed.generator(), math.sqrt(self.grid.dt)
+        buf = self._spare.pop() if self._spare else np.empty(self.block + self.history)
         for skip in range(0, self.first, buf.size):  # increments no tap reaches
             gen.standard_normal(out=buf[: min(buf.size, self.first - skip)])
         for j in range(0, self.grid.n, self.block):
             m = min(self.block, self.grid.n - j)
-            if self._owner is not token:
-                raise RuntimeError("a later draw of this Simulator has taken its increment "
-                                   "buffer; read a draw to its end before the next one starts")
             if j:
                 buf[: self.history] = buf[self.block : self.block + self.history]
             fresh = buf[self.history if j else 0 : self.history + m]
@@ -337,6 +333,7 @@ class Simulator:
             fresh *= scale
             yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1])
                         for plan in self.plans)
+        self._spare = [buf]  # no block of this draw reads it any more
 
     def stream(self, seed: NoiseSeed) -> tuple:
         """One ``PathBlocks`` per kernel, in order, over the blocks of a draw

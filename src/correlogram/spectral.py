@@ -205,7 +205,7 @@ _LAG_BLOCK = 64
 
 def _cis(theta: np.ndarray) -> np.ndarray:
     """``e^{i theta}`` by a real cos and sin: numpy's complex exp gives the
-    same bits about 1.7 times slower."""
+    same bits about 1.2 times slower."""
     out = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)

@@ -390,22 +390,35 @@ class TestBlocks:
             assert all(ref() is None for ref in made[:-2])
         assert sizes == [(100, 100, 2 * k) for k in range(1, 11)] + [(1, 1, 22)]
 
-    def test_interleaved_draws_are_refused(self, monkeypatch):
-        # two draws of one Simulator share its increment buffer: the first
-        # may not resume once the second has taken it, and a draw left
-        # unread holds up no later one
+    def test_interleaved_draws_are_independent(self, monkeypatch):
+        # two draws of one Simulator read alternately, block by block, after
+        # a finished draw has left its increment buffer, each give the bits
+        # of a fresh Simulator's draw of their seed
         monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 100)
         grid = TimeGrid(0.0, 0.05, 1001)
         kernels = (make_sinc(), make_triangular(2.0, 1.0))
         sim = Simulator(kernels, grid)
-        first, second = (zip(*(p.iter_blocks() for p in sim.stream(NoiseSeed(i)))) for i in (1, 2))
-        next(first)
-        next(second)
-        with pytest.raises(RuntimeError, match="later draw"):
-            next(first)
-        got = _joined(sim.stream(NoiseSeed(2)))
-        want = _joined(Simulator(kernels, grid).stream(NoiseSeed(2)))
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert len(list(sim.blocks(NoiseSeed(9)))) == 11
+        draws = [zip(*(p.iter_blocks() for p in sim.stream(NoiseSeed(i)))) for i in (1, 2)]
+        steps = list(zip(*draws, strict=True))  # a block of each draw per step
+        for seed, blocks in zip((1, 2), zip(*steps)):
+            joined = [np.concatenate(path).tobytes() for path in zip(*blocks)]
+            want = _joined(Simulator(kernels, grid).stream(NoiseSeed(seed)))
+            assert joined == [v.tobytes() for v in want]
+
+    def test_a_draw_keeps_its_bits_after_finished_and_unread_draws(self, monkeypatch):
+        # a draw that makes its own increment buffer beside a draw left
+        # unread, and one that takes the buffer a finished draw left, give
+        # a fresh Simulator's bits
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 100)
+        grid = TimeGrid(0.0, 0.05, 1001)
+        kernels = (make_sinc(), make_triangular(2.0, 1.0))
+        sim = Simulator(kernels, grid)
+        assert len(list(sim.blocks(NoiseSeed(9)))) == 11
+        next(sim.blocks(NoiseSeed(5)))
+        want = [v.tobytes() for v in _joined(Simulator(kernels, grid).stream(NoiseSeed(4)))]
+        for _ in range(2):
+            assert [v.tobytes() for v in _joined(sim.stream(NoiseSeed(4)))] == want
 
     @pytest.mark.parametrize("sizes, message", [
         ([3, 3], "hold 6 samples, but their grid has n=10"),
