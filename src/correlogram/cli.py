@@ -83,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides env and config)")
         if name == "montecarlo":
             p.add_argument("--workers", type=_positive_int, default=1,
-                           help="replication worker processes (outputs invariant to N)")
+                           help="replication worker processes, each running its replications "
+                                "on threads, one per CPU of its share of the CPU affinity "
+                                "(outputs invariant to N and to the thread count)")
             p.add_argument("--emit-paths", action="store_true",
                            help="also write Z trajectories and the first replication's paths")
     return parser
@@ -258,7 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        view = command_view(cfg, args.command)
+        view = command_view(cfg, args.command, workers=getattr(args, "workers", 1))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -268,8 +268,8 @@ def view_kernels(view: dict) -> tuple:
 
 
 # The checks that span keys, one per command: each takes the parsed view,
-# its kernel h and its window family, and raises ValueError on values the
-# command cannot run together.
+# its kernel h and its window family (montecarlo's also the run's process
+# count), and raises ValueError on values the command cannot run together.
 
 
 def _check_kernel(view: dict, h, family) -> None:
@@ -290,7 +290,8 @@ def _estimate(view: dict, h, family) -> None:
     taus = view["tau_grid"]
     grid = estimation_grid(view["T"], view["dt"], taus)
     _fits_simulator(f"T={view['T']:g} and tau_grid [{taus[0]:g}, {taus[-1]:g}]",
-                    (h, family(view["delta"])), grid.n, grid.dt, lags=(view["T"], taus))
+                    (h, family(view["delta"])), grid.n, grid.dt,
+                    lags=(view["T"], taus[0], taus[-1], len(taus)))
 
 
 #: The most float64 values one numpy array can hold: its size in bytes must
@@ -307,6 +308,22 @@ def _memory_values() -> int:
         return _MAX_ARRAY_VALUES
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or the machine's
+    CPU count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _share_threads(share: int, procs: int) -> int:
+    """The threads that run one process's ``share`` of a montecarlo run's
+    replications when ``procs`` processes split the run: the process's CPUs
+    divided among the processes, at least one and at most one a replication."""
+    return max(1, min(_cpus() // procs, share))
+
+
 def _fits_array(what: str, rows, cols=1) -> None:
     """ValueError when the ``rows x cols`` float64 array ``what`` cannot fit
     in memory; ``cols`` may be a float, and neither is multiplied out, so a
@@ -319,13 +336,16 @@ def _fits_array(what: str, rows, cols=1) -> None:
                          f"that fit in memory")
 
 
-def _fits_simulator(what: str, kernels, n: int, dt: float, lags=None) -> None:
+def _fits_simulator(what: str, kernels, n: int, dt: float, lags=None,
+                    simulators: int = 1, draws: int = 1) -> None:
     """ValueError when a streamed run of ``kernels`` on the ``n``-sample grid
     ``what`` at ``dt`` cannot count its samples in a 64-bit index or cannot
     fit in memory: the sampled taps on their own, then its working set, as
-    ``simulate._draw_values`` counts it. With ``lags = (T, taus)`` the run
-    also sums a correlogram over the window [0, T) at the ascending lags
-    ``taus``, whose buffers ``estimator._lagged_values`` counts."""
+    ``simulate._draw_values`` counts it, for ``simulators`` Simulators that
+    hold ``draws`` live draws between them. With ``lags = (T, first, last,
+    count)`` each draw also sums a correlogram over the window [0, T) at
+    ``count`` ascending lags from ``first`` to ``last``, whose buffers
+    ``estimator._lagged_values`` counts."""
     if not math.isfinite(max(k.effective_support for k in kernels) / dt):
         raise ValueError(f"the kernel supports overflow a float in steps of dt={dt:g}")
     if n > sys.maxsize:
@@ -333,16 +353,18 @@ def _fits_simulator(what: str, kernels, n: int, dt: float, lags=None) -> None:
     pad = max(required_pad(k, dt) for k in kernels)
     _fits_array(f"the sampled kernel taps over {what} at dt={dt:g} (pad {pad}, "
                 f"{len(kernels)} kernels)", len(kernels) + 2, 2 * pad + 1)
-    block, values = _draw_values(kernels, n, dt)
+    block, shared, per_draw = _draw_values(kernels, n, dt)
     if lags is not None:
-        T, taus = lags
-        span = round(taus[-1] / dt) - round(taus[0] / dt)
-        buffer, lagged = _lagged_values(_horizon_steps(T, dt), span, block)
+        T, first, last, count = lags
+        span = round(last / dt) - round(first / dt)
+        buffer, lagged = _lagged_values(_horizon_steps(T, dt), span, block, count)
         _fits_array(f"the correlogram look-ahead of {what} at dt={dt:g} "
                     f"({span} lag steps)", 2, buffer)
-        values += lagged
+        per_draw += lagged
+    at_once = f", {draws} draws at once" if draws > 1 else ""
     _fits_array(f"the streamed working set over {what} at dt={dt:g} "
-                f"({n} samples in blocks of {block}, pad {pad}, {len(kernels)} kernels)", values)
+                f"({n} samples in blocks of {block}, pad {pad}, {len(kernels)} kernels{at_once})",
+                simulators * shared + draws * per_draw)
 
 
 def _bounds(view: dict, h, family) -> None:
@@ -357,7 +379,7 @@ def _bounds(view: dict, h, family) -> None:
     _fits_array("the y_tail Gram matrix (y_tail_points x y_tail_points)", points, points)
 
 
-def _montecarlo(view: dict, h, family) -> None:
+def _montecarlo(view: dict, h, family, workers: int) -> None:
     (a, b), taus, dt = view["interval"], view["tau_grid"], view["dt"]
     if taus[0] < a - 1e-12 or taus[-1] > b + 1e-12:
         raise ValueError(f"tau_grid {list(taus)} must lie inside interval [{a}, {b}]")
@@ -366,10 +388,16 @@ def _montecarlo(view: dict, h, family) -> None:
     _fits_array(f"the replications' Zhat on the lattice of [{a:g}, {b:g}] at dt={dt:g} "
                 f"(replications x lattice lags)", view["replications"], (b - a) / dt + 1)
     # the grid of the interval lattice's ends, one lag when both snap to it
-    ends = sorted({dt * round(a / dt), dt * round(b / dt)})
-    grid = estimation_grid(view["T"], dt, ends)
+    lo, hi = round(a / dt), round(b / dt)
+    grid = estimation_grid(view["T"], dt, sorted({dt * lo, dt * hi}))
+    # each of the run's processes draws through one Simulator, on the threads
+    # that montecarlo._replicate_share starts
+    M = view["replications"]
+    procs = max(1, min(workers, M))
+    draws = sum(_share_threads(len(range(p, M, procs)), procs) for p in range(procs))
     _fits_simulator(f"T={view['T']:g} and interval [{a:g}, {b:g}]", (h, family(view["delta"])),
-                    grid.n, dt, lags=(view["T"], ends))
+                    grid.n, dt, lags=(view["T"], dt * lo, dt * hi, hi - lo + 1),
+                    simulators=procs, draws=draws)
 
 
 _SPANNING = {
@@ -377,17 +405,17 @@ _SPANNING = {
     "simulate": _simulate,
     "estimate": _estimate,
     "bounds": _bounds,
-    "montecarlo": _montecarlo,
 }
 
 
-def command_view(cfg: dict, command: str) -> dict:
+def command_view(cfg: dict, command: str, workers: int = 1) -> dict:
     """The parsed value of every key the command takes: its
     command_defaults section over the top level over the defaults.
 
     The view is checked whole: its kernel specs build and the command's
     checks that span keys pass, so every usage error is a ConfigError
-    raised here, before the command creates its output directory.
+    raised here, before the command creates its output directory. A
+    montecarlo view is checked for a run over ``workers`` processes.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -401,7 +429,10 @@ def command_view(cfg: dict, command: str) -> dict:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"invalid h or g_family: {exc}") from exc
     try:
-        _SPANNING[command](view, h, family)
+        if command == "montecarlo":
+            _montecarlo(view, h, family, workers)
+        else:
+            _SPANNING[command](view, h, family)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return view

@@ -185,14 +185,17 @@ def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
     return total
 
 
-def _lagged_values(n_T: int, span: int, block: int) -> tuple:
+def _lagged_values(n_T: int, span: int, block: int, lags: int) -> tuple:
     """``(buffer, values)`` of ``_lagged_sums`` over ``n_T`` window samples
-    and ``span`` lag steps from paths in blocks of ``block``: the most its
-    ``y`` or ``x`` holds, two blocks and the look-ahead, and the most float64
-    values it holds, both buffers and the transforms of its FFT route."""
+    and ``lags`` lags ``span`` lag steps wide from paths in blocks of
+    ``block``: the most its ``y`` or ``x`` holds, two blocks and the
+    look-ahead, and the most float64 values it holds: both buffers, a block's
+    sums and their total, and on the FFT route its three transforms."""
     buffer = 2 * block + span
-    size = next_fast_len(min(n_T, _BLOCK_SAMPLES) + span)
-    return buffer, 2 * buffer + 3 * (size + 2)
+    values = 2 * buffer + 2 * lags
+    if lags > _DOT_MAX_LAGS:
+        values += 3 * (next_fast_len(min(n_T, _BLOCK_SAMPLES) + span) + 2)
+    return buffer, values
 
 
 def theoretical_bias(h: Kernel, g: Kernel, c: float, tau):

@@ -7,12 +7,20 @@ interval bounds, and modulus-of-continuity tables for tightness.
 
 Replication i always draws from stream ``base_seed.spawn(i)``. With
 ``w`` processes, process p runs replications p, p + w, p + 2w, ...
-through one ``Simulator`` (tap plans and buffers built once), which gives
-every replication the same bits as a fresh ``Simulator`` with that
-stream. Results are assembled by replication index, so output is
-byte-identical for any worker count (aggregation uses numpy's pairwise
-summation over a fixed ordering). The process pool is imported only when
-``workers > 1``, so no other run loads ``multiprocessing``.
+through one ``Simulator`` (tap plans built once), which gives every
+replication the same bits as a fresh ``Simulator`` with that stream.
+Each process splits its share the same way over threads, one per CPU
+its affinity set gives it once the processes have divided them, and no
+more than its replications: numpy's FFTs, Philox fills and dot products
+release the GIL, so the threads' draws run at once. The threads share
+the Simulator; each live draw holds its own increment buffer and work
+spectra, and leaves them to the next draw when it ends. Results are
+assembled by replication index, so output is byte-identical for any
+process or thread count (aggregation uses numpy's pairwise summation
+over a fixed ordering). The process pool is imported only when
+``workers > 1`` and the thread pool only when a process runs more than
+one thread, so no other run loads ``multiprocessing`` or
+``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import view_kernels
+from .config import _share_threads, view_kernels
 from .errors import ConsistencyError, ReplicationError
 from .estimator import cross_correlogram, estimation_grid, snap_tau_grid, theoretical_bias
 from .kernels import Kernel
@@ -60,20 +68,41 @@ def _lattice(view: dict) -> np.ndarray:
 
 
 def _replicate_share(args) -> np.ndarray:
-    """Zhat rows of replications ``first, first + step, ...``, simulated with
-    one Simulator; module-level so process pools can pickle it."""
+    """Zhat rows of replications ``first, first + step, ...`` (the share of
+    one of ``step`` processes), drawn from one Simulator by
+    ``config._share_threads`` threads, the calling one among them: thread
+    ``t`` of ``k`` runs the share's replications ``t, t + k, ...``.
+    Module-level so process pools can pickle it."""
     view, taus, bias, first, step = args
     T, seed = view["T"], NoiseSeed(**view["base_seed"])
-    rows = []
-    i = first
+    share = range(first, view["replications"], step)
     try:
         sim = Simulator(_kernels(view), estimation_grid(T, view["dt"], taus))
-        for i in range(first, view["replications"], step):
-            Y, X = simulate_pair(sim, seed.spawn(i))
-            rows.append(math.sqrt(T) * (cross_correlogram(Y, X, view["c"], T, taus) - bias))
     except Exception as exc:
-        raise ReplicationError(f"replication {i} failed: {exc}") from exc
-    return np.vstack(rows)
+        raise ReplicationError(f"replication {first} failed: {exc}") from exc
+
+    def rows(reps) -> np.ndarray:
+        out = []
+        try:
+            for i in reps:
+                Y, X = simulate_pair(sim, seed.spawn(i))
+                out.append(math.sqrt(T) * (cross_correlogram(Y, X, view["c"], T, taus) - bias))
+        except Exception as exc:
+            raise ReplicationError(f"replication {i} failed: {exc}") from exc
+        return np.vstack(out)
+
+    threads = _share_threads(len(share), step)
+    if threads == 1:
+        return rows(share)
+    from concurrent.futures import ThreadPoolExecutor
+
+    Z = np.empty((len(share), taus.size))
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(rows, share[t::threads]) for t in range(1, threads)]
+        Z[::threads] = rows(share[::threads])
+        for t, helper in enumerate(helpers, 1):
+            Z[t::threads] = helper.result()
+    return Z
 
 
 @dataclass
@@ -124,9 +153,10 @@ def run_replications(view: dict, workers: int = 1) -> MonteCarloResult:
     """Simulate-estimate the replications of a montecarlo view
     (``config.command_view(cfg, "montecarlo")``) and aggregate.
 
-    Deterministic in the view's ``base_seed``; the worker count only
-    changes wall time, never output bytes. The processes get the view,
-    plain data, and build the kernels from it.
+    Deterministic in the view's ``base_seed``; the worker count, which
+    counts processes, and the thread count of each process (from its CPU
+    affinity) only change wall time, never output bytes. The processes get
+    the view, plain data, and build the kernels from it.
     """
     M, dt = view["replications"], view["dt"]
     h, g = _kernels(view)
@@ -403,9 +433,24 @@ def write_result_csv(result: MonteCarloResult, path) -> None:
         for t, stat, p in result.ks_results:
             wr.writerow(["ks_stat", repr(float(t)), "", repr(float(stat)), ""])
             wr.writerow(["ks_p", repr(float(t)), "", repr(float(p)), ""])
+        sups = np.sort(result.sup_samples)
         for q in (0.5, 0.75, 0.9, 0.95, 0.99):
-            x = float(np.quantile(result.sup_samples, q))
-            wr.writerow(["sup_quantile", repr(q), "", repr(x), ""])
+            wr.writerow(["sup_quantile", repr(q), "", repr(_quantile(sups, q)), ""])
+
+
+def _quantile(sorted_values: np.ndarray, q: float) -> float:
+    """``np.quantile(sorted_values, q)`` by its default linear rule, to the
+    bit for values with no ``-0.0`` (whose place among zeros differs between
+    sorts), without the ``numpy.ma`` import its first call makes: the
+    values ``a`` and ``b`` around the index ``(n - 1) q`` blended as
+    ``a + (b - a) t`` by its fraction ``t``, or as ``b - (b - a)(1 - t)`` for
+    ``t >= 0.5``."""
+    last = sorted_values.size - 1
+    index = last * q
+    i = math.floor(index)
+    a, b = float(sorted_values[min(i, last)]), float(sorted_values[min(i + 1, last)])
+    t = index - i
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def write_result_json(result: MonteCarloResult, config: dict, path) -> None:

@@ -218,10 +218,12 @@ class ConvolutionPlan:
     shared with the block before (overlap-save). A short tap array is summed
     directly. A long one goes through a real FFT at ``size``, the first fast
     length that holds one block plus the taps: the plan keeps the tap
-    spectrum and one work spectrum, a block costs one ``rfft``, which
-    zero-pads the block's increments itself, and one ``irfft``, whose
-    wrap-around stays in the ``taps.size - 1`` leading samples that the
-    block's outputs skip. Each call rewrites the whole work spectrum.
+    spectrum, a block costs one ``rfft`` into the caller's work spectrum
+    (``work_spectrum``), which zero-pads the block's increments itself, and
+    one ``irfft``, whose wrap-around stays in the ``taps.size - 1`` leading
+    samples that the block's outputs skip. The plan is never written after
+    it is built, so any number of threads may convolve with it at once,
+    each into a work spectrum of its own.
     """
 
     def __init__(self, k: Kernel, grid: TimeGrid, pad: int):
@@ -248,16 +250,22 @@ class ConvolutionPlan:
         if self.taps.size > _DIRECT_MAX_TAPS:
             self.size = next_fast_len(self.block + self.taps.size - 1)
             self.spectrum = rfft(self.taps, self.size)
-            self._spectrum = np.empty_like(self.spectrum)
 
-    def convolve_block(self, x: np.ndarray) -> np.ndarray:
+    def work_spectrum(self):
+        """A new work spectrum for ``convolve_block``, or None on the direct
+        route, which needs none."""
+        return np.empty_like(self.spectrum) if self.taps.size > _DIRECT_MAX_TAPS else None
+
+    def convolve_block(self, x: np.ndarray, work) -> np.ndarray:
         """New array of the ``x.size - taps.size + 1`` outputs that read the
-        increments ``x``, at most ``block`` of them."""
+        increments ``x``, at most ``block`` of them. ``work`` is a
+        ``work_spectrum`` that no other call uses meanwhile; the call
+        rewrites the whole of it."""
         if self.zero:
             return np.zeros(x.size - self.taps.size + 1)
         if self.taps.size <= _DIRECT_MAX_TAPS:
             return np.convolve(x, self.taps, mode="valid")
-        spectrum = rfft(x, self.size, out=self._spectrum)
+        spectrum = rfft(x, self.size, out=work)
         spectrum *= self.spectrum
         return irfft(spectrum, self.size)[self.taps.size - 1 : x.size].copy()
 
@@ -285,15 +293,16 @@ def simulate_output(plan: ConvolutionPlan, increments: np.ndarray) -> SampledPat
     n, size = plan.grid.n, plan.grid.n + 2 * plan.pad
     if increments.ndim != 1 or increments.size != size:
         raise ValueError(f"increments must have length n + 2*pad = {size}, got {increments.size}")
-    reach = plan.taps.size - 1
-    parts = [plan.convolve_block(increments[plan.first + j :][: reach + min(plan.block, n - j)])
+    reach, work = plan.taps.size - 1, plan.work_spectrum()
+    parts = [plan.convolve_block(increments[plan.first + j :][: reach + min(plan.block, n - j)], work)
              for j in range(0, n, plan.block)]
     return SampledPath(grid=plan.grid, values=parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
 class Simulator:
     """The convolution plans of the kernel sequence ``kernels`` on one grid
-    and the increment buffer a finished draw left, for any number of draws.
+    and the buffers that finished draws left, for any number of draws, in
+    any number of threads at once.
 
     The pad is the largest any of the kernels needs, so every output is
     unbiased over the whole grid and all are jointly stationary. A block of
@@ -318,10 +327,16 @@ class Simulator:
         The increments are those of ``wiener_increments(grid, pad, seed)``,
         drawn a block at a time from one generator into a buffer that the
         draw holds to its end; the ``history`` last ones of a block stay in
-        it for the next. A draw takes the buffer a finished draw left or
-        makes its own, so draws may be read interleaved."""
+        it for the next. The draw also holds one work spectrum per FFT plan.
+        It takes the buffer and work spectra that a finished draw left, or
+        makes its own, and leaves them once its last block is made, so no two
+        live draws share an array: draws may be read interleaved, and in
+        threads at once."""
         gen, scale = seed.generator(), math.sqrt(self.grid.dt)
-        buf = self._spare.pop() if self._spare else np.empty(self.block + self.history)
+        try:
+            buf, work = self._spare.pop()
+        except IndexError:  # every finished draw's buffers are taken
+            buf, work = np.empty(self.block + self.history), [p.work_spectrum() for p in self.plans]
         for skip in range(0, self.first, buf.size):  # increments no tap reaches
             gen.standard_normal(out=buf[: min(buf.size, self.first - skip)])
         for j in range(0, self.grid.n, self.block):
@@ -331,9 +346,9 @@ class Simulator:
             fresh = buf[self.history if j else 0 : self.history + m]
             gen.standard_normal(out=fresh)
             fresh *= scale
-            yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1])
-                        for plan in self.plans)
-        self._spare = [buf]  # no block of this draw reads it any more
+            yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1], w)
+                        for plan, w in zip(self.plans, work))
+        self._spare.append((buf, work))  # no block of this draw reads them any more
 
     def stream(self, seed: NoiseSeed) -> tuple:
         """One ``PathBlocks`` per kernel, in order, over the blocks of a draw
@@ -357,26 +372,33 @@ class Simulator:
 
 
 def _draw_values(kernels, n: int, dt: float) -> tuple:
-    """``(block, values)``: the output samples per block of a draw of
-    ``kernels`` on an ``n``-sample grid at ``dt``, and the most float64
-    values it holds: the sampled times and taps, ``2*taps`` for ``taps =
-    2*pad + 1`` (no plan keeps more); per plan its taps, tap spectrum and
-    two output blocks (one waiting in ``stream``), as an FFT plan once
-    ``taps`` exceeds ``_DIRECT_MAX_TAPS``; the increments with their
-    history; one work spectrum and one inverse transform."""
+    """``(block, shared, per_draw)``: the output samples per block of a draw
+    of a ``Simulator`` of ``kernels`` on an ``n``-sample grid at ``dt``, and
+    the most float64 values it holds, each plan counted as an FFT plan once
+    ``taps = 2*pad + 1`` exceeds ``_DIRECT_MAX_TAPS``. ``shared`` is what
+    its draws share: the sampled times and taps, ``2*taps`` (no plan keeps
+    more), and per plan its taps and tap spectrum. ``per_draw`` is what each
+    live draw holds: per plan a work spectrum and two output blocks (one
+    waiting in ``stream``), the increments with their history, and one
+    inverse transform."""
     pad = max(required_pad(k, dt) for k in kernels)
     taps, block = 2 * pad + 1, min(n, _BLOCK_SAMPLES)
     size = next_fast_len(block + taps - 1) if taps > _DIRECT_MAX_TAPS else 0
-    plans = len(kernels) * (taps + size + 2 + 2 * block)
-    return block, 2 * taps + plans + block + 2 * pad + 2 * size + 2
+    plans = len(kernels)
+    shared = 2 * taps + plans * (taps + size + 2)
+    return block, shared, plans * (size + 2 + 2 * block) + block + 2 * pad + size
 
 
 def _blocks_in_step(paths) -> Iterator[tuple]:
     """``(j, blocks)`` per step over ``paths``, ``SampledPath``s or
     ``PathBlocks`` on one grid: their blocks, of one size, from grid sample
-    ``j`` on. The blocks of a path must hold the ``n`` samples of its grid."""
+    ``j`` on, in a list. The blocks of a path must hold the ``n`` samples of
+    its grid."""
     n, count = paths[0].grid.n, 0
-    for blocks in zip(*(p.iter_blocks() for p in paths), strict=True):
+    # lists, not zip's tuples: zip keeps its first result tuple to refill,
+    # and one still held when zip steps would keep its blocks alive a step
+    # longer, one more block per path at the peak of a multi-block draw
+    for blocks in map(list, zip(*(p.iter_blocks() for p in paths), strict=True)):
         if any(b.size != blocks[0].size for b in blocks):
             raise ValueError(f"paths must come in blocks of one size, got "
                              f"{[b.size for b in blocks]}")

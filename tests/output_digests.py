@@ -2,7 +2,9 @@
 
 The set is the test suite's ``BASE_CONFIG`` and its ``hilbert_sinc`` twin,
 each through all five commands, with ``montecarlo --emit-paths`` run at
-``--workers 1`` and ``--workers 2``. Each data file is pinned by the sha256
+``--workers 1`` on one CPU and on three (so one thread, then three threads,
+run its four replications on any host) and at ``--workers 2``. Each data
+file is pinned by the sha256
 of its bytes and each ``run_manifest.json`` by the sha256 of its canonical
 JSON less ``timestamps``. FFT routes pin platform bits, so the digest file
 also records the numpy version they were taken on.
@@ -19,23 +21,35 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
-#: (run name, command, extra CLI arguments), run on each config in order.
+#: (run name, command, extra CLI arguments, CPUs the run may use or None
+#: for the host's), run on each config in order.
 RUNS = (
-    ("check-kernel", "check-kernel", ()),
-    ("simulate", "simulate", ()),
-    ("estimate", "estimate", ()),
-    ("bounds", "bounds", ()),
-    ("montecarlo_w1", "montecarlo", ("--workers", "1", "--emit-paths")),
-    ("montecarlo_w2", "montecarlo", ("--workers", "2", "--emit-paths")),
+    ("check-kernel", "check-kernel", (), None),
+    ("simulate", "simulate", (), None),
+    ("estimate", "estimate", (), None),
+    ("bounds", "bounds", (), None),
+    ("montecarlo_w1", "montecarlo", ("--workers", "1", "--emit-paths"), 1),
+    ("montecarlo_w1_cpus3", "montecarlo", ("--workers", "1", "--emit-paths"), 3),
+    ("montecarlo_w2", "montecarlo", ("--workers", "2", "--emit-paths"), None),
 )
+
+
+def _cpus(n):
+    """A context in which this process's CPU affinity reads as ``n`` CPUs,
+    or the host's when ``n`` is None."""
+    if n is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True)
 
 
 def configs() -> dict:
@@ -70,9 +84,9 @@ def run_set(work: Path) -> dict:
     for name, cfg in configs().items():
         config = work / f"{name}.json"
         config.write_text(json.dumps(cfg), encoding="utf-8")
-        for run, command, extra in RUNS:
+        for run, command, extra, cpus in RUNS:
             out = work / name / run
-            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), _cpus(cpus):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 code = main([command, "--config", str(config), "--out", str(out), *extra])
             if code != 0:

@@ -165,11 +165,39 @@ class TestConfigModule:
         with pytest.raises(ConfigError, match="sampled kernel taps"):
             command_view(dict(cfg, dt=1e-10, T=1.0), "estimate")
 
+    def test_view_counts_every_draw_at_once(self, monkeypatch, tmp_path, capsys):
+        # a montecarlo config whose streamed working set fits a machine once
+        # but not for each of the four draws that two processes of two
+        # threads hold at once exits 2 before the run, as the view counts
+        counts = []
+        real = config_mod._fits_array
+        monkeypatch.setattr(config_mod, "_fits_array", lambda what, rows, cols=1: (
+            counts.append((what, rows * cols)), real(what, rows, cols)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = dict(BASE_CONFIG, command_defaults={"montecarlo": {"replications": 4}})
+        command_view(cfg, "montecarlo", workers=1)
+        once, = [v for what, v in counts if what.startswith("the streamed working set")]
+        monkeypatch.setattr(config_mod, "_memory_values", lambda: once)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli("montecarlo", "--config", str(config), "--out", str(out),
+                       "--workers", "2") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "streamed working set" in err and "4 draws at once" in err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="4 draws at once"):  # four processes of one thread
+            command_view(cfg, "montecarlo", workers=4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        command_view(cfg, "montecarlo", workers=1)
+
     def test_traced_working_set_stays_within_the_view_count(self, monkeypatch, tmp_path):
         # a real simulate, estimate and replication, each in four blocks with
-        # a sinc FFT plan, allocate no more than the 8 bytes a value of the
-        # working set that their view counts; a buffer that grows without
-        # its count (say a plan's transforms at twice their length) fails
+        # a sinc FFT plan, and two replications on two threads of one
+        # Simulator allocate no more than the 8 bytes a value of the working
+        # set that their view counts; a buffer that grows without its count
+        # (say a plan's transforms at twice their length) fails
         counts = []
         real = config_mod._fits_array
         monkeypatch.setattr(config_mod, "_fits_array", lambda what, rows, cols=1: (
@@ -192,12 +220,16 @@ class TestConfigModule:
             Y, X = simulate_pair(Simulator((h, family(view["delta"])), grid), NoiseSeed(1))
             cross_correlogram(Y, X, view["c"], view["T"], view["tau_grid"])
 
-        def replication(view, h, family):
+        def replications(view, h, family):
+            # one process: two replications, one after the other on one CPU,
+            # at once on two
             taus = _lattice(view)
-            _replicate_share((view, taus, np.zeros(taus.size), 0, view["replications"]))
+            _replicate_share((view, taus, np.zeros(taus.size), 0, 1))
 
-        for command, run in [("simulate", simulate), ("estimate", estimate),
-                             ("montecarlo", replication)]:
+        for command, run, cpus in [("simulate", simulate, 1), ("estimate", estimate, 1),
+                                   ("montecarlo", replications, 1), ("montecarlo", replications, 2)]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
             counts.clear()
             view = command_view(cfg, command)
             values, = [v for what, v in counts if what.startswith("the streamed working set")]
@@ -729,14 +761,17 @@ warnings.simplefilter("ignore", RuntimeWarning)
 from correlogram.cli import main
 
 config, out = sys.argv[1:]
-codes = [main([cmd, "--config", config, "--out", f"{out}/{cmd}"]) for cmd in ("bounds", "estimate")]
+codes = [main([cmd, "--config", config, "--out", f"{out}/{cmd}"])
+         for cmd in ("bounds", "estimate", "montecarlo")]
 print(codes, "numpy.ma" in sys.modules)
 """
 
 
 def test_bounds_and_estimate_leave_out_numpy_ma(tmp_path):
-    # a plain np.unique imports numpy.ma on first use, about 20 ms of a run
-    cfg = dict(BASE_CONFIG, command_defaults={"bounds": {"y_tail_M": 50, "y_tail_points": 11}})
+    # a plain np.unique, or the first np.quantile, imports numpy.ma, about
+    # 20 ms of a run; montecarlo's sup quantiles are computed without it
+    cfg = dict(BASE_CONFIG, command_defaults={"bounds": {"y_tail_M": 50, "y_tail_points": 11},
+                                              "montecarlo": {"replications": 4}})
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
     out = subprocess.run(
@@ -744,4 +779,4 @@ def test_bounds_and_estimate_leave_out_numpy_ma(tmp_path):
         env=_child_env(), capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"

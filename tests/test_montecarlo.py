@@ -5,12 +5,15 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import correlogram.montecarlo as mc
 from conftest import acceptance_experiment
@@ -60,6 +63,11 @@ def small_experiment(**overrides):
     return command_view({"command_defaults": {"montecarlo": section}}, "montecarlo")
 
 
+def use_cpus(monkeypatch, n):
+    """Give this process (and the processes it forks) ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def run_quietly(view, workers=1):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -88,6 +96,18 @@ class TestRunReplications:
         res3 = run_quietly(small_experiment(), workers=3)
         np.testing.assert_array_equal(res1.z_samples, res3.z_samples)
         np.testing.assert_array_equal(res1.z_fine, res3.z_fine)
+
+    @pytest.mark.parametrize("workers, cpus", [(1, 2), (1, 3), (2, 4)])
+    @pytest.mark.parametrize("M", [2, 7])
+    def test_thread_count_does_not_change_output(self, monkeypatch, workers, cpus, M):
+        # each process splits its share over cpus // workers threads, at most
+        # one a replication: M = 2 leaves CPUs idle, M = 7 is no multiple of
+        # the threads; one CPU runs every replication in the calling thread
+        use_cpus(monkeypatch, 1)
+        want = run_quietly(small_experiment(replications=M)).z_fine
+        use_cpus(monkeypatch, cpus)
+        got = run_quietly(small_experiment(replications=M), workers=workers).z_fine
+        assert got.tobytes() == want.tobytes()
 
     def test_leading_rows_stable_under_extension(self):
         # replication i is pinned to stream spawn(i)
@@ -155,12 +175,15 @@ class TestReplicationEngine:
         res = run_quietly(acceptance_experiment(h_name, 9))
         np.testing.assert_allclose(res.z_samples[[0, 4, 8]], frozen, rtol=1e-12, atol=0.0)
 
-    def test_replication_working_set(self):
-        # At the acceptance model one process's Simulator (the increment
-        # row, the tap spectra and the 62k-point FFT buffers of both plans)
-        # plus one replication's paths and window outputs peak at about
-        # 3.8 MB, whatever the number of replications. Keeping each
-        # replication's paths alive would add 0.8 MB per replication.
+    def test_replication_working_set(self, monkeypatch):
+        # At the acceptance model one process's Simulator on one thread (the
+        # sinc plan's taps and tap spectrum; the triangular window keeps one
+        # tap and sums directly) and the increment buffer and 62k-point work
+        # spectrum of its draw, plus one replication's paths and window
+        # outputs, peak at about 2.5 MB, whatever the number of replications.
+        # Keeping each replication's paths alive would add 0.8 MB per
+        # replication.
+        use_cpus(monkeypatch, 1)
         view = acceptance_experiment("sinc", 4)
         h, g = mc._kernels(view)
         taus = mc._lattice(view)
@@ -176,9 +199,23 @@ class TestReplicationEngine:
         assert z.shape == (4, taus.size)
         assert peak < 4.5e6
 
-    @pytest.mark.parametrize("workers, want", [(64, 12), (2, 2)])
-    def test_pool_never_exceeds_replication_count(self, monkeypatch, workers, want):
-        sizes = []
+    @pytest.mark.parametrize("workers, cpus, procs, threads", [
+        (64, 2, [12], []),
+        (2, 2, [2], []),
+        (2, 8, [2], [4, 4]),
+        (1, 64, [], [12]),
+    ], ids=["64-12", "2-2", "2-8cpus", "1-64cpus"])
+    def test_pool_never_exceeds_replication_count(self, monkeypatch, workers, cpus, procs,
+                                                  threads):
+        # the threads of each process, the calling one among them, number
+        # its share of the CPUs and at most its share of the replications
+        sizes, counts = [], []
+        ThreadPool = concurrent.futures.ThreadPoolExecutor
+
+        class RecordingThreads(ThreadPool):
+            def __init__(self, max_workers):
+                counts.append(max_workers + 1)
+                super().__init__(max_workers)
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -193,11 +230,14 @@ class TestReplicationEngine:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        # run_replications imports the pool only when it needs one
+        # run_replications imports each pool only when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingThreads)
+        use_cpus(monkeypatch, cpus)
         view = small_experiment(replications=12)
         res = run_quietly(view, workers=workers)
-        assert sizes == [want]
+        assert (sizes, counts) == (procs, threads)
+        use_cpus(monkeypatch, 1)
         np.testing.assert_array_equal(res.z_fine, run_quietly(view).z_fine)
 
     def test_failure_names_the_replication(self, monkeypatch):
@@ -207,6 +247,20 @@ class TestReplicationEngine:
 
         monkeypatch.setattr(mc, "Simulator", fail)
         with pytest.raises(RuntimeError, match="replication 0 failed: no plan"):
+            run_quietly(small_experiment())
+
+    def test_failure_on_a_helper_thread_names_the_replication(self, monkeypatch):
+        # two threads: the calling one runs replications 0, 2, 4, the other 1, 3, 5
+        simulate_pair = mc.simulate_pair
+
+        def fail_third(sim, seed):
+            if seed.stream_id == 3:
+                raise ValueError("simulated")
+            return simulate_pair(sim, seed)
+
+        monkeypatch.setattr(mc, "simulate_pair", fail_third)
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="replication 3 failed: simulated"):
             run_quietly(small_experiment())
 
 
@@ -368,6 +422,18 @@ class TestDownstreamTables:
         t_lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         # 3 replications over the fine lattice plus a header
         assert len(t_lines) == 1 + 3 * result.fine_taus.size
+
+    @given(
+        values=st.lists(st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, 1.0, 2.5])),
+                        min_size=1, max_size=1000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sup_quantiles_match_numpy(self, values):
+        # the five sup quantiles of result.csv, ties among them; the sups are
+        # maxima of absolute values, so no -0.0
+        sups = np.array(values) + 0.0
+        for q in (0.5, 0.75, 0.9, 0.95, 0.99):
+            assert repr(mc._quantile(np.sort(sups), q)) == repr(float(np.quantile(sups, q)))
 
     @pytest.mark.parametrize("max_reps", [None, 0, -1, 5, 1000])
     def test_trajectories_bytes_match_csv_writer(

@@ -3,6 +3,7 @@
 import io
 import math
 import struct
+import threading
 import tracemalloc
 import weakref
 
@@ -377,8 +378,8 @@ class TestBlocks:
         sim = Simulator((make_sinc(), make_triangular(2.0, 1.0)), grid)
         made, convolve_block = [], ConvolutionPlan.convolve_block
 
-        def tracked(plan, x):
-            block = convolve_block(plan, x)
+        def tracked(plan, x, work):
+            block = convolve_block(plan, x, work)
             made.append(weakref.ref(block))
             return block
 
@@ -405,6 +406,41 @@ class TestBlocks:
             joined = [np.concatenate(path).tobytes() for path in zip(*blocks)]
             want = _joined(Simulator(kernels, grid).stream(NoiseSeed(seed)))
             assert joined == [v.tobytes() for v in want]
+
+    def test_draws_in_threads_at_once_are_independent(self, monkeypatch):
+        # two threads draw from one Simulator at once: every FFT block of one
+        # waits after its forward transform for the other's, so a work
+        # spectrum that the draws shared would hand one draw the other's
+        # spectrum; each joined path still has a fresh Simulator's bits
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 100)
+        grid = TimeGrid(0.0, 0.05, 1001)
+        kernels = (make_sinc(), make_triangular(2.0, 1.0))
+        want = {seed: [v.tobytes() for v in _joined(Simulator(kernels, grid).stream(NoiseSeed(seed)))]
+                for seed in (1, 2)}
+        sim = Simulator(kernels, grid)
+        both, rfft = threading.Barrier(2, timeout=30), simulate_mod.rfft
+
+        def paired(*args, **kwargs):
+            spectrum = rfft(*args, **kwargs)
+            both.wait()
+            return spectrum
+
+        monkeypatch.setattr(simulate_mod, "rfft", paired)
+        got, failed = {}, []
+
+        def draw(seed):
+            try:
+                got[seed] = [v.tobytes() for v in _joined(sim.stream(NoiseSeed(seed)))]
+            except BaseException as exc:
+                failed.append(exc)
+                both.abort()
+
+        helper = threading.Thread(target=draw, args=(2,))
+        helper.start()
+        draw(1)
+        helper.join()
+        assert failed == [] and got == want
+        assert len(sim._spare) == 2  # each draw left its own buffers
 
     def test_a_draw_keeps_its_bits_after_finished_and_unread_draws(self, monkeypatch):
         # a draw that makes its own increment buffer beside a draw left
