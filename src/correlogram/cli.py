@@ -32,6 +32,7 @@ from .bounds import (
 from .config import (
     ConfigError,
     RunManifest,
+    _keep_freed_memory,
     command_view,
     load_config,
     resolve_out_dir,
@@ -256,7 +257,10 @@ def main(argv=None) -> int:
     """Run one command: parse and check its config view, which is where
     every usage error exits 2, before the output directory exists; run its
     handler, then write the run manifest and print one ``wrote`` line per
-    output file."""
+    output file. First it sets the process's allocator policy
+    (``config._keep_freed_memory``), so FFT scratch is reused, not faulted
+    in afresh on every call."""
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -15,7 +15,9 @@ are rejected on load.
 Every command writes a ``run_manifest.json`` recording the command
 name, a SHA-256 digest of the configuration, the artifact version, and
 the name/hash/size of each output file. The configuration itself is
-embedded so the digest can be recomputed on load.
+embedded so the digest can be recomputed on load. Its timestamps add the
+run's CPU time, minor page faults and peak resident set where the
+platform reports them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform
+    resource = None
 
 from .bounds import _METHODS
 from .estimator import _horizon_steps, _lagged_values, estimation_grid
@@ -317,6 +324,36 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: ``mallopt`` parameter numbers of glibc's <malloc.h>, and the values set:
+#: the ceiling glibc's own dynamic threshold reaches (32 MiB on 64-bit), and
+#: twice that for trimming, as glibc's dynamic rule keeps it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed blocks below 32 MiB for reuse.
+
+    pocketfft allocates its scratch on every ``numpy.fft`` call and frees it
+    on return. glibc serves a block that size with its own ``mmap`` and
+    unmaps it on ``free``, so each call faults its scratch in afresh (211
+    pages for a 62 208-point transform). With the thresholds set, the freed
+    block stays in the heap and the next call reuses it; blocks above 32 MiB
+    still get their own mapping. Does nothing off Linux or where the C
+    library has no ``mallopt``; no arithmetic changes.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes  # numpy has imported it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library handle, or no mallopt in it
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def _share_threads(share: int, procs: int) -> int:
     """The threads that run one process's ``share`` of a montecarlo run's
     replications when ``procs`` processes split the run: the process's CPUs
@@ -478,7 +515,10 @@ class RunManifest:
 
     Timestamps are informational only; reproducibility comparisons
     should ignore them and compare config_digest plus the output
-    hashes, which are deterministic for a fixed config and seed.
+    hashes, which are deterministic for a fixed config and seed. Where
+    ``resource`` exists, ``finish`` adds ``timestamps["resources"]``: the
+    run's CPU seconds and minor faults since ``start`` and its peak
+    resident set, each counting this process and its reaped children.
     """
 
     command: str
@@ -487,15 +527,19 @@ class RunManifest:
     timestamps: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    _usage_at_start = None  # not a field: never written
 
     @classmethod
     def start(cls, command: str, cfg: dict) -> "RunManifest":
-        return cls(
+        manifest = cls(
             command=command,
             config_digest=config_digest(cfg),
             timestamps={"started": _utc_now()},
             config=cfg,
         )
+        if resource is not None:
+            manifest._usage_at_start = _usage()
+        return manifest
 
     def add_output(self, path) -> None:
         p = Path(path)
@@ -505,11 +549,29 @@ class RunManifest:
 
     def finish(self, out_dir) -> Path:
         self.timestamps["finished"] = _utc_now()
+        if self._usage_at_start is not None:
+            *now, rss_kib = _usage()
+            user, system, faults = (a - b for a, b in zip(now, self._usage_at_start))
+            self.timestamps["resources"] = {
+                "cpu_user_s": round(user, 6),
+                "cpu_system_s": round(system, 6),
+                "minor_faults": faults,
+                "max_rss_mb": round(rss_kib / 1024, 3),
+            }
         target = Path(out_dir) / MANIFEST_NAME
         with open(target, "w", encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
         return target
+
+
+def _usage() -> tuple:
+    """User and system CPU seconds and minor faults of this process and its
+    reaped children, and the larger peak resident set of the two, in KiB."""
+    own, kids = map(resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    rss = max(own.ru_maxrss, kids.ru_maxrss)  # KiB, but bytes on macOS
+    return (own.ru_utime + kids.ru_utime, own.ru_stime + kids.ru_stime,
+            own.ru_minflt + kids.ru_minflt, rss // 1024 if sys.platform == "darwin" else rss)
 
 
 def _utc_now() -> str:

@@ -12,9 +12,13 @@ replication the same bits as a fresh ``Simulator`` with that stream.
 Each process splits its share the same way over threads, one per CPU
 its affinity set gives it once the processes have divided them, and no
 more than its replications: numpy's FFTs, Philox fills and dot products
-release the GIL, so the threads' draws run at once. The threads share
-the Simulator; each live draw holds its own increment buffer and work
-spectra, and leaves them to the next draw when it ends. Results are
+release the GIL, so the threads' draws can run at once; the CLI's
+allocator policy (``config._keep_freed_memory``), which pool processes
+also start under, keeps the FFTs from faulting in fresh scratch on every
+call, which made the threads queue on their process's memory map. The
+threads share the Simulator; each live draw holds its own increment
+buffer and work spectra, and leaves them to the next draw when it ends.
+Results are
 assembled by replication index, so output is byte-identical for any
 process or thread count (aggregation uses numpy's pairwise summation
 over a fixed ordering). The process pool is imported only when
@@ -33,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import _share_threads, view_kernels
+from .config import _keep_freed_memory, _share_threads, view_kernels
 from .errors import ConsistencyError, ReplicationError
 from .estimator import cross_correlogram, estimation_grid, snap_tau_grid, theoretical_bias
 from .kernels import Kernel
@@ -171,7 +175,8 @@ def run_replications(view: dict, workers: int = 1) -> MonteCarloResult:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=procs) as pool:
+        # a spawned or forkserver worker does not inherit the allocator policy
+        with ProcessPoolExecutor(max_workers=procs, initializer=_keep_freed_memory) as pool:
             done = list(pool.map(_replicate_share, jobs))
     Z = np.empty((M, taus.size))
     for w, z in enumerate(done):

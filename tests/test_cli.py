@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -645,6 +646,22 @@ class TestMontecarlo:
         problems = verify_manifest(out / "run_manifest.json")
         assert any("result.csv" in p for p in problems)
 
+    def test_manifest_reports_resources(self, config_path, tmp_path):
+        out = tmp_path / "mc"
+        run_cli("montecarlo", "--config", str(config_path), "--out", str(out), "--workers", "2")
+        resources = json.loads((out / "run_manifest.json").read_text())["timestamps"]["resources"]
+        assert set(resources) == {"cpu_user_s", "cpu_system_s", "minor_faults", "max_rss_mb"}
+        assert all(type(v) in (int, float) and v >= 0 for v in resources.values()), resources
+        assert type(resources["minor_faults"]) is int and resources["max_rss_mb"] > 0
+
+    def test_manifest_leaves_out_resources_without_getrusage(self, config_path, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setattr(config_mod, "resource", None)
+        out = tmp_path / "mc"
+        run_cli("montecarlo", "--config", str(config_path), "--out", str(out))
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert set(manifest["timestamps"]) == {"started", "finished"}
+
     def test_manifest_without_a_field_is_a_config_error(self, config_path, tmp_path):
         out = tmp_path / "mc3"
         run_cli("montecarlo", "--config", str(config_path), "--out", str(out))
@@ -780,3 +797,91 @@ def test_bounds_and_estimate_leave_out_numpy_ma(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+def _glibc_malloc_env() -> dict:
+    """The child environment without glibc's malloc tunables, so a child that
+    skips the allocator policy runs under glibc's defaults."""
+    return {k: v for k, v in _child_env().items()
+            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+
+
+_FFT_FAULTS = """
+import resource, sys
+import numpy as np
+
+if sys.argv[1] == "policy":
+    from correlogram.config import _keep_freed_memory
+
+    _keep_freed_memory()
+x = np.random.default_rng(0).standard_normal(62208)
+np.fft.irfft(np.fft.rfft(x), x.size)  # builds and caches the plan
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    np.fft.irfft(np.fft.rfft(x), x.size)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+needs_glibc = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                 reason="the allocator policy sets glibc's mallopt")
+
+
+@needs_glibc
+def test_allocator_policy_keeps_fft_scratch_mapped():
+    # pocketfft frees its scratch on return; under glibc's defaults each
+    # 62 208-point transform pair maps and faults it in afresh (about 420
+    # pages here), under the policy the freed block is reused. Each run is a
+    # fresh process: the policy holds for the whole process once set.
+    faults = {}
+    for mode in ("policy", "default"):
+        out = subprocess.run([sys.executable, "-c", _FFT_FAULTS, mode], env=_glibc_malloc_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        faults[mode] = float(out.stdout.split()[-1])
+    assert faults["policy"] < 8 and faults["default"] >= 100, faults
+
+
+_MC_RESOURCES = """
+import json, sys, warnings
+
+warnings.simplefilter("ignore", RuntimeWarning)
+from correlogram.cli import main
+
+config, out = sys.argv[1:]
+code = main(["montecarlo", "--config", config, "--out", out, "--workers", "1"])
+print(code, json.dumps(json.load(open(out + "/run_manifest.json"))["timestamps"]["resources"]))
+"""
+
+
+@needs_glibc
+def test_montecarlo_faults_per_replication_stay_flat(tmp_path):
+    # perfbench's mc model (T = 500, dt = 0.01, 101 lags): without the
+    # allocator policy each replication faulted in about 470 pages (612 on
+    # one thread), nearly all of them pocketfft scratch
+    model = dict(BASE_CONFIG, delta=100.0, dt=0.01, T=500.0)
+    faults = {}
+    for M in (8, 24):
+        config = tmp_path / f"M{M}.json"
+        config.write_text(json.dumps(dict(model, command_defaults={"montecarlo": {"replications": M}})))
+        out = subprocess.run([sys.executable, "-c", _MC_RESOURCES, str(config), str(tmp_path / f"o{M}")],
+                             env=_glibc_malloc_env(), capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        code, resources = out.stdout.splitlines()[-1].split(" ", 1)
+        assert code == "0"
+        faults[M] = json.loads(resources)["minor_faults"]
+    assert (faults[24] - faults[8]) / 16 < 16, faults
+
+
+@pytest.mark.parametrize("platform_name, libc", [("darwin", None), ("linux", object())])
+def test_allocator_policy_is_a_no_op_without_mallopt(monkeypatch, platform_name, libc):
+    # off Linux the C library is never opened; on a Linux libc without
+    # mallopt (no such attribute) nothing is set
+    import ctypes
+
+    def cdll(name):
+        assert libc is not None, "opened the C library off Linux"
+        return libc
+
+    monkeypatch.setattr(sys, "platform", platform_name)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert config_mod._keep_freed_memory() is None

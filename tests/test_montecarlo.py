@@ -34,7 +34,7 @@ from correlogram.montecarlo import (
     write_trajectories_csv,
 )
 from correlogram.bounds import theorem3_report
-from correlogram.config import command_view
+from correlogram.config import _keep_freed_memory, command_view
 from correlogram.simulate import (
     _DIRECT_MAX_TAPS,
     ConvolutionPlan,
@@ -208,7 +208,8 @@ class TestReplicationEngine:
     def test_pool_never_exceeds_replication_count(self, monkeypatch, workers, cpus, procs,
                                                   threads):
         # the threads of each process, the calling one among them, number
-        # its share of the CPUs and at most its share of the replications
+        # its share of the CPUs and at most its share of the replications;
+        # each pool process starts under the CLI's allocator policy
         sizes, counts = [], []
         ThreadPool = concurrent.futures.ThreadPoolExecutor
 
@@ -218,7 +219,8 @@ class TestReplicationEngine:
                 super().__init__(max_workers)
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is _keep_freed_memory
                 sizes.append(max_workers)
 
             def __enter__(self):
