@@ -16,9 +16,7 @@ release the GIL, so the threads' draws can run at once; the CLI's
 allocator policy (``config._keep_freed_memory``), which pool processes
 also start under, keeps the FFTs from faulting in fresh scratch on every
 call, which made the threads queue on their process's memory map. The
-threads share the Simulator; each live draw holds its own increment
-buffer and work spectra, and leaves them to the next draw when it ends.
-Results are
+threads share the Simulator, which no draw writes. Results are
 assembled by replication index, so output is byte-identical for any
 process or thread count (aggregation uses numpy's pairwise summation
 over a fixed ordering). The process pool is imported only when

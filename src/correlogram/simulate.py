@@ -216,14 +216,12 @@ class ConvolutionPlan:
     ``taps.size`` increments from ``first + j`` on, so a block of ``m``
     outputs reads ``m + taps.size - 1`` increments, ``taps.size - 1`` of them
     shared with the block before (overlap-save). A short tap array is summed
-    directly. A long one goes through a real FFT at ``size``, the first fast
-    length that holds one block plus the taps: the plan keeps the tap
-    spectrum, a block costs one ``rfft`` into the caller's work spectrum
-    (``work_spectrum``), which zero-pads the block's increments itself, and
-    one ``irfft``, whose wrap-around stays in the ``taps.size - 1`` leading
-    samples that the block's outputs skip. The plan is never written after
-    it is built, so any number of threads may convolve with it at once,
-    each into a work spectrum of its own.
+    directly. A long one goes through a real FFT at ``size`` (``_fft_size``),
+    the first fast length that holds one block plus the taps: the plan keeps
+    the tap spectrum, and a block costs one ``rfft``, which zero-pads the
+    block's increments itself, and one ``irfft``, whose wrap-around stays in
+    the ``taps.size - 1`` leading samples that the block's outputs skip. The
+    plan is never written after it is built.
     """
 
     def __init__(self, k: Kernel, grid: TimeGrid, pad: int):
@@ -247,27 +245,25 @@ class ConvolutionPlan:
         # reach increments 2*pad - hi + j through 2*pad - lo + j.
         self.first = 2 * pad - hi
         self.block = min(grid.n, _BLOCK_SAMPLES)
-        if self.taps.size > _DIRECT_MAX_TAPS:
-            self.size = next_fast_len(self.block + self.taps.size - 1)
-            self.spectrum = rfft(self.taps, self.size)
+        self.size = _fft_size(self.block, self.taps.size)
+        self.spectrum = rfft(self.taps, self.size) if self.size else None
 
-    def work_spectrum(self):
-        """A new work spectrum for ``convolve_block``, or None on the direct
-        route, which needs none."""
-        return np.empty_like(self.spectrum) if self.taps.size > _DIRECT_MAX_TAPS else None
-
-    def convolve_block(self, x: np.ndarray, work) -> np.ndarray:
+    def convolve_block(self, x: np.ndarray) -> np.ndarray:
         """New array of the ``x.size - taps.size + 1`` outputs that read the
-        increments ``x``, at most ``block`` of them. ``work`` is a
-        ``work_spectrum`` that no other call uses meanwhile; the call
-        rewrites the whole of it."""
+        increments ``x``, at most ``block`` of them."""
         if self.zero:
             return np.zeros(x.size - self.taps.size + 1)
-        if self.taps.size <= _DIRECT_MAX_TAPS:
+        if not self.size:
             return np.convolve(x, self.taps, mode="valid")
-        spectrum = rfft(x, self.size, out=work)
+        spectrum = rfft(x, self.size)
         spectrum *= self.spectrum
         return irfft(spectrum, self.size)[self.taps.size - 1 : x.size].copy()
+
+
+def _fft_size(block: int, taps: int) -> int:
+    """The FFT length of a plan of ``taps`` taps and blocks of ``block``
+    outputs, or 0 for direct sums (at most ``_DIRECT_MAX_TAPS`` taps)."""
+    return next_fast_len(block + taps - 1) if taps > _DIRECT_MAX_TAPS else 0
 
 
 def next_fast_len(n: int) -> int:
@@ -293,16 +289,16 @@ def simulate_output(plan: ConvolutionPlan, increments: np.ndarray) -> SampledPat
     n, size = plan.grid.n, plan.grid.n + 2 * plan.pad
     if increments.ndim != 1 or increments.size != size:
         raise ValueError(f"increments must have length n + 2*pad = {size}, got {increments.size}")
-    reach, work = plan.taps.size - 1, plan.work_spectrum()
-    parts = [plan.convolve_block(increments[plan.first + j :][: reach + min(plan.block, n - j)], work)
+    reach = plan.taps.size - 1
+    parts = [plan.convolve_block(increments[plan.first + j :][: reach + min(plan.block, n - j)])
              for j in range(0, n, plan.block)]
     return SampledPath(grid=plan.grid, values=parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
 class Simulator:
-    """The convolution plans of the kernel sequence ``kernels`` on one grid
-    and the buffers that finished draws left, for any number of draws, in
-    any number of threads at once.
+    """The convolution plans of the kernel sequence ``kernels`` on one grid,
+    for any number of draws, in any number of threads at once: nothing
+    writes a Simulator or its plans after it is built.
 
     The pad is the largest any of the kernels needs, so every output is
     unbiased over the whole grid and all are jointly stationary. A block of
@@ -318,7 +314,6 @@ class Simulator:
         self.first = min(p.first for p in self.plans)
         self.history = max(p.first + p.taps.size - 1 for p in self.plans) - self.first
         self.block = min(grid.n, _BLOCK_SAMPLES)
-        self._spare = []
 
     def blocks(self, seed: NoiseSeed) -> Iterator[tuple]:
         """Yield each block of a draw from ``seed`` as a tuple of one new
@@ -326,17 +321,11 @@ class Simulator:
 
         The increments are those of ``wiener_increments(grid, pad, seed)``,
         drawn a block at a time from one generator into a buffer that the
-        draw holds to its end; the ``history`` last ones of a block stay in
-        it for the next. The draw also holds one work spectrum per FFT plan.
-        It takes the buffer and work spectra that a finished draw left, or
-        makes its own, and leaves them once its last block is made, so no two
-        live draws share an array: draws may be read interleaved, and in
+        draw makes and holds to its end; the ``history`` last ones of a block
+        stay in it for the next. Draws may be read interleaved, and in
         threads at once."""
         gen, scale = seed.generator(), math.sqrt(self.grid.dt)
-        try:
-            buf, work = self._spare.pop()
-        except IndexError:  # every finished draw's buffers are taken
-            buf, work = np.empty(self.block + self.history), [p.work_spectrum() for p in self.plans]
+        buf = np.empty(self.block + self.history)
         for skip in range(0, self.first, buf.size):  # increments no tap reaches
             gen.standard_normal(out=buf[: min(buf.size, self.first - skip)])
         for j in range(0, self.grid.n, self.block):
@@ -346,9 +335,8 @@ class Simulator:
             fresh = buf[self.history if j else 0 : self.history + m]
             gen.standard_normal(out=fresh)
             fresh *= scale
-            yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1], w)
-                        for plan, w in zip(self.plans, work))
-        self._spare.append((buf, work))  # no block of this draw reads them any more
+            yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1])
+                        for plan in self.plans)
 
     def stream(self, seed: NoiseSeed) -> tuple:
         """One ``PathBlocks`` per kernel, in order, over the blocks of a draw
@@ -371,22 +359,33 @@ class Simulator:
         return tuple(PathBlocks(self.grid, path(queue)) for queue in pending)
 
 
+def _plan_routes(kernels, block: int, dt: float) -> list:
+    """``(taps, size)`` per kernel of ``kernels`` in a ``Simulator`` at
+    ``dt`` with blocks of ``block`` outputs: the most taps its plan keeps,
+    and their ``_fft_size``. A kernel with ``support_tol == 0`` is exactly
+    zero beyond its own support, so its plan trims all but
+    ``2*required_pad + 1`` taps; any other may keep the ``2*pad + 1`` of
+    the Simulator's pad."""
+    pad = max(required_pad(k, dt) for k in kernels)
+    taps = [2 * (required_pad(k, dt) if k.support_tol == 0 else pad) + 1 for k in kernels]
+    return [(t, _fft_size(block, t)) for t in taps]
+
+
 def _draw_values(kernels, n: int, dt: float) -> tuple:
     """``(block, shared, per_draw)``: the output samples per block of a draw
     of a ``Simulator`` of ``kernels`` on an ``n``-sample grid at ``dt``, and
-    the most float64 values it holds, each plan counted as an FFT plan once
-    ``taps = 2*pad + 1`` exceeds ``_DIRECT_MAX_TAPS``. ``shared`` is what
-    its draws share: the sampled times and taps, ``2*taps`` (no plan keeps
-    more), and per plan its taps and tap spectrum. ``per_draw`` is what each
-    live draw holds: per plan a work spectrum and two output blocks (one
-    waiting in ``stream``), the increments with their history, and one
-    inverse transform."""
+    the most float64 values it holds, each plan counted as ``_plan_routes``
+    counts it and a spectrum of ``size`` as ``size + 2``. ``shared`` is what
+    its draws share: the sampled times and taps, ``2*(2*pad + 1)`` (no plan
+    samples more), and per plan its taps and tap spectrum. ``per_draw`` is
+    what each live draw holds: per plan two output blocks (one waiting in
+    ``stream``), the increments with their history, and the spectrum and
+    inverse transform of one FFT block."""
     pad = max(required_pad(k, dt) for k in kernels)
-    taps, block = 2 * pad + 1, min(n, _BLOCK_SAMPLES)
-    size = next_fast_len(block + taps - 1) if taps > _DIRECT_MAX_TAPS else 0
-    plans = len(kernels)
-    shared = 2 * taps + plans * (taps + size + 2)
-    return block, shared, plans * (size + 2 + 2 * block) + block + 2 * pad + size
+    block = min(n, _BLOCK_SAMPLES)
+    plans = _plan_routes(kernels, block, dt)
+    shared = 2 * (2 * pad + 1) + sum(taps + size + 2 for taps, size in plans)
+    return block, shared, len(plans) * 2 * block + block + 2 * pad + 2 * max(s for _, s in plans) + 2
 
 
 def _blocks_in_step(paths) -> Iterator[tuple]:

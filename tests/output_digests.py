@@ -3,8 +3,10 @@
 The set is the test suite's ``BASE_CONFIG`` and its ``hilbert_sinc`` twin,
 each through all five commands, with ``montecarlo --emit-paths`` run at
 ``--workers 1`` on one CPU and on three (so one thread, then three threads,
-run its four replications on any host) and at ``--workers 2``. Each data
-file is pinned by the sha256
+run its four replications on any host) and at ``--workers 2``, and
+``simulate`` run again at T = 1400: 70 001 samples at dt 0.02, two blocks
+through the sinc kernel's FFT plan by overlap-save. Each data file is
+pinned by the sha256
 of its bytes and each ``run_manifest.json`` by the sha256 of its canonical
 JSON less ``timestamps``. FFT routes pin platform bits, so the digest file
 also records the numpy version they were taken on.
@@ -32,15 +34,17 @@ import numpy as np
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
 #: (run name, command, extra CLI arguments, CPUs the run may use or None
-#: for the host's), run on each config in order.
+#: for the host's, ``command_defaults`` entries that replace the config's),
+#: run on each config in order.
 RUNS = (
-    ("check-kernel", "check-kernel", (), None),
-    ("simulate", "simulate", (), None),
-    ("estimate", "estimate", (), None),
-    ("bounds", "bounds", (), None),
-    ("montecarlo_w1", "montecarlo", ("--workers", "1", "--emit-paths"), 1),
-    ("montecarlo_w1_cpus3", "montecarlo", ("--workers", "1", "--emit-paths"), 3),
-    ("montecarlo_w2", "montecarlo", ("--workers", "2", "--emit-paths"), None),
+    ("check-kernel", "check-kernel", (), None, {}),
+    ("simulate", "simulate", (), None, {}),
+    ("simulate_T1400", "simulate", (), None, {"simulate": {"deltas": [1, 2], "T": 1400.0}}),
+    ("estimate", "estimate", (), None, {}),
+    ("bounds", "bounds", (), None, {}),
+    ("montecarlo_w1", "montecarlo", ("--workers", "1", "--emit-paths"), 1, {}),
+    ("montecarlo_w1_cpus3", "montecarlo", ("--workers", "1", "--emit-paths"), 3, {}),
+    ("montecarlo_w2", "montecarlo", ("--workers", "2", "--emit-paths"), None, {}),
 )
 
 
@@ -82,9 +86,11 @@ def run_set(work: Path) -> dict:
 
     digests = {}
     for name, cfg in configs().items():
-        config = work / f"{name}.json"
-        config.write_text(json.dumps(cfg), encoding="utf-8")
-        for run, command, extra, cpus in RUNS:
+        for run, command, extra, cpus, defaults in RUNS:
+            config = work / f"{name}_{run}.json"
+            config.write_text(json.dumps(dict(cfg, command_defaults={**cfg["command_defaults"],
+                                                                     **defaults})),
+                              encoding="utf-8")
             out = work / name / run
             with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), _cpus(cpus):
                 warnings.simplefilter("ignore", RuntimeWarning)

@@ -841,16 +841,29 @@ def test_allocator_policy_keeps_fft_scratch_mapped():
     assert faults["policy"] < 8 and faults["default"] >= 100, faults
 
 
-_MC_RESOURCES = """
+_RESOURCES = """
 import json, sys, warnings
 
 warnings.simplefilter("ignore", RuntimeWarning)
 from correlogram.cli import main
 
-config, out = sys.argv[1:]
-code = main(["montecarlo", "--config", config, "--out", out, "--workers", "1"])
+command, config, out, *extra = sys.argv[1:]
+code = main([command, "--config", config, "--out", out, *extra])
 print(code, json.dumps(json.load(open(out + "/run_manifest.json"))["timestamps"]["resources"]))
 """
+
+
+def _minor_faults(tmp_path, name, cfg, command, *extra):
+    """``timestamps.resources.minor_faults`` of the manifest of one CLI run
+    of ``command`` on ``cfg``, in a fresh interpreter."""
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(cfg))
+    out = subprocess.run([sys.executable, "-c", _RESOURCES, command, str(config), str(tmp_path / name),
+                          *extra], env=_glibc_malloc_env(), capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    code, resources = out.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    return json.loads(resources)["minor_faults"]
 
 
 @needs_glibc
@@ -859,17 +872,22 @@ def test_montecarlo_faults_per_replication_stay_flat(tmp_path):
     # allocator policy each replication faulted in about 470 pages (612 on
     # one thread), nearly all of them pocketfft scratch
     model = dict(BASE_CONFIG, delta=100.0, dt=0.01, T=500.0)
-    faults = {}
-    for M in (8, 24):
-        config = tmp_path / f"M{M}.json"
-        config.write_text(json.dumps(dict(model, command_defaults={"montecarlo": {"replications": M}})))
-        out = subprocess.run([sys.executable, "-c", _MC_RESOURCES, str(config), str(tmp_path / f"o{M}")],
-                             env=_glibc_malloc_env(), capture_output=True, text=True, timeout=300)
-        assert out.returncode == 0, out.stderr
-        code, resources = out.stdout.splitlines()[-1].split(" ", 1)
-        assert code == "0"
-        faults[M] = json.loads(resources)["minor_faults"]
+    faults = {M: _minor_faults(tmp_path, f"M{M}",
+                               dict(model, command_defaults={"montecarlo": {"replications": M}}),
+                               "montecarlo", "--workers", "1")
+              for M in (8, 24)}
     assert (faults[24] - faults[8]) / 16 < 16, faults
+
+
+@needs_glibc
+def test_estimate_faults_per_block_stay_flat(tmp_path):
+    # a draw makes each FFT block's spectrum and inverse transform afresh
+    # (62 208 points here), so under the allocator policy the heap must
+    # hand the freed blocks back: one transform faulted in 211 pages
+    # without it. T = 2000 and 8000 at dt = 0.01 draw 4 and 13 blocks.
+    model = dict(BASE_CONFIG, delta=100.0, dt=0.01)
+    faults = {T: _minor_faults(tmp_path, f"T{T}", dict(model, T=T), "estimate") for T in (2000.0, 8000.0)}
+    assert (faults[8000.0] - faults[2000.0]) / 9 < 16, faults
 
 
 @pytest.mark.parametrize("platform_name, libc", [("darwin", None), ("linux", object())])

@@ -2,6 +2,7 @@
 
 import io
 import math
+import pickle
 import struct
 import threading
 import tracemalloc
@@ -264,6 +265,23 @@ class TestConvolution:
         for k, values in zip(kernels, paths):
             assert values.tobytes() == output(k, dW, grid, pad).values.tobytes()
 
+    @pytest.mark.filterwarnings("ignore:dt=.*under-resolves:RuntimeWarning")
+    @pytest.mark.parametrize("deltas, dt, n", [
+        ((100.0,), 0.01, 50101),
+        ((10.0, 100.0), 1e-3, 500001),
+        ((100.0,), 1e-3, 501001),
+    ], ids=["mc", "paths_simulate", "paths_estimate"])
+    def test_working_set_counts_the_fft_plans_the_simulator_builds(self, deltas, dt, n):
+        # the perfbench runs' kernels: sinc through the FFT, each triangular
+        # window summed directly from the few taps its own support keeps,
+        # not counted at the sinc's pad
+        kernels = (make_sinc(), *(make_triangular(d, 1.0) for d in deltas))
+        sim = Simulator(kernels, TimeGrid(0.0, dt, n))
+        counted = simulate_mod._plan_routes(kernels, sim.block, dt)
+        assert [size for _, size in counted] == [p.size for p in sim.plans]
+        assert [size > 0 for _, size in counted] == [True] + [False] * len(deltas)
+        assert all(taps >= p.taps.size for (taps, _), p in zip(counted, sim.plans))
+
     def test_pair_validates_each_path_once(self, monkeypatch):
         h, g, grid = make_sinc(), make_triangular(2.0, 1.0), TimeGrid(0.0, 0.05, 101)
         pad = max(required_pad(h, grid.dt), required_pad(g, grid.dt))
@@ -378,8 +396,8 @@ class TestBlocks:
         sim = Simulator((make_sinc(), make_triangular(2.0, 1.0)), grid)
         made, convolve_block = [], ConvolutionPlan.convolve_block
 
-        def tracked(plan, x, work):
-            block = convolve_block(plan, x, work)
+        def tracked(plan, x):
+            block = convolve_block(plan, x)
             made.append(weakref.ref(block))
             return block
 
@@ -393,8 +411,8 @@ class TestBlocks:
 
     def test_interleaved_draws_are_independent(self, monkeypatch):
         # two draws of one Simulator read alternately, block by block, after
-        # a finished draw has left its increment buffer, each give the bits
-        # of a fresh Simulator's draw of their seed
+        # a finished draw, each give the bits of a fresh Simulator's draw of
+        # their seed
         monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 100)
         grid = TimeGrid(0.0, 0.05, 1001)
         kernels = (make_sinc(), make_triangular(2.0, 1.0))
@@ -409,15 +427,23 @@ class TestBlocks:
 
     def test_draws_in_threads_at_once_are_independent(self, monkeypatch):
         # two threads draw from one Simulator at once: every FFT block of one
-        # waits after its forward transform for the other's, so a work
-        # spectrum that the draws shared would hand one draw the other's
-        # spectrum; each joined path still has a fresh Simulator's bits
+        # waits after its forward transform for the other's, so a spectrum
+        # that the draws shared would hand one draw the other's; each joined
+        # path still has a fresh Simulator's bits, and the draws wrote
+        # neither the Simulator nor its plans
         monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 100)
         grid = TimeGrid(0.0, 0.05, 1001)
         kernels = (make_sinc(), make_triangular(2.0, 1.0))
         want = {seed: [v.tobytes() for v in _joined(Simulator(kernels, grid).stream(NoiseSeed(seed)))]
                 for seed in (1, 2)}
         sim = Simulator(kernels, grid)
+
+        def held():  # the objects the Simulator and its plans hold, and all their bytes
+            return ([{name: id(v) for name, v in vars(obj).items()} for obj in (sim, *sim.plans)],
+                    [(p.taps.tobytes(), p.spectrum.tobytes() if p.size else None) for p in sim.plans],
+                    pickle.dumps(sim))
+
+        before = held()
         both, rfft = threading.Barrier(2, timeout=30), simulate_mod.rfft
 
         def paired(*args, **kwargs):
@@ -440,12 +466,12 @@ class TestBlocks:
         draw(1)
         helper.join()
         assert failed == [] and got == want
-        assert len(sim._spare) == 2  # each draw left its own buffers
+        assert held() == before
 
     def test_a_draw_keeps_its_bits_after_finished_and_unread_draws(self, monkeypatch):
-        # a draw that makes its own increment buffer beside a draw left
-        # unread, and one that takes the buffer a finished draw left, give
-        # a fresh Simulator's bits
+        # a draw beside a draw left unread, and the same draw again after it
+        # has finished, give a fresh Simulator's bits: every draw makes its
+        # own increment buffer, and none leaves one behind
         monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 100)
         grid = TimeGrid(0.0, 0.05, 1001)
         kernels = (make_sinc(), make_triangular(2.0, 1.0))
