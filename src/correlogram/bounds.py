@@ -13,7 +13,6 @@ the replication harness, not proven here.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ from .entropy import (
 from .errors import BoundUnavailable
 from .kernels import Kernel, autocorrelation
 from .quadrature import sup_ftf
+from .simulate import _write_json
 from .spectral import CovarianceModel, cov_finite
 
 __all__ = [
@@ -344,16 +344,13 @@ class TailBoundReport:
     def to_json(self, path, settings: dict) -> None:
         """Write the report and the JSON-native config ``settings`` the
         method ran with."""
-        payload = {
+        _write_json(path, {
             "method": self.method,
             "x": [float(v) for v in self.x_values],
             "bound": [float(v) for v in self.bound_values],
             "constants": self.constants,
             "settings": settings,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        })
 
 
 def _capped_report(method, xs, raw, constants) -> TailBoundReport:

@@ -5,6 +5,9 @@ window-family conditions, ``simulate`` writes output paths over a delta
 ladder, ``estimate`` runs one simulate-estimate cycle, ``bounds`` emits
 tail-bound reports, and ``montecarlo`` runs the replication harness.
 
+Each handler writes its command's files and returns them with its exit
+code; ``main`` records them in the run manifest, in that order.
+
 Exit codes: 0 on success, 1 for a domain-level failure (a condition
 check fails, an estimator lacks coverage, a bound degenerates), 2 for
 usage or configuration errors. All randomness flows from the config's
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -53,6 +55,7 @@ from .simulate import (
     NoiseSeed,
     Simulator,
     TimeGrid,
+    _write_json,
     simulate_pair,
     write_path_files,
 )
@@ -92,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each handler takes the command's checked view, the output directory, the
-# run's manifest (where it records every file it writes) and the parsed
-# arguments, and returns the exit code; its docstring is its --help text.
+# Each handler takes the command's checked view, the output directory and the
+# parsed arguments, and returns the exit code and the files it wrote, in the
+# order written; its docstring is its --help text.
 
 
-def cmd_check_kernel(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+def cmd_check_kernel(view: dict, out_dir: Path, args) -> tuple:
     """verify window-family conditions and the weighted spectral integral"""
     h, family = view_kernels(view)
     report = check_family_conditions(family, view["deltas"], view["lambda_window"], tol=view["tol"])
@@ -109,19 +112,16 @@ def cmd_check_kernel(view: dict, out_dir: Path, manifest: RunManifest, args) -> 
     }
     passed = report["passed"] and hunt["converged"]
     target = out_dir / "conditions.json"
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump({"family": report, "hunt": hunt, "passed": passed}, fh, indent=2)
-        fh.write("\n")
-    manifest.add_output(target)
+    _write_json(target, {"family": report, "hunt": hunt, "passed": passed})
 
     oks = [check["passed"] for check in report["checks"].values()] + [hunt["converged"]]
     for name, ok in zip(("square-integrable", "even", "transform sup bounded",
                          "compact limit -> c", "weighted spectral integral finite"), oks):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return 0 if passed else 1
+    return (0 if passed else 1), [target]
 
 
-def cmd_simulate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+def cmd_simulate(view: dict, out_dir: Path, args) -> tuple:
     """simulate and write output paths over a delta ladder"""
     h, family = view_kernels(view)
     dt, deltas = view["dt"], view["deltas"]
@@ -132,13 +132,10 @@ def cmd_simulate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     stems = [f"path_{name}" for name in ["Y", *(f"X_delta{d:g}" for d in deltas)]]
     csvs, bins = ([out_dir / f"{stem}{ext}" for stem in stems] for ext in (".csv", ".bin"))
     write_path_files(paths, csvs, bins)
-    for csv_file, bin_file in zip(csvs, bins):
-        manifest.add_output(csv_file)
-        manifest.add_output(bin_file)
-    return 0
+    return 0, [f for pair in zip(csvs, bins) for f in pair]
 
 
-def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+def cmd_estimate(view: dict, out_dir: Path, args) -> tuple:
     """run one simulate-estimate cycle and write the estimate"""
     h, family = view_kernels(view)
     g = family(view["delta"])
@@ -148,12 +145,10 @@ def cmd_estimate(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
     sidecar = dict({k: view[k] for k in ("T", "delta", "c", "dt")}, seed=view["base_seed"])
     target = out_dir / "estimate.csv"
     write_estimate_csv(columns, sidecar, target)
-    manifest.add_output(target)
-    manifest.add_output(target.with_suffix(".json"))
-    return 0
+    return 0, [target, target.with_suffix(".json")]
 
 
-def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+def cmd_bounds(view: dict, out_dir: Path, args) -> tuple:
     """compute tail-bound reports over a threshold grid"""
     h, family = view_kernels(view)
     a, b = view["interval"]
@@ -180,6 +175,7 @@ def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
                        dict(shared, y_tail_M=M)),
     }
     signals: dict = {}
+    written = []
     for method in view["methods"]:
         build, settings = table[method]
         with warnings.catch_warnings(record=True) as caught:
@@ -194,27 +190,23 @@ def cmd_bounds(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
             signals[method] = degenerate
         target = out_dir / f"bound_{method}.json"
         report.to_json(target, settings)
-        manifest.add_output(target)
+        written.append(target)
 
     if signals:
         target = out_dir / "bounds_signals.json"
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump({"signals": signals}, fh, indent=2)
-            fh.write("\n")
-        manifest.add_output(target)
+        _write_json(target, {"signals": signals})
+        written.append(target)
         for method, msgs in signals.items():
             for msg in msgs:
                 print(f"degenerate [{method}]: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    return (1 if signals else 0), written
 
 
-def cmd_montecarlo(view: dict, out_dir: Path, manifest: RunManifest, args) -> int:
+def cmd_montecarlo(view: dict, out_dir: Path, args) -> tuple:
     """run the replication harness and write aggregate results"""
     result = run_replications(view, workers=args.workers)
-    target = out_dir / "result.csv"
-    write_result_csv(result, target)
-    manifest.add_output(target)
+    csv_file, json_file = out_dir / "result.csv", out_dir / "result.json"
+    write_result_csv(result, csv_file)
     # result.json's config block: the view's values, h and g_family under
     # their result.json names and base_seed as two keys
     config = dict(
@@ -224,24 +216,20 @@ def cmd_montecarlo(view: dict, out_dir: Path, manifest: RunManifest, args) -> in
         **view["base_seed"],
         interval=view["interval"],
     )
-    target = out_dir / "result.json"
-    write_result_json(result, config, target)
-    manifest.add_output(target)
+    write_result_json(result, config, json_file)
+    if not args.emit_paths:
+        return 0, [csv_file, json_file]
 
-    if args.emit_paths:
-        target = out_dir / "trajectories.csv"
-        write_trajectories_csv(result, target, max_reps=view["emit_max_reps"])
-        manifest.add_output(target)
-        # First replication's paths, re-simulated from its own stream.
-        h, family = view_kernels(view)
-        grid = estimation_grid(view["T"], view["dt"], result.fine_taus)
-        seed = NoiseSeed(**view["base_seed"]).spawn(0)
-        paths = simulate_pair(Simulator((h, family(view["delta"])), grid), seed)
-        targets = [out_dir / f"path_rep0_{label}.csv" for label in ("Y", "X")]
-        write_path_files(paths, targets)
-        for target in targets:
-            manifest.add_output(target)
-    return 0
+    target = out_dir / "trajectories.csv"
+    write_trajectories_csv(result, target, max_reps=view["emit_max_reps"])
+    # First replication's paths, re-simulated from its own stream.
+    h, family = view_kernels(view)
+    grid = estimation_grid(view["T"], view["dt"], result.fine_taus)
+    seed = NoiseSeed(**view["base_seed"]).spawn(0)
+    paths = simulate_pair(Simulator((h, family(view["delta"])), grid), seed)
+    targets = [out_dir / f"path_rep0_{label}.csv" for label in ("Y", "X")]
+    write_path_files(paths, targets)
+    return 0, [csv_file, json_file, target, *targets]
 
 
 _HANDLERS = {
@@ -256,8 +244,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     """Run one command: parse and check its config view, which is where
     every usage error exits 2, before the output directory exists; run its
-    handler, then write the run manifest and print one ``wrote`` line per
-    output file. First it sets the process's allocator policy
+    handler, record the files it returns in the run manifest, in order,
+    then write the manifest and print one ``wrote`` line per output file.
+    First it sets the process's allocator policy
     (``config._keep_freed_memory``), so FFT scratch is reused, not faulted
     in afresh on every call."""
     _keep_freed_memory()
@@ -276,10 +265,12 @@ def main(argv=None) -> int:
         return 2
     manifest = RunManifest.start(args.command, cfg)
     try:
-        code = _HANDLERS[args.command](view, out_dir, manifest, args)
+        code, written = _HANDLERS[args.command](view, out_dir, args)
     except DomainError as exc:
         print(f"domain failure: {exc}", file=sys.stderr)
         return 1
+    for path in written:
+        manifest.add_output(path)
     manifest.finish(out_dir)
     for output in manifest.outputs:
         print(f"wrote {out_dir / output['name']}")

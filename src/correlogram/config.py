@@ -40,7 +40,7 @@ except ImportError:  # no getrusage on this platform
 from .bounds import _METHODS
 from .estimator import _horizon_steps, _lagged_values, estimation_grid
 from .kernels import family_from_name, kernel_from_spec
-from .simulate import _draw_values, required_pad
+from .simulate import _draw_values, _write_json, required_pad
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -547,7 +547,7 @@ class RunManifest:
             {"name": p.name, "sha256": _sha256_file(p), "bytes": p.stat().st_size}
         )
 
-    def finish(self, out_dir) -> Path:
+    def finish(self, out_dir) -> None:
         self.timestamps["finished"] = _utc_now()
         if self._usage_at_start is not None:
             *now, rss_kib = _usage()
@@ -558,11 +558,7 @@ class RunManifest:
                 "minor_faults": faults,
                 "max_rss_mb": round(rss_kib / 1024, 3),
             }
-        target = Path(out_dir) / MANIFEST_NAME
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return target
+        _write_json(Path(out_dir) / MANIFEST_NAME, asdict(self), sort_keys=True)
 
 
 def _usage() -> tuple:

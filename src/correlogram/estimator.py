@@ -23,7 +23,6 @@ grow with ``T``; a window of at most one block is summed in one piece.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +33,7 @@ from numpy.fft import irfft, rfft
 from .errors import CoverageError
 from .kernels import Kernel
 from .quadrature import lagged_product
-from .simulate import _BLOCK_SAMPLES, TimeGrid, _blocks_in_step, _write_csv, next_fast_len
+from .simulate import _BLOCK_SAMPLES, TimeGrid, _blocks_in_step, _write_csv, _write_json, next_fast_len
 
 __all__ = [
     "snap_tau_grid",
@@ -235,8 +234,5 @@ def estimate_correlogram(
 def write_estimate_csv(columns: dict, sidecar: dict, file) -> None:
     """Write the named ``columns`` as CSV, the names as its header, and
     ``sidecar`` next to it as JSON with extension ``.json``."""
-    file = Path(file)
     _write_csv([file], list(columns), [list(columns.values())])
-    with open(file.with_suffix(".json"), "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(Path(file).with_suffix(".json"), sidecar, sort_keys=True)

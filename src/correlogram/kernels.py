@@ -398,9 +398,7 @@ def _read_two_columns(path) -> tuple:
     non-numeric rows before the first sample (a header) are skipped."""
     times, values = [], []
     with open(Path(path), newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
+        for row in filter(None, csv.reader(fh)):
             try:
                 t = float(row[0])
             except ValueError:
@@ -409,8 +407,11 @@ def _read_two_columns(path) -> tuple:
                 continue  # header
             if len(row) < 2:
                 raise ValueError(f"row {row!r} in {path} has no value column")
+            try:
+                values.append(float(row[1]))
+            except ValueError:
+                raise ValueError(f"non-numeric value in row {row!r} in {path}") from None
             times.append(t)
-            values.append(float(row[1]))
     return times, values
 
 
@@ -418,8 +419,13 @@ def load_kernel_csv(path) -> Kernel:
     """Load a tabulated kernel from a two-column (time,value) CSV file.
 
     A single header row is skipped when its first field is not numeric.
+    Every ``ValueError`` names the file.
     """
-    return make_tabulated(*_read_two_columns(path))
+    times, values = _read_two_columns(path)
+    try:
+        return make_tabulated(times, values)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
 
 
 def _tabulated(path=None, times=None, values=None) -> Kernel:

@@ -28,7 +28,6 @@ one thread, so no other run loads ``multiprocessing`` or
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -39,7 +38,7 @@ from .config import _keep_freed_memory, _share_threads, view_kernels
 from .errors import ConsistencyError, ReplicationError
 from .estimator import cross_correlogram, estimation_grid, snap_tau_grid, theoretical_bias
 from .kernels import Kernel
-from .simulate import NoiseSeed, Simulator, _write_csv, simulate_pair
+from .simulate import NoiseSeed, Simulator, _write_csv, _write_json, simulate_pair
 from .spectral import autocovariance_Y, cov_limit
 
 __all__ = [
@@ -458,7 +457,7 @@ def _quantile(sorted_values: np.ndarray, q: float) -> float:
 
 def write_result_json(result: MonteCarloResult, config: dict, path) -> None:
     """The aggregates as JSON, after the caller's ``config`` block."""
-    payload = {
+    _write_json(path, {
         "config": config,
         "tau_grid": [float(t) for t in result.tau_grid],
         "mean": [float(v) for v in result.mean],
@@ -469,10 +468,7 @@ def write_result_json(result: MonteCarloResult, config: dict, path) -> None:
             {"tau": t, "stat": s, "p": p} for (t, s, p) in result.ks_results
         ],
         "sup_samples_mean": float(result.sup_samples.mean()),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def write_trajectories_csv(result: MonteCarloResult, path, max_reps: Optional[int] = None) -> None:

@@ -32,11 +32,13 @@ one block is one block. ``SampledPath`` is a whole path in memory.
 
 Path, estimate and trajectories CSVs go through ``_write_rows``, which
 formats row chunks in numpy: ``_float_cells`` gives each float its ``repr``.
+Every JSON file the package writes goes through ``_write_json``.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import struct
@@ -427,6 +429,14 @@ def _write_csv(files, header, columns) -> None:
         _write_rows(_open_csvs(stack, files, header), columns)
 
 
+def _write_json(file, payload, sort_keys: bool = False) -> None:
+    """Write ``payload`` to ``file`` as UTF-8 JSON: a two-space indent, a
+    final newline, and keys sorted only when ``sort_keys``."""
+    with open(Path(file), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _open_csvs(stack: ExitStack, files, header) -> list:
     """The binary handles of ``files``, closed with ``stack``, each holding
     the ``header`` line."""
@@ -682,25 +692,31 @@ def write_path_csv(path, file) -> None:
     write_path_files([path], [file])
 
 
-def _file_grid(file, t_start: float, dt: float, n: int) -> TimeGrid:
-    """``TimeGrid(t_start, dt, n)`` read from ``file``; an invalid grid's
-    ``ValueError`` names the file."""
+def _file_path(file, t_start: float, dt: float, values: np.ndarray) -> SampledPath:
+    """The path of ``values`` on ``TimeGrid(t_start, dt, len(values))``, read
+    from ``file``; an invalid grid, or a value that is not finite, raises
+    ``ValueError`` naming the file."""
     try:
-        return TimeGrid(t_start, dt, n)
+        grid = TimeGrid(t_start, dt, len(values))
     except ValueError as exc:
         raise ValueError(f"{exc}, but {file} gives t_start={t_start!r}, dt={dt!r}") from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"values must be finite, but sample {k} in {file} is {float(values[k])!r}")
+    return SampledPath(grid=grid, values=values)
 
 
 def read_path_csv(file) -> SampledPath:
     """Read (t,value) rows on the grid ``t0 + j*dt`` with ``dt = t1 - t0``;
-    fewer than two rows, a ``dt`` that is not positive, or a time off that
-    grid raises ``ValueError``."""
+    fewer than two rows, a ``dt`` that is not positive, a time off that
+    grid or a value that is not finite raises ``ValueError``."""
     times, values = _read_two_columns(file)
     if len(times) < 2:
         raise ValueError(f"{len(times)} samples in {file}: two are needed to fix dt")
     t0 = times[0]
     dt = times[1] - t0
-    grid = _file_grid(file, t0, dt, len(times))
+    path = _file_path(file, t0, dt, np.array(values))
     j = np.arange(len(times))
     # dt is off by up to half an ulp of t1, and sample j repeats that j times
     slack = 1e-6 * abs(dt) + j * np.spacing(abs(t0) + abs(dt))
@@ -708,7 +724,7 @@ def read_path_csv(file) -> SampledPath:
     if off.size:
         k = off[0]
         raise ValueError(f"t={times[k]!r} of sample {k} in {file} is off the grid {t0!r} + j*{dt!r}")
-    return SampledPath(grid=grid, values=np.array(values))
+    return path
 
 
 def write_path_binary(path, file) -> None:
@@ -720,8 +736,8 @@ def write_path_binary(path, file) -> None:
 
 def read_path_binary(file) -> SampledPath:
     """Read a path in the ``_BIN_HEADER`` layout; a file whose size is not
-    that of the header plus its ``n`` values, or a header ``dt`` that is
-    not positive, raises ``ValueError``."""
+    that of the header plus its ``n`` values, a header ``dt`` that is not
+    positive, or a value that is not finite raises ``ValueError``."""
     with open(Path(file), "rb") as fh:
         header = fh.read(_BIN_HEADER.size)
         if len(header) != _BIN_HEADER.size:
@@ -732,4 +748,4 @@ def read_path_binary(file) -> SampledPath:
             raise ValueError(f"{file} has {size} bytes, but a header of n={n} needs {expected}")
         raw = fh.read(8 * n)
     values = np.frombuffer(raw, dtype="<f8").astype(float)
-    return SampledPath(grid=_file_grid(file, t_start, dt, n), values=values)
+    return _file_path(file, t_start, dt, values)

@@ -144,6 +144,25 @@ def test_package_imports_only_public_names():
     assert missing == []
 
 
+def test_one_json_writer_and_one_output_recorder():
+    # every JSON file goes through simulate._write_json, and only cli.main
+    # records outputs in the manifest: handlers return what they wrote
+    def calls(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else where
+            if isinstance(child, ast.Call):
+                func = child.func
+                yield getattr(func, "attr", getattr(func, "id", None)), where
+            yield from calls(child, inner)
+
+    found = {"dump": [], "add_output": []}
+    for path in sorted(SRC.glob("*.py")):
+        for name, where in calls(ast.parse(path.read_text(encoding="utf-8")), None):
+            if name in found:
+                found[name].append(f"{path.stem}.{where}")
+    assert found == {"dump": ["simulate._write_json"], "add_output": ["cli.main"]}
+
+
 def test_every_import_is_used():
     # a name a module imports but never reads is left over from a deletion
     unused = []

@@ -463,7 +463,8 @@ class TestBounds:
         cfg.write_text(json.dumps({"command_defaults": {"bounds": {"methods": ["theorem5"]}}}))
         assert run_cli("bounds", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
-    def test_degenerate_bound_exits_one_with_payload(self, config_path, tmp_path, monkeypatch):
+    def test_degenerate_bound_exits_one_with_payload(self, config_path, tmp_path, monkeypatch,
+                                                     capsys):
         def unavailable(*args, **kwargs):
             raise BoundUnavailable("entropy integral diverges")
 
@@ -473,8 +474,16 @@ class TestBounds:
         assert code == 1
         payload = json.loads((out / "bounds_signals.json").read_text())
         assert "theorem4_sup" in payload["signals"]
-        # the healthy methods still produced their reports
-        assert (out / "bound_corollary2.json").exists()
+        # the healthy methods still produced their reports; the manifest
+        # records them and then the signals, in write order, and verifies
+        methods = command_view(load_config(config_path), "bounds")["methods"]
+        outputs = json.loads((out / "run_manifest.json").read_text())["outputs"]
+        assert [entry["name"] for entry in outputs] == [
+            f"bound_{m}.json" for m in methods if m != "theorem4_sup"
+        ] + ["bounds_signals.json"]
+        assert verify_manifest(out / "run_manifest.json") == []
+        wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+        assert wrote == [f"wrote {out / entry['name']}" for entry in outputs]
 
     def test_corollary2_takes_the_tail_of_sup_abs_Y(self, config_path, tmp_path):
         # corollary 2 needs P{sup |Y| > u}; corollary 1 takes P{sup Y > u}

@@ -244,6 +244,16 @@ class TestSpecsAndTabulated:
         with pytest.raises(ValueError, match="no value column"):
             load_kernel_csv(target)
 
+    @pytest.mark.parametrize("cell, message", [
+        ("abc", r"non-numeric value in row \['0.5', 'abc'\] in .*kern.csv"),
+        ("nan", "times and values must be finite in .*kern.csv"),
+    ], ids=["text", "nan"])
+    def test_csv_bad_value_names_the_file(self, tmp_path, cell, message):
+        target = tmp_path / "kern.csv"
+        target.write_text(f"t,value\n0.0,1.0\n0.5,{cell}\n")
+        with pytest.raises(ValueError, match=message):
+            load_kernel_csv(target)
+
     def test_one_sided_box_mass(self):
         k = make_one_sided_box(4.0, 1.0)
         # c*delta on [0, 1/delta]

@@ -652,6 +652,22 @@ class TestPathIO:
         with pytest.raises(ValueError, match="dt must be finite and positive, but .*p.bin gives"):
             read_path_binary(target)
 
+    @pytest.mark.parametrize("cell, message", [
+        ("abc", r"non-numeric value in row \['0.5', 'abc'\] in .*p.csv"),
+        ("nan", "values must be finite, but sample 1 in .*p.csv is nan"),
+    ], ids=["text", "nan"])
+    def test_csv_bad_value_names_the_file(self, tmp_path, cell, message):
+        target = tmp_path / "p.csv"
+        target.write_text(f"t,value\n0,1\n0.5,{cell}\n")
+        with pytest.raises(ValueError, match=message):
+            read_path_csv(target)
+
+    def test_binary_nan_names_the_file(self, tmp_path):
+        target = tmp_path / "p.bin"
+        target.write_bytes(struct.pack("<Qdd2d", 2, 0.5, 0.0, 1.0, math.nan))
+        with pytest.raises(ValueError, match="values must be finite, but sample 1 in .*p.bin is nan"):
+            read_path_binary(target)
+
 
 def cell_text(values):
     """The CSV cells that ``_cells`` makes of a 1-D array, as text."""
