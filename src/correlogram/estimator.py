@@ -44,11 +44,16 @@ __all__ = [
     "write_estimate_csv",
 ]
 
-#: Lag count up to which the correlogram takes one dot product per lag;
-#: more lags go through one FFT cross-correlation. The loop's cost grows
-#: with the lag count, the FFT's does not; the two cross between about 130
-#: and 260 lags for 5e4 to 5e5 samples in the window [0, T).
+#: Lag count up to which the correlogram takes one BLAS dot product per lag
+#: (``np.correlate`` over each run of consecutive lags); more lags go through
+#: one FFT cross-correlation. The loop's cost grows with the lag count, the
+#: FFT's does not; on one thread of a 2-vCPU x86-64 host the two cross at
+#: about 270 lags for 5e4 samples in the window [0, T) and about 190 for 5e5.
 _DOT_MAX_LAGS = 256
+
+#: Window blocks of at most this many samples take ``np.dot`` per lag:
+#: ``np.correlate`` sums them in an unrolled loop that rounds differently.
+_SMALL_CORRELATE = 11
 
 
 def snap_tau_grid(tau_grid: Sequence[float], dt: float) -> np.ndarray:
@@ -100,8 +105,11 @@ def cross_correlogram(Y, X, c: float, T: float, tau_grid: Sequence[float]) -> np
     to the lattice first. Raises when the shared grid does not cover every
     shifted window.
 
-    Up to ``_DOT_MAX_LAGS`` lags take one dot product per lag and block.
-    More lags take, per block of ``m`` samples, one zero-padded real FFT
+    Up to ``_DOT_MAX_LAGS`` lags take one BLAS dot product per lag and
+    block, each run of consecutive lags in one GIL-free ``np.correlate``
+    call that takes the dots of ``np.dot`` byte for byte; blocks of at most
+    ``_SMALL_CORRELATE`` (11) samples take ``np.dot`` per lag. More lags
+    take, per block of ``m`` samples, one zero-padded real FFT
     cross-correlation of the ``m + hi - lo`` ``Y`` samples that the shifts
     ``lo..hi`` reach against the block of ``X``, at the first fast length
     that holds them, so nothing wraps into a kept shift; the requested
@@ -150,10 +158,13 @@ def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
     The buffers ``y`` and ``x`` hold the grid samples from ``start`` on; a
     window block is summed once ``y`` reaches its largest shift and ``x``
     the block's end, and the samples before the next window block's
-    smallest shift are dropped."""
+    smallest shift are dropped. On the loop route a window block takes one
+    ``np.correlate`` per run of consecutive shifts, byte for byte one BLAS
+    dot per shift, or ``np.dot`` per shift at <= ``_SMALL_CORRELATE`` samples."""
     lo, hi = (int(shifts.min()), int(shifts.max())) if shifts.size else (0, 0)
     block = min(n_T, _BLOCK_SAMPLES)
     dots = shifts.size <= _DOT_MAX_LAGS
+    runs = np.split(shifts, np.flatnonzero(np.diff(shifts) != 1) + 1) if shifts.size else []
     size = None if dots else next_fast_len(block + hi - lo)
     y = x = np.empty(0)
     start = done = 0
@@ -169,8 +180,11 @@ def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
             if a + max(hi, 0) + m > y.size:  # x grows with y
                 break
             x_win = x[a : a + m]
-            if dots:
+            if dots and (m <= _SMALL_CORRELATE or not runs):
                 part = np.array([np.dot(y[a + k : a + k + m], x_win) for k in shifts])
+            elif dots:
+                part = np.concatenate([np.correlate(y[a + r[0] : a + r[-1] + m], x_win, "valid")
+                                       for r in runs])
             else:
                 # corr[i] = sum_j y[a + lo + i + j] x_win[j] for every shift lo + i:
                 # at a length >= m + hi - lo no product wraps into them.
@@ -189,9 +203,9 @@ def _lagged_values(n_T: int, span: int, block: int, lags: int) -> tuple:
     and ``lags`` lags ``span`` lag steps wide from paths in blocks of
     ``block``: the most its ``y`` or ``x`` holds, two blocks and the
     look-ahead, and the most float64 values it holds: both buffers, a block's
-    sums and their total, and on the FFT route its three transforms."""
+    sums, its runs' sums and their total, and on the FFT route its three transforms."""
     buffer = 2 * block + span
-    values = 2 * buffer + 2 * lags
+    values = 2 * buffer + 3 * lags
     if lags > _DOT_MAX_LAGS:
         values += 3 * (next_fast_len(min(n_T, _BLOCK_SAMPLES) + span) + 2)
     return buffer, values

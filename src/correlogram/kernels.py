@@ -394,17 +394,20 @@ def make_tabulated(times: Sequence[float], values: Sequence[float]) -> Kernel:
 
 
 def _read_two_columns(path) -> tuple:
-    """(times, values) lists of a two-column CSV file; blank rows and
-    non-numeric rows before the first sample (a header) are skipped."""
+    """(times, values) lists of a two-column CSV file; blank rows and one
+    non-numeric row before the first sample (a header) are skipped."""
     times, values = [], []
+    header = False
     with open(Path(path), newline="", encoding="utf-8") as fh:
-        for row in filter(None, csv.reader(fh)):
+        rows = csv.reader(fh)
+        for row in filter(None, rows):
             try:
                 t = float(row[0])
             except ValueError:
-                if times:
-                    raise ValueError(f"non-numeric row {row!r} in {path}")
-                continue  # header
+                if times or header:
+                    raise ValueError(f"non-numeric row {rows.line_num} {row!r} in {path}") from None
+                header = True
+                continue
             if len(row) < 2:
                 raise ValueError(f"row {row!r} in {path} has no value column")
             try:
@@ -418,8 +421,9 @@ def _read_two_columns(path) -> tuple:
 def load_kernel_csv(path) -> Kernel:
     """Load a tabulated kernel from a two-column (time,value) CSV file.
 
-    A single header row is skipped when its first field is not numeric.
-    Every ``ValueError`` names the file.
+    A single header row is skipped when its first field is not numeric; a
+    second such row before the first sample is an error. Every
+    ``ValueError`` names the file.
     """
     times, values = _read_two_columns(path)
     try:

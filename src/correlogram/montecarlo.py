@@ -11,8 +11,10 @@ through one ``Simulator`` (tap plans built once), which gives every
 replication the same bits as a fresh ``Simulator`` with that stream.
 Each process splits its share the same way over threads, one per CPU
 its affinity set gives it once the processes have divided them, and no
-more than its replications: numpy's FFTs, Philox fills and dot products
-release the GIL, so the threads' draws can run at once; the CLI's
+more than its replications. numpy's FFTs, Philox fills and dot products
+release the GIL, but threads overlap only the long calls: short ones
+mostly hand the GIL back and forth, which is why the correlogram sums each
+run of consecutive lags in one call (``estimator._lagged_sums``). The CLI's
 allocator policy (``config._keep_freed_memory``), which pool processes
 also start under, keeps the FFTs from faulting in fresh scratch on every
 call, which made the threads queue on their process's memory map. The

@@ -117,46 +117,51 @@ class TestFFTRoute:
     """cross_correlogram against one dot product per lag: the loop route
     for up to _DOT_MAX_LAGS lags, the FFT route above."""
 
-    DT, T, C = 0.01, 200.0, 1.5
+    DT, C, N_T = 0.01, 1.5, 20000
 
-    def _paths(self, lo, hi):
+    def _paths(self, lo, hi, n_T=N_T):
         # noise on a lattice covering the window shifted by every lag in [lo, hi]
-        n_T = round(self.T / self.DT)
         grid = TimeGrid(min(0, lo) * self.DT, self.DT, n_T + max(0, hi) - min(0, lo))
         rng = NoiseSeed(31).generator()
         y = SampledPath(grid=grid, values=rng.standard_normal(grid.n))
         x = SampledPath(grid=grid, values=1.0 + rng.standard_normal(grid.n))
         return y, x
 
-    def _dot_loop(self, y, x, shifts):
-        """The reference: (dt / (c T)) Y[j0+k : j0+k+n_T] . X[j0 : j0+n_T] per
-        lag k, and the tolerance |fft - loop| <= 1e-12 scale |Y_seg| |x_win|
-        fixed from the float64 epsilon times a margin for the transform
-        length."""
-        n_T, j0 = round(self.T / self.DT), round(-y.grid.t_start / self.DT)
-        scale = self.DT / (self.C * self.T)
+    def _dot_loop(self, y, x, shifts, n_T=N_T, block=N_T):
+        """The reference: (dt / (c T)) times the sum over the window blocks
+        [b, b + block) of Y[j0+k+b : ...] . X[j0+b : ...] per lag k, and the
+        tolerance |fft - loop| <= 1e-12 scale |Y_seg| |x_win| fixed from the
+        float64 epsilon times a margin for the transform length."""
+        j0 = round(-y.grid.t_start / self.DT)
+        scale = self.DT / (self.C * (n_T * self.DT))
+        total = None
+        for b in range(j0, j0 + n_T, block):
+            x_win = x.values[b : min(b + block, j0 + n_T)]
+            part = np.array([np.dot(y.values[b + k : b + k + x_win.size], x_win) for k in shifts])
+            total = part if total is None else total + part
         x_win = x.values[j0 : j0 + n_T]
-        want = np.array([scale * float(np.dot(y.values[j0 + k : j0 + k + n_T], x_win))
-                         for k in shifts])
         y_seg = y.values[j0 + shifts.min() : j0 + shifts.max() + n_T]
-        return want, 1e-12 * scale * np.linalg.norm(y_seg) * np.linalg.norm(x_win)
+        return scale * total, 1e-12 * scale * np.linalg.norm(y_seg) * np.linalg.norm(x_win)
 
     @pytest.mark.parametrize(
-        "shifts, route",
+        "shifts, route, n_T",
         [
-            (np.arange(1001), "fft"),
-            (np.arange(-600, 401), "fft"),
+            (np.arange(1001), "fft", N_T),
+            (np.arange(-600, 401), "fft", N_T),
             (np.sort(np.random.default_rng(3).choice(np.arange(-3000, 9000), 300, replace=False)),
-             "fft"),
-            (np.arange(-200, 57), "fft"),
-            (np.arange(-600, -300), "fft"),
-            (np.arange(-200, 56), "loop"),
-            (np.array([-3000, 0, 50, 9000]), "loop"),
+             "fft", N_T),
+            (np.arange(-200, 57), "fft", N_T),
+            (np.arange(-600, -300), "fft", N_T),
+            (np.arange(-200, 56), "loop", N_T),
+            (np.array([-3000, 0, 50, 9000]), "loop", N_T),
+            # np.correlate rounds windows of up to 11 samples its own way
+            (np.arange(4), "loop", 7),
+            (np.arange(4), "loop", 12),
         ],
         ids=["dense_1001", "negative_1001", "sparse_300_wide", "one_above", "all_negative_300",
-             "at_limit", "sparse_4"],
+             "at_limit", "sparse_4", "window_7", "window_12"],
     )
-    def test_matches_dot_loop(self, monkeypatch, shifts, route):
+    def test_matches_dot_loop(self, monkeypatch, shifts, route, n_T):
         ffts = []
         real_rfft = estimator_mod.rfft
 
@@ -166,9 +171,9 @@ class TestFFTRoute:
 
         monkeypatch.setattr(estimator_mod, "rfft", counting_rfft)
         assert (shifts.size > estimator_mod._DOT_MAX_LAGS) == (route == "fft")
-        y, x = self._paths(int(shifts.min()), int(shifts.max()))
-        got = cross_correlogram(y, x, self.C, self.T, shifts * self.DT)
-        want, atol = self._dot_loop(y, x, shifts)
+        y, x = self._paths(int(shifts.min()), int(shifts.max()), n_T)
+        got = cross_correlogram(y, x, self.C, n_T * self.DT, shifts * self.DT)
+        want, atol = self._dot_loop(y, x, shifts, n_T)
         assert ("fft" if ffts else "loop") == route
         if route == "loop":
             assert got.tobytes() == want.tobytes()
@@ -178,40 +183,73 @@ class TestFFTRoute:
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
     @pytest.mark.parametrize(
-        "shifts, route",
+        "shifts, route, block",
         [
-            (np.arange(1001), "fft"),
-            (np.arange(-600, 401), "fft"),
-            (np.arange(-600, -300), "fft"),
-            (np.arange(-200, 56), "loop"),
-            (np.array([-3000, 0, 50, 9000]), "loop"),
-            (np.array([-500]), "loop"),
+            (np.arange(1001), "fft", 333),
+            (np.arange(-600, 401), "fft", 333),
+            (np.arange(-600, -300), "fft", 333),
+            (np.arange(-200, 56), "loop", 333),
+            (np.array([-3000, 0, 50, 9000]), "loop", 333),
+            (np.array([-500]), "loop", 333),
+            # the last block holds 20000 - 10 * 1999 = 10 samples
+            (np.arange(-200, 56), "loop", 1999),
         ],
         ids=["dense_1001", "negative_1001", "all_negative_300", "at_limit", "sparse_4",
-             "all_negative_1"],
+             "all_negative_1", "short_last_block"],
     )
-    def test_window_blocks_match_dot_loop(self, monkeypatch, shifts, route, streamed):
-        # the 20 000-sample window in blocks of 333, no whole number of them,
-        # from whole paths or from paths streamed in uneven blocks
-        monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", 333)
-        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 333)
+    def test_window_blocks_match_dot_loop(self, monkeypatch, shifts, route, block, streamed):
+        # the 20 000-sample window in blocks of no whole number of them, from
+        # whole paths or from paths streamed in uneven blocks
+        monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", block)
         ffts = []
         real_rfft = estimator_mod.rfft
         monkeypatch.setattr(estimator_mod, "rfft", lambda *a, **k: ffts.append(a) or real_rfft(*a, **k))
         y, x = self._paths(int(shifts.min()), int(shifts.max()))
         want, atol = self._dot_loop(y, x, shifts)
+        blocks_want, _ = self._dot_loop(y, x, shifts, block=block)
         if streamed:
             y, x = (PathBlocks(p.grid, iter(np.array_split(p.values, 97))) for p in (y, x))
-        got = cross_correlogram(y, x, self.C, self.T, shifts * self.DT)
-        assert len(ffts) == (2 * -(-20000 // 333) if route == "fft" else 0)
+        got = cross_correlogram(y, x, self.C, self.N_T * self.DT, shifts * self.DT)
+        assert len(ffts) == (2 * -(-self.N_T // block) if route == "fft" else 0)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+        if route == "loop":
+            assert got.tobytes() == blocks_want.tobytes()
 
+    @pytest.mark.parametrize(
+        "shifts, n_T, correlates, dots",
+        [
+            (np.arange(101), N_T, 61, 0),
+            (np.array([-3000, 0, 50, 9000]), N_T, 4 * 61, 0),
+            (np.arange(4), 7, 0, 4),
+        ],
+        ids=["dense_101", "sparse_4", "window_7"],
+    )
+    def test_loop_route_sums_each_run_in_one_call(self, monkeypatch, shifts, n_T, correlates,
+                                                  dots):
+        # 61 window blocks of 333 samples, the last 20; a run of consecutive
+        # lags takes one np.correlate per block, a window of <= 11 samples
+        # one np.dot per lag
+        monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", 333)
+        calls = {"correlate": 0, "dot": 0}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        y, x = self._paths(int(shifts.min()), int(shifts.max()), n_T)
+        cross_correlogram(y, x, self.C, n_T * self.DT, shifts * self.DT)
+        assert calls == {"correlate": correlates, "dot": dots}
 
     def test_paths_must_come_in_blocks_of_one_size(self):
         y, x = self._paths(0, 10)
         blocks = PathBlocks(x.grid, iter(np.array_split(x.values, 3)))
         with pytest.raises(ValueError, match="blocks of one size"):
-            cross_correlogram(y, blocks, self.C, self.T, [0.0, 0.1])
+            cross_correlogram(y, blocks, self.C, self.N_T * self.DT, [0.0, 0.1])
 
 
 class TestTheoreticalBias:

@@ -254,6 +254,14 @@ class TestSpecsAndTabulated:
         with pytest.raises(ValueError, match=message):
             load_kernel_csv(target)
 
+    def test_csv_second_header_row_names_the_file(self, tmp_path):
+        # one header row is skipped; a second non-numeric row before the
+        # first sample is an error naming its row and the file
+        target = tmp_path / "kern.csv"
+        target.write_text("t,value\nfoo,bar\nbaz\n-0.5,0.0\n0.0,1.0\n0.5,0.0\n")
+        with pytest.raises(ValueError, match=r"non-numeric row 2 \['foo', 'bar'\] in .*kern.csv"):
+            load_kernel_csv(target)
+
     def test_one_sided_box_mass(self):
         k = make_one_sided_box(4.0, 1.0)
         # c*delta on [0, 1/delta]

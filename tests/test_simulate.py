@@ -662,6 +662,12 @@ class TestPathIO:
         with pytest.raises(ValueError, match=message):
             read_path_csv(target)
 
+    def test_csv_second_header_row_names_the_file(self, tmp_path):
+        target = tmp_path / "p.csv"
+        target.write_text("t,value\nfoo,bar\nbaz\n0,1\n0.5,2\n1,3\n")
+        with pytest.raises(ValueError, match=r"non-numeric row 2 \['foo', 'bar'\] in .*p.csv"):
+            read_path_csv(target)
+
     def test_binary_nan_names_the_file(self, tmp_path):
         target = tmp_path / "p.bin"
         target.write_bytes(struct.pack("<Qdd2d", 2, 0.5, 0.0, 1.0, math.nan))
