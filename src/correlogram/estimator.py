@@ -15,10 +15,12 @@ carries no centering noise. Lags are snapped to the lattice instead of
 interpolating; the snapped grid is what the estimate reports.
 
 The lagged products are summed over the window [0, T) in blocks of
-``simulate._BLOCK_SAMPLES`` samples, from paths that arrive in blocks too
-(``PathBlocks``, or a whole ``SampledPath`` in views of a block each), so
-the estimate's working set, which ``_lagged_values`` counts, does not
-grow with ``T``; a window of at most one block is summed in one piece.
+``_DOT_BLOCK_SAMPLES`` samples up to ``_DOT_MAX_LAGS`` lags and of
+``simulate._BLOCK_SAMPLES`` above, from paths that arrive in blocks of
+``simulate._BLOCK_SAMPLES`` (``PathBlocks``, or a whole ``SampledPath`` in
+views of a block each), so the estimate's working set, which
+``_lagged_values`` counts, does not grow with ``T``; a window of at most
+one block is summed in one piece.
 """
 
 from __future__ import annotations
@@ -47,9 +49,17 @@ __all__ = [
 #: Lag count up to which the correlogram takes one BLAS dot product per lag
 #: (``np.correlate`` over each run of consecutive lags); more lags go through
 #: one FFT cross-correlation. The loop's cost grows with the lag count, the
-#: FFT's does not; on one thread of a 2-vCPU x86-64 host the two cross at
-#: about 270 lags for 5e4 samples in the window [0, T) and about 190 for 5e5.
+#: FFT's does not; on one thread of a 2-vCPU x86-64 host, with the loop summed
+#: in blocks of ``_DOT_BLOCK_SAMPLES``, the two cross at about 460 lags for 5e4
+#: samples in the window [0, T) and about 360 for 5e5. The value stays at 256,
+#: the lag count the output bytes of every config were written with.
 _DOT_MAX_LAGS = 256
+
+#: Window samples per block on the dot route. A block's ``Y`` segment and
+#: ``X`` block (about 33 KB) stay in a 48 KiB L1d, and OpenBLAS splits no
+#: ``ddot`` this short over its threads (it does above 10 000 samples), so the
+#: sums, and the bytes written, do not depend on the BLAS thread count.
+_DOT_BLOCK_SAMPLES = 2048
 
 #: Window blocks of at most this many samples take ``np.dot`` per lag:
 #: ``np.correlate`` sums them in an unrolled loop that rounds differently.
@@ -106,10 +116,13 @@ def cross_correlogram(Y, X, c: float, T: float, tau_grid: Sequence[float]) -> np
     shifted window.
 
     Up to ``_DOT_MAX_LAGS`` lags take one BLAS dot product per lag and
-    block, each run of consecutive lags in one GIL-free ``np.correlate``
-    call that takes the dots of ``np.dot`` byte for byte; blocks of at most
-    ``_SMALL_CORRELATE`` (11) samples take ``np.dot`` per lag. More lags
-    take, per block of ``m`` samples, one zero-padded real FFT
+    window block of at most ``_DOT_BLOCK_SAMPLES`` (2048) samples, each run
+    of consecutive lags in one GIL-free ``np.correlate`` call that takes the
+    dots of ``np.dot`` byte for byte; blocks of at most ``_SMALL_CORRELATE``
+    (11) samples take ``np.dot`` per lag. No dot is long enough for OpenBLAS
+    to split it over threads, so these sums do not depend on the BLAS thread
+    count; they still depend on the ``ddot`` kernel OpenBLAS picks for the
+    CPU. More lags take, per block of ``m`` samples, one zero-padded real FFT
     cross-correlation of the ``m + hi - lo`` ``Y`` samples that the shifts
     ``lo..hi`` reach against the block of ``X``, at the first fast length
     that holds them, so nothing wraps into a kept shift; the requested
@@ -158,12 +171,14 @@ def _lagged_sums(blocks, j0: int, n_T: int, shifts: np.ndarray) -> np.ndarray:
     The buffers ``y`` and ``x`` hold the grid samples from ``start`` on; a
     window block is summed once ``y`` reaches its largest shift and ``x``
     the block's end, and the samples before the next window block's
-    smallest shift are dropped. On the loop route a window block takes one
-    ``np.correlate`` per run of consecutive shifts, byte for byte one BLAS
-    dot per shift, or ``np.dot`` per shift at <= ``_SMALL_CORRELATE`` samples."""
+    smallest shift are dropped. On the loop route a window block holds at
+    most ``_DOT_BLOCK_SAMPLES`` samples and takes one ``np.correlate`` per
+    run of consecutive shifts, byte for byte one BLAS dot per shift, or
+    ``np.dot`` per shift at <= ``_SMALL_CORRELATE`` samples; the block parts
+    are added in window order."""
     lo, hi = (int(shifts.min()), int(shifts.max())) if shifts.size else (0, 0)
-    block = min(n_T, _BLOCK_SAMPLES)
     dots = shifts.size <= _DOT_MAX_LAGS
+    block = min(n_T, _BLOCK_SAMPLES, _DOT_BLOCK_SAMPLES) if dots else min(n_T, _BLOCK_SAMPLES)
     runs = np.split(shifts, np.flatnonzero(np.diff(shifts) != 1) + 1) if shifts.size else []
     size = None if dots else next_fast_len(block + hi - lo)
     y = x = np.empty(0)

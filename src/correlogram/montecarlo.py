@@ -14,17 +14,22 @@ its affinity set gives it once the processes have divided them, and no
 more than its replications. numpy's FFTs, Philox fills and dot products
 release the GIL, but threads overlap only the long calls: short ones
 mostly hand the GIL back and forth, which is why the correlogram sums each
-run of consecutive lags in one call (``estimator._lagged_sums``). The CLI's
+run of consecutive lags in one call (``estimator._lagged_sums``), per window
+block of at most ``estimator._DOT_BLOCK_SAMPLES`` samples: each BLAS dot is
+then too short for OpenBLAS to start its own threads beside the replication
+threads, and no sum depends on the BLAS thread count. The CLI's
 allocator policy (``config._keep_freed_memory``), which pool processes
 also start under, keeps the FFTs from faulting in fresh scratch on every
 call, which made the threads queue on their process's memory map. The
 threads share the Simulator, which no draw writes. Results are
 assembled by replication index, so output is byte-identical for any
-process or thread count (aggregation uses numpy's pairwise summation
-over a fixed ordering). The process pool is imported only when
-``workers > 1`` and the thread pool only when a process runs more than
-one thread, so no other run loads ``multiprocessing`` or
-``concurrent.futures``.
+process, thread or BLAS thread count (aggregation uses numpy's pairwise
+summation over a fixed ordering); it still depends on the ``ddot`` kernel
+that OpenBLAS picks for the CPU. The exact samplers' ``_gram_draws``, which
+no replication calls, still go through LAPACK ``eigh`` and a BLAS ``@``.
+The process pool is imported only when ``workers > 1`` and the thread
+pool only when a process runs more than one thread, so no other run
+loads ``multiprocessing`` or ``concurrent.futures``.
 """
 
 from __future__ import annotations

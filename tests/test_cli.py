@@ -850,6 +850,48 @@ def test_allocator_policy_keeps_fft_scratch_mapped():
     assert faults["policy"] < 8 and faults["default"] >= 100, faults
 
 
+_DIGESTS = """
+import hashlib, json, sys, warnings
+from pathlib import Path
+
+warnings.simplefilter("ignore", RuntimeWarning)
+from correlogram.cli import main
+
+out = Path(sys.argv[1])
+for command, config, extra in json.loads(sys.argv[2]):
+    assert main([command, "--config", config, "--out", str(out / command), *extra]) == 0
+print(json.dumps({f"{f.parent.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+                  for f in sorted(out.glob("*/*")) if f.name != "run_manifest.json"}))
+"""
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a ddot of more than 10 000 samples over its threads,
+    # which rounds the sum differently; the correlogram's dot route sums
+    # windows of 50 000 (estimate) and 12 500 (montecarlo) samples here in
+    # blocks short enough that no ddot is split. The thread count is read
+    # when numpy loads, so each setting runs in its own process.
+    runs = []
+    for command, cfg, extra in (
+        ("estimate", dict(BASE_CONFIG, T=500.0, dt=0.01), []),
+        ("montecarlo", dict(BASE_CONFIG, T=250.0), ["--workers", "1"]),
+    ):
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(cfg))
+        runs.append((command, str(config), extra))
+    digests = {}
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", _DIGESTS, str(tmp_path / f"blas{threads}"), json.dumps(runs)],
+            env=dict(_child_env(), OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        digests[threads] = json.loads(out.stdout.splitlines()[-1])
+    assert {"estimate/estimate.csv", "montecarlo/result.csv"} <= digests["1"].keys()
+    assert digests["1"] == digests["2"]
+
+
 _RESOURCES = """
 import json, sys, warnings
 

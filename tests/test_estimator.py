@@ -175,10 +175,11 @@ class TestFFTRoute:
         got = cross_correlogram(y, x, self.C, n_T * self.DT, shifts * self.DT)
         want, atol = self._dot_loop(y, x, shifts, n_T)
         assert ("fft" if ffts else "loop") == route
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
         if route == "loop":
-            assert got.tobytes() == want.tobytes()
-        else:
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+            # the loop route sums the window in blocks of _DOT_BLOCK_SAMPLES
+            blocks_want, _ = self._dot_loop(y, x, shifts, n_T, block=estimator_mod._DOT_BLOCK_SAMPLES)
+            assert got.tobytes() == blocks_want.tobytes()
 
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["whole", "streamed"])
@@ -217,20 +218,23 @@ class TestFFTRoute:
             assert got.tobytes() == blocks_want.tobytes()
 
     @pytest.mark.parametrize(
-        "shifts, n_T, correlates, dots",
+        "shifts, n_T, block, correlates, dots",
         [
-            (np.arange(101), N_T, 61, 0),
-            (np.array([-3000, 0, 50, 9000]), N_T, 4 * 61, 0),
-            (np.arange(4), 7, 0, 4),
+            (np.arange(101), N_T, 333, 61, 0),
+            (np.array([-3000, 0, 50, 9000]), N_T, 333, 4 * 61, 0),
+            (np.arange(4), 7, 333, 0, 4),
+            # 10 window blocks of _DOT_BLOCK_SAMPLES = 2048, the last 1568
+            (np.arange(101), N_T, None, 10, 0),
         ],
-        ids=["dense_101", "sparse_4", "window_7"],
+        ids=["dense_101", "sparse_4", "window_7", "dense_101_dot_blocks"],
     )
-    def test_loop_route_sums_each_run_in_one_call(self, monkeypatch, shifts, n_T, correlates,
-                                                  dots):
+    def test_loop_route_sums_each_run_in_one_call(self, monkeypatch, shifts, n_T, block,
+                                                  correlates, dots):
         # 61 window blocks of 333 samples, the last 20; a run of consecutive
         # lags takes one np.correlate per block, a window of <= 11 samples
         # one np.dot per lag
-        monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", 333)
+        if block is not None:
+            monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", block)
         calls = {"correlate": 0, "dot": 0}
 
         def counting(name, real):
