@@ -120,23 +120,42 @@ def rho_exact_metric(model: CovarianceModel, T: float) -> Pseudometric:
 # covering numbers
 
 
+def _count(span: float, delta: np.ndarray) -> np.ndarray:
+    """Covering count ceil(span / (2 delta)) of an interval of length
+    ``span`` by balls reaching delta either side, as floats; inf where
+    delta falls to the massiveness floor span * 1e-13. Monotone in delta."""
+    with np.errstate(divide="ignore"):
+        n = np.ceil(span / (2.0 * delta) - 1e-9)
+    return np.where(delta <= span * 1e-13, np.inf, n)
+
+
 def _delta_of_eps(p: Pseudometric, a: float, b: float, eps: np.ndarray) -> np.ndarray:
-    """Per radius of the 1-d ``eps``, the largest h with sup_{0 <= u <= h}
-    profile(u) <= eps, via the cached running-max table plus one bisection
-    over all radii at once (60 array calls of ``dist``). 0 triggers the
-    infinite massiveness signal in the caller."""
+    """Per radius of the 1-d ``eps``, a lag delta with the ``_count`` of the
+    largest h with sup_{0 <= u <= h} profile(u) <= eps, as 60 bisection
+    steps find it. The cached running-max table brackets each crossing, and
+    one bisection over all radii at once refines the brackets: at most 60
+    array calls of ``dist``, each on the radii still live. A radius leaves
+    once ``_count`` agrees at both ends of its bracket; the count is
+    monotone in delta and the 60-step end lies in the bracket, so delta is
+    the bracket's lower end when its count settled, or after 60 steps. 0
+    triggers the infinite massiveness signal in the caller."""
     u, run_max = p.profile(a, b)
     k = np.searchsorted(run_max, eps, side="right") - 1
-    inside = run_max[-1] > eps
+    delta = np.full(eps.size, b - a)
+    live = np.flatnonzero(run_max[-1] > eps)
     # run_max[k] <= eps < run_max[k+1]; refine the first upcrossing of the
     # raw profile inside (u[k], u[k+1]]
-    lo, hi, e = u[k[inside]], u[k[inside] + 1], eps[inside]
-    for _ in range(60 if e.size else 0):
+    lo, hi = u[k[live]], u[k[live] + 1]
+    for _ in range(60):
+        settled = _count(b - a, lo) == _count(b - a, hi)
+        delta[live[settled]] = lo[settled]
+        live, lo, hi = live[~settled], lo[~settled], hi[~settled]
+        if not live.size:
+            break
         mid = 0.5 * (lo + hi)
-        up = np.asarray(p.dist(0.0, mid), dtype=float) > e
+        up = np.asarray(p.dist(0.0, mid), dtype=float) > eps[live]
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-    delta = np.full(eps.size, b - a)
-    delta[inside] = lo
+    delta[live] = lo
     return delta
 
 
@@ -160,10 +179,7 @@ def _counts(p: Pseudometric, a: float, b: float, eps: np.ndarray) -> np.ndarray:
     if not np.all(eps > 0):
         raise ValueError("eps must be positive")
     if p.translation_invariant:
-        delta = _delta_of_eps(p, a, b, eps)
-        with np.errstate(divide="ignore"):
-            n = np.ceil((b - a) / (2.0 * delta) - 1e-9)
-        return np.where(delta <= (b - a) * 1e-13, np.inf, n)
+        return _count(b - a, _delta_of_eps(p, a, b, eps))
     # the greedy radii never increase: N(eps) is one more than the count above eps
     above = list(itertools.takewhile(lambda r: r > eps.min(), _greedy_radii(p, a, b)))
     return 1.0 + np.count_nonzero(np.array(above)[:, None] > eps, axis=0)

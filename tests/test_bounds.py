@@ -314,7 +314,27 @@ class TestTheorem4Acceptance:
         # one 301-radius table, then 33-theta bracketing rounds
         assert len(covering_calls) <= 12
         assert covering_calls[0] == 301 and set(covering_calls[1:]) == {33}
-        assert len(dist_calls) <= 1000
+        assert len(dist_calls) <= 250
+
+    def test_no_cos_or_sin_of_an_all_zero_angle_array(self, monkeypatch):
+        all_zero = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cos(self, x, *args, **kwargs):
+                all_zero.append(not np.any(x))
+                return np.cos(x, *args, **kwargs)
+
+            def sin(self, x, *args, **kwargs):
+                all_zero.append(not np.any(x))
+                return np.sin(x, *args, **kwargs)
+
+        model = CovarianceModel(h=make_sinc(), g=make_triangular(100.0, 1.0), c=1.0)
+        monkeypatch.setattr(spectral_mod, "np", RecordingNumpy())
+        theorem4_detail(model, 500.0, 0.0, 1.0, 0.5)
+        assert all_zero and not any(all_zero)
 
     def test_a_td_matches_scalar_bisections(self, acceptance_theorem4):
         detail = acceptance_theorem4[0]

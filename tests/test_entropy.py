@@ -71,6 +71,22 @@ for _name, _make in [
     )
 
 
+def _sixty_step_counts(p: Pseudometric, a: float, b: float, eps: np.ndarray) -> np.ndarray:
+    """Covering counts from a full 60-step bisection of every radius, the
+    reference for the early-stopping one."""
+    u, run_max = p.profile(a, b)
+    k = np.searchsorted(run_max, eps, side="right") - 1
+    inside = run_max[-1] > eps
+    lo, hi, e = u[k[inside]], u[k[inside] + 1], eps[inside]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        up = np.asarray(p.dist(0.0, mid), dtype=float) > e
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    delta = np.full(eps.size, b - a)
+    delta[inside] = lo
+    return np.ceil((b - a) / (2.0 * delta) - 1e-9).astype(np.int64)
+
+
 class TestArrayRadii:
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.2, 3.0)], ids=["unit", "wide"])
     @pytest.mark.parametrize("make", [m for _, m in _ARRAY_METRICS], ids=[n for n, _ in _ARRAY_METRICS])
@@ -98,19 +114,23 @@ class TestArrayRadii:
         assert counts.dtype == np.int64 and counts.shape == eps.shape
         assert all(type(n) is int for n in scalar)
         np.testing.assert_array_equal(counts, scalar)
+        np.testing.assert_array_equal(counts, _sixty_step_counts(p, a, b, eps))
         assert len(deltas) == 302
         np.testing.assert_allclose(deltas[0], np.concatenate(deltas[1:]), rtol=0, atol=1e-15 * (b - a))
 
-    def test_bisection_is_sixty_array_calls(self):
+    def test_bisection_stops_each_radius_when_its_count_is_settled(self):
         calls = []
         base = rho_upper_metric(make_sinc(), 1.0, 1.0)
         p = Pseudometric(
             "rho_upper", lambda t1, t2: calls.append(np.size(t2)) or base.dist(t1, t2), True
         )
-        p.profile(0.0, 1.0)
+        eps = np.geomspace(0.5, 1e-6, 301)
+        want = _sixty_step_counts(p, 0.0, 1.0, eps)
         calls.clear()
-        covering_number(p, 0.0, 1.0, np.geomspace(0.5, 1e-6, 301))
-        assert calls == [301] * 60
+        np.testing.assert_array_equal(covering_number(p, 0.0, 1.0, eps), want)
+        assert 0 < len(calls) <= 60
+        assert all(m >= n for m, n in zip(calls, calls[1:]))
+        assert sum(calls) <= 0.6 * 301 * 60
 
     def test_massiveness_names_the_largest_radius(self):
         jump = TestDegenerateProfiles()._jump_metric()

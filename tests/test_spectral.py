@@ -320,6 +320,14 @@ class TestDistinctLags:
         got = np.array([E.copy() for js in lags.blocks for _, E in lags.phases(z, js)])
         np.testing.assert_allclose(got, np.exp(1j * x[:, None] * z), rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("x", [0.0, -0.0], ids=["plus_zero", "minus_zero"])
+    def test_zero_value_phase_has_the_bits_of_cos_and_sin(self, x):
+        z = np.array([-1e300, -3.7, -5e-324, -0.0, 0.0, 5e-324, 2.5, 1e15, 1.7e308])
+        theta = x * z
+        E = spectral_mod._cis(x, z)
+        np.testing.assert_array_equal(E.real.view(np.uint64), np.cos(theta).view(np.uint64))
+        np.testing.assert_array_equal(E.imag.view(np.uint64), np.sin(theta).view(np.uint64))
+
     def test_sparse_lattice_takes_the_exp_route(self):
         # [0, 1e-6, 1] is a lattice of step 1e-6 with 1e6 steps between its
         # last two points: the recurrence must not walk them
