@@ -7,8 +7,8 @@ Gaussian-comparison constants built from the kernel self-convolution
 from covering numbers of the increment pseudometric.
 
 All bounds are probabilities, so report grids cap them at 1 while the
-raw values stay available. Conservativeness is checked empirically by
-the replication harness, not proven here.
+raw values stay available. The corollaries take Rice's bound on the tail
+of sup Y (``rice_sup_tail``); the replication harness checks all four.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .entropy import (
 )
 from .errors import BoundUnavailable
 from .kernels import Kernel, autocorrelation
-from .quadrature import sup_ftf
+from .quadrature import ftf_breakpoints, integrate, panel_edges, spectral_width, sup_ftf
 from .simulate import _write_json
 from .spectral import CovarianceModel, cov_finite
 
@@ -42,6 +42,7 @@ __all__ = [
     "b_sup",
     "corollary2_bound",
     "corollary1_bound",
+    "rice_sup_tail",
     "theorem4_detail",
     "TailBoundReport",
     "theorem3_report",
@@ -221,6 +222,26 @@ def corollary1_bound(
     else:
         second = math.erfc((1.0 - gamma) * x / (math.sqrt(2.0) * sup_b))
     return first + second
+
+
+def rice_sup_tail(h: Kernel, a: float, b: float, sides: int) -> Callable[[float], float]:
+    """Rice's bound ``u -> sides * [Phibar(z) + (b - a)/(2 pi) sqrt(l2/l0) e^{-z^2/2}]``,
+    z = u/sqrt(l0), on P{sup_[a,b] Y > u} (``sides`` 1) or on P{sup |Y| > u} (2)
+    for the stationary output Y of ``h``: l0 = ||h||^2, l2 = (1/pi) int_0^B
+    lam^2 |h*|^2 on its band [0, B], carried as ``lambda2``. With no band limit,
+    lam^2 |h*|^2 of every built-in decays like lam^-2 or not at all, so a
+    truncated l2 would not bound: ``BoundUnavailable``."""
+    if h.band_limit is None:
+        raise BoundUnavailable(f"Rice's tail needs a band-limited h, which {h.name!r} is not")
+    edges = panel_edges(0.0, h.band_limit, ftf_breakpoints(h), spectral_width(0.0, h))
+    l2 = float(integrate(lambda lam: lam**2 * np.abs(h.ftf_eval(lam)) ** 2, edges)) / math.pi
+    scale, rate = math.sqrt(2.0) * h.l2_norm, (b - a) / (2.0 * math.pi) * math.sqrt(l2) / h.l2_norm
+
+    def tail(u: float) -> float:
+        return sides * (0.5 * math.erfc(u / scale) + rate * math.exp(-((u / scale) ** 2)))
+
+    tail.lambda2 = l2
+    return tail
 
 
 # ---------------------------------------------------------------------------

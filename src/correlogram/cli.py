@@ -17,16 +17,14 @@ base_seed; nothing is seeded from the clock.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import (
     corollary1_report,
     corollary2_report,
+    rice_sup_tail,
     theorem3_report,
     theorem4_detail,
     theorem4_report,
@@ -43,14 +41,7 @@ from .config import (
 from .errors import BoundUnavailable, DomainError, InfiniteMassiveness
 from .estimator import _horizon_steps, estimate_correlogram, estimation_grid, write_estimate_csv
 from .kernels import check_family_conditions, check_weighted_spectral
-from .montecarlo import (
-    empirical_sup_tail,
-    run_replications,
-    sample_stationary_Y,
-    write_result_csv,
-    write_result_json,
-    write_trajectories_csv,
-)
+from .montecarlo import run_replications, write_result_csv, write_result_json, write_trajectories_csv
 from .simulate import (
     NoiseSeed,
     Simulator,
@@ -62,10 +53,6 @@ from .simulate import (
 from .spectral import CovarianceModel
 
 __all__ = ["main", "build_parser"]
-
-# Stream offset reserved for auxiliary draws (sup-of-Y calibration), far
-# above any plausible replication count so streams never collide.
-_AUX_STREAM_OFFSET = 1_000_000
 
 
 def _positive_int(text: str) -> int:
@@ -152,36 +139,32 @@ def cmd_bounds(view: dict, out_dir: Path, args) -> tuple:
     """compute tail-bound reports over a threshold grid"""
     h, family = view_kernels(view)
     a, b = view["interval"]
-    T, r, gamma, M = (view[k] for k in ("T", "r", "gamma", "y_tail_M"))
+    T, r, gamma = (view[k] for k in ("T", "r", "gamma"))
     xs = sorted(set(view["x_grid"]))
     multipliers = sorted(set(view["theorem4_x_multipliers"]))
     model = CovarianceModel(h=h, g=family(view["delta"]), c=view["c"])
-    # the corollaries share one set of stationary draws of Y, made on first use
-    seed = NoiseSeed(**view["base_seed"]).spawn(_AUX_STREAM_OFFSET)
-    ys = np.linspace(a, b, view["y_tail_points"])
-    draws = functools.cache(lambda: sample_stationary_Y(h, ys, M, seed))
-    # method -> (report builder, the config values written beside its report).
-    # Theorem 4's thresholds are multiples of its constant A, so its entropy
-    # optimization runs once; corollary 1 takes the tail of sup Y, corollary 2
-    # that of sup |Y|.
     shared = {k: view[k] for k in ("T", "interval", "r", "delta", "c")}
+
+    def corollary(report, sides, *args, **settings):  # Rice's tail of sup Y (1 side), sup |Y| (2)
+        tail = rice_sup_tail(h, a, b, sides)
+        return report(h, a, b, xs, *args, tail), dict(shared, **settings, lambda2=tail.lambda2)
+
+    # method -> builder of its report and the settings written beside it; theorem
+    # 4's thresholds are multiples of its constant A, so its optimization runs once
     table = {
-        "theorem3_pointwise": (lambda: theorem3_report(xs), shared),
-        "theorem4_sup": (lambda: theorem4_report(theorem4_detail(model, T, a, b, r), multipliers),
-                         dict(shared, x_multipliers=multipliers)),
-        "corollary1": (lambda: corollary1_report(h, a, b, xs, gamma, empirical_sup_tail(draws())),
-                       dict(shared, gamma=gamma, y_tail_M=M)),
-        "corollary2": (lambda: corollary2_report(h, a, b, xs, empirical_sup_tail(np.abs(draws()))),
-                       dict(shared, y_tail_M=M)),
+        "theorem3_pointwise": lambda: (theorem3_report(xs), shared),
+        "theorem4_sup": lambda: (theorem4_report(theorem4_detail(model, T, a, b, r), multipliers),
+                                 dict(shared, x_multipliers=multipliers)),
+        "corollary1": lambda: corollary(corollary1_report, 1, gamma, gamma=gamma),
+        "corollary2": lambda: corollary(corollary2_report, 2),
     }
     signals: dict = {}
     written = []
     for method in view["methods"]:
-        build, settings = table[method]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                report = build()
+                report, settings = table[method]()
             except (BoundUnavailable, InfiniteMassiveness) as exc:
                 signals[method] = [str(exc)]
                 continue

@@ -200,7 +200,7 @@ KEYS = (
     Key("theorem4_x_multipliers", ("bounds",), _positives, [1.5, 2.0, 3.0]),
     Key("r", ("bounds",), _number(0.0, 1.0), 0.5),
     Key("gamma", ("bounds",), _number(0.0, 1.0, closed=True), 0.5),
-    Key("y_tail_M", ("bounds",), _integer(1), 2000),
+    Key("y_tail_M", ("bounds",), _integer(1), 2000),  # ignored: the corollaries take Rice's tail
     Key("y_tail_points", ("bounds",), _integer(1), 101),
     Key("replications", ("montecarlo",), _integer(2), 200),
     Key("emit_max_reps", ("montecarlo",), _or_null(_integer(1)), None),
@@ -411,9 +411,6 @@ def _bounds(view: dict, h, family) -> None:
             f"method theorem4_sup needs an even g_family window; "
             f"{view['g_family']['name']!r} has parity {parity!r}"
         )
-    M, points = view["y_tail_M"], view["y_tail_points"]
-    _fits_array("the y_tail draws (y_tail_M x y_tail_points)", M, points)
-    _fits_array("the y_tail Gram matrix (y_tail_points x y_tail_points)", points, points)
 
 
 def _montecarlo(view: dict, h, family, workers: int) -> None:

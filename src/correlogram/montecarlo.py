@@ -25,11 +25,9 @@ threads share the Simulator, which no draw writes. Results are
 assembled by replication index, so output is byte-identical for any
 process, thread or BLAS thread count (aggregation uses numpy's pairwise
 summation over a fixed ordering); it still depends on the ``ddot`` kernel
-that OpenBLAS picks for the CPU. The exact samplers' ``_gram_draws``, which
-no replication calls, still go through LAPACK ``eigh`` and a BLAS ``@``.
-The process pool is imported only when ``workers > 1`` and the thread
-pool only when a process runs more than one thread, so no other run
-loads ``multiprocessing`` or ``concurrent.futures``.
+that OpenBLAS picks for the CPU. The process pool is imported only when
+``workers > 1`` and the thread pool only when a process runs more than
+one thread, so no other run loads ``multiprocessing`` or ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -281,9 +279,9 @@ def sample_stationary_Y(
     """M exact draws of the stationary output Y on a time grid.
 
     Same eigenroot construction as sample_limit_Z but with the
-    stationary autocovariance E Y(t+u) Y(t); used to calibrate the
-    sup-of-Y tail callables that the concentration corollaries take
-    as input.
+    stationary autocovariance E Y(t+u) Y(t); no command calls it, but
+    acceptance criterion 8 and the tests of ``bounds.rice_sup_tail``
+    check the corollaries' tails against it.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or taus.size == 0:

@@ -33,7 +33,8 @@ SRC = Path(correlogram.__file__).parent
 # an estimate is its columns, and the CLI writes the config values beside it;
 # a Monte Carlo run takes its checked config view; every domain exception is
 # an errors.DomainError, and verify_manifest reads the manifest as JSON;
-# the CSV-only ladder writer was write_path_files without binary files
+# the CSV-only ladder writer was write_path_files without binary files;
+# the bounds command takes Rice's tail and draws on no auxiliary stream
 DELETED = [
     "EntropyIntegralResult",
     "_covering_table",
@@ -87,6 +88,7 @@ DELETED = [
     "_DOMAIN_ERRORS",
     "write_path_csvs",
     "draw",
+    "_AUX_STREAM_OFFSET",
 ]
 
 # public names that neither another module nor the acceptance suite reads

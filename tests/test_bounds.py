@@ -19,6 +19,7 @@ from correlogram.bounds import (
     corollary2_report,
     k_of_x,
     pointwise_ci,
+    rice_sup_tail,
     solve_2k,
     theorem3_report,
     theorem4_detail,
@@ -32,8 +33,18 @@ from correlogram.entropy import (
     rho_upper_metric,
 )
 from correlogram.errors import BoundUnavailable
-from correlogram.kernels import autocorrelation, make_sinc, make_triangular
+from correlogram.kernels import (
+    autocorrelation,
+    make_hilbert_sinc,
+    make_laplace,
+    make_one_sided_box,
+    make_sinc,
+    make_tabulated,
+    make_triangular,
+)
+from correlogram.montecarlo import sample_stationary_Y
 from correlogram.quadrature import sup_ftf
+from correlogram.simulate import NoiseSeed
 import correlogram.spectral as spectral_mod
 from correlogram.spectral import CovarianceModel
 
@@ -196,6 +207,53 @@ class TestCorollary1:
         h = make_sinc()
         rep = corollary1_report(h, 0.0, 1.0, [4.0, 8.0], 0.5, lambda u: 0.0)
         assert rep.constants["sup_b"] == pytest.approx(b_sup(h, 0.0, 1.0), rel=1e-9)
+
+
+class TestRiceTail:
+    @pytest.mark.parametrize("make", [make_sinc, make_hilbert_sinc])
+    def test_lambda2_of_a_unit_band(self, make):
+        # (1/pi) int_0^pi lam^2 dlam, by the general quadrature
+        assert rice_sup_tail(make(), 0.0, 1.0, 1).lambda2 == pytest.approx(math.pi**2 / 3, rel=1e-15)
+
+    def test_formula(self):
+        a, b, u = 0.2, 3.0, 2.5
+        want = 0.5 * math.erfc(u / math.sqrt(2.0)) + (b - a) / (2.0 * math.pi) * math.sqrt(
+            math.pi**2 / 3) * math.exp(-u * u / 2.0)
+        assert rice_sup_tail(make_sinc(), a, b, 1)(u) == pytest.approx(want, rel=1e-14)
+        assert rice_sup_tail(make_sinc(), a, b, 2)(u) == pytest.approx(2.0 * want, rel=1e-14)
+
+    @pytest.mark.parametrize("h", [
+        make_laplace(1.0, 1.0),
+        make_triangular(10.0, 1.0),
+        make_one_sided_box(10.0, 1.0),
+        make_tabulated([0.0, 0.5, 1.0], [1.0, 2.0, 0.5]),
+    ], ids=lambda h: h.name)
+    def test_no_band_limit_is_unavailable(self, h):
+        # lam^2 |h*|^2 decays like lam^-2 or not at all, so no truncated
+        # integral bounds lambda2
+        with pytest.raises(BoundUnavailable, match="band-limited"):
+            rice_sup_tail(h, 0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("make", [make_sinc, make_hilbert_sinc])
+    def test_bounds_the_tail_of_exact_draws(self, make):
+        # 40 000 exact draws of Y on 401 points of [0, 1], in 8 chunks on
+        # their own streams; the thresholds are those that the corollaries
+        # read at the default x_grid with gamma = 0.5, x / (2 sqrt 2)
+        h = make()
+        sups, sup_abs = [], []
+        for k in range(8):
+            Y = sample_stationary_Y(h, np.linspace(0.0, 1.0, 401), 5000, NoiseSeed(20261020).spawn(k))
+            sups.append(Y.max(axis=1))
+            sup_abs.append(np.abs(Y).max(axis=1))
+        for sides, sup in ((1, np.concatenate(sups)), (2, np.concatenate(sup_abs))):
+            tail = rice_sup_tail(h, 0.0, 1.0, sides)
+            for x in (1.0, 2.0, 3.0, 4.0, 6.0, 8.0):
+                u = x / (2.0 * math.sqrt(2.0))
+                emp = float(np.mean(sup > u))
+                se = math.sqrt(emp * (1.0 - emp) / sup.size)
+                assert tail(u) >= emp - 3.0 * se, (sides, u, tail(u), emp)
+                if u >= 2.0:  # tight in the far tail
+                    assert tail(u) == pytest.approx(emp, rel=0.1), (sides, u, tail(u), emp)
 
 
 class TestTheorem4:

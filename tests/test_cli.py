@@ -16,6 +16,7 @@ import pytest
 
 import correlogram.cli as cli
 import correlogram.config as config_mod
+import correlogram.montecarlo as montecarlo_mod
 from correlogram.config import (
     COMMANDS,
     KEYS,
@@ -28,7 +29,7 @@ from correlogram.config import (
     verify_manifest,
     view_kernels,
 )
-from correlogram.bounds import corollary2_report
+from correlogram.bounds import corollary1_report, corollary2_report, rice_sup_tail
 from correlogram.estimator import _horizon_steps, cross_correlogram, estimation_grid
 from correlogram.errors import (
     BoundUnavailable,
@@ -38,12 +39,7 @@ from correlogram.errors import (
     PadError,
     ReplicationError,
 )
-from correlogram.montecarlo import (
-    _lattice,
-    _replicate_share,
-    empirical_sup_tail,
-    sample_stationary_Y,
-)
+from correlogram.montecarlo import _lattice, _replicate_share
 from correlogram.simulate import (
     NoiseSeed,
     Simulator,
@@ -120,8 +116,6 @@ class TestConfigModule:
         assert family(view["delta"]).time_eval(0.0) == pytest.approx(10.0)  # c * delta
 
     @pytest.mark.parametrize("command, section, named", [
-        ("bounds", {"y_tail_M": 10**30}, "y_tail draws (y_tail_M x y_tail_points)"),
-        ("bounds", {"y_tail_points": 2**31}, "Gram matrix (y_tail_points x y_tail_points)"),
         ("montecarlo", {"replications": 2**57}, "(replications x lattice lags)"),
         ("montecarlo", {"interval": [0.0, 1e308]}, "(replications x lattice lags)"),
     ])
@@ -133,8 +127,6 @@ class TestConfigModule:
             command_view({"command_defaults": {command: section}}, command)
 
     @pytest.mark.parametrize("command, section", [
-        ("bounds", {"y_tail_M": (2**60 - 1) // 101 - 10**6}),
-        ("bounds", {"y_tail_M": 1, "y_tail_points": 2**30 - 1}),
         ("montecarlo", {"replications": (2**60 - 1) // 101 - 10**6}),
     ])
     def test_count_an_array_holds_passes_the_view(self, monkeypatch, command, section):
@@ -142,7 +134,6 @@ class TestConfigModule:
         command_view({"command_defaults": {command: section}}, command)
 
     @pytest.mark.parametrize("command, key, named", [
-        ("bounds", "y_tail_M", "y_tail draws (y_tail_M x y_tail_points)"),
         ("montecarlo", "replications", "(replications x lattice lags)"),
     ])
     def test_memory_bounds_the_count(self, monkeypatch, command, key, named):
@@ -299,12 +290,12 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
     def test_count_no_array_holds_exits_before_the_run(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(cli._HANDLERS, "bounds", lambda *args: pytest.fail("bounds ran"))
+        monkeypatch.setitem(cli._HANDLERS, "montecarlo", lambda *args: pytest.fail("montecarlo ran"))
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"command_defaults": {"bounds": {"y_tail_M": 10**30}}}))
-        assert run_cli("bounds", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        cfg.write_text(json.dumps({"command_defaults": {"montecarlo": {"replications": 2**57}}}))
+        assert run_cli("montecarlo", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "y_tail_M" in err
+        assert "config error" in err and "replications x lattice lags" in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_subcommand_is_usage_error(self):
@@ -444,8 +435,9 @@ class TestBounds:
         settings = {
             "theorem3_pointwise": shared,
             "theorem4_sup": dict(shared, x_multipliers=[1.5, 2.0, 3.0]),
-            "corollary1": dict(shared, gamma=0.5, y_tail_M=200),
-            "corollary2": dict(shared, y_tail_M=200),
+            # lambda2 of the unit band [0, pi], by the general quadrature
+            "corollary1": dict(shared, gamma=0.5, lambda2=pytest.approx(math.pi**2 / 3, rel=1e-15)),
+            "corollary2": dict(shared, lambda2=pytest.approx(math.pi**2 / 3, rel=1e-15)),
         }
         for m in ("theorem3_pointwise", "theorem4_sup", "corollary1", "corollary2"):
             payload = json.loads((out / f"bound_{m}.json").read_text())
@@ -486,19 +478,44 @@ class TestBounds:
         assert wrote == [f"wrote {out / entry['name']}" for entry in outputs]
 
     def test_corollary2_takes_the_tail_of_sup_abs_Y(self, config_path, tmp_path):
-        # corollary 2 needs P{sup |Y| > u}; corollary 1 takes P{sup Y > u}
+        # corollary 2 needs P{sup |Y| > u}, the two-sided Rice tail; corollary
+        # 1 takes P{sup Y > u}, the one-sided one
         out = tmp_path / "c2"
         assert run_cli("bounds", "--config", str(config_path), "--out", str(out)) == 0
         view = command_view(load_config(config_path), "bounds")
         h, _ = view_kernels(view)
         a, b = view["interval"]
-        draws = sample_stationary_Y(
-            h, np.linspace(a, b, view["y_tail_points"]), view["y_tail_M"],
-            NoiseSeed(**view["base_seed"]).spawn(cli._AUX_STREAM_OFFSET),
-        )
-        want = corollary2_report(h, a, b, view["x_grid"], empirical_sup_tail(np.abs(draws)))
-        payload = json.loads((out / "bound_corollary2.json").read_text())
-        assert payload["constants"]["raw_bounds"] == want.constants["raw_bounds"]
+        xs = view["x_grid"]
+        for want in (corollary1_report(h, a, b, xs, view["gamma"], rice_sup_tail(h, a, b, 1)),
+                     corollary2_report(h, a, b, xs, rice_sup_tail(h, a, b, 2))):
+            payload = json.loads((out / f"bound_{want.method}.json").read_text())
+            assert payload["constants"]["raw_bounds"] == want.constants["raw_bounds"]
+
+    def test_draws_nothing(self, config_path, tmp_path, monkeypatch):
+        # the corollaries' tails are closed-form: no stationary draws of Y,
+        # and no LAPACK eigendecomposition behind the bounds' bytes
+        def drawn(*args, **kwargs):
+            raise AssertionError("bounds drew Y")
+
+        monkeypatch.setattr(montecarlo_mod, "sample_stationary_Y", drawn)
+        monkeypatch.setattr(np.linalg, "eigh", drawn)
+        assert run_cli("bounds", "--config", str(config_path), "--out", str(tmp_path / "o")) == 0
+
+    def test_no_band_limit_signals_both_corollaries(self, tmp_path, capsys):
+        # Rice's tail needs the finite lambda2 of a band-limited h; for the
+        # Laplace kernel both corollaries signal, and theorem 3 is written
+        cfg = dict(BASE_CONFIG, h={"name": "laplace", "delta": 1, "c": 1}, command_defaults={
+            "bounds": {"methods": ["theorem3_pointwise", "corollary1", "corollary2"]}})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli("bounds", "--config", str(config), "--out", str(out)) == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "bound_theorem3_pointwise.json", "bounds_signals.json", "run_manifest.json"]
+        signals = json.loads((out / "bounds_signals.json").read_text())["signals"]
+        assert sorted(signals) == ["corollary1", "corollary2"]
+        assert all("band-limited" in msg for msgs in signals.values() for msg in msgs)
+        assert verify_manifest(out / "run_manifest.json") == []
 
 
 @pytest.mark.parametrize("command, key, bad", [
@@ -733,7 +750,6 @@ print([main([cmd, "--config", config, "--out", f"{out}/{cmd}", *extra]) for cmd,
 def test_commands_run_without_scipy(tmp_path):
     cfg = dict(BASE_CONFIG, T=20.0, dt=0.01, command_defaults={
         "simulate": {"deltas": [10.0]},
-        "bounds": {"y_tail_M": 50, "y_tail_points": 11},
         "montecarlo": {"replications": 4},
     })
     config = tmp_path / "cfg.json"
@@ -796,8 +812,7 @@ print(codes, "numpy.ma" in sys.modules)
 def test_bounds_and_estimate_leave_out_numpy_ma(tmp_path):
     # a plain np.unique, or the first np.quantile, imports numpy.ma, about
     # 20 ms of a run; montecarlo's sup quantiles are computed without it
-    cfg = dict(BASE_CONFIG, command_defaults={"bounds": {"y_tail_M": 50, "y_tail_points": 11},
-                                              "montecarlo": {"replications": 4}})
+    cfg = dict(BASE_CONFIG, command_defaults={"montecarlo": {"replications": 4}})
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(cfg))
     out = subprocess.run(
@@ -869,27 +884,38 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a ddot of more than 10 000 samples over its threads,
     # which rounds the sum differently; the correlogram's dot route sums
     # windows of 50 000 (estimate) and 12 500 (montecarlo) samples here in
-    # blocks short enough that no ddot is split. The thread count is read
-    # when numpy loads, so each setting runs in its own process.
-    runs = []
+    # blocks short enough that no ddot is split. The corollary bounds are
+    # quadrature only, with no BLAS or LAPACK call, so they keep their bytes
+    # under the Prescott kernels too, which estimate and montecarlo do not
+    # (they sum with the ddot kernel that OpenBLAS picks for the CPU). The
+    # BLAS settings are read when numpy loads, so each runs in its own process.
+    runs = {}
     for command, cfg, extra in (
         ("estimate", dict(BASE_CONFIG, T=500.0, dt=0.01), []),
         ("montecarlo", dict(BASE_CONFIG, T=250.0), ["--workers", "1"]),
+        ("bounds", dict(BASE_CONFIG, command_defaults={
+            "bounds": {"methods": ["corollary1", "corollary2"]}}), []),
     ):
         config = tmp_path / f"{command}.json"
         config.write_text(json.dumps(cfg))
-        runs.append((command, str(config), extra))
+        runs[command] = (command, str(config), extra)
     digests = {}
-    for threads in ("1", "2"):
+    for name, blas, commands in (
+        ("1", {"OPENBLAS_NUM_THREADS": "1"}, ("estimate", "montecarlo", "bounds")),
+        ("2", {"OPENBLAS_NUM_THREADS": "2"}, ("estimate", "montecarlo", "bounds")),
+        ("prescott", {"OPENBLAS_CORETYPE": "Prescott"}, ("bounds",)),
+    ):
         out = subprocess.run(
-            [sys.executable, "-c", _DIGESTS, str(tmp_path / f"blas{threads}"), json.dumps(runs)],
-            env=dict(_child_env(), OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
-            timeout=300,
+            [sys.executable, "-c", _DIGESTS, str(tmp_path / f"blas_{name}"),
+             json.dumps([runs[c] for c in commands])],
+            env=dict(_child_env(), **blas), capture_output=True, text=True, timeout=300,
         )
         assert out.returncode == 0, out.stderr
-        digests[threads] = json.loads(out.stdout.splitlines()[-1])
-    assert {"estimate/estimate.csv", "montecarlo/result.csv"} <= digests["1"].keys()
+        digests[name] = json.loads(out.stdout.splitlines()[-1])
+    assert {"estimate/estimate.csv", "montecarlo/result.csv",
+            "bounds/bound_corollary1.json", "bounds/bound_corollary2.json"} <= digests["1"].keys()
     assert digests["1"] == digests["2"]
+    assert digests["prescott"] == {k: v for k, v in digests["1"].items() if k.startswith("bounds/")}
 
 
 _RESOURCES = """
