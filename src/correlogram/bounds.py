@@ -8,7 +8,8 @@ from covering numbers of the increment pseudometric.
 
 All bounds are probabilities, so report grids cap them at 1 while the
 raw values stay available. The corollaries take Rice's bound on the tail
-of sup Y (``rice_sup_tail``); the replication harness checks all four.
+of sup Y (``rice_sup_tail``). Acceptance criterion 8 checks all four
+against the empirical tails of a replication ensemble; no command does.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .entropy import (
     Pseudometric,
+    _radius_below,
     c_r,
-    covering_number,
     entropy_integral,
     epsilon_T_delta,
     rho_upper_metric,
@@ -248,27 +249,6 @@ def rice_sup_tail(h: Kernel, a: float, b: float, sides: int) -> Callable[[float]
 # entropy-based supremum bound
 
 
-def _theta_bar(metric: Pseudometric, a: float, b: float, eps_TD: float) -> tuple:
-    """(theta_bar, empty): the massiveness constraint N(theta eps_TD) > e^2 - 1
-    (N >= 7) holds on (0, theta_bar], as N is nonincreasing in the radius.
-    Each round splits the bracket into 32 cells with one covering_number
-    call; ``empty`` flags that theta = 1e-6 already fails (theta_bar is then
-    1 - 1e-9)."""
-    lo, hi = 1e-6, 1.0 - 1e-9
-    thetas = np.linspace(lo, hi, 33)
-    ok = covering_number(metric, a, b, thetas * eps_TD) > math.e**2 - 1.0
-    if ok[-1] or not ok[0]:
-        return hi, not ok[0]
-    while True:
-        # thetas[0] reads feasible and thetas[-1] does not
-        j = 1 + int(np.argmin(ok[1:]))
-        lo, hi = thetas[j - 1], thetas[j]
-        if hi - lo < _ARG_TOL:
-            return float(lo), False
-        thetas = np.linspace(lo, hi, 33)
-        ok = covering_number(metric, a, b, thetas * eps_TD) > math.e**2 - 1.0
-
-
 def theorem4_detail(
     model: CovarianceModel,
     T: float,
@@ -280,7 +260,8 @@ def theorem4_detail(
     """All intermediates of the entropy supremum bound.
 
     Returns a dict with A (the exponential rate), C_r, eps_TD, sup_rho,
-    inf_varZ, theta_star, entropy_term and theta_empty. The increment
+    inf_varZ, theta_star, entropy_term, theta_bar (the end of the theta
+    range the minimum is taken over) and theta_empty. The increment
     metric defaults to the translation-invariant upper surrogate; a
     caller can pass the exact finite-horizon metric
     (``rho_exact_metric``), whose sup_rho and covering numbers then come
@@ -305,7 +286,14 @@ def theorem4_detail(
     # root * int_0^(theta sup_rho) ln(1 + N(s)) ds
     s_asc, cum = entropy_integral(metric, a, b, sup_rho)
 
-    theta_hi, theta_empty = _theta_bar(metric, a, b, eps_TD)
+    # the massiveness constraint N(theta eps_TD) > e^2 - 1 holds exactly
+    # while theta eps_TD stays below this radius; theta_bar is the largest
+    # double that keeps it below
+    radius = _radius_below(metric, a, b, math.ceil(math.e**2 - 1.0))
+    theta_bar = radius / eps_TD
+    while theta_bar > 0.0 and theta_bar * eps_TD >= radius:
+        theta_bar = float(np.nextafter(theta_bar, 0.0))
+    theta_empty = theta_bar < 1e-6
     if theta_empty:
         warnings.warn(
             "no theta satisfies the massiveness constraint; "
@@ -313,10 +301,11 @@ def theorem4_detail(
             RuntimeWarning,
             stacklevel=2,
         )
+    theta_bar = 1.0 - 1e-9 if theta_empty else min(theta_bar, 1.0 - 1e-9)
 
     # the entropy term e^2 / (theta (1 - theta)) * root * int, minimised on
     # a dense theta grid
-    thetas = np.linspace(min(1e-4, 0.5 * theta_hi), theta_hi, 20001)
+    thetas = np.linspace(min(1e-4, 0.5 * theta_bar), theta_bar, 20001)
     avals = math.e**2 / (thetas * (1.0 - thetas)) * root * np.interp(thetas * sup_rho, s_asc, cum)
     j = int(np.argmin(avals))
     theta_star, entropy_term = float(thetas[j]), float(avals[j])
@@ -329,6 +318,7 @@ def theorem4_detail(
         "inf_varZ": inf_var,
         "theta_star": theta_star,
         "entropy_term": entropy_term,
+        "theta_bar": theta_bar,
         "theta_empty": theta_empty,
     }
 

@@ -38,7 +38,7 @@ from .config import (
     resolve_out_dir,
     view_kernels,
 )
-from .errors import BoundUnavailable, DomainError, InfiniteMassiveness
+from .errors import BoundUnavailable, DomainError
 from .estimator import _horizon_steps, estimate_correlogram, estimation_grid, write_estimate_csv
 from .kernels import check_family_conditions, check_weighted_spectral
 from .montecarlo import run_replications, write_result_csv, write_result_json, write_trajectories_csv
@@ -165,7 +165,7 @@ def cmd_bounds(view: dict, out_dir: Path, args) -> tuple:
             warnings.simplefilter("always")
             try:
                 report, settings = table[method]()
-            except (BoundUnavailable, InfiniteMassiveness) as exc:
+            except BoundUnavailable as exc:
                 signals[method] = [str(exc)]
                 continue
         degenerate = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]

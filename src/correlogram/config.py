@@ -576,8 +576,11 @@ def verify_manifest(path) -> list:
 
     An empty list means the stored config digest matches the embedded
     config and every listed output file still hashes to its recorded
-    value. Output files are looked up next to the manifest. A manifest
-    that lacks a field of ``RunManifest`` is a ConfigError naming it.
+    value. Output files are looked up next to the manifest, so an output
+    name that is not a plain file name there (absolute, with a separator,
+    ``.`` or ``..``) is a problem. A manifest that lacks a field of
+    ``RunManifest``, or an output entry that lacks ``name``, ``sha256`` or
+    ``bytes``, is a ConfigError naming it.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -593,13 +596,20 @@ def verify_manifest(path) -> list:
             f"recomputed {recomputed}"
         )
     for entry in manifest["outputs"]:
-        target = path.parent / entry["name"]
+        missing = [k for k in ("name", "sha256", "bytes") if k not in entry]
+        if missing:
+            raise ConfigError(f"manifest {path} has an output entry missing fields {missing}")
+        name = entry["name"]
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            problems.append(f"output {name!r} is not a file name next to the manifest")
+            continue
+        target = path.parent / name
         if not target.is_file():
-            problems.append(f"missing output file {entry['name']}")
+            problems.append(f"missing output file {name}")
             continue
         actual = _sha256_file(target)
         if actual != entry["sha256"]:
-            problems.append(f"hash mismatch for {entry['name']}")
+            problems.append(f"hash mismatch for {name}")
         if target.stat().st_size != entry["bytes"]:
-            problems.append(f"size mismatch for {entry['name']}")
+            problems.append(f"size mismatch for {name}")
     return problems

@@ -129,6 +129,19 @@ def _count(span: float, delta: np.ndarray) -> np.ndarray:
     return np.where(delta <= span * 1e-13, np.inf, n)
 
 
+def _radius_below(p: Pseudometric, a: float, b: float, n: int) -> float:
+    """The radius at which N falls below ``n`` (>= 2): N(eps) >= n below it
+    and N(eps) <= n - 1 above it. For a translation-invariant metric, the
+    profile's sup up to the lag at which ``_count`` drops to n - 1: the
+    cached running max there, maxed with one ``dist`` at that lag. For any
+    other metric, the (n - 1)-th greedy radius."""
+    if not p.translation_invariant:
+        return next(itertools.islice(_greedy_radii(p, a, b), n - 2, None))
+    lag = (b - a) / (2.0 * (n - 1 + 1e-9))
+    u, run_max = p.profile(a, b)
+    return max(float(run_max[np.searchsorted(u, lag, side="right") - 1]), float(p.dist(0.0, lag)))
+
+
 def _delta_of_eps(p: Pseudometric, a: float, b: float, eps: np.ndarray) -> np.ndarray:
     """Per radius of the 1-d ``eps``, a lag delta with the ``_count`` of the
     largest h with sup_{0 <= u <= h} profile(u) <= eps, as 60 bisection

@@ -1,9 +1,10 @@
 """Replication harness for the correlogram error process.
 
 Runs M independent simulate-estimate cycles, then aggregates what the
-limit theory predicts: per-lag normality of Zhat, the empirical
-covariance against its finite-horizon truth, supremum tails for the
-interval bounds, and modulus-of-continuity tables for tightness.
+limit theory predicts: per-lag normality of Zhat, its empirical
+covariance, and the supremum samples behind the interval bounds' tails.
+``ci_coverage`` and ``modulus_of_continuity`` build coverage and
+tightness tables from a result, but no command calls them yet.
 
 Replication i always draws from stream ``base_seed.spawn(i)``. With
 ``w`` processes, process p runs replications p, p + w, p + 2w, ...
@@ -32,7 +33,6 @@ one thread, so no other run loads ``multiprocessing`` or ``concurrent.futures``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -409,40 +409,20 @@ def modulus_of_continuity(
 
 
 def write_result_csv(result: MonteCarloResult, path) -> None:
-    """Long-format dump, one row per statistic."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["statistic", "key1", "key2", "value", "se"])
-        for j, t in enumerate(result.tau_grid):
-            wr.writerow(["mean_Z", repr(float(t)), "", repr(float(result.mean[j])), ""])
-            wr.writerow(
-                [
-                    "var_Z",
-                    repr(float(t)),
-                    "",
-                    repr(float(result.variance[j])),
-                    repr(float(result.variance_se[j])),
-                ]
-            )
-        for i, t1 in enumerate(result.tau_grid):
-            for j, t2 in enumerate(result.tau_grid):
-                if j < i:
-                    continue
-                wr.writerow(
-                    [
-                        "cov_Z",
-                        repr(float(t1)),
-                        repr(float(t2)),
-                        repr(float(result.empirical_cov[i, j])),
-                        "",
-                    ]
-                )
-        for t, stat, p in result.ks_results:
-            wr.writerow(["ks_stat", repr(float(t)), "", repr(float(stat)), ""])
-            wr.writerow(["ks_p", repr(float(t)), "", repr(float(p)), ""])
-        sups = np.sort(result.sup_samples)
-        for q in (0.5, 0.75, 0.9, 0.95, 0.99):
-            wr.writerow(["sup_quantile", repr(q), "", repr(_quantile(sups, q)), ""])
+    """Long-format dump, one row per statistic: ``value`` as floats, the
+    other four columns as text."""
+    taus = [repr(float(t)) for t in result.tau_grid]
+    rows = []
+    for t, mean, var, se in zip(taus, result.mean, result.variance, result.variance_se):
+        rows += [("mean_Z", t, "", mean, ""), ("var_Z", t, "", var, repr(float(se)))]
+    i, j = np.triu_indices(len(taus))
+    rows += [("cov_Z", taus[a], taus[b], v, "") for a, b, v in zip(i, j, result.empirical_cov[i, j])]
+    for t, stat, p in result.ks_results:
+        rows += [("ks_stat", repr(float(t)), "", stat, ""), ("ks_p", repr(float(t)), "", p, "")]
+    sups = np.sort(result.sup_samples)
+    rows += [("sup_quantile", repr(q), "", _quantile(sups, q), "") for q in (0.5, 0.75, 0.9, 0.95, 0.99)]
+    columns = [np.array(col, dtype=float if k == 3 else str) for k, col in enumerate(zip(*rows))]
+    _write_csv([path], ["statistic", "key1", "key2", "value", "se"], [columns])
 
 
 def _quantile(sorted_values: np.ndarray, q: float) -> float:

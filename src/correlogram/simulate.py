@@ -476,12 +476,15 @@ def _csv_lines(cells) -> bytes:
 
 def _cells(values) -> np.ndarray:
     """The CSV cells of a 1-D array, one row of NUL-padded bytes each:
-    ``_float_cells`` of a float array, ``repr`` of each element of any
-    other (an integer column)."""
+    ``_float_cells`` of a float array, the ASCII bytes of a string array,
+    ``repr`` of each element of any other (an integer column)."""
     values = np.asarray(values)
     if values.dtype.kind == "f":
         return _float_cells(values)
-    text = np.array(list(map(repr, values.tolist())), dtype="S")
+    if values.dtype.kind == "U":
+        text = values.astype("S")
+    else:
+        text = np.array(list(map(repr, values.tolist())), dtype="S")
     return text.view(np.uint8).reshape(values.size, -1)
 
 

@@ -103,13 +103,27 @@ def run_set(work: Path) -> dict:
 
 
 def main() -> int:
+    """Rewrite the digest file, then print what moved against the file it
+    replaced: the changed, missing and new entries, and the numpy version
+    if that changed."""
     import tempfile
 
+    old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         digests = run_set(Path(work))
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "digests": digests},
                                   indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {DIGESTS}")
+    if old.get("numpy", np.__version__) != np.__version__:
+        print(f"numpy: {old['numpy']} -> {np.__version__}")
+    before = old.get("digests", {})
+    for label, keys in (
+        ("changed", [k for k in digests.keys() & before.keys() if digests[k] != before[k]]),
+        ("missing", before.keys() - digests.keys()),
+        ("new", digests.keys() - before.keys()),
+    ):
+        for key in sorted(keys):
+            print(f"{label}: {key}")
     return 0
 
 

@@ -360,19 +360,24 @@ def acceptance_theorem4():
     counted = Pseudometric(metric.kind, dist, True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds_mod, "rho_upper_metric", lambda *args: counted)
-        mp.setattr(bounds_mod, "covering_number", counting_cover)
         mp.setattr(entropy_mod, "covering_number", counting_cover)
         detail = theorem4_detail(model, 500.0, 0.0, 1.0, 0.5)
     return detail, metric, covering_calls, dist_calls
 
 
+def _warped(s, t):
+    # |f(t) - f(s)| for a non-monotone warp f: not translation invariant
+    f = lambda x: np.sqrt(x) + 0.3 * np.sin(7.0 * np.asarray(x))
+    return np.abs(f(t) - f(s))
+
+
 class TestTheorem4Acceptance:
     def test_covering_work_is_batched(self, acceptance_theorem4):
         _, _, covering_calls, dist_calls = acceptance_theorem4
-        # one 301-radius table, then 33-theta bracketing rounds
-        assert len(covering_calls) <= 12
-        assert covering_calls[0] == 301 and set(covering_calls[1:]) == {33}
-        assert len(dist_calls) <= 250
+        # the 301-radius entropy table is the only covering_number call;
+        # theta_bar reads the profile table plus one dist call
+        assert covering_calls == [301]
+        assert len(dist_calls) <= 62
 
     def test_no_cos_or_sin_of_an_all_zero_angle_array(self, monkeypatch):
         all_zero = []
@@ -400,13 +405,17 @@ class TestTheorem4Acceptance:
         assert not detail["theta_empty"]
 
     def test_theta_bar_brackets_the_flip(self, acceptance_theorem4):
-        detail, metric = acceptance_theorem4[:2]
-        eps_TD = detail["eps_TD"]
-        theta_bar, empty = bounds_mod._theta_bar(metric, 0.0, 1.0, eps_TD)
-        assert not empty
-        assert detail["theta_star"] <= theta_bar
-        assert covering_number(metric, 0.0, 1.0, theta_bar * eps_TD) >= 7
-        assert covering_number(metric, 0.0, 1.0, (theta_bar + bounds_mod._ARG_TOL) * eps_TD) <= 6
+        model = CovarianceModel(h=make_sinc(), g=make_triangular(100.0, 1.0), c=1.0)
+        rho_upper = acceptance_theorem4[1]
+        warped = Pseudometric("warped", _warped, translation_invariant=False)
+        for metric, a, b in [(rho_upper, 0.0, 1.0), (rho_upper, 0.2, 3.0), (rho_upper, 0.0, 0.4),
+                             (warped, 0.0, 1.0), (warped, 0.2, 3.0)]:
+            detail = theorem4_detail(model, 500.0, a, b, 0.5, metric=metric)
+            theta_bar, eps_TD = detail["theta_bar"], detail["eps_TD"]
+            assert not detail["theta_empty"]
+            assert detail["theta_star"] <= theta_bar
+            assert covering_number(metric, a, b, theta_bar * eps_TD) >= 7, (metric.kind, a, b)
+            assert covering_number(metric, a, b, (theta_bar + 1e-10) * eps_TD) <= 6, (metric.kind, a, b)
 
     def test_table_names_the_largest_blow_up_radius(self):
         # massive below 1: the table's first radius is 1, the second the largest failing one

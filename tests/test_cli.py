@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, outputs, manifests, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -696,6 +697,32 @@ class TestMontecarlo:
         del manifest["config_digest"]
         target.write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="config_digest"):
+            verify_manifest(target)
+
+    @pytest.mark.parametrize("name", ["../victim.csv", "{victim}", "sub/../../victim.csv"])
+    def test_output_outside_the_manifest_dir_is_a_problem(self, config_path, tmp_path, name):
+        # the entry carries the outside file's true digest and size
+        victim = tmp_path / "victim.csv"
+        victim.write_text("t,value\r\n0.0,1.0\r\n")
+        out = tmp_path / "mc4"
+        run_cli("montecarlo", "--config", str(config_path), "--out", str(out))
+        target = out / "run_manifest.json"
+        manifest = json.loads(target.read_text())
+        name = name.format(victim=victim)
+        manifest["outputs"].append({"name": name, "bytes": victim.stat().st_size,
+                                    "sha256": hashlib.sha256(victim.read_bytes()).hexdigest()})
+        target.write_text(json.dumps(manifest))
+        assert verify_manifest(target) == [f"output {name!r} is not a file name next to the manifest"]
+
+    @pytest.mark.parametrize("field", ["name", "sha256", "bytes"])
+    def test_output_entry_without_a_field_is_a_config_error(self, config_path, tmp_path, field):
+        out = tmp_path / "mc5"
+        run_cli("montecarlo", "--config", str(config_path), "--out", str(out))
+        target = out / "run_manifest.json"
+        manifest = json.loads(target.read_text())
+        del manifest["outputs"][0][field]
+        target.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match=re.escape(f"missing fields {[field]}")):
             verify_manifest(target)
 
 

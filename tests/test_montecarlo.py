@@ -437,6 +437,34 @@ class TestDownstreamTables:
         for q in (0.5, 0.75, 0.9, 0.95, 0.99):
             assert repr(mc._quantile(np.sort(sups), q)) == repr(float(np.quantile(sups, q)))
 
+    def test_result_csv_bytes_match_csv_writer(
+        self, result, tmp_path, csv_edge_column, csv_writer_bytes
+    ):
+        n = 16
+        taus = csv_edge_column(n)
+        ks = list(zip(taus, csv_edge_column(n, 3), [0.0, 5e-324, 1e-5, 1e-4, 1 / 3, 1.0] * 3))
+        res = dataclasses.replace(
+            result, tau_grid=taus, mean=csv_edge_column(n, 5),
+            variance=np.abs(csv_edge_column(n, 7)), variance_se=csv_edge_column(n, 9),
+            empirical_cov=csv_edge_column(n * n, 11).reshape(n, n), ks_results=ks,
+            sup_samples=np.abs(csv_edge_column(n, 13)),
+        )
+        # the rows of the csv.writer version of write_result_csv
+        r = lambda v: repr(float(v))
+        rows = []
+        for t, m, v, se in zip(taus, res.mean, res.variance, res.variance_se):
+            rows += [["mean_Z", r(t), "", r(m), ""], ["var_Z", r(t), "", r(v), r(se)]]
+        rows += [["cov_Z", r(taus[i]), r(taus[j]), r(res.empirical_cov[i, j]), ""]
+                 for i in range(n) for j in range(i, n)]
+        for t, stat, p in ks:
+            rows += [["ks_stat", r(t), "", r(stat), ""], ["ks_p", r(t), "", r(p), ""]]
+        sups = np.sort(res.sup_samples)
+        rows += [["sup_quantile", r(q), "", r(mc._quantile(sups, q)), ""]
+                 for q in (0.5, 0.75, 0.9, 0.95, 0.99)]
+        write_result_csv(res, tmp_path / "r.csv")
+        want = csv_writer_bytes(["statistic", "key1", "key2", "value", "se"], rows)
+        assert (tmp_path / "r.csv").read_bytes() == want
+
     @pytest.mark.parametrize("max_reps", [None, 0, -1, 5, 1000])
     def test_trajectories_bytes_match_csv_writer(
         self, result, tmp_path, csv_edge_column, csv_writer_bytes, max_reps
