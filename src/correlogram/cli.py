@@ -33,6 +33,7 @@ from .config import (
     ConfigError,
     RunManifest,
     _keep_freed_memory,
+    _path_procs,
     command_view,
     load_config,
     resolve_out_dir,
@@ -46,9 +47,11 @@ from .simulate import (
     NoiseSeed,
     Simulator,
     TimeGrid,
+    _append_files,
+    _block_ranges,
+    _write_draw_range,
     _write_json,
     simulate_pair,
-    write_path_files,
 )
 from .spectral import CovarianceModel
 
@@ -109,17 +112,67 @@ def cmd_check_kernel(view: dict, out_dir: Path, args) -> tuple:
 
 
 def cmd_simulate(view: dict, out_dir: Path, args) -> tuple:
-    """simulate and write output paths over a delta ladder"""
+    """simulate and write output paths over a delta ladder, in contiguous
+    block ranges written at once, one process per CPU of the affinity as
+    memory allows (output bytes invariant to the process count)"""
+    # One draw, so the same Wiener path drives Y and each X_delta
     h, family = view_kernels(view)
-    dt, deltas = view["dt"], view["deltas"]
-    grid = TimeGrid(t_start=view["t_start"], dt=dt, n=_horizon_steps(view["T"], dt) + 1)
-    # One draw, so the same Wiener path drives Y and each X_delta; each
-    # block goes to every file as it is made.
-    paths = Simulator([h, *map(family, deltas)], grid).stream(NoiseSeed(**view["base_seed"]))
-    stems = [f"path_{name}" for name in ["Y", *(f"X_delta{d:g}" for d in deltas)]]
+    procs = _path_procs([h, *map(family, view["deltas"])],
+                        _horizon_steps(view["T"], view["dt"]) + 1, view["dt"])
+    stems = [f"path_{name}" for name in ["Y", *(f"X_delta{d:g}" for d in view["deltas"])]]
     csvs, bins = ([out_dir / f"{stem}{ext}" for stem in stems] for ext in (".csv", ".bin"))
-    write_path_files(paths, csvs, bins)
+    _write_draw(view, NoiseSeed(**view["base_seed"]), csvs, bins, procs)
     return 0, [f for pair in zip(csvs, bins) for f in pair]
+
+
+def _simulator_of(view: dict) -> Simulator:
+    """The Simulator of a simulate view: ``h`` and each ``g_delta`` on its grid."""
+    h, family = view_kernels(view)
+    grid = TimeGrid(t_start=view["t_start"], dt=view["dt"],
+                    n=_horizon_steps(view["T"], view["dt"]) + 1)
+    return Simulator([h, *map(family, view["deltas"])], grid)
+
+
+def _write_draw(view: dict, seed: NoiseSeed, csvs, bins, procs: int) -> None:
+    """Write every path of the draw of ``_simulator_of(view)`` from ``seed``
+    to the CSV of ``csvs`` and the binary file of ``bins`` at its index, in
+    the block ranges of ``_block_ranges`` for ``procs`` at once: this
+    process writes the first into the files, a pool process each other into
+    part files beside them, appended in order and deleted, so the bytes do
+    not depend on ``procs``. On failure the pool is joined and the part
+    files deleted before the error is raised."""
+    simulator = _simulator_of(view)
+    first, *rest = _block_ranges(simulator.grid.n, procs)
+    if not rest:
+        _write_draw_range(simulator, seed, first, csvs, bins)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    files = [*csvs, *bins]
+    parts = [[f.with_name(f"{f.name}.part{i}") for f in files] for i in range(1, len(rest) + 1)]
+    try:
+        # a spawned or forkserver worker does not inherit the allocator policy
+        with ProcessPoolExecutor(len(rest), initializer=_keep_freed_memory) as pool:
+            done = [pool.submit(_write_part, view, seed, blocks, part[: len(csvs)],
+                                part[len(csvs) :]) for blocks, part in zip(rest, parts)]
+            _write_draw_range(simulator, seed, first, csvs, bins)
+            for future in done:
+                future.result()
+        for file, *pieces in zip(files, *parts):
+            _append_files(file, pieces)
+    finally:
+        for part in parts:
+            for file in part:
+                file.unlink(missing_ok=True)
+
+
+def _write_part(view: dict, seed: NoiseSeed, blocks: tuple, csvs, bins) -> None:
+    """A pool process's range of ``_write_draw``; the Simulator's warnings
+    were shown when the calling process built it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        simulator = _simulator_of(view)
+    _write_draw_range(simulator, seed, blocks, csvs, bins)
 
 
 def cmd_estimate(view: dict, out_dir: Path, args) -> tuple:
@@ -208,10 +261,9 @@ def cmd_montecarlo(view: dict, out_dir: Path, args) -> tuple:
     # First replication's paths, re-simulated from its own stream.
     h, family = view_kernels(view)
     grid = estimation_grid(view["T"], view["dt"], result.fine_taus)
-    seed = NoiseSeed(**view["base_seed"]).spawn(0)
-    paths = simulate_pair(Simulator((h, family(view["delta"])), grid), seed)
     targets = [out_dir / f"path_rep0_{label}.csv" for label in ("Y", "X")]
-    write_path_files(paths, targets)
+    _write_draw_range(Simulator((h, family(view["delta"])), grid),
+                      NoiseSeed(**view["base_seed"]).spawn(0), (0, None), targets)
     return 0, [csv_file, json_file, target, *targets]
 
 

@@ -40,7 +40,7 @@ except ImportError:  # no getrusage on this platform
 from .bounds import _METHODS
 from .estimator import _horizon_steps, _lagged_values, estimation_grid
 from .kernels import family_from_name, kernel_from_spec
-from .simulate import _draw_values, _write_json, required_pad
+from .simulate import _block_ranges, _draw_values, _write_json, required_pad
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -286,6 +286,7 @@ def _check_kernel(view: dict, h, family) -> None:
 
 def _simulate(view: dict, h, family) -> None:
     n = _horizon_steps(view["T"], view["dt"]) + 1
+    # one process must fit; the draw is written by as many as _path_procs fits
     _fits_simulator(f"T={view['T']:g}", [h, *map(family, view["deltas"])], n, view["dt"])
     labels = [f"{d:g}" for d in view["deltas"]]
     clash = [d for d, label in zip(view["deltas"], labels) if labels.count(label) > 1]
@@ -352,6 +353,15 @@ def _keep_freed_memory() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+def _path_procs(kernels, n: int, dt: float) -> int:
+    """The processes that write the block ranges of a draw of ``kernels`` on
+    an ``n``-sample grid at ``dt`` at once: one a CPU and at most one a
+    block, each holding one Simulator and one live draw, as many of them as
+    fit in memory, and at least one."""
+    _, shared, per_draw = _draw_values(kernels, n, dt)
+    return max(1, min(len(_block_ranges(n, _cpus())), _memory_values() // (shared + per_draw)))
 
 
 def _share_threads(share: int, procs: int) -> int:

@@ -30,6 +30,10 @@ not grow with the grid: a ``PathBlocks`` hands the blocks on as they are
 made, and the path writers write them as they come. A path of at most
 one block is one block. ``SampledPath`` is a whole path in memory.
 
+A draw can also be written in contiguous ranges of whole blocks
+(``_block_ranges``, ``_write_draw_range``), each range's files holding its
+rows, the whole draw's files when appended in order (``_append_files``).
+
 Path, estimate and trajectories CSVs go through ``_write_rows``, which
 formats row chunks in numpy: ``_float_cells`` gives each float its ``repr``.
 Every JSON file the package writes goes through ``_write_json``.
@@ -41,13 +45,14 @@ import functools
 import json
 import math
 import os
+import shutil
 import struct
 import warnings
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -317,28 +322,33 @@ class Simulator:
         self.history = max(p.first + p.taps.size - 1 for p in self.plans) - self.first
         self.block = min(grid.n, _BLOCK_SAMPLES)
 
-    def blocks(self, seed: NoiseSeed) -> Iterator[tuple]:
-        """Yield each block of a draw from ``seed`` as a tuple of one new
-        array per kernel, in order.
+    def blocks(self, seed: NoiseSeed, start: int = 0, stop: Optional[int] = None) -> Iterator[tuple]:
+        """Yield blocks ``start`` to ``stop`` (to the last when None) of a
+        draw from ``seed``, each as a tuple of one new array per kernel, in
+        order.
 
         The increments are those of ``wiener_increments(grid, pad, seed)``,
         drawn a block at a time from one generator into a buffer that the
         draw makes and holds to its end; the ``history`` last ones of a block
-        stay in it for the next. Draws may be read interleaved, and in
+        stay in it for the next. The blocks before ``start`` are drawn by the
+        same generator calls but not convolved, so a range's blocks are the
+        whole draw's, bit for bit. Draws may be read interleaved, and in
         threads at once."""
         gen, scale = seed.generator(), math.sqrt(self.grid.dt)
         buf = np.empty(self.block + self.history)
         for skip in range(0, self.first, buf.size):  # increments no tap reaches
             gen.standard_normal(out=buf[: min(buf.size, self.first - skip)])
-        for j in range(0, self.grid.n, self.block):
+        end = self.grid.n if stop is None else min(self.grid.n, stop * self.block)
+        for j in range(0, end, self.block):
             m = min(self.block, self.grid.n - j)
             if j:
                 buf[: self.history] = buf[self.block : self.block + self.history]
             fresh = buf[self.history if j else 0 : self.history + m]
             gen.standard_normal(out=fresh)
             fresh *= scale
-            yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1])
-                        for plan in self.plans)
+            if j >= start * self.block:
+                yield tuple(plan.convolve_block(buf[plan.first - self.first :][: m + plan.taps.size - 1])
+                            for plan in self.plans)
 
     def stream(self, seed: NoiseSeed) -> tuple:
         """One ``PathBlocks`` per kernel, in order, over the blocks of a draw
@@ -439,9 +449,9 @@ def _write_json(file, payload, sort_keys: bool = False) -> None:
 
 def _open_csvs(stack: ExitStack, files, header) -> list:
     """The binary handles of ``files``, closed with ``stack``, each holding
-    the ``header`` line."""
+    the ``header`` line, or nothing when ``header`` is empty."""
     handles = [stack.enter_context(open(Path(f), "wb")) for f in files]
-    for fh in handles:
+    for fh in handles if header else ():
         fh.write((",".join(header) + "\r\n").encode("utf-8"))
     return handles
 
@@ -662,30 +672,78 @@ def write_path_files(paths, csv_files, bin_files=()) -> None:
     """Write each of ``paths``, ``SampledPath``s or ``PathBlocks`` all on one
     grid, to the CSV file of ``csv_files`` and, when ``bin_files`` is given,
     the binary file of ``bin_files`` at the same index, in one pass over
-    their blocks: a block goes to every file before the next is read.
-
-    A CSV holds (t,value) rows under a header line; each row chunk's ``t``
-    column is made for that chunk only, from ``t_start + dt*j`` with the
-    bits of ``grid.times()``, and formatted once for every file. A binary
-    file has the ``_BIN_HEADER`` layout."""
+    their blocks (``_write_paths``)."""
     grid = paths[0].grid
     if any(p.grid != grid for p in paths):
         raise ValueError("paths must share one sampling grid")
     for files in (csv_files, bin_files):
         if files and len(files) != len(paths):
             raise ValueError(f"{len(paths)} paths need as many files, got {len(files)}")
+    _write_paths(grid, _blocks_in_step(paths), csv_files, bin_files)
+
+
+def _block_ranges(n: int, cpus: int) -> list:
+    """``(start, stop)`` block indices of the contiguous ranges that a draw
+    of ``n`` samples is written in on ``cpus`` CPUs: one range a CPU, at
+    most one a block, cut at the block boundaries nearest to equal row
+    counts."""
+    blocks = -(-n // _BLOCK_SAMPLES)
+    procs = max(1, min(cpus, blocks))
+    cuts = [0]
+    for i in range(1, procs):
+        nearest = round(i * n / (procs * _BLOCK_SAMPLES))
+        cuts.append(min(max(cuts[-1] + 1, nearest), blocks - procs + i))
+    return list(zip(cuts, cuts[1:] + [blocks]))
+
+
+def _write_draw_range(simulator: Simulator, seed: NoiseSeed, blocks: tuple, csv_files,
+                      bin_files=()) -> None:
+    """Write blocks ``[start, stop)`` of every path of the draw from ``seed``
+    to the CSV of ``csv_files`` and the binary file of ``bin_files`` at its
+    index, as ``write_path_files`` would write them in a whole draw's files,
+    headers only when ``start`` is 0."""
+    start, stop = blocks
+
+    def steps():
+        for k, parts in enumerate(simulator.blocks(seed, start, stop), start):
+            if not all(np.isfinite(p).all() for p in parts):
+                raise ValueError("values must be finite")
+            yield k * simulator.block, parts
+
+    _write_paths(simulator.grid, steps(), csv_files, bin_files, headers=not start)
+
+
+def _write_paths(grid: TimeGrid, steps, csv_files, bin_files, headers: bool = True) -> None:
+    """Write ``steps``, ``(j, blocks)`` with ``blocks`` the paths' values
+    from sample ``j`` of ``grid`` on, to the CSV file of ``csv_files`` and
+    the binary file of ``bin_files`` at each path's index: a block goes to
+    every file before the next is read.
+
+    A CSV holds (t,value) rows, under a header line when ``headers``; each
+    row chunk's ``t`` column is made for that chunk only, from
+    ``t_start + dt*j`` with the bits of ``grid.times()``, and formatted once
+    for every file. A binary file has the ``_BIN_HEADER`` layout, its header
+    written when ``headers``."""
     with ExitStack() as stack:
-        csvs = _open_csvs(stack, csv_files, ["t", "value"])
+        csvs = _open_csvs(stack, csv_files, ["t", "value"] if headers else [])
         bins = [stack.enter_context(open(Path(f), "wb")) for f in bin_files]
-        for fh in bins:
+        for fh in bins if headers else ():
             fh.write(_BIN_HEADER.pack(grid.n, grid.dt, grid.t_start))
-        for j, blocks in _blocks_in_step(paths):
+        for j, blocks in steps:
             for i in range(0, blocks[0].size, _CSV_CHUNK_ROWS) if csvs else ():
                 rows = [b[i : i + _CSV_CHUNK_ROWS] for b in blocks]
                 times = grid.t_start + grid.dt * np.arange(j + i, j + i + rows[0].size)
                 _write_rows(csvs, [[r] for r in rows], lead=times)
             for fh, block in zip(bins, blocks):
                 fh.write(np.ascontiguousarray(block, dtype="<f8"))
+
+
+def _append_files(file, parts) -> None:
+    """Append the files ``parts``, in order, to ``file``, a MiB at a time."""
+    with open(Path(file), "ab") as out:
+        for part in parts:
+            with open(Path(part), "rb") as src:
+                shutil.copyfileobj(src, out, 1 << 20)
 
 
 def write_path_csv(path, file) -> None:

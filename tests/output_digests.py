@@ -5,8 +5,9 @@ each through all five commands, with ``montecarlo --emit-paths`` run at
 ``--workers 1`` on one CPU and on three (so one thread, then three threads,
 run its four replications on any host) and at ``--workers 2``, and
 ``simulate`` run again at T = 1400: 70 001 samples at dt 0.02, two blocks
-through the sinc kernel's FFT plan by overlap-save. Each data file is
-pinned by the sha256
+through the sinc kernel's FFT plan by overlap-save, on the host's CPUs, on
+one (one process writes both blocks) and on three (two processes write a
+block each). Each data file is pinned by the sha256
 of its bytes and each ``run_manifest.json`` by the sha256 of its canonical
 JSON less ``timestamps``. FFT routes pin platform bits, so the digest file
 also records the numpy version they were taken on.
@@ -40,6 +41,8 @@ RUNS = (
     ("check-kernel", "check-kernel", (), None, {}),
     ("simulate", "simulate", (), None, {}),
     ("simulate_T1400", "simulate", (), None, {"simulate": {"deltas": [1, 2], "T": 1400.0}}),
+    ("simulate_T1400_cpus1", "simulate", (), 1, {"simulate": {"deltas": [1, 2], "T": 1400.0}}),
+    ("simulate_T1400_cpus3", "simulate", (), 3, {"simulate": {"deltas": [1, 2], "T": 1400.0}}),
     ("estimate", "estimate", (), None, {}),
     ("bounds", "bounds", (), None, {}),
     ("montecarlo_w1", "montecarlo", ("--workers", "1", "--emit-paths"), 1, {}),

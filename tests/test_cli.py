@@ -1,8 +1,10 @@
 """Command-line front end: exit codes, outputs, manifests, determinism."""
 
+import concurrent.futures.process
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import re
@@ -202,11 +204,8 @@ class TestConfigModule:
                                   "replications": 2}}}
 
         def simulate(view, h, family):
-            grid = TimeGrid(view["t_start"], view["dt"], _horizon_steps(view["T"], view["dt"]) + 1)
-            stems = [tmp_path / f"path{i}" for i in range(1 + len(view["deltas"]))]
-            write_path_files(Simulator([h, *map(family, view["deltas"])], grid).stream(NoiseSeed(1)),
-                             [f.with_suffix(".csv") for f in stems],
-                             [f.with_suffix(".bin") for f in stems])
+            # the command's range writer, in this process on one CPU
+            cli.cmd_simulate(view, tmp_path, None)
 
         def estimate(view, h, family):
             grid = estimation_grid(view["T"], view["dt"], view["tau_grid"])
@@ -379,6 +378,81 @@ class TestSimulate:
         for stem in ("path_Y", "path_X_delta1", "path_X_delta2"):
             write_path_csv(read_path_binary(out / f"{stem}.bin"), tmp_path / "one.csv")
             assert (out / f"{stem}.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    @staticmethod
+    def _run_on(monkeypatch, tmp_path, cpus, T, name) -> tuple:
+        """simulate at T on ``cpus`` CPUs, through a pool that records its
+        size: the sha256 of each file (of a manifest less its timestamps),
+        and the pool sizes."""
+        sizes = []
+
+        class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["command_defaults"]["simulate"]["T"] = T
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert run_cli("simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 0
+        assert multiprocessing.active_children() == []
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        del manifest["timestamps"]
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        digests["run_manifest.json"] = canonical_json(manifest)
+        return digests, sizes
+
+    def test_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path):
+        # 135 001 samples at dt 0.02: blocks of 65 536, 65 536 and 3 929
+        # samples, in one range a CPU up to one a block
+        runs = {cpus: self._run_on(monkeypatch, tmp_path, cpus, 2700.0, f"cpus{cpus}")
+                for cpus in (1, 2, 3, 5)}
+        assert {cpus: sizes for cpus, (_, sizes) in runs.items()} == {1: [], 2: [1], 3: [2], 5: [2]}
+        digests = [d for d, _ in runs.values()]
+        assert len(digests[0]) == 7 and all(d == digests[0] for d in digests)
+        # a one-block grid starts no pool
+        assert self._run_on(monkeypatch, tmp_path, 3, 8.0, "one_block")[1] == []
+
+    def test_as_many_processes_as_memory_holds(self, monkeypatch, tmp_path, capsys):
+        # each process that writes a block range holds one Simulator and one
+        # draw: a config that fits one draw but not three runs on 3 CPUs in
+        # fewer processes, with the same bytes; one that does not fit one
+        # draw exits 2 on any CPU count
+        counts = []
+        real = config_mod._fits_array
+        monkeypatch.setattr(config_mod, "_fits_array", lambda what, rows, cols=1: (
+            counts.append((what, rows * cols)), real(what, rows, cols)))
+        want, sizes = self._run_on(monkeypatch, tmp_path, 3, 2700.0, "fits_all")
+        once, = {v for what, v in counts if what.startswith("the streamed working set")}
+        assert sizes == [2]
+        for memory, pool in [(once, []), (2 * once + 1, [1])]:
+            monkeypatch.setattr(config_mod, "_memory_values", lambda: memory)
+            assert self._run_on(monkeypatch, tmp_path, 3, 2700.0, f"fits{memory}") == (want, pool)
+        monkeypatch.setattr(config_mod, "_memory_values", lambda: once - 1)
+        capsys.readouterr()
+        out = tmp_path / "fits_none"
+        assert run_cli("simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 2
+        assert "streamed working set" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "worker1", "worker2"])
+    def test_failing_range_leaves_no_part_file_or_process(self, monkeypatch, tmp_path, failing):
+        # a range that raises in its process fails the command with its
+        # error; the pool is joined and every part file is deleted
+        blocks = Simulator.blocks
+
+        def fail_one(self, seed, start=0, stop=None):
+            if start == failing:
+                raise RuntimeError(f"range from block {start} failed")
+            return blocks(self, seed, start, stop)
+
+        monkeypatch.setattr(Simulator, "blocks", fail_one)
+        with pytest.raises(RuntimeError, match=f"range from block {failing} failed"):
+            self._run_on(monkeypatch, tmp_path, 3, 2700.0, "out")
+        assert multiprocessing.active_children() == []
+        assert not [p.name for p in (tmp_path / "out").iterdir() if ".part" in p.name]
 
     @pytest.mark.parametrize("deltas,named", [
         ([5.0, 5.0000001], "[5.0, 5.0000001]"),

@@ -518,6 +518,57 @@ class TestBlocks:
             assert read_path_binary(bin_file).values.tobytes() == path.values.tobytes()
 
 
+class TestBlockRanges:
+    """A draw split into contiguous block ranges, each drawn on its own."""
+
+    @pytest.mark.filterwarnings("ignore:dt=.*under-resolves:RuntimeWarning")
+    @pytest.mark.parametrize("kernel, dt, n, size", [
+        (make_sinc(), 1e-3, 150_001, 186_624),
+        (make_triangular(10.0, 1.0), 0.02, 135_001, 0),
+    ], ids=["fft_sinc_120001_taps", "direct"])
+    def test_range_draw_equals_the_full_draw(self, kernel, dt, n, size):
+        # the sinc plan's history (120 000 increments) exceeds a block, so a
+        # range reads history drawn in the blocks before it; block 2 is the
+        # last, partial one
+        sim = Simulator((kernel,), TimeGrid(0.25, dt, n))
+        assert (sim.plans[0].size, sim.history > sim.block) == (size, size > 0)
+        full = list(sim.blocks(NoiseSeed(7, 1)))
+        assert [b.size for (b,) in full] == [65536, 65536, n - 131072]
+        for start, stop in [(1, None), (2, None), (1, 2), (0, 1)]:
+            got = list(sim.blocks(NoiseSeed(7, 1), start, stop))
+            want = full[start:stop]
+            assert [b.tobytes() for (b,) in got] == [b.tobytes() for (b,) in want]
+
+    @pytest.mark.parametrize("n, cpus, ranges", [
+        (1, 4, [(0, 1)]),
+        (65536, 4, [(0, 1)]),
+        (135_001, 1, [(0, 3)]),
+        (135_001, 2, [(0, 1), (1, 3)]),
+        (135_001, 3, [(0, 1), (1, 2), (2, 3)]),
+        (135_001, 5, [(0, 1), (1, 2), (2, 3)]),
+        (500_001, 2, [(0, 4), (4, 8)]),
+        (500_001, 3, [(0, 3), (3, 5), (5, 8)]),
+    ])
+    def test_ranges_are_contiguous_and_balanced_by_rows(self, n, cpus, ranges):
+        assert simulate_mod._block_ranges(n, cpus) == ranges
+
+    def test_appended_range_files_equal_the_whole_draw_files(self, monkeypatch, tmp_path):
+        # blocks of 3 chunks over a grid of 7 chunks and 5 rows: ranges
+        # [0, 1) and [1, 3) appended give write_path_files' bytes, t cells
+        # from the whole grid included
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", 3 * K)
+        grid = TimeGrid(-0.5, 0.05, 7 * K + 5)
+        sim = Simulator((make_sinc(), make_triangular(2.0, 1.0)), grid)
+        names = [tmp_path / f"{stem}{ext}" for stem in ("y", "x") for ext in (".csv", ".bin")]
+        write_path_files(sim.stream(NoiseSeed(4)), names[::2], names[1::2])
+        parts = [[f.with_suffix(f"{f.suffix}{i}") for f in names] for i in range(2)]
+        for blocks, files in zip([(0, 1), (1, 3)], parts):
+            simulate_mod._write_draw_range(sim, NoiseSeed(4), blocks, files[::2], files[1::2])
+        for name, first, second in zip(names, *parts):
+            simulate_mod._append_files(first, [second])
+            assert first.read_bytes() == name.read_bytes()
+
+
 class TestPathIO:
     def _path(self):
         grid = TimeGrid(-0.5, 0.125, 17)
