@@ -139,18 +139,18 @@ def _write_draw(view: dict, seed: NoiseSeed, csvs, bins, procs: int) -> None:
     the block ranges of ``_block_ranges`` for ``procs`` at once: this
     process writes the first into the files, a pool process each other into
     part files beside them, appended in order and deleted, so the bytes do
-    not depend on ``procs``. On failure the pool is joined and the part
-    files deleted before the error is raised."""
+    not depend on ``procs``. On failure the pool is joined and the part and
+    final files deleted before the error is raised."""
     simulator = _simulator_of(view)
     first, *rest = _block_ranges(simulator.grid.n, procs)
-    if not rest:
-        _write_draw_range(simulator, seed, first, csvs, bins)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
     files = [*csvs, *bins]
     parts = [[f.with_name(f"{f.name}.part{i}") for f in files] for i in range(1, len(rest) + 1)]
     try:
+        if not rest:
+            _write_draw_range(simulator, seed, first, csvs, bins)
+            return
+        from concurrent.futures import ProcessPoolExecutor
+
         # a spawned or forkserver worker does not inherit the allocator policy
         with ProcessPoolExecutor(len(rest), initializer=_keep_freed_memory) as pool:
             done = [pool.submit(_write_part, view, seed, blocks, part[: len(csvs)],
@@ -160,6 +160,10 @@ def _write_draw(view: dict, seed: NoiseSeed, csvs, bins, procs: int) -> None:
                 future.result()
         for file, *pieces in zip(files, *parts):
             _append_files(file, pieces)
+    except BaseException:
+        for file in files:
+            file.unlink(missing_ok=True)
+        raise
     finally:
         for part in parts:
             for file in part:

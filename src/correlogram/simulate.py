@@ -35,7 +35,8 @@ A draw can also be written in contiguous ranges of whole blocks
 rows, the whole draw's files when appended in order (``_append_files``).
 
 Path, estimate and trajectories CSVs go through ``_write_rows``, which
-formats row chunks in numpy: ``_float_cells`` gives each float its ``repr``.
+formats chunks of ``_CSV_CHUNK_ROWS`` rows in numpy, the same bytes at any
+chunk size: ``_float_cells`` gives each float its ``repr``.
 Every JSON file the package writes goes through ``_write_json``.
 """
 
@@ -78,12 +79,15 @@ __all__ = [
 
 _UINT64_MAX = 2**64 - 1
 
-#: Rows per chunk of ``_write_rows``: the largest power of two whose
-#: temporaries stay under 1 MB (0.65 MB traced in a 3-path write, 1.2 MB at
-#: 4096 rows). Formatting a chunk takes about 80 numpy calls, and their
-#: fixed cost makes a row of a 3-path write take 605, 390, 362, 327 and
-#: 464 ns at 512, 1024, 2048, 4096 and 8192 rows a chunk.
-_CSV_CHUNK_ROWS = 2048
+#: Rows per chunk of ``_write_rows``. Formatting a chunk takes about 80
+#: numpy calls, whose fixed cost a longer chunk spreads. Under the CLI's
+#: allocator policy (``config._keep_freed_memory``) a row of a 3-path
+#: write of 500 001 rows takes 1227, 1125, 1003 and 1022 ns (median of 7
+#: on 2 vCPUs) at 2048, 4096, 8192 and 16384 rows a chunk, with 0.62,
+#: 1.16, 2.16 and 4.30 MB traced at peak and no minor faults after a first
+#: write; this is the smallest within noise of the fastest. Chunks change
+#: no output byte.
+_CSV_CHUNK_ROWS = 8192
 
 #: Trimmed tap count up to which direct summation is used; longer tap
 #: arrays go through the FFT. Direct cost grows with the tap count, the

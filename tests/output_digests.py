@@ -7,7 +7,8 @@ run its four replications on any host) and at ``--workers 2``, and
 ``simulate`` run again at T = 1400: 70 001 samples at dt 0.02, two blocks
 through the sinc kernel's FFT plan by overlap-save, on the host's CPUs, on
 one (one process writes both blocks) and on three (two processes write a
-block each). Each data file is pinned by the sha256
+block each), and once more on one CPU with the CSV formatter's chunk at
+7 rows instead of ``_CSV_CHUNK_ROWS``. Each data file is pinned by the sha256
 of its bytes and each ``run_manifest.json`` by the sha256 of its canonical
 JSON less ``timestamps``. FFT routes pin platform bits, so the digest file
 also records the numpy version they were taken on.
@@ -34,29 +35,41 @@ import numpy as np
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
-#: (run name, command, extra CLI arguments, CPUs the run may use or None
-#: for the host's, ``command_defaults`` entries that replace the config's),
-#: run on each config in order.
+#: (run name, command, extra CLI arguments, settings the run is patched to:
+#: ``cpus`` the CPUs it may use, the host's when absent, and ``chunk`` the
+#: rows of a CSV chunk, ``simulate._CSV_CHUNK_ROWS`` when absent;
+#: ``command_defaults`` entries that replace the config's), run on each
+#: config in order. The chunk-7 run writes every row in this process,
+#: whatever the start method of a pool's processes.
+T1400 = {"simulate": {"deltas": [1, 2], "T": 1400.0}}
 RUNS = (
-    ("check-kernel", "check-kernel", (), None, {}),
-    ("simulate", "simulate", (), None, {}),
-    ("simulate_T1400", "simulate", (), None, {"simulate": {"deltas": [1, 2], "T": 1400.0}}),
-    ("simulate_T1400_cpus1", "simulate", (), 1, {"simulate": {"deltas": [1, 2], "T": 1400.0}}),
-    ("simulate_T1400_cpus3", "simulate", (), 3, {"simulate": {"deltas": [1, 2], "T": 1400.0}}),
-    ("estimate", "estimate", (), None, {}),
-    ("bounds", "bounds", (), None, {}),
-    ("montecarlo_w1", "montecarlo", ("--workers", "1", "--emit-paths"), 1, {}),
-    ("montecarlo_w1_cpus3", "montecarlo", ("--workers", "1", "--emit-paths"), 3, {}),
-    ("montecarlo_w2", "montecarlo", ("--workers", "2", "--emit-paths"), None, {}),
+    ("check-kernel", "check-kernel", (), {}, {}),
+    ("simulate", "simulate", (), {}, {}),
+    ("simulate_T1400", "simulate", (), {}, T1400),
+    ("simulate_T1400_cpus1", "simulate", (), {"cpus": 1}, T1400),
+    ("simulate_T1400_cpus3", "simulate", (), {"cpus": 3}, T1400),
+    ("simulate_T1400_chunk7", "simulate", (), {"cpus": 1, "chunk": 7}, T1400),
+    ("estimate", "estimate", (), {}, {}),
+    ("bounds", "bounds", (), {}, {}),
+    ("montecarlo_w1", "montecarlo", ("--workers", "1", "--emit-paths"), {"cpus": 1}, {}),
+    ("montecarlo_w1_cpus3", "montecarlo", ("--workers", "1", "--emit-paths"), {"cpus": 3}, {}),
+    ("montecarlo_w2", "montecarlo", ("--workers", "2", "--emit-paths"), {}, {}),
 )
 
 
-def _cpus(n):
-    """A context in which this process's CPU affinity reads as ``n`` CPUs,
-    or the host's when ``n`` is None."""
-    if n is None:
-        return contextlib.nullcontext()
-    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True)
+def _patched(cpus=None, chunk=None):
+    """A context in which this process's CPU affinity reads as ``cpus``
+    CPUs and the CSV formatter works in chunks of ``chunk`` rows; the
+    host's and ``_CSV_CHUNK_ROWS`` where None."""
+    import correlogram.simulate
+
+    stack = contextlib.ExitStack()
+    if cpus is not None:
+        stack.enter_context(mock.patch.object(os, "sched_getaffinity",
+                                              lambda pid: set(range(cpus)), create=True))
+    if chunk is not None:
+        stack.enter_context(mock.patch.object(correlogram.simulate, "_CSV_CHUNK_ROWS", chunk))
+    return stack
 
 
 def configs() -> dict:
@@ -89,13 +102,14 @@ def run_set(work: Path) -> dict:
 
     digests = {}
     for name, cfg in configs().items():
-        for run, command, extra, cpus, defaults in RUNS:
+        for run, command, extra, settings, defaults in RUNS:
             config = work / f"{name}_{run}.json"
             config.write_text(json.dumps(dict(cfg, command_defaults={**cfg["command_defaults"],
                                                                      **defaults})),
                               encoding="utf-8")
             out = work / name / run
-            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), _cpus(cpus):
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    _patched(**settings):
                 warnings.simplefilter("ignore", RuntimeWarning)
                 code = main([command, "--config", str(config), "--out", str(out), *extra])
             if code != 0:

@@ -437,22 +437,26 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(out)) == 2
         assert "streamed working set" in capsys.readouterr().err and not out.exists()
 
-    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["caller", "worker1", "worker2"])
-    def test_failing_range_leaves_no_part_file_or_process(self, monkeypatch, tmp_path, failing):
-        # a range that raises in its process fails the command with its
-        # error; the pool is joined and every part file is deleted
+    @pytest.mark.parametrize("cpus, failing", [(3, 0), (3, 1), (3, 2), (1, 2)],
+                             ids=["caller", "worker1", "worker2", "one_cpu"])
+    def test_failing_range_leaves_no_part_file_or_process(self, monkeypatch, tmp_path, cpus,
+                                                          failing):
+        # a range that raises in its process, at its block ``failing`` of 3,
+        # fails the command with its error; the pool is joined, and every
+        # part file and every final path file, rows written or not, is deleted
         blocks = Simulator.blocks
 
         def fail_one(self, seed, start=0, stop=None):
-            if start == failing:
-                raise RuntimeError(f"range from block {start} failed")
-            return blocks(self, seed, start, stop)
+            for k, parts in enumerate(blocks(self, seed, start, stop), start):
+                if k == failing:
+                    raise RuntimeError(f"block {k} failed")
+                yield parts
 
         monkeypatch.setattr(Simulator, "blocks", fail_one)
-        with pytest.raises(RuntimeError, match=f"range from block {failing} failed"):
-            self._run_on(monkeypatch, tmp_path, 3, 2700.0, "out")
+        with pytest.raises(RuntimeError, match=f"block {failing} failed"):
+            self._run_on(monkeypatch, tmp_path, cpus, 2700.0, "out")
         assert multiprocessing.active_children() == []
-        assert not [p.name for p in (tmp_path / "out").iterdir() if ".part" in p.name]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == []
 
     @pytest.mark.parametrize("deltas,named", [
         ([5.0, 5.0000001], "[5.0, 5.0000001]"),

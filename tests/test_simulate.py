@@ -6,6 +6,7 @@ import pickle
 import struct
 import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import correlogram.simulate as simulate_mod
 from correlogram.errors import PadError
+from correlogram.estimator import write_estimate_csv
 from correlogram.kernels import (
     make_hilbert_sinc,
     make_laplace,
@@ -41,9 +43,13 @@ from correlogram.simulate import (
     write_path_csv,
     write_path_files,
 )
+from correlogram.montecarlo import write_trajectories_csv
 
 
 K = simulate_mod._CSV_CHUNK_ROWS
+#: the chunk that the csv.writer edge tests patch in; the bytes do not depend
+#: on it (``test_bytes_do_not_depend_on_the_chunk`` compares it with ``K``)
+EDGE_K = 2048
 
 
 def output(k, increments, grid, pad):
@@ -607,11 +613,14 @@ class TestPathIO:
         assert (n, dt, t0) == (17, 0.125, -0.5)
         assert len(blob) == struct.calcsize("<Qdd") + 17 * 8
 
-    @pytest.mark.parametrize("extra", [1 - K, -1, 0, 1, 2 * K + 7])
-    def test_csv_bytes_match_csv_writer(self, tmp_path, csv_edge_column, csv_writer_bytes, extra):
-        # K + extra rows: one row, both sides of the first chunk edge, and
-        # a partial fourth chunk
-        n = K + extra
+    @pytest.mark.parametrize("extra", [1 - EDGE_K, -1, 0, 1, 2 * EDGE_K + 7])
+    def test_csv_bytes_match_csv_writer(
+        self, monkeypatch, tmp_path, csv_edge_column, csv_writer_bytes, extra
+    ):
+        # EDGE_K + extra rows at EDGE_K rows a chunk: one row, both sides of
+        # the first chunk edge, and a partial fourth chunk
+        monkeypatch.setattr(simulate_mod, "_CSV_CHUNK_ROWS", EDGE_K)
+        n = EDGE_K + extra
         p = SampledPath(grid=TimeGrid(-1 / 3, 1 / 3, n), values=csv_edge_column(n))
         rows = [[repr(float(t)), repr(float(v))] for t, v in zip(p.grid.times(), p.values)]
         write_path_csv(p, tmp_path / "p.csv")
@@ -626,17 +635,19 @@ class TestPathIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 0.64 MB, 0.85 MB when this write builds the digit tables
+        # measured 2.15 MB, 2.36 MB when this write builds the digit tables
         assert peak < 16e6
 
     @pytest.mark.parametrize("n_paths", [1, 3])
-    @pytest.mark.parametrize("extra", [1 - K, -1, 0, 1, 2 * K + 7])
+    @pytest.mark.parametrize("extra", [1 - EDGE_K, -1, 0, 1, 2 * EDGE_K + 7])
     def test_ladder_bytes_match_csv_writer(
-        self, tmp_path, csv_edge_column, csv_writer_bytes, extra, n_paths
+        self, monkeypatch, tmp_path, csv_edge_column, csv_writer_bytes, extra, n_paths
     ):
-        # every file of one pass has the bytes of its own path: one row, both
-        # sides of the first chunk edge, and a partial fourth chunk
-        n = K + extra
+        # every file of one pass has the bytes of its own path, at EDGE_K
+        # rows a chunk: one row, both sides of the first chunk edge, and a
+        # partial fourth chunk
+        monkeypatch.setattr(simulate_mod, "_CSV_CHUNK_ROWS", EDGE_K)
+        n = EDGE_K + extra
         grid = TimeGrid(-1 / 3, 1 / 3, n)
         paths = [SampledPath(grid=grid, values=csv_edge_column(n, 3 * i)) for i in range(n_paths)]
         files = [tmp_path / f"p{i}.csv" for i in range(n_paths)]
@@ -654,19 +665,63 @@ class TestPathIO:
             write_path_files([a, a], [tmp_path / "a.csv"])
 
     def test_ladder_write_memory_is_chunked(self, tmp_path):
-        n = 200_001
-        grid = TimeGrid(0.0, 1e-3, n)
-        rng = NoiseSeed(5).generator()
-        paths = [SampledPath(grid=grid, values=rng.normal(size=n)) for _ in range(3)]
-        tracemalloc.start()
-        try:
-            write_path_files(paths, [tmp_path / f"p{i}.csv" for i in range(3)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # measured 0.65 MB, 0.86 MB when this write builds the digit tables;
-        # the whole grid's times alone would be 1.6 MB
-        assert peak < 1e6
+        # the traced peak of a 3-path write is its chunk's temporaries, so it
+        # does not grow with n: 2.37 and 2.16 MB at 8192 rows a chunk, the
+        # first with the digit tables built; the larger grid's times alone
+        # would be 6.4 MB
+        peaks = []
+        for n in (200_001, 800_001):
+            grid = TimeGrid(0.0, 1e-3, n)
+            rng = NoiseSeed(5).generator()
+            paths = [SampledPath(grid=grid, values=rng.normal(size=n)) for _ in range(3)]
+            tracemalloc.start()
+            try:
+                write_path_files(paths, [tmp_path / f"p{i}.csv" for i in range(3)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 0.25e6
+        assert max(peaks) < 8 * 800_001
+
+    @pytest.mark.parametrize("chunk, block", [(1, 21), (7, 21), (2048, 8197)])
+    def test_bytes_do_not_depend_on_the_chunk(self, monkeypatch, tmp_path, csv_edge_column,
+                                              chunk, block):
+        # every CSV writer gives the bytes of 8192-row chunks at ``chunk``
+        # rows a chunk, over two blocks and 3 rows: chunks of 1 and 7 end
+        # inside a block and at its end (21 = 3 * 7 rows), chunks of 2048 and
+        # of 8192 inside a block of 8197 rows too; every other value is an
+        # edge value (signed zeros, 1e-05, 1e+16, 5e-324, ...)
+        monkeypatch.setattr(simulate_mod, "_BLOCK_SAMPLES", block)
+        grid = TimeGrid(-0.5, 0.05, 2 * block + 3)
+        rng = NoiseSeed(31).generator()
+
+        def column(shift):
+            values = rng.normal(size=grid.n)
+            values[::2] = csv_edge_column(values[::2].size, shift)
+            return values
+
+        paths = [SampledPath(grid=grid, values=column(shift)) for shift in (0, 5)]
+        estimate = {name: column(shift)
+                    for name, shift in zip(("h_hat", "h_mean", "z_hat"), (3, 7, 11))}
+        result = types.SimpleNamespace(z_fine=np.stack([column(1), column(9)]),
+                                       fine_taus=grid.times())
+        sim = Simulator((make_triangular(2.0, 1.0), make_laplace(2.0, 1.0)), grid)
+
+        def written(chunk):
+            monkeypatch.setattr(simulate_mod, "_CSV_CHUNK_ROWS", chunk)
+            out = tmp_path / str(chunk)
+            out.mkdir()
+            write_path_files(paths, [out / "y.csv", out / "x.csv"], [out / "y.bin", out / "x.bin"])
+            for i, blocks in enumerate([(0, 1), (1, 2), (2, None)]):
+                simulate_mod._write_draw_range(sim, NoiseSeed(4), blocks,
+                                               [out / f"range{i}_{stem}.csv" for stem in "yx"])
+            write_estimate_csv(dict(tau=grid.times(), **estimate), {}, out / "est.csv")
+            write_trajectories_csv(result, out / "trajectories.csv")
+            return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+        want = written(8192)
+        assert len(want) == 13  # est.json too
+        assert written(chunk) == want
 
     def test_truncated_binary_rejected(self, tmp_path):
         p = self._path()
